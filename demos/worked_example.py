@@ -15,7 +15,7 @@ from macfair import (
     energy_report,
     equal_allocation,
     power_rank,
-    solve_enumeration,
+    solve,
     sum_power,
     vertex,
 )
@@ -40,7 +40,7 @@ for order in ((0, 1), (1, 0)):
 print("\n== min-max fair point ==")
 g = equal_allocation(rates, noise)
 print(f"equal-allocation point: {g.tolist()}")
-solution = solve_enumeration(rates, noise)
+solution = solve(rates, noise)
 print(f"case: {solution.case.value}")
 print(f"fair base: {solution.received.round(6).tolist()}")
 for order, weight in solution.coefficients:

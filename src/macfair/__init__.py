@@ -43,9 +43,6 @@ from .minmax import (
     equal_allocation,
     max_min_rates,
     solve,
-    solve_enumeration,
-    solve_frank_wolfe,
-    solve_weighted,
 )
 from .scheduling import (
     Backlog,

@@ -110,11 +110,12 @@ def _noise_from_args(args, n: int) -> NoiseModel:
 
 def cmd_solve(args) -> int:
     rates = _parse_floats(args.rates, "--rates")
+    if not np.all(np.isfinite(rates)):
+        raise UsageError("--rates entries must be finite")
     if not np.all(rates >= 0):
         raise UsageError("--rates entries must be non-negative")
     noise = _noise_from_args(args, rates.size)
-    solution = minmax.solve(rates, noise, backend=args.backend, tol=args.tol,
-                            max_iter=args.max_iter)
+    solution = minmax.solve(rates, noise)
     shares = [{"order": order_to_wire(o), "weight": float(fmt(w))}
               for o, w in solution.coefficients]
     if args.json:
@@ -178,6 +179,8 @@ def read_schedule_csv(path, kind: str, period: float) -> Schedule:
 
 def cmd_schedule(args) -> int:
     backlogs = _parse_floats(args.backlogs, "--backlogs")
+    if not np.all(np.isfinite(backlogs)):
+        raise UsageError("--backlogs entries must be finite")
     if not np.all(backlogs >= 0) or not np.any(backlogs > 0):
         raise UsageError("--backlogs must be non-negative with at least one "
                          "positive entry")
@@ -187,12 +190,8 @@ def cmd_schedule(args) -> int:
         raise UsageError("--period must be positive")
     noise = _noise_from_args(args, backlogs.size)
     backlog = Backlog(packets=backlogs, packet_bits=args.packet_bits)
-    options = {}
-    if args.strategy == "minmax":
-        options = dict(backend=args.backend, tol=args.tol,
-                       max_iter=args.max_iter)
     schedule = scheduling.build_schedule(args.strategy, backlog, args.period,
-                                         noise, **options)
+                                         noise)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             write_schedule_csv(schedule, handle)
@@ -209,7 +208,7 @@ def cmd_schedule(args) -> int:
 _CONFIG_KEYS = {
     "nodes", "initial_energy_j", "period_s", "packet_bits", "noise_db",
     "noise_w", "gains", "lambda_packets", "lambda_sweep", "runs", "seed",
-    "backend", "tol", "max_iter", "period_cap", "out_dir",
+    "period_cap", "out_dir",
 }
 
 
@@ -227,9 +226,6 @@ class ExperimentConfig:
     seed: int
     gains: np.ndarray | None = None
     lambda_sweep: list[float] = field(default_factory=list)
-    backend: str = "auto"
-    tol: float = 1e-12
-    max_iter: int | None = None
     period_cap: int = lifetime.DEFAULT_PERIOD_CAP
     out_dir: str = "."
     seed_source: str = "config"
@@ -239,8 +235,7 @@ class ExperimentConfig:
             n_nodes=self.nodes, initial_energy=self.initial_energy_j,
             period=self.period_s, packet_bits=self.packet_bits,
             noise=NoiseModel(self.sigma_sq, gains=self.gains), lam=lam,
-            runs=self.runs, seed=self.seed, period_cap=self.period_cap,
-            backend=self.backend, tol=self.tol, max_iter=self.max_iter)
+            runs=self.runs, seed=self.seed, period_cap=self.period_cap)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
@@ -302,17 +297,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         seed=parse("seed", int, need("seed")),
         gains=gains,
         lambda_sweep=sweep,
-        backend=raw.get("backend", "auto"),
-        tol=parse("tol", float, raw["tol"]) if "tol" in raw else 1e-12,
-        max_iter=parse("max_iter", int, raw["max_iter"]) if "max_iter" in raw
-        else None,
         period_cap=parse("period_cap", int, raw["period_cap"])
         if "period_cap" in raw else lifetime.DEFAULT_PERIOD_CAP,
         out_dir=raw.get("out_dir", "."),
     )
-    if config.backend not in ("auto", "enumeration", "frank_wolfe"):
-        raise UsageError(f"config key 'backend': unknown backend "
-                         f"{config.backend!r}")
     if gains is not None and gains.size != config.nodes:
         raise UsageError(f"config key 'gains' needs {config.nodes} entries, "
                          f"got {gains.size}")
@@ -410,18 +398,10 @@ def build_parser() -> _Parser:
         p.add_argument("--gains", default=None,
                        help="comma-separated channel gains")
 
-    def add_solver_flags(p):
-        p.add_argument("--backend", default="auto",
-                       choices=["auto", "enumeration", "frank_wolfe"])
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="duality-gap tolerance (sum-power normalized)")
-        p.add_argument("--max-iter", type=int, default=None)
-
     p = sub.add_parser("solve", help="min-max fair allocation for one rate vector")
     p.add_argument("--rates", required=True,
                    help="comma-separated rates in bits per channel use")
     add_noise_flags(p)
-    add_solver_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -433,7 +413,6 @@ def build_parser() -> _Parser:
                    help="collecting period in seconds")
     p.add_argument("--strategy", default="minmax", choices=list(STRATEGIES))
     add_noise_flags(p)
-    add_solver_flags(p)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_schedule)
 

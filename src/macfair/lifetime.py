@@ -41,9 +41,6 @@ class SimConfig:
     runs: int = 1
     seed: int = 0
     period_cap: int = DEFAULT_PERIOD_CAP
-    backend: str = "auto"
-    tol: float = 1e-12
-    max_iter: int | None = None
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -104,10 +101,19 @@ class ComparisonTable:
     runs: int = 0
 
 
-def _period_rng(seed: int, run: int, period: int) -> np.random.Generator:
-    """Generator whose output depends only on (seed, run, period)."""
+def _blocks_per_period(n_nodes: int) -> int:
+    """Philox counter blocks one period's draws span: each gives 4 doubles.
+    Periods start this many blocks apart, so no two share a block."""
+    return -(-n_nodes // 4)
+
+
+def _period_rng(seed: int, run: int, period: int,
+                n_nodes: int) -> np.random.Generator:
+    """Generator whose first ``n_nodes`` draws depend only on
+    (seed, run, period)."""
     key = np.array([seed, run], dtype=np.uint64)
-    counter = np.array([period, 0, 0, 0], dtype=np.uint64)
+    counter = np.array([period * _blocks_per_period(n_nodes), 0, 0, 0],
+                       dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -127,7 +133,7 @@ class _KeyedUniform:
 
     def draws(self, run: int, period: int, n: int) -> np.ndarray:
         st = self._state
-        st["state"]["counter"][:] = (period, 0, 0, 0)
+        st["state"]["counter"][:] = (period * _blocks_per_period(n), 0, 0, 0)
         st["state"]["key"][:] = (self._seed, run)
         st["buffer_pos"] = 4
         st["has_uint32"] = 0
@@ -149,7 +155,7 @@ def draw_backlogs(lam: float, n_nodes: int, packet_bits: float,
 def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
     """The backlog of a given (run, period), independent of strategy and of
     the order in which periods are simulated."""
-    rng = _period_rng(config.seed, run, period)
+    rng = _period_rng(config.seed, run, period, config.n_nodes)
     return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
 
 
@@ -165,12 +171,8 @@ def run_period(backlog: Backlog, strategy: str, config: SimConfig,
     energies = np.asarray(energies, dtype=float)
     if np.any(energies < 0):
         raise ValueError("residual energies must be non-negative")
-    options = {}
-    if strategy == "minmax":
-        options = dict(backend=config.backend, tol=config.tol,
-                       max_iter=config.max_iter, check=False)
     schedule = build_schedule(strategy, backlog, config.period, config.noise,
-                              **options)
+                              check=False)
     report = energy_report(schedule)
     if np.all(report.per_node_energy <= energies):
         return energies - report.per_node_energy, True, report

@@ -1,62 +1,72 @@
 """Min-max fair base of the multi-access power region.
 
 The min-max fair (lexicographically optimal) power allocation at fixed rates
-is the point of the dominant face closest to the equal-allocation point, so
-it can be computed by minimizing a convex quadratic over the time-sharing
-weights of the decoding-order vertices.  Two backends are provided:
+is the base of the dominant face closest to the equal-allocation point.  One
+solver computes it; the input decides how:
 
-* :func:`solve_enumeration` materializes all ``n!`` vertices and finds the
-  nearest point of their convex hull with Wolfe's minimum-norm-point
-  active-set method (exact, for small ``n``).
-* :func:`solve_frank_wolfe` runs away-step conditional gradient with exact
-  line search, using the greedy rule as the linear-minimization oracle, so
-  the vertex set is never materialized and any ``n`` is supported.  Periodic
-  exact corrections over the active set push the iterate to machine
-  precision.
+* Unit gains.  The rank ``sigma^2 * (2^(2*R(A)) - 1)`` depends on a subset
+  only through its rate sum, so the fair base is the slope sequence of the
+  least concave majorant of the prefix ranks of the rates sorted in
+  descending order: Fujishige's lexicographically optimal base (Math. OR
+  5(3), 1980).  Each hull segment is a block of nodes sharing one power
+  level.  The time-sharing weights decompose each block's equal point over
+  the block's greedy chains with Wolfe's minimum-norm-point method, and a
+  north-west-corner coupling of the blocks gives at most ``n`` epochs.
+* Unequal gains.  The objective is the gain-weighted squared distance
+  ``sum_i g_i * (Q_i - c)^2`` to the level ``c = sum_power / sum(gains)``.
+  Wolfe's method runs on the whole ground set in the ``sqrt(g)`` metric with
+  the greedy rule as its vertex oracle (the Fujishige-Wolfe method of
+  Chakrabarty, Jain and Kothari, NeurIPS 2014), so the ``n!`` vertices are
+  never listed.
 
-Both backends work on the received-power region normalized by the conserved
-sum power, which makes every output exactly linear in the noise power.  With
-unequal channel gains the objective is the gain-weighted squared distance to
-the equal-allocation level ``sum_power / sum(gains)``; unit gains reduce this
-to the plain Euclidean projection of the equal-power point.
+Both work on the received-power region normalized by the conserved sum
+power, which makes every output exactly linear in the noise power.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
-solved by :func:`max_min_rates` with the mirrored greedy oracle.
+solved by :func:`max_min_rates` the same way, from the greatest convex
+minorant of the prefix capacities over the received powers sorted in
+ascending order.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .polymatroid import (
+    LEX_CHECK_MAX_N,
     LN2,
-    EnumerationLimitError,
     NoiseModel,
     _as_vector,
     _chain_received_trusted,
     capacity_chain,
-    capacity_rank,
     is_lex_optimal_base,
     sum_power,
 )
 
-# Diagnostic tolerance (relative) for the case classification; loose enough
-# to recognize equal points specified with a handful of decimals.
+# Diagnostic tolerance for the case classification, in units of the sum
+# power; loose enough to recognize equal points specified with a handful of
+# decimals.
 CASE_TOL = 1e-5
 
-# Time-sharing weights below this are dropped and the rest renormalized;
-# epochs that short are physically meaningless.
-WEIGHT_PRUNE = 1e-10
+# Time-sharing weights below this are rounding residue of the coupling;
+# they are dropped and the rest renormalized.
+WEIGHT_PRUNE = 1e-14
 
-ENUMERATION_MAX_N = 7
-
-# Numerical-floor guard on the duality gap, scaled by the squared data norm.
+# Wolfe's method stops when the greedy vertex is already in the corral, or
+# when the duality gap falls below this fraction of the largest squared
+# vertex norm seen: rounding hides any progress below that level.
 _GAP_FLOOR = 1e-13
+
+# Major cycles of Wolfe's method before a solve is declared failed.
+MAX_CYCLES = 10_000
+
+# Largest sum power whose square, the scale of distances and gaps, is finite.
+_MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
 
 
 class CaseLabel(enum.Enum):
@@ -71,7 +81,7 @@ class CaseLabel(enum.Enum):
 
 
 class SolverFailureError(RuntimeError):
-    """The solver did not reach the requested duality gap."""
+    """The solver did not converge."""
 
     def __init__(self, message: str, gap: float = float("nan"),
                  iterations: int = 0):
@@ -90,8 +100,9 @@ class MinMaxSolution:
     ``coefficients`` are ``(decoding order, weight)`` pairs forming a convex
     combination of vertices that reconstructs the base; the optimal base is
     unique but the weights need not be.  ``distance`` is the (gain-weighted)
-    squared distance to the equal-allocation target and ``gap`` the certified
-    duality gap, both in physical units.
+    squared distance to the equal-allocation target and ``gap`` the duality
+    gap of the returned base against the greedy vertex, both in physical
+    units.  ``iterations`` counts the major cycles of Wolfe's method.
     """
 
     received: np.ndarray
@@ -123,95 +134,72 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     return level / noise.gains_for(r.size)
 
 
-def _normalized_marginals(rates_sorted_desc: np.ndarray, total: float) -> np.ndarray:
-    """Prefix ranks of the descending-sorted rates, in units of the sum power."""
-    prefix = np.cumsum(rates_sorted_desc)
-    return np.expm1(2.0 * LN2 * prefix) / total
+def _prefix_ranks(rates: np.ndarray, sigma_sq: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending rate order, its prefix rate sums and prefix ranks.
 
-
-def _classify_normalized(rates: np.ndarray, weights: np.ndarray, total: float,
-                         tol: float) -> tuple[CaseLabel, tuple[int, ...] | None]:
-    """Classify the equal-allocation target against the normalized face.
-
-    Returns the label and, when the target coincides with a vertex, the
-    decoding order realizing it.  Works for any ``n``: membership of an
-    equal-coordinate point only needs the largest-rate prefix ranks, and
-    coincidence is decided by greedily matching rank increments along a
-    chain (increments are strictly increasing in the rate, so the greedy
-    choice is canonical).
+    Both prefix arrays start with the empty set; ranks are in units of the
+    noise power.  Raises ``ValueError`` when the sum power leaves the range
+    in which it, and the squared distances built from it, are finite.
     """
-    n = rates.size
-    level = 1.0 / float(weights.sum())
-
     order = np.argsort(-rates, kind="stable")
-    topk = _normalized_marginals(rates[order], total)
-    ks = np.arange(1, n + 1)
-    member = bool(np.all(ks * level >= topk - tol * (1.0 + topk)))
-
-    # Chain-marginal matching for vertex coincidence: at each step exactly
-    # one rate value (if any) yields the equal-level increment, because the
-    # increment is strictly increasing in the rate.
-    remaining = np.array(sorted(range(n), key=lambda i: (rates[i], i)),
-                         dtype=np.intp)
-    chain_order: list[int] = []
-    cum = 0.0
-    coincident = True
-    for _ in range(n):
-        marginals = np.exp2(2.0 * cum) * np.expm1(2.0 * LN2 * rates[remaining])
-        hits = np.nonzero(np.abs(marginals / total - level)
-                          <= tol * (1.0 + level))[0]
-        if hits.size == 0:
-            coincident = False
-            break
-        pick = int(hits[0])
-        chain_order.append(int(remaining[pick]))
-        cum += float(rates[remaining[pick]])
-        remaining = np.delete(remaining, pick)
-    if coincident:
-        return CaseLabel.VERTEX_COINCIDENT, tuple(chain_order)
-    if member:
-        return CaseLabel.INTERIOR_FEASIBLE, None
-    return CaseLabel.INFEASIBLE, None
+    prefix = np.zeros(rates.size + 1)
+    np.cumsum(rates[order], out=prefix[1:])
+    limit = math.log1p(_MAX_SUM_POWER / sigma_sq) / (2.0 * LN2)
+    if not prefix[-1] < limit:
+        raise ValueError(
+            f"the rates sum to {prefix[-1]:g} bits per channel use; above "
+            f"about {limit:.4g} the sum power overflows at this noise power")
+    return order, prefix, np.expm1((2.0 * LN2) * prefix)
 
 
-def classify_case(rates, noise: NoiseModel, tol: float = CASE_TOL) -> CaseLabel:
+def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
+    """Where the equal-level point sits relative to the face.
+
+    ``shares`` are the prefix ranks of the descending rates over the sum
+    power, empty set first.  The point violates the top-k constraint when a
+    share exceeds ``k * level``, and it is the vertex of the descending chain
+    when every share equals ``k * level``.
+    """
+    excess = shares[1:] - level * np.arange(1, shares.size)
+    if excess.max() > CASE_TOL:
+        return CaseLabel.INFEASIBLE
+    if np.abs(excess).max() <= CASE_TOL:
+        return CaseLabel.VERTEX_COINCIDENT
+    return CaseLabel.INTERIOR_FEASIBLE
+
+
+def classify_case(rates, noise: NoiseModel) -> CaseLabel:
     """Diagnose where the equal-allocation target sits relative to the face.
 
-    ``VertexCoincident``: a single decoding order realizes it exactly;
-    ``InteriorFeasible``: realizable only by time sharing;
+    ``VertexCoincident``: a single decoding order realizes it (within
+    ``CASE_TOL``); ``InteriorFeasible``: realizable only by time sharing;
     ``Infeasible``: outside the region, so the optimum is a strict
-    projection.  Purely diagnostic -- the solvers run the same quadratic
-    program in every case.
+    projection.  Purely diagnostic: the label never changes the solution.
     """
     r = _as_vector(rates, "rates")
-    w = noise.gains_for(r.size)
-    total = float(np.expm1(2.0 * LN2 * r.sum()))
-    if total == 0.0:
+    gains = noise.gains_for(r.size)
+    _, _, ranks = _prefix_ranks(r, noise.sigma_sq)
+    if ranks[-1] == 0.0:
         return CaseLabel.VERTEX_COINCIDENT
-    label, _ = _classify_normalized(r, w, total, tol)
-    return label
+    return _case_label(ranks / ranks[-1], 1.0 / float(gains.sum()))
 
 
-@lru_cache(maxsize=None)
-def _all_orders(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-
-
-def _batch_chains(rates: np.ndarray, total: float) -> np.ndarray:
-    """All n! received-power vertices at once, in units of the sum power."""
-    perms = _all_orders(rates.size)
-    along = rates[perms]
-    prefix = np.cumsum(along, axis=1) - along
-    coords = np.exp2(2.0 * prefix) * np.expm1(2.0 * LN2 * along) / total
-    out = np.empty_like(coords)
-    np.put_along_axis(out, perms, coords, axis=1)
-    return out
-
-
-def _unit_chain(rates: np.ndarray, order: tuple[int, ...], total: float) -> np.ndarray:
-    """One received-power vertex in units of the sum power (trusted inputs)."""
-    idx = np.asarray(order, dtype=np.intp)
-    return _chain_received_trusted(rates, 1.0, idx) / total
+def _hull_ends(values: list[float]) -> list[int]:
+    """Breakpoints ``0 = k_0 < ... < k_p = n`` of the least concave majorant
+    of the points ``(k, values[k])``.  A point exactly on the majorant stays
+    a breakpoint: its prefix is tight, so splitting there is exact, and runs
+    of zero rates or powers become single-node blocks."""
+    ends = [0]
+    for k in range(1, len(values)):
+        yk = values[k]
+        while len(ends) > 1:
+            a, b = ends[-2], ends[-1]
+            if (values[b] - values[a]) * (k - a) >= (yk - values[a]) * (b - a):
+                break
+            ends.pop()
+        ends.append(k)
+    return ends
 
 
 def _affine_min_coeffs(points: np.ndarray) -> np.ndarray:
@@ -239,42 +227,44 @@ def _affine_min_coeffs(points: np.ndarray) -> np.ndarray:
     return sol[1:]
 
 
-def _wolfe_min_norm(points: np.ndarray, tol: float, max_iter: int
-                    ) -> tuple[np.ndarray, list[int], np.ndarray, int, float]:
-    """Wolfe's active-set method for the nearest point of a convex hull.
+def _wolfe_min_norm(chain, lmo, start: tuple[int, ...]):
+    """Wolfe's minimum-norm point of the convex hull of the chain vertices.
 
-    Returns ``(x, corral indices, coefficients, major cycles, gap)`` where
-    ``gap`` is the final linear-minimization duality gap of ``0.5*||x||^2``.
+    ``chain`` maps a decoding order to its vertex, already shifted so the
+    target is the origin and scaled to the problem's metric; ``lmo`` maps a
+    point ``x`` to the order whose vertex minimizes ``x . v`` (the greedy
+    rule), so the vertex set is never materialized.  The search starts at
+    the vertex of ``start``.  Returns ``(x, corral orders, coefficients,
+    major cycles, gap)`` where ``gap = x.x - min_v x.v`` is the final
+    duality gap of ``0.5*|x|^2``.
     """
-    norms = np.einsum("ij,ij->i", points, points)
-    start = int(np.argmin(norms))
-    corral = [start]
-    coeffs = np.array([1.0])
-    x = points[start].copy()
-    guard = _GAP_FLOOR * (1.0 + float(norms.max(initial=0.0)))
+    orders = [start]
+    points = chain(start)[None, :]
+    coeffs = np.ones(1)
+    x = points[0]
+    xx = scale = float(x @ x)
     majors = 0
-    gap = 0.0
     while True:
-        dots = points @ x
-        j = int(np.argmin(dots))
-        xx = float(x @ x)
-        gap = xx - float(dots[j])
-        if gap <= max(tol, guard) or j in corral:
+        order = lmo(x)
+        known = order in orders
+        v = points[orders.index(order)] if known else chain(order)
+        gap = xx - float(x @ v)
+        scale = max(scale, float(v @ v))
+        if known or gap <= _GAP_FLOOR * scale:
             break
-        if majors >= max_iter:
+        if majors >= MAX_CYCLES:
             raise SolverFailureError(
-                f"minimum-norm point did not converge in {max_iter} cycles",
+                f"minimum-norm point did not converge in {MAX_CYCLES} cycles",
                 gap=gap, iterations=majors)
         majors += 1
-        corral.append(j)
-        coeffs = np.append(coeffs, 0.0)
+        orders.append(order)
+        points = np.concatenate((points, v[None, :]))
+        coeffs = np.concatenate((coeffs, (0.0,)))
         while True:
-            sub = points[corral]
-            target = _affine_min_coeffs(sub)
+            target = _affine_min_coeffs(points)
             if target.min() >= -1e-12:
                 coeffs = np.maximum(target, 0.0)
                 coeffs /= coeffs.sum()
-                x = coeffs @ sub
                 break
             shrink = coeffs - target
             move = shrink > 1e-14
@@ -284,281 +274,228 @@ def _wolfe_min_norm(points: np.ndarray, tol: float, max_iter: int
             keep = coeffs > 1e-14
             if not keep.any():
                 keep[int(np.argmax(coeffs))] = True
-            corral = [c for c, k in zip(corral, keep) if k]
+            orders = [o for o, k in zip(orders, keep) if k]
+            points = points[keep]
             coeffs = coeffs[keep]
             coeffs /= coeffs.sum()
-            x = coeffs @ points[corral]
-    return x, corral, coeffs, majors, max(gap, 0.0)
+        x = coeffs @ points
+        xx = float(x @ x)
+    return x, orders, coeffs, majors, max(gap, 0.0)
 
 
-def _solve_hull_enumeration(vertices, orders, n, weights, level, tol, max_iter):
-    """Exact nearest-point solve over the explicitly enumerated vertex hull."""
-    root_w = np.sqrt(weights)
-    target = np.full(n, level)
-    points = (vertices - target) * root_w
-    x, corral, coeffs, iters, gap = _wolfe_min_norm(points, tol, max_iter)
-    u = x / root_w + target
-    support = {tuple(int(i) for i in orders[k]): float(c)
-               for k, c in zip(corral, coeffs)}
-    return u, support, iters, gap
+def _decompose(nodes: np.ndarray, level: float, vertex, lmo):
+    """Time-sharing weights of one hull block's equal point.
 
-
-def _solve_hull_frank_wolfe(chain, lmo, n, weights, level, tol, max_iter):
-    """Away-step conditional gradient with exact line search and corrections.
-
-    The linear subproblems are solved by the greedy rule (``lmo`` maps a
-    gradient to a decoding order), so the ``n!`` vertex set is never formed.
-    Every 50 iterations, and at termination, the quadratic is minimized
-    exactly over the current active set, which drives the iterate to the
-    optimal face at machine precision.
+    ``vertex`` maps an order of the block's positions ``0..m-1`` to the
+    block's vertex; Wolfe's method runs on vertices over ``level`` minus
+    one, so the equal point is the origin.  Returns the orders mapped to
+    node indices, their weights and the major cycles spent.
     """
-    target = np.full(n, level)
-    root_w = np.sqrt(weights)
+    if nodes.size == 1:
+        return [(int(nodes[0]),)], np.ones(1), 0
+    inv = 1.0 / level
 
-    def polish(active: dict) -> tuple[np.ndarray, dict]:
-        orders = list(active.keys())
-        pts = np.stack([chain(o) for o in orders])
-        shifted = (pts - target) * root_w
-        x, corral, coeffs, _, _ = _wolfe_min_norm(shifted, 0.0, 10 * (n + 2))
-        new = {orders[k]: float(c) for k, c in zip(corral, coeffs) if c > 1e-15}
-        if not new:
-            new = {orders[corral[int(np.argmax(coeffs))]]: 1.0}
-        u = x / root_w + target
-        return u, new
+    def chain(o):
+        p = vertex(o)
+        p *= inv
+        p -= 1.0
+        return p
 
-    start = lmo(-weights * target)
-    active: dict[tuple[int, ...], float] = {start: 1.0}
-    cache: dict[tuple[int, ...], np.ndarray] = {start: chain(start)}
-    u = cache[start].copy()
-    guard = _GAP_FLOOR * float(weights.sum()) * (1.0 + level) ** 2
-    stop = max(tol, guard)
-    gap = float("inf")
-    iters = 0
-    while True:
-        grad = weights * (u - target)
-        order = lmo(grad)
-        v = cache.get(order)
-        if v is None:
-            v = cache[order] = chain(order)
-        gap = float(grad @ (u - v))
-        if gap <= stop:
-            break
-        if iters >= max_iter:
-            raise SolverFailureError(
-                f"conditional gradient did not reach gap {tol:g} in "
-                f"{max_iter} iterations", gap=gap, iterations=iters)
-        if iters and iters % 50 == 0:
-            u, active = polish(active)
-            iters += 1
-            continue
-        away_order = max((o for o in active if active[o] > 0.0),
-                         key=lambda o: float(grad @ cache[o]))
-        a = cache[away_order]
-        if gap >= float(grad @ (a - u)):
-            direction = v - u
-            gamma_max = 1.0
-            is_away = False
-        else:
-            alpha = active[away_order]
-            direction = u - a
-            gamma_max = alpha / (1.0 - alpha) if alpha < 1.0 else 1.0
-            is_away = True
-        denom = float(weights @ (direction * direction))
-        if denom <= 0.0:
-            u, active = polish(active)
-            iters += 1
-            continue
-        gamma = min(gamma_max, max(0.0, -float(grad @ direction) / denom))
-        if is_away:
-            for o in active:
-                active[o] *= 1.0 + gamma
-            active[away_order] -= gamma
-            if active[away_order] <= 1e-14:
-                del active[away_order]
-        else:
-            for o in active:
-                active[o] *= 1.0 - gamma
-            active[order] = active.get(order, 0.0) + gamma
-        u = u + gamma * direction
-        iters += 1
-        if iters % 100 == 0:
-            total = sum(active.values())
-            for o in active:
-                active[o] /= total
-            u = sum(c * cache[o] for o, c in active.items())
-    u, active = polish(active)
-    grad = weights * (u - target)
-    order = lmo(grad)
-    v = cache.get(order)
-    if v is None:
-        v = chain(order)
-    gap = max(float(grad @ (u - v)), 0.0)
-    return u, active, iters, gap
+    _, orders, coeffs, majors, _ = _wolfe_min_norm(
+        chain, lmo, tuple(range(nodes.size)))
+    keep = coeffs > 0.0
+    mapped = [tuple(nodes[list(o)].tolist())
+              for o, k in zip(orders, keep) if k]
+    return mapped, coeffs[keep], majors
+
+
+def _couple(parts) -> dict[tuple[int, ...], float]:
+    """North-west-corner coupling of per-block time-sharing weights.
+
+    ``parts`` lists, block by block in chain order, ``(orders, weights)``
+    with weights summing to one.  Laying every block's weights end to end on
+    ``[0, 1]`` and cutting at all their breakpoints gives epochs whose
+    restriction to each block reproduces that block's weights, so the
+    concatenated orders time-share the whole base in at most
+    ``sum(len(weights)) - len(parts) + 1`` epochs.
+    """
+    if all(len(w) == 1 for _, w in parts):
+        return {sum((orders[0] for orders, _ in parts), ()): 1.0}
+    cums = []
+    for _, w in parts:
+        c = list(itertools.accumulate(w.tolist()))
+        cums.append([x / c[-1] for x in c[:-1]] + [1.0])
+    edges = sorted(set(itertools.chain([0.0], *cums)))
+    pos = [0] * len(parts)
+    support: dict[tuple[int, ...], float] = {}
+    for a, b in zip(edges[:-1], edges[1:]):
+        order: tuple[int, ...] = ()
+        for j, (c, (orders, _)) in enumerate(zip(cums, parts)):
+            while c[pos[j]] <= a:
+                pos[j] += 1
+            order += orders[pos[j]]
+        support[order] = support.get(order, 0.0) + (b - a)
+    return support
 
 
 def _prune_support(support: dict) -> tuple[tuple[tuple[int, ...], float], ...]:
     kept = {o: w for o, w in support.items() if w > WEIGHT_PRUNE}
-    if not kept:
-        top = max(support, key=support.get)
-        kept = {top: 1.0}
     total = sum(kept.values())
     items = [(o, w / total) for o, w in kept.items()]
     items.sort(key=lambda ow: (-ow[1], ow[0]))
     return tuple(items)
 
 
-def _solve_power(rates, noise: NoiseModel, tol: float, max_iter: int,
-                 backend: str, check: bool) -> MinMaxSolution:
+def _power_lmo(x: np.ndarray) -> tuple[int, ...]:
+    # Contra-polymatroid side: chain increments grow along the chain, so the
+    # largest gradient entry goes first.
+    return tuple(np.argsort(-x, kind="stable").tolist())
+
+
+def _unit_base(r: np.ndarray, order: np.ndarray, prefix: np.ndarray,
+               ranks: np.ndarray):
+    """Hull base (units of the noise power) and its time sharing.
+
+    Block ``[lo, hi)`` of the descending order is the contraction by the
+    blocks above it, a power region of the same form with noise
+    ``2^(2*prefix[lo])``, so its chains are ordinary chain vertices.
+    """
+    base = np.empty(r.size)
+    parts = []
+    majors = 0
+    values = ranks.tolist()
+    ends = _hull_ends(values)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        nodes = order[lo:hi]
+        level = (values[hi] - values[lo]) / (hi - lo)
+        base[nodes] = level
+        rb = r[nodes]
+        noise_b = float(np.exp2(2.0 * prefix[lo]))
+
+        def vertex(o, rb=rb, noise_b=noise_b):
+            return _chain_received_trusted(rb, noise_b,
+                                           np.asarray(o, dtype=np.intp))
+
+        orders, weights, cycles = _decompose(nodes, level, vertex, _power_lmo)
+        parts.append((orders, weights))
+        majors += cycles
+    return base, _couple(parts), majors
+
+
+def _weighted_base(r: np.ndarray, gains: np.ndarray, level: float,
+                   total: float, start: tuple[int, ...]):
+    """Gain-weighted nearest base by Wolfe's method on the whole ground set,
+    in units of the sum power."""
+    root = np.sqrt(gains)
+    unit = 1.0 / total
+
+    def chain(o):
+        v = _chain_received_trusted(r, unit, np.asarray(o, dtype=np.intp))
+        return (v - level) * root
+
+    def lmo(x):
+        return _power_lmo(x * root)
+
+    x, orders, coeffs, majors, gap = _wolfe_min_norm(chain, lmo, start)
+    return x / root + level, dict(zip(orders, coeffs.tolist())), majors, gap
+
+
+def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
+    """Min-max fair base of the power region and its time sharing.
+
+    Unit gains take the exact hull base; unequal gains take Wolfe's method
+    on the gain-weighted objective.  With ``check`` (and unit gains,
+    ``n <= 12``) the base must also pass :func:`is_lex_optimal_base`.
+    """
     r = _as_vector(rates, "rates")
     n = r.size
     gains = noise.gains_for(n)
-    total = float(np.expm1(2.0 * LN2 * r.sum()))
+    order, prefix, ranks = _prefix_ranks(r, noise.sigma_sq)
+    total = float(ranks[-1])
+    scale = noise.sigma_sq
 
     if total == 0.0:
         received = np.zeros(n)
-        identity = tuple(range(n))
         return MinMaxSolution(
             received=received, transmit=received.copy(),
-            coefficients=((identity, 1.0),),
+            coefficients=((tuple(range(n)), 1.0),),
             case=CaseLabel.VERTEX_COINCIDENT,
             distance=0.0, iterations=0, gap=0.0)
 
     level = 1.0 / float(gains.sum())
-    case, coincident_order = _classify_normalized(r, gains, total, CASE_TOL)
-
-    def chain(order: tuple[int, ...]) -> np.ndarray:
-        return _unit_chain(r, order, total)
-
-    def lmo(grad: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.argsort(-grad, kind="stable"))
-
-    if n == 1:
-        u = np.ones(1)
-        support = {(0,): 1.0}
-        iters = 0
-        gap = 0.0
-    elif backend == "enumeration":
-        if n > ENUMERATION_MAX_N:
-            raise EnumerationLimitError(
-                f"vertex enumeration is capped at n <= {ENUMERATION_MAX_N}; "
-                f"got n = {n}")
-        u, support, iters, gap = _solve_hull_enumeration(
-            _batch_chains(r, total), _all_orders(n), n, gains, level, tol,
-            max_iter)
-    elif backend == "frank_wolfe":
-        u, support, iters, gap = _solve_hull_frank_wolfe(
-            chain, lmo, n, gains, level, tol, max_iter)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    if case is CaseLabel.VERTEX_COINCIDENT and coincident_order is not None:
-        support = {coincident_order: 1.0}
-        u = chain(coincident_order)
-
-    coefficients = _prune_support(support)
-    scale = noise.sigma_sq
-    received = scale * (total * u)
-    transmit = received / gains
-    dist_norm = float(gains @ (u - level) ** 2)
-    distance = (scale * scale) * (total * total * dist_norm)
-    gap_phys = (scale * scale) * (total * total * gap)
-
+    shares = ranks / total
+    case = _case_label(shares, level)
     unit_gains = noise.gains is None or bool(np.all(gains == 1.0))
-    if check and n <= 12 and unit_gains:
+    if unit_gains:
+        base, support, iters = _unit_base(r, order, prefix, ranks)
+        received = scale * base
+        u = base / total
+        # The descending chain is a greedy vertex of the gradient u - level:
+        # it visits the blocks in order of decreasing level.
+        grad = u[order] - level
+        gap = max(float(grad @ (u[order] - np.diff(shares))), 0.0)
+    else:
+        u, support, iters, gap = _weighted_base(
+            r, gains, level, total, tuple(order.tolist()))
+        received = scale * (total * u)
+
+    transmit = received / gains
+    factor = (scale * total) ** 2
+    distance = factor * float(gains @ (u - level) ** 2)
+    gap_phys = factor * gap
+
+    if check and unit_gains and n <= LEX_CHECK_MAX_N:
         if not is_lex_optimal_base(transmit, r, noise):
             raise SolverFailureError(
                 "solver output failed the lexicographic optimality check",
                 gap=gap_phys, iterations=iters)
 
     return MinMaxSolution(
-        received=received, transmit=transmit, coefficients=coefficients,
-        case=case, distance=distance, iterations=iters, gap=gap_phys)
+        received=received, transmit=transmit,
+        coefficients=_prune_support(support), case=case,
+        distance=distance, iterations=iters, gap=gap_phys)
 
 
-def solve_enumeration(rates, noise: NoiseModel, tol: float = 1e-12,
-                      max_iter: int = 2000, check: bool = True) -> MinMaxSolution:
-    """Exact min-max fair base over the enumerated vertex hull (n <= 7).
-
-    ``tol`` is the duality-gap tolerance of the quadratic program, measured
-    on the sum-power-normalized problem.
-    """
-    return _solve_power(rates, noise, tol, max_iter, "enumeration", check)
+def _capacity_lmo(x: np.ndarray) -> tuple[int, ...]:
+    # Polymatroid side: chain increments shrink along the chain, so the
+    # smallest gradient entry takes the first (largest) share.
+    return tuple(np.argsort(x, kind="stable").tolist())
 
 
-def solve_frank_wolfe(rates, noise: NoiseModel, tol: float = 1e-12,
-                      max_iter: int = 20000, check: bool = True) -> MinMaxSolution:
-    """Min-max fair base by away-step conditional gradient (any n).
-
-    The linear subproblem is solved by the greedy descending sort of the
-    gradient, so each iteration costs ``O(n log n)``.
-    """
-    return _solve_power(rates, noise, tol, max_iter, "frank_wolfe", check)
-
-
-def solve(rates, noise: NoiseModel, backend: str = "auto", tol: float = 1e-12,
-          max_iter: int | None = None, check: bool = True) -> MinMaxSolution:
-    """Dispatch to the enumeration backend for small n, Frank-Wolfe otherwise."""
-    r = _as_vector(rates, "rates")
-    if backend == "auto":
-        backend = "enumeration" if r.size <= ENUMERATION_MAX_N else "frank_wolfe"
-    if backend == "enumeration":
-        return solve_enumeration(r, noise, tol, max_iter or 2000, check)
-    if backend == "frank_wolfe":
-        return solve_frank_wolfe(r, noise, tol, max_iter or 20000, check)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def solve_weighted(rates, noise: NoiseModel, tol: float = 1e-12,
-                   backend: str = "auto", max_iter: int | None = None,
-                   check: bool = True) -> MinMaxSolution:
-    """Gain-weighted min-max fair base.
-
-    Minimizes ``sum_i g_i * (Q_i - c)^2`` over the received-power face with
-    ``c = sum_power / sum(gains)``; the gains act as fairness weights for
-    heterogeneous nodes.  With unit gains this is exactly the unweighted
-    solve (same code path, identical output).
-    """
-    return solve(rates, noise, backend=backend, tol=tol, max_iter=max_iter,
-                 check=check)
-
-
-def max_min_rates(powers, noise: NoiseModel, tol: float = 1e-12,
-                  backend: str = "auto", max_iter: int | None = None
+def max_min_rates(powers, noise: NoiseModel
                   ) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], float], ...]]:
     """Max-min fair rate base of the capacity region, with time sharing.
 
     The dual of the power problem: the fairest achievable rate vector at
-    fixed powers is the base of the capacity region closest to the equal
-    split of the sum capacity.  Returns the rate vector and the
-    ``(decoding order, weight)`` pairs realizing it.
+    fixed powers is the slope sequence of the greatest convex minorant of
+    the prefix capacities over the received powers sorted in ascending
+    order.  Block ``[lo, hi)`` is a capacity region of the same form whose
+    noise includes the received power of the blocks below it.  Returns the
+    rate vector and the ``(decoding order, weight)`` pairs realizing it.
     """
     p = _as_vector(powers, "powers")
     n = p.size
-    total = capacity_rank(p, noise, range(n))
-    identity = tuple(range(n))
-    if total == 0.0:
-        return np.zeros(n), ((identity, 1.0),)
-    level = 1.0 / n
-    weights = np.ones(n)
+    q = noise.received(p)
+    order = np.argsort(q, kind="stable")
+    cum = np.zeros(n + 1)
+    np.cumsum(q[order], out=cum[1:])
+    caps = (0.5 / LN2) * np.log1p(cum / noise.sigma_sq)
+    if caps[-1] == 0.0:
+        return np.zeros(n), ((tuple(range(n)), 1.0),)
+    rates = np.empty(n)
+    parts = []
+    values = caps.tolist()
+    ends = _hull_ends([-c for c in values])
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        nodes = order[lo:hi]
+        level = (values[hi] - values[lo]) / (hi - lo)
+        rates[nodes] = level
+        block_noise = NoiseModel(noise.sigma_sq + float(cum[lo]))
+        qb = q[nodes]
 
-    def chain(order: tuple[int, ...]) -> np.ndarray:
-        return capacity_chain(p, noise, order) / total
+        def vertex(o, qb=qb, block_noise=block_noise):
+            return capacity_chain(qb, block_noise, o)
 
-    def lmo(grad: np.ndarray) -> tuple[int, ...]:
-        # Polymatroid side: chain increments decrease, so the smallest
-        # gradient entry takes the first (largest) share.
-        return tuple(int(i) for i in np.argsort(grad, kind="stable"))
-
-    if n == 1:
-        u = np.ones(1)
-        support = {(0,): 1.0}
-    elif backend in ("auto", "enumeration") and n <= ENUMERATION_MAX_N:
-        orders = _all_orders(n)
-        vertices = np.stack([chain(tuple(int(i) for i in o)) for o in orders])
-        u, support, _, _ = _solve_hull_enumeration(
-            vertices, orders, n, weights, level, tol, max_iter or 2000)
-    else:
-        u, support, _, _ = _solve_hull_frank_wolfe(
-            chain, lmo, n, weights, level, tol, max_iter or 20000)
-
-    return total * u, _prune_support(support)
+        orders, weights, _ = _decompose(nodes, level, vertex, _capacity_lmo)
+        parts.append((orders, weights))
+    return rates, _prune_support(_couple(parts))

@@ -83,14 +83,15 @@ class NoiseModel:
     gains: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.sigma_sq > 0.0:
-            raise ValueError(f"noise power must be positive, got {self.sigma_sq}")
+        if not 0.0 < self.sigma_sq < np.inf:
+            raise ValueError(
+                f"noise power must be positive and finite, got {self.sigma_sq}")
         if self.gains is not None:
             g = np.asarray(self.gains, dtype=float)
             if g.ndim != 1 or g.size < 1:
                 raise ValueError("gains must be a non-empty 1-D vector")
-            if not np.all(g > 0.0):
-                raise ValueError("every channel gain must be positive")
+            if not (0.0 < g.min() and g.max() < np.inf):
+                raise ValueError("every channel gain must be positive and finite")
             g.flags.writeable = False
             object.__setattr__(self, "gains", g)
 
@@ -120,7 +121,14 @@ def _as_vector(values, name: str, nonneg: bool = True) -> np.ndarray:
         x = x.reshape(1)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
-    if nonneg and not np.all(x >= 0.0):
+    # One reduction each for the lower and upper end: a NaN fails both.
+    if nonneg:
+        ok = 0.0 <= x.min() and x.max() < np.inf
+    else:
+        ok = -np.inf < x.min() and x.max() < np.inf
+    if not ok:
+        if not np.isfinite(x).all():
+            raise ValueError(f"every entry of {name} must be finite")
         raise ValueError(f"every entry of {name} must be non-negative")
     return x
 
@@ -184,8 +192,11 @@ def sum_power(rates, noise: NoiseModel) -> float:
 def _chain_received_trusted(r: np.ndarray, sigma_sq: float,
                             idx: np.ndarray) -> np.ndarray:
     rp = r[idx]
-    prefix = np.cumsum(rp) - rp
-    coords = sigma_sq * np.exp2(2.0 * prefix) * np.expm1(2.0 * LN2 * rp)
+    prefix = rp.cumsum()
+    prefix -= rp
+    coords = np.exp2(2.0 * prefix)
+    coords *= sigma_sq
+    coords *= np.expm1(2.0 * LN2 * rp)
     out = np.empty_like(coords)
     out[idx] = coords
     return out
@@ -325,8 +336,6 @@ def greedy_linear_min(theta, rates, noise: NoiseModel) -> tuple[tuple[int, ...],
     r = _as_vector(rates, "rates")
     if t.size != r.size:
         raise ValueError("theta and rates must have the same length")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("every entry of theta must be finite")
     pi = tuple(int(i) for i in np.argsort(-t, kind="stable"))
     return pi, vertex(r, noise, pi)
 
@@ -354,8 +363,6 @@ def greedy_linear_max_rates(lam, powers, noise: NoiseModel) -> tuple[tuple[int, 
     p = _as_vector(powers, "powers")
     if w.size != p.size:
         raise ValueError("lam and powers must have the same length")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("every entry of lam must be finite")
     pi = tuple(int(i) for i in np.argsort(-w, kind="stable"))
     return pi, capacity_chain(p, noise, pi)
 

@@ -213,8 +213,7 @@ def tdma_schedule(backlog: Backlog, period: float,
 
 
 def minmax_schedule(backlog: Backlog, period: float, noise: NoiseModel,
-                    backend: str = "auto", tol: float = 1e-12,
-                    max_iter: int | None = None, check: bool = True) -> Schedule:
+                    check: bool = True) -> Schedule:
     """Time-sharing schedule whose averaged powers are the min-max fair base.
 
     One epoch per time-sharing weight of the solver, each at the vertex of
@@ -228,8 +227,7 @@ def minmax_schedule(backlog: Backlog, period: float, noise: NoiseModel,
         raise ValueError("at least one node must have a positive backlog")
     sub = _subnoise(noise, active)
     rates = packets * backlog.packet_bits / period
-    solution = minmax.solve(rates, sub, backend=backend, tol=tol,
-                            max_iter=max_iter, check=check)
+    solution = minmax.solve(rates, sub, check=check)
     gains = sub.gains_for(active.size)
     full_rates = _embed(rates, active, n)
     inactive = tuple(int(i) for i in range(n) if i not in set(active.tolist()))
@@ -263,10 +261,13 @@ def energy_report(schedule: Schedule) -> EnergyReport:
 
 
 def build_schedule(strategy: str, backlog: Backlog, period: float,
-                   noise: NoiseModel, **solver_options) -> Schedule:
-    """Construct the named strategy's schedule for one period."""
+                   noise: NoiseModel, check: bool = True) -> Schedule:
+    """Construct the named strategy's schedule for one period.
+
+    ``check`` is passed to the min-max solver and ignored by the others.
+    """
     if strategy == "minmax":
-        return minmax_schedule(backlog, period, noise, **solver_options)
+        return minmax_schedule(backlog, period, noise, check=check)
     if strategy == "minicost":
         return minicost_schedule(backlog, period, noise)
     if strategy == "tdma":

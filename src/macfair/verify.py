@@ -5,7 +5,8 @@ an independent oracle: exhaustive modularity of the rank functions, vertex
 feasibility and chain tightness, greedy optimality against brute force over
 all decoding orders, agreement of the fairness certificate with the
 perturbation probe on solver outputs and on deliberately ruined bases, and
-agreement between the two solver backends.  Suites whose oracle would
+the first-order optimality of solver outputs against brute force over all
+decoding orders, with unit and random gains.  Suites whose oracle would
 exceed its enumeration cap are reported as skipped, never silently reduced.
 """
 
@@ -141,7 +142,7 @@ def fairness_suite(n: int, instances: int, seed: int,
     for _ in range(instances):
         rates = rng.uniform(0.05, 2.0, n)
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        sol = minmax.solve_enumeration(rates, noise)
+        sol = minmax.solve(rates, noise)
         transmit = sol.transmit
         lex = polymatroid.is_lex_optimal_base(transmit, rates, noise)
         probe = polymatroid.is_minmax(transmit, rates, noise)
@@ -177,24 +178,37 @@ def fairness_suite(n: int, instances: int, seed: int,
     return SuiteResult(name, True, True, checks)
 
 
-def backend_suite(n: int, instances: int, seed: int) -> SuiteResult:
-    """Frank-Wolfe and enumeration backends agree to 1e-5 per coordinate."""
-    name = "backend-agreement"
-    if n > minmax.ENUMERATION_MAX_N:
-        return _skip(name, minmax.ENUMERATION_MAX_N, n)
+def certificate_suite(n: int, instances: int, seed: int) -> SuiteResult:
+    """Solver outputs pass the first-order optimality certificate.
+
+    The gain-weighted gradient at the returned base may not prefer any of
+    the ``n!`` decoding-order vertices, found by brute force, by more than
+    ``1e-12`` of the squared sum power; checked with unit and random gains.
+    """
+    name = "solver-certificate"
+    cap = 8
+    if n > cap:
+        return _skip(name, cap, n)
     rng = np.random.default_rng(seed)
     checks = 0
+    orders = list(itertools.permutations(range(n)))
     for _ in range(instances):
         rates = rng.uniform(0.0, 1.0, n)
-        noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        a = minmax.solve_enumeration(rates, noise, check=False)
-        b = minmax.solve_frank_wolfe(rates, noise, check=False)
-        err = float(np.max(np.abs(a.received - b.received)))
-        if err > 1e-5:
-            return SuiteResult(name, True, False, checks,
-                               f"backends disagree by {err}: rates={rates.tolist()} "
-                               f"sigma_sq={noise.sigma_sq}")
-        checks += 1
+        sigma_sq = float(rng.choice([1.0, 1e-3]))
+        vertices = np.stack([polymatroid.chain_received(rates, sigma_sq, o)
+                             for o in orders])
+        for gains in (None, rng.uniform(0.2, 5.0, n)):
+            noise = NoiseModel(sigma_sq, gains=gains)
+            sol = minmax.solve(rates, noise, check=False)
+            g = noise.gains_for(n)
+            total = polymatroid.sum_power(rates, noise)
+            grad = g * (sol.received - total / float(g.sum()))
+            gap = float(grad @ sol.received) - float(np.min(vertices @ grad))
+            if gap > 1e-12 * total * total:
+                return SuiteResult(name, True, False, checks,
+                                   f"certificate gap {gap}: rates={rates.tolist()} "
+                                   f"gains={g.tolist()} sigma_sq={sigma_sq}")
+            checks += 1
     return SuiteResult(name, True, True, checks)
 
 
@@ -204,5 +218,5 @@ def run_all(n: int, instances: int, seed: int) -> list[SuiteResult]:
         vertex_suite(n, instances, seed + 1),
         greedy_suite(n, instances, seed + 2),
         fairness_suite(n, max(1, instances // 2), seed + 3),
-        backend_suite(n, max(1, instances // 2), seed + 4),
+        certificate_suite(n, max(1, instances // 2), seed + 4),
     ]

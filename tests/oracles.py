@@ -164,3 +164,20 @@ def tdma_grid_best_sum_energy(packets, packet_bits, period, sigma_sq,
                 best = min(best, sum_energy([a1, a2, a3]))
         return best
     raise ValueError("oracle supports n in {2, 3}")
+
+
+def first_order_gap(received, rates, sigma_sq, gains=None):
+    """Brute-force first-order optimality certificate of a claimed fair base.
+
+    With ``grad = g * (u - c)``, the gradient of ``0.5 * sum_i g_i (u_i - c)^2``
+    at the received powers ``u`` (``c`` = sum power over the gain sum),
+    returns ``grad . u - min over all n! vertices v of grad . v``.  It is zero
+    exactly at the optimum over the base polytope, and positive anywhere
+    else on it.
+    """
+    u = np.asarray(received, dtype=float)
+    g = np.ones(u.size) if gains is None else np.asarray(gains, dtype=float)
+    level = rank_of(float(np.sum(rates)), sigma_sq) / float(g.sum())
+    grad = g * (u - level)
+    _, vertices = all_received_vertices(rates, sigma_sq)
+    return float(grad @ u) - float(np.min(vertices @ grad))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from macfair import NoiseModel, vertex
+from macfair import NoiseModel, minmax, vertex
 from macfair.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -87,12 +87,35 @@ def test_solve_parse_error_names_field(capsys):
     assert "--rates" in err
 
 
-def test_solver_failure_exit_code(capsys):
-    code, _, err = run_cli(capsys, "solve", "--rates", "0.3,0.9,1.4,0.2",
-                           "--backend", "frank_wolfe", "--tol", "0",
-                           "--max-iter", "2")
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(minmax, "MAX_CYCLES", 2)
+    code, _, err = run_cli(capsys, "solve", "--rates", "1,1,1,1")
     assert code == EXIT_SOLVER
     assert "solver failure" in err
+
+
+@pytest.mark.parametrize("rates", ["nan,1", "inf,1", "1,-inf"])
+def test_solve_rejects_non_finite_rates(capsys, rates):
+    code, _, err = run_cli(capsys, "solve", "--rates", rates)
+    assert code == EXIT_USAGE
+    assert "--rates entries must be finite" in err
+
+
+def test_solve_rejects_overflowing_sum_rate(capsys):
+    code, _, err = run_cli(capsys, "solve", "--rates", "300,300")
+    assert code == EXIT_USAGE
+    assert "overflows" in err
+
+
+def test_solver_flags_and_config_keys_are_gone(capsys):
+    for flag in ("--backend", "--tol", "--max-iter"):
+        code, _, err = run_cli(capsys, "solve", "--rates", "1,1", flag, "1")
+        assert code == EXIT_USAGE
+        assert flag in err
+    for key in ("backend = auto", "tol = 1e-12", "max_iter = 10"):
+        with pytest.raises(Exception) as raised:
+            parse_experiment_config(CONFIG + key + "\n")
+        assert "unknown key" in str(raised.value)
 
 
 def test_solve_rejects_conflicting_noise(capsys):

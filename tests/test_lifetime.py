@@ -39,10 +39,26 @@ def test_draws_are_reproducible_and_order_independent():
     assert not np.array_equal(a, period_backlog(cfg, run=3, period=18).packets)
 
 
+@pytest.mark.parametrize("n_nodes", [5, 8])
+def test_draws_do_not_repeat_across_periods(n_nodes):
+    # Each Philox block gives 4 doubles; with more than 4 nodes a period's
+    # draws must not reach into the blocks of the next period.
+    cfg = paper_config(n_nodes=n_nodes)
+    keyed = _KeyedUniform(cfg.seed)
+    for run in range(3):
+        draws = np.concatenate([keyed.draws(run, period, n_nodes)
+                                for period in range(50)])
+        assert np.unique(draws).size == draws.size
+        backlogs = np.concatenate([period_backlog(cfg, run, period).packets
+                                   for period in range(50)])
+        assert np.unique(backlogs).size == backlogs.size
+        assert np.array_equal(backlogs, cfg.lam * (1.0 - draws))
+
+
 def test_draw_backlogs_range_and_mean():
-    rng = _period_rng(0, 0, 0)
+    rng = _period_rng(0, 0, 0, 1000)
     draws = np.concatenate([
-        draw_backlogs(1.0, 100, 30.0, _period_rng(0, run, 0)).packets
+        draw_backlogs(1.0, 100, 30.0, _period_rng(0, run, 0, 100)).packets
         for run in range(1000)])
     assert np.all(draws > 0.0) and np.all(draws <= 1.0)
     assert abs(draws.mean() - 0.5) < 0.01

@@ -1,4 +1,4 @@
-"""Min-max solver: worked instances, backend agreement, invariants, dual."""
+"""Min-max solver: worked instances, certificates, invariants, dual."""
 
 import itertools
 
@@ -8,9 +8,9 @@ import pytest
 import oracles
 from macfair import (
     CaseLabel,
-    EnumerationLimitError,
     NoiseModel,
     SolverFailureError,
+    capacity_chain,
     chain_received,
     classify_case,
     equal_allocation,
@@ -20,11 +20,9 @@ from macfair import (
     is_minmax,
     max_min_rates,
     solve,
-    solve_enumeration,
-    solve_frank_wolfe,
-    solve_weighted,
     sum_power,
 )
+from macfair import minmax
 
 UNIT = NoiseModel(1.0)
 R2_COINCIDENT = float(np.log2(3.0) / 2.0 - 0.5)  # makes vertex (1,1) the equal point
@@ -59,7 +57,7 @@ def test_classify_case_examples():
 
 
 def test_solve_interior_case():
-    sol = solve_enumeration([0.5, 1.5], UNIT)
+    sol = solve([0.5, 1.5], UNIT)
     assert np.allclose(sol.received, [7.5, 7.5], atol=1e-8)
     assert sol.case is CaseLabel.INTERIOR_FEASIBLE
     assert sol.distance <= 1e-8
@@ -69,7 +67,7 @@ def test_solve_interior_case():
 
 
 def test_solve_interior_case_second():
-    sol = solve_enumeration([1, 2], UNIT)
+    sol = solve([1, 2], UNIT)
     assert np.allclose(sol.received, [31.5, 31.5], atol=1e-8)
     weights = dict(sol.coefficients)
     assert weights[(0, 1)] == pytest.approx(11.0 / 30.0, abs=1e-9)
@@ -77,7 +75,7 @@ def test_solve_interior_case_second():
 
 
 def test_solve_projection_case():
-    sol = solve_enumeration([0.1, 1.9], UNIT)
+    sol = solve([0.1, 1.9], UNIT)
     rho2 = 2.0 ** 3.8 - 1.0
     assert np.allclose(sol.received, [15.0 - rho2, rho2], atol=1e-9)
     assert sol.case is CaseLabel.INFEASIBLE
@@ -90,7 +88,7 @@ def test_solve_projection_case():
 
 
 def test_solve_vertex_coincident_exact():
-    sol = solve_enumeration([0.5, R2_COINCIDENT], UNIT)
+    sol = solve([0.5, R2_COINCIDENT], UNIT)
     assert sol.case is CaseLabel.VERTEX_COINCIDENT
     assert np.allclose(sol.received, [1.0, 1.0], atol=1e-12)
     assert len(sol.coefficients) == 1
@@ -99,14 +97,14 @@ def test_solve_vertex_coincident_exact():
 
 
 def test_solve_single_node():
-    sol = solve_enumeration([1.0], UNIT)
+    sol = solve([1.0], UNIT)
     assert np.allclose(sol.received, [3.0])
     assert sol.case is CaseLabel.VERTEX_COINCIDENT
     assert sol.coefficients == (((0,), 1.0),)
 
 
 def test_solve_zero_rates():
-    sol = solve_enumeration([0.0, 0.0], UNIT)
+    sol = solve([0.0, 0.0], UNIT)
     assert np.all(sol.received == 0.0)
     assert sol.case is CaseLabel.VERTEX_COINCIDENT
 
@@ -117,7 +115,7 @@ def test_solution_invariants_random():
         n = int(rng.integers(2, 6))
         rates = rng.uniform(0.0, 2.0, n)
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        sol = solve_enumeration(rates, noise)
+        sol = solve(rates, noise)
         weights = np.array([w for _, w in sol.coefficients])
         assert np.all(weights > 0.0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -130,13 +128,13 @@ def test_solution_invariants_random():
 
 def test_case_consistency():
     # vertex-coincident: zero distance, single unit weight
-    sol = solve_enumeration([0.5, R2_COINCIDENT], UNIT)
+    sol = solve([0.5, R2_COINCIDENT], UNIT)
     assert sol.distance <= 1e-12 and len(sol.coefficients) == 1
     # interior: distance ~ 0 but several weights
-    sol = solve_enumeration([0.5, 1.5], UNIT)
+    sol = solve([0.5, 1.5], UNIT)
     assert sol.distance <= 1e-8
     # infeasible target: strictly positive distance
-    sol = solve_enumeration([0.1, 1.9], UNIT)
+    sol = solve([0.1, 1.9], UNIT)
     assert sol.distance > 1.0
 
 
@@ -146,49 +144,111 @@ def test_scale_covariance_exact():
         n = int(rng.integers(2, 6))
         rates = rng.uniform(0.0, 2.0, n)
         c = float(rng.choice([1e-3, 2.5, 7.0]))
-        a = solve_enumeration(rates, NoiseModel(1.0))
-        b = solve_enumeration(rates, NoiseModel(c))
+        a = solve(rates, NoiseModel(1.0))
+        b = solve(rates, NoiseModel(c))
         assert np.array_equal(b.received, c * a.received)
         assert b.case is a.case
         assert [o for o, _ in b.coefficients] == [o for o, _ in a.coefficients]
 
 
-def test_frank_wolfe_agrees_with_enumeration():
+def test_solve_passes_brute_force_certificate():
     rng = np.random.default_rng(47)
     for _ in range(40):
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 8))
         rates = rng.uniform(0.0, 1.5, n)
-        noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        a = solve_enumeration(rates, noise, check=False)
-        b = solve_frank_wolfe(rates, noise, check=False)
-        assert np.max(np.abs(a.received - b.received)) <= 1e-5
+        sigma_sq = float(rng.choice([1.0, 1e-3]))
+        total = sum_power(rates, NoiseModel(sigma_sq))
+        for gains in (None, rng.uniform(0.2, 5.0, n)):
+            sol = solve(rates, NoiseModel(sigma_sq, gains=gains), check=False)
+            gap = oracles.first_order_gap(sol.received, rates, sigma_sq, gains)
+            assert gap <= 1e-12 * total * total
 
 
-def test_frank_wolfe_symmetric_case():
-    sol = solve_frank_wolfe([1, 1, 1, 1], NoiseModel(1e-3))
+def test_solve_symmetric_case():
+    sol = solve([1, 1, 1, 1], NoiseModel(1e-3))
     level = sum_power([1, 1, 1, 1], NoiseModel(1e-3)) / 4.0
     assert np.allclose(sol.received, level, rtol=1e-9)
     assert sol.case is CaseLabel.INTERIOR_FEASIBLE
 
 
-def test_frank_wolfe_large_n():
+def test_solve_lex_optimal_beyond_seven_nodes():
     rng = np.random.default_rng(3)
-    rates = rng.uniform(0.01, 1.0, 10)
-    noise = NoiseModel(1e-3)
-    sol = solve_frank_wolfe(rates, noise)
-    assert is_base(sol.transmit, rates, noise)
-    assert is_lex_optimal_base(sol.transmit, rates, noise)
+    for n in range(8, 13):
+        rates = rng.uniform(0.01, 1.0, n)
+        noise = NoiseModel(1e-3)
+        sol = solve(rates, noise)
+        assert is_base(sol.transmit, rates, noise)
+        assert is_lex_optimal_base(sol.transmit, rates, noise)
 
 
-def test_solver_failure_carries_gap():
+def test_solver_failure_carries_gap(monkeypatch):
+    monkeypatch.setattr(minmax, "MAX_CYCLES", 2)
     with pytest.raises(SolverFailureError) as err:
-        solve_frank_wolfe([0.3, 0.9, 1.4, 0.2], UNIT, tol=0.0, max_iter=2)
+        solve([0.3, 0.9, 1.4, 0.2], NoiseModel(1.0, gains=[1.0, 2.0, 3.0, 4.0]))
     assert err.value.gap >= 0.0
+    with pytest.raises(SolverFailureError):
+        solve([1.0, 1.0, 1.0, 1.0], UNIT)
 
 
-def test_enumeration_limit():
-    with pytest.raises(EnumerationLimitError):
-        solve_enumeration(np.full(8, 0.2), UNIT)
+def test_solve_near_vertex_returns_equal_point():
+    # The equal point is 1e-5 away from a vertex: the case label may call it
+    # coincident, but the base and the weights must stay the equal point.
+    rates = [0.5, R2_COINCIDENT * (1 + 1e-5)]
+    level = sum_power(rates, UNIT) / 2.0
+    for check in (True, False):
+        sol = solve(rates, UNIT, check=check)
+        assert np.allclose(sol.received, [level, level], rtol=1e-12)
+        assert np.allclose(reconstruct(sol, rates, UNIT), sol.received,
+                           rtol=1e-12)
+
+
+def test_solve_large_symmetric_instance():
+    # An n = 50 instance on which conditional gradient used to give up.
+    rng = np.random.default_rng([3, 176])
+    rates = (4.0 / 50) * (1.0 - rng.random(50))
+    noise = NoiseModel.from_db(-30.0)
+    sol = solve(rates, noise)
+    total = sum_power(rates, noise)
+    assert sol.received.sum() == pytest.approx(total, rel=1e-12)
+    assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
+        <= 1e-12 * total
+    assert sol.gap <= 1e-12 * total * total
+
+
+@pytest.mark.parametrize("n", [8, 20, 50, 200])
+def test_time_sharing_invariants_large_n(n):
+    rng = np.random.default_rng([11, n])
+    noise = NoiseModel.from_db(-30.0)
+    for rates in ((4.0 / n) * (1.0 - rng.random(n)),
+                  (16.0 / n) * (1.0 - rng.random(n)),
+                  np.full(n, 2.0 / n)):
+        sol = solve(rates, noise)
+        total = sum_power(rates, noise)
+        weights = np.array([w for _, w in sol.coefficients])
+        assert np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(sol.coefficients) <= n
+        assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
+            <= 1e-12 * total
+        assert sol.received.sum() == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0]])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        solve(bad, UNIT)
+    with pytest.raises(ValueError, match="finite"):
+        max_min_rates(bad, UNIT)
+
+
+def test_overflowing_sum_rate_rejected():
+    with pytest.raises(ValueError, match="overflows"):
+        solve([300.0, 300.0], UNIT)
+    with pytest.raises(ValueError, match="overflows"):
+        solve([1.0, 1.0], NoiseModel(1e300))
+    sol = solve([128.0, 127.9], UNIT)
+    assert np.all(np.isfinite(sol.received))
+    assert np.isfinite(sol.distance) and np.isfinite(sol.gap)
 
 
 def test_fairness_oracles_agree_on_random_instances():
@@ -199,7 +259,7 @@ def test_fairness_oracles_agree_on_random_instances():
         n = int(rng.integers(2, 6))
         rates = rng.uniform(0.05, 2.0, n)
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        sol = solve_enumeration(rates, noise)
+        sol = solve(rates, noise)
         assert is_lex_optimal_base(sol.transmit, rates, noise)
         assert is_minmax(sol.transmit, rates, noise)
         orders = orders_cache.setdefault(
@@ -220,15 +280,15 @@ def test_weighted_reduces_to_unweighted_bitwise():
     for _ in range(10):
         n = int(rng.integers(2, 6))
         rates = rng.uniform(0.0, 2.0, n)
-        plain = solve_enumeration(rates, NoiseModel(1.0))
-        unit = solve_weighted(rates, NoiseModel(1.0, gains=np.ones(n)))
+        plain = solve(rates, NoiseModel(1.0))
+        unit = solve(rates, NoiseModel(1.0, gains=np.ones(n)))
         assert np.array_equal(plain.received, unit.received)
         assert plain.coefficients == unit.coefficients
 
 
 def test_weighted_worked_example():
     noise = NoiseModel(1.0, gains=[4.0, 1.0])
-    sol = solve_weighted([1, 1], noise)
+    sol = solve([1, 1], noise)
     assert np.allclose(sol.received, [4.8, 10.2], atol=1e-9)
     assert np.allclose(sol.transmit, [1.2, 10.2], atol=1e-9)
     # cross-check with the 1-D grid oracle on the received segment
@@ -273,6 +333,20 @@ def test_max_min_rates_sum_is_capacity():
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_max_min_rates_lex_optimal_and_rebuilt():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        powers = rng.uniform(0.0, 8.0, n)
+        noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
+        rates, coefficients = max_min_rates(powers, noise)
+        assert is_lex_optimal_rate_base(rates, powers, noise)
+        assert len(coefficients) <= n
+        rebuilt = sum(w * capacity_chain(powers, noise, o)
+                      for o, w in coefficients)
+        assert np.max(np.abs(rebuilt - rates)) <= 1e-12 * rates.sum()
+
+
 def test_mirrored_fairness_certificate_rejects_skewed_rate_base():
     # (0.5, log2(3)/2 - 0.5) is a vertex, not the fair base, at P=(1,1)
     skew = [0.5, float(np.log2(3.0) / 2.0 - 0.5)]
@@ -280,8 +354,13 @@ def test_mirrored_fairness_certificate_rejects_skewed_rate_base():
 
 
 def test_auto_backend_dispatch():
+    # The input picks the method: unit gains the exact hull, any other gains
+    # Wolfe's method on the whole ground set.  Both work at any n.
     small = solve(np.full(3, 0.4), UNIT)
     assert small.iterations >= 0
     big_rates = np.random.default_rng(0).uniform(0.05, 0.5, 9)
     big = solve(big_rates, NoiseModel(1e-3))
     assert is_base(big.transmit, big_rates, NoiseModel(1e-3))
+    weighted = NoiseModel(1e-3, gains=np.linspace(0.5, 2.0, 9))
+    sol = solve(big_rates, weighted)
+    assert is_base(sol.transmit, big_rates, weighted)
