@@ -55,6 +55,7 @@ from .scheduling import (
     energy_report,
     minicost_schedule,
     minmax_schedule,
+    period_energies,
     tdma_schedule,
 )
 from .lifetime import (
@@ -65,7 +66,6 @@ from .lifetime import (
     compare_strategies,
     draw_backlogs,
     period_backlog,
-    run_period,
     simulate_lifetime,
 )
 

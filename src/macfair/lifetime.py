@@ -1,27 +1,29 @@
 """Monte Carlo lifetime simulation of a periodic data-gathering network.
 
 Each run draws an independent backlog for every node in every collecting
-period, schedules the period with the chosen strategy, and subtracts the
-per-node energies from the batteries.  The network dies in the first period
-some node cannot afford; the lifetime is the number of completed periods
-(the failed period is not partially executed).
+period and charges every strategy's per-node energies for it to that
+strategy's batteries.  A strategy's network dies in the first period some
+node cannot afford; its lifetime is the number of completed periods (the
+failed period is not partially executed).  Only energies are computed here:
+schedules are built by :func:`macfair.scheduling.build_schedule` when one
+is asked for.
 
 Backlogs are produced by a counter-based generator keyed on
 ``(seed, run, period, node)``, so a draw depends only on its key: runs can
-execute in any order or in parallel with identical results, and different
-strategies compared under one seed see exactly the same backlog sequences
-(common random numbers), which makes the strategy comparisons hold per run
-and not just in expectation.
+execute in any order or in parallel with identical results.  Each
+(run, period) is drawn once and shared by the three strategies (common
+random numbers), which makes the strategy comparisons hold per run and not
+just in expectation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, EnergyReport, STRATEGIES, build_schedule, energy_report
+from .scheduling import Backlog, STRATEGIES, period_energies
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -29,7 +31,7 @@ DEFAULT_PERIOD_CAP = 1_000_000
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters: network size, batteries, period, packets,
-    channel, backlog bound, strategy, and the Monte Carlo plan."""
+    channel, backlog bound, and the Monte Carlo plan."""
 
     n_nodes: int
     initial_energy: float
@@ -37,7 +39,6 @@ class SimConfig:
     packet_bits: float
     noise: NoiseModel
     lam: float
-    strategy: str = "minmax"
     runs: int = 1
     seed: int = 0
     period_cap: int = DEFAULT_PERIOD_CAP
@@ -57,9 +58,6 @@ class SimConfig:
             raise ValueError("runs must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -117,31 +115,6 @@ def _period_rng(seed: int, run: int, period: int,
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-class _KeyedUniform:
-    """Counter-keyed uniform draws reusing one generator object.
-
-    Bit-identical to :func:`_period_rng` but an order of magnitude cheaper
-    to rekey.  Not shared between simulations: each gets its own instance,
-    so concurrent simulations never touch common state.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def draws(self, run: int, period: int, n: int) -> np.ndarray:
-        st = self._state
-        st["state"]["counter"][:] = (period * _blocks_per_period(n), 0, 0, 0)
-        st["state"]["key"][:] = (self._seed, run)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen.random(n)
-
-
 def draw_backlogs(lam: float, n_nodes: int, packet_bits: float,
                   rng: np.random.Generator) -> Backlog:
     """Independent per-node backlogs, uniform on the half-open interval
@@ -159,67 +132,73 @@ def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
     return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
 
 
-def run_period(backlog: Backlog, strategy: str, config: SimConfig,
-               energies: np.ndarray
-               ) -> tuple[np.ndarray, bool, EnergyReport]:
-    """Attempt one collecting period.
+def _run_backlogs(config: SimConfig, run: int):
+    """The backlogs of one run, period after period, without end.
 
-    Builds the strategy's schedule for the backlog; if every node can pay its
-    share the energies are decremented and the period succeeds, otherwise the
-    batteries are returned untouched (the failed period is not executed).
+    One Philox stream keyed on ``(seed, run)`` from counter 0; each period
+    takes the next ``4 * _blocks_per_period(n)`` doubles and keeps the
+    first ``n``.  So period ``p`` starts at the block where
+    :func:`_period_rng` puts it, and every backlog is bit-identical to
+    :func:`period_backlog`.
     """
-    energies = np.asarray(energies, dtype=float)
-    if np.any(energies < 0):
-        raise ValueError("residual energies must be non-negative")
-    schedule = build_schedule(strategy, backlog, config.period, config.noise,
-                              check=False)
-    report = energy_report(schedule)
-    if np.all(report.per_node_energy <= energies):
-        return energies - report.per_node_energy, True, report
-    return energies.copy(), False, report
+    n = config.n_nodes
+    width = 4 * _blocks_per_period(n)
+    key = np.array([config.seed, run], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    while True:
+        packets = config.lam * (1.0 - gen.random(width)[:n])
+        yield Backlog(packets=packets, packet_bits=config.packet_bits)
 
 
-def _simulate_one(config: SimConfig, run: int,
-                  keyed: _KeyedUniform | None = None) -> RunResult:
-    if keyed is None:
-        keyed = _KeyedUniform(config.seed)
-    energies = np.full(config.n_nodes, float(config.initial_energy))
-    peaks: list[float] = []
+def _simulate_run(config: SimConfig, run: int) -> dict[str, RunResult]:
+    """Every strategy's outcome of one run, on the run's shared backlogs.
+
+    Each strategy keeps its own batteries and stops at the first period
+    some node cannot pay for, or at the period cap (censored).
+    """
+    batteries = {s: np.full(config.n_nodes, float(config.initial_energy))
+                 for s in STRATEGIES}
+    peaks: dict[str, list[float]] = {s: [] for s in STRATEGIES}
+    died: dict[str, int] = {}
+    backlogs = _run_backlogs(config, run)
     period = 0
-    while period < config.period_cap:
-        packets = config.lam * (1.0 - keyed.draws(run, period, config.n_nodes))
-        backlog = Backlog(packets=packets, packet_bits=config.packet_bits)
-        energies, ok, report = run_period(backlog, config.strategy, config,
-                                          energies)
-        if not ok:
-            return RunResult(lifetime_periods=period, residual_energy=energies,
-                             per_period_max_power=tuple(peaks))
-        peaks.append(report.max_power)
+    while len(died) < len(STRATEGIES) and period < config.period_cap:
+        spent = period_energies(next(backlogs), config.period, config.noise)
+        for s, e in spent.items():
+            if s in died:
+                continue
+            if np.all(e <= batteries[s]):
+                batteries[s] = batteries[s] - e
+                peaks[s].append(float(e.max()) / config.period)
+            else:
+                died[s] = period
         period += 1
-    return RunResult(lifetime_periods=period, residual_energy=energies,
-                     per_period_max_power=tuple(peaks), censored=True)
+    return {s: RunResult(lifetime_periods=died.get(s, period),
+                         residual_energy=batteries[s],
+                         per_period_max_power=peaks[s],
+                         censored=s not in died)
+            for s in STRATEGIES}
 
 
-def simulate_lifetime(config: SimConfig) -> list[RunResult]:
-    """Simulate all runs of the configured strategy.
+def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
+    """Simulate all runs of every strategy, keyed by strategy name.
 
     Runs are independent given their (seed, run) keys; executing them in any
     order, or concurrently, yields identical results.
     """
-    keyed = _KeyedUniform(config.seed)
-    return [_simulate_one(config, run, keyed) for run in range(config.runs)]
+    runs = [_simulate_run(config, run) for run in range(config.runs)]
+    return {s: [r[s] for r in runs] for s in STRATEGIES}
 
 
 def compare_strategies(config: SimConfig) -> ComparisonTable:
-    """Run every strategy on the same backlog sequences and tabulate.
+    """Simulate every strategy on the same backlog sequences and tabulate.
 
-    The counter-based draws guarantee all strategies see identical backlogs
-    in every (run, period), so per-run comparisons are meaningful.
+    All strategies see identical backlogs in every (run, period), so
+    per-run comparisons are meaningful.
     """
     stats: dict[str, StrategyStats] = {}
     lifetimes: dict[str, np.ndarray] = {}
-    for strategy in STRATEGIES:
-        results = simulate_lifetime(replace(config, strategy=strategy))
+    for strategy, results in simulate_lifetime(config).items():
         lifetimes[strategy] = np.array(
             [r.lifetime_periods for r in results], dtype=int)
         life = lifetimes[strategy].astype(float)

@@ -352,23 +352,36 @@ def _power_lmo(x: np.ndarray) -> tuple[int, ...]:
     return tuple(np.argsort(-x, kind="stable").tolist())
 
 
-def _unit_base(r: np.ndarray, order: np.ndarray, prefix: np.ndarray,
-               ranks: np.ndarray):
-    """Hull base (units of the noise power) and its time sharing.
+def _unit_gains(noise: NoiseModel) -> bool:
+    return noise.gains is None or bool(np.all(noise.gains == 1.0))
+
+
+def _hull_base(order: np.ndarray, ranks: np.ndarray
+               ) -> tuple[np.ndarray, list[int]]:
+    """Fujishige's lexicographically optimal base in units of the noise
+    power, and its blocks ``[lo, hi)`` along the descending order: the
+    segments of the least concave majorant of the prefix ranks, each at the
+    level of its slope."""
+    base = np.empty(order.size)
+    values = ranks.tolist()
+    ends = _hull_ends(values)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        base[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
+    return base, ends
+
+
+def _hull_time_sharing(r: np.ndarray, order: np.ndarray, prefix: np.ndarray,
+                       base: np.ndarray, ends: list[int]):
+    """Time sharing of the hull base and the Wolfe cycles it took.
 
     Block ``[lo, hi)`` of the descending order is the contraction by the
     blocks above it, a power region of the same form with noise
     ``2^(2*prefix[lo])``, so its chains are ordinary chain vertices.
     """
-    base = np.empty(r.size)
     parts = []
     majors = 0
-    values = ranks.tolist()
-    ends = _hull_ends(values)
     for lo, hi in zip(ends[:-1], ends[1:]):
         nodes = order[lo:hi]
-        level = (values[hi] - values[lo]) / (hi - lo)
-        base[nodes] = level
         rb = r[nodes]
         noise_b = float(np.exp2(2.0 * prefix[lo]))
 
@@ -376,10 +389,20 @@ def _unit_base(r: np.ndarray, order: np.ndarray, prefix: np.ndarray,
             return _chain_received_trusted(rb, noise_b,
                                            np.asarray(o, dtype=np.intp))
 
-        orders, weights, cycles = _decompose(nodes, level, vertex, _power_lmo)
+        orders, weights, cycles = _decompose(nodes, float(base[nodes[0]]),
+                                             vertex, _power_lmo)
         parts.append((orders, weights))
         majors += cycles
-    return base, _couple(parts), majors
+    return _couple(parts), majors
+
+
+def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Transmit powers of the min-max fair base without its time sharing:
+    the hull levels alone for unit gains, Wolfe's base otherwise."""
+    if not _unit_gains(noise):
+        return solve(r, noise, check=False).transmit
+    order, _, ranks = _prefix_ranks(r, noise.sigma_sq)
+    return noise.sigma_sq * _hull_base(order, ranks)[0]
 
 
 def _weighted_base(r: np.ndarray, gains: np.ndarray, level: float,
@@ -425,9 +448,10 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     level = 1.0 / float(gains.sum())
     shares = ranks / total
     case = _case_label(shares, level)
-    unit_gains = noise.gains is None or bool(np.all(gains == 1.0))
+    unit_gains = _unit_gains(noise)
     if unit_gains:
-        base, support, iters = _unit_base(r, order, prefix, ranks)
+        base, ends = _hull_base(order, ranks)
+        support, iters = _hull_time_sharing(r, order, prefix, base, ends)
         received = scale * base
         u = base / total
         # The descending chain is a greedy vertex of the gradient u - level:

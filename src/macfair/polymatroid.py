@@ -26,8 +26,9 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -221,7 +222,7 @@ def vertex(rates, noise: NoiseModel, order) -> np.ndarray:
     return q / noise.gains_for(q.size)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _subset_bits(n: int) -> np.ndarray:
     """Boolean matrix (2^n, n): row m has the members of bitmask m."""
     masks = np.arange(1 << n, dtype=np.uint32)
@@ -368,15 +369,27 @@ def greedy_linear_max_rates(lam, powers, noise: NoiseModel) -> tuple[tuple[int, 
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    m = int(mask)
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _tight_point(powers, rates, noise: NoiseModel
+                 ) -> tuple[np.ndarray, list[int]]:
+    """Received powers of a feasible point and the bitmasks of its tight
+    sets."""
+    p = _as_vector(powers, "powers")
+    table = _RankTable(rates, noise, TIGHT_SET_MAX_N, "tight-set enumeration")
+    if p.size != table.n:
+        raise ValueError("powers and rates must have the same length")
+    q = noise.received(p)
+    if not table.is_member(q):
+        raise NotAMemberError("the point violates a subset power constraint")
+    return q, [int(m) for m in table.tight_masks(q)]
+
+
+def _minimal_tight(tight: list[int], i: int) -> int:
+    """Intersection of the tight sets that contain node ``i``; 0 if none."""
+    containing = [m for m in tight if (m >> i) & 1]
+    return functools.reduce(operator.and_, containing) if containing else 0
 
 
 def sat(powers, rates, noise: NoiseModel) -> frozenset[int]:
@@ -386,17 +399,8 @@ def sat(powers, rates, noise: NoiseModel) -> frozenset[int]:
     the result is the unique maximal tight set.  Empty for interior points;
     the full ground set for any base.
     """
-    p = _as_vector(powers, "powers")
-    table = _RankTable(rates, noise, TIGHT_SET_MAX_N, "tight-set enumeration")
-    if p.size != table.n:
-        raise ValueError("powers and rates must have the same length")
-    q = noise.received(p)
-    if not table.is_member(q):
-        raise NotAMemberError("the point violates a subset power constraint")
-    tight = table.tight_masks(q)
-    union = 0
-    for m in tight:
-        union |= int(m)
+    q, tight = _tight_point(powers, rates, noise)
+    union = functools.reduce(operator.or_, tight, 0)
     members = _mask_to_set(union)
     if union:
         top = power_rank(rates, noise, members)
@@ -412,25 +416,13 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     ``i`` is not saturated (its power can be decreased without leaving the
     region).
     """
-    p = _as_vector(powers, "powers")
-    table = _RankTable(rates, noise, TIGHT_SET_MAX_N, "tight-set enumeration")
-    if p.size != table.n:
-        raise ValueError("powers and rates must have the same length")
-    if not 0 <= int(i) < table.n:
-        raise InvalidSubsetError(f"node index {i} outside ground set 0..{table.n - 1}")
-    i = int(i)
-    q = noise.received(p)
-    if not table.is_member(q):
-        raise NotAMemberError("the point violates a subset power constraint")
-    tight = table.tight_masks(q)
-    containing = [int(m) for m in tight if (int(m) >> i) & 1]
-    if not containing:
-        return frozenset()
-    inter = containing[0]
-    for m in containing[1:]:
-        inter &= m
-    members = _mask_to_set(inter)
-    assert i in members, "dependent set lost its own node"
+    q, tight = _tight_point(powers, rates, noise)
+    if not 0 <= int(i) < q.size:
+        raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
+    members = _mask_to_set(_minimal_tight(tight, int(i)))
+    if not members:
+        return members
+    assert int(i) in members, "dependent set lost its own node"
     bottom = power_rank(rates, noise, members)
     assert abs(subset_sum(q, members) - bottom) <= _tight_tol(bottom), \
         "intersection of tight sets is not tight"
@@ -479,6 +471,26 @@ def distinct_levels(values) -> list[np.ndarray]:
     return [np.asarray(g, dtype=np.intp) for g in groups]
 
 
+def _prefixes_closed(groups: list[np.ndarray], tight: list[int]) -> bool:
+    """Whether every node's minimal tight set exists and lies inside the
+    level prefix the node joins, and so inside every later prefix.
+
+    ``groups`` lists the nodes level by level as the prefixes grow;
+    ``tight`` holds the bitmasks of the tight sets.
+    """
+    prefix = 0
+    for group in groups:
+        prefix |= sum(1 << int(i) for i in group)
+        for i in group:
+            inter = _minimal_tight(tight, int(i))
+            if not inter:
+                return False
+            assert inter in tight, "intersection of tight sets is not tight"
+            if inter & ~prefix:
+                return False
+    return True
+
+
 def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
     """Certify that a base is the lexicographically optimal (min-max fair) one.
 
@@ -495,15 +507,8 @@ def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
         )
     if not is_base(p, rates, noise):
         raise NotABaseError("the point is not on the dominant face")
-    q = noise.received(p)
-    prefix: set[int] = set()
-    for group in distinct_levels(q):
-        prefix.update(int(i) for i in group)
-        for i in prefix:
-            d = dep(p, i, rates, noise)
-            if not d or not d.issubset(prefix):
-                return False
-    return True
+    q, tight = _tight_point(p, rates, noise)
+    return _prefixes_closed(distinct_levels(q), tight)
 
 
 def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bool:
@@ -582,16 +587,4 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
     if abs(float(r.sum()) - total) > _tight_tol(total):
         raise NotABaseError("the rate point is not on the dominant face")
     tight = [int(m) for m in capacity_tight_masks(r, powers, noise)]
-    prefix: set[int] = set()
-    for group in reversed(distinct_levels(r)):
-        prefix.update(int(i) for i in group)
-        for i in prefix:
-            containing = [m for m in tight if (m >> i) & 1]
-            if not containing:
-                return False
-            inter = containing[0]
-            for m in containing[1:]:
-                inter &= m
-            if not _mask_to_set(inter).issubset(prefix):
-                return False
-    return True
+    return _prefixes_closed(distinct_levels(r)[::-1], tight)

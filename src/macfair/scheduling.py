@@ -15,7 +15,9 @@ so power x time is energy in joules):
   channel, but this one minimizes the largest per-node share.
 
 Nodes with zero backlog are removed before scheduling and reported with zero
-power and rate.
+power and rate.  :func:`period_energies` gives every strategy's per-node
+energies in closed form, for the lifetime simulation, which needs no
+schedule.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .polymatroid import (
     _as_order,
     _as_vector,
     _chain_received_trusted,
-    vertex,
 )
 
 STRATEGIES = ("minmax", "minicost", "tdma")
@@ -140,10 +141,17 @@ def average_rates(backlog: Backlog, period: float) -> np.ndarray:
     return backlog.bits / period
 
 
-def _active_split(backlog: Backlog) -> tuple[np.ndarray, np.ndarray]:
-    packets = backlog.packets
-    active = np.nonzero(packets > 0.0)[0]
-    return active, packets[active]
+def _active(backlog: Backlog, period: float, noise: NoiseModel):
+    """The nodes with a positive backlog, their packets, their channel and
+    their average rates: every strategy leaves the other nodes out."""
+    active = np.nonzero(backlog.packets > 0.0)[0]
+    if active.size == 0:
+        raise ValueError("at least one node must have a positive backlog")
+    packets = backlog.packets[active]
+    if noise.gains is not None:
+        gains = noise.gains_for(backlog.packets.size)
+        noise = NoiseModel(noise.sigma_sq, gains[active])
+    return active, packets, noise, packets * backlog.packet_bits / period
 
 
 def _embed(values: np.ndarray, active: np.ndarray, n: int) -> np.ndarray:
@@ -152,10 +160,13 @@ def _embed(values: np.ndarray, active: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _subnoise(noise: NoiseModel, active: np.ndarray) -> NoiseModel:
-    if noise.gains is None:
-        return noise
-    return NoiseModel(noise.sigma_sq, noise.gains[active])
+def _minicost_vertex(rates: np.ndarray, noise: NoiseModel
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum-energy decoding order, higher-gain nodes later on the
+    chain (decoded first), and its transmit powers."""
+    gains = noise.gains_for(rates.size)
+    order = np.argsort(-(1.0 / gains), kind="stable")
+    return order, _chain_received_trusted(rates, noise.sigma_sq, order) / gains
 
 
 def minicost_schedule(backlog: Backlog, period: float,
@@ -167,22 +178,26 @@ def minicost_schedule(backlog: Backlog, period: float,
     first), which in the symmetric channel is just the node order.
     """
     n = backlog.packets.size
-    active, packets = _active_split(backlog)
-    if active.size == 0:
-        raise ValueError("at least one node must have a positive backlog")
-    sub = _subnoise(noise, active)
-    rates = packets * backlog.packet_bits / period
-    theta = 1.0 / sub.gains_for(active.size)
-    order = tuple(int(i) for i in np.argsort(-theta, kind="stable"))
-    powers = vertex(rates, sub, order)
+    active, _, sub, rates = _active(backlog, period, noise)
+    order, powers = _minicost_vertex(rates, sub)
     epoch = Epoch(
         duration_fraction=1.0,
         powers=_embed(powers, active, n),
         rates=_embed(rates, active, n),
-        decode_order=tuple(int(active[i]) for i in order) + tuple(
+        decode_order=tuple(active[order].tolist()) + tuple(
             int(i) for i in range(n) if i not in set(active.tolist())),
     )
     return Schedule(kind="minicost", epochs=(epoch,), period=period)
+
+
+def _tdma_slots(packets: np.ndarray, packet_bits: float, period: float,
+                noise: NoiseModel) -> tuple[np.ndarray, float, np.ndarray]:
+    """Slot fractions of the active nodes, their common slot rate, and the
+    transmit power of each node in its slot."""
+    slot_rate = float(packets.sum()) * packet_bits / period
+    slot_received = noise.sigma_sq * float(np.expm1(2.0 * LN2 * slot_rate))
+    return (packets / packets.sum(), slot_rate,
+            slot_received / noise.gains_for(packets.size))
 
 
 def tdma_schedule(backlog: Backlog, period: float,
@@ -193,18 +208,14 @@ def tdma_schedule(backlog: Backlog, period: float,
     which is the minimum-sum-energy time-division allocation.
     """
     n = backlog.packets.size
-    active, packets = _active_split(backlog)
-    if active.size == 0:
-        raise ValueError("at least one node must have a positive backlog")
-    gains = noise.gains_for(n)
-    fractions = packets / packets.sum()
-    slot_rate = float(packets.sum()) * backlog.packet_bits / period
-    slot_received = noise.sigma_sq * float(np.expm1(2.0 * LN2 * slot_rate))
+    active, packets, sub, _ = _active(backlog, period, noise)
+    fractions, slot_rate, slot_powers = _tdma_slots(
+        packets, backlog.packet_bits, period, sub)
     identity = tuple(range(n))
     epochs = []
-    for frac, i in zip(fractions, active):
+    for frac, i, power in zip(fractions, active, slot_powers):
         powers = np.zeros(n)
-        powers[i] = slot_received / gains[i]
+        powers[i] = power
         rates = np.zeros(n)
         rates[i] = slot_rate
         epochs.append(Epoch(duration_fraction=float(frac), powers=powers,
@@ -212,8 +223,8 @@ def tdma_schedule(backlog: Backlog, period: float,
     return Schedule(kind="tdma", epochs=tuple(epochs), period=period)
 
 
-def minmax_schedule(backlog: Backlog, period: float, noise: NoiseModel,
-                    check: bool = True) -> Schedule:
+def minmax_schedule(backlog: Backlog, period: float,
+                    noise: NoiseModel) -> Schedule:
     """Time-sharing schedule whose averaged powers are the min-max fair base.
 
     One epoch per time-sharing weight of the solver, each at the vertex of
@@ -222,12 +233,8 @@ def minmax_schedule(backlog: Backlog, period: float, noise: NoiseModel,
     as far as the region allows.
     """
     n = backlog.packets.size
-    active, packets = _active_split(backlog)
-    if active.size == 0:
-        raise ValueError("at least one node must have a positive backlog")
-    sub = _subnoise(noise, active)
-    rates = packets * backlog.packet_bits / period
-    solution = minmax.solve(rates, sub, check=check)
+    active, _, sub, rates = _active(backlog, period, noise)
+    solution = minmax.solve(rates, sub)
     gains = sub.gains_for(active.size)
     full_rates = _embed(rates, active, n)
     inactive = tuple(int(i) for i in range(n) if i not in set(active.tolist()))
@@ -261,15 +268,33 @@ def energy_report(schedule: Schedule) -> EnergyReport:
 
 
 def build_schedule(strategy: str, backlog: Backlog, period: float,
-                   noise: NoiseModel, check: bool = True) -> Schedule:
-    """Construct the named strategy's schedule for one period.
-
-    ``check`` is passed to the min-max solver and ignored by the others.
-    """
+                   noise: NoiseModel) -> Schedule:
+    """Construct the named strategy's schedule for one period."""
     if strategy == "minmax":
-        return minmax_schedule(backlog, period, noise, check=check)
+        return minmax_schedule(backlog, period, noise)
     if strategy == "minicost":
         return minicost_schedule(backlog, period, noise)
     if strategy == "tdma":
         return tdma_schedule(backlog, period, noise)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
+def period_energies(backlog: Backlog, period: float,
+                    noise: NoiseModel) -> dict[str, np.ndarray]:
+    """Per-node energy of every strategy over one period, without schedules.
+
+    Equals ``energy_report(build_schedule(s, ...)).per_node_energy`` for
+    every strategy ``s``: bit for bit for minicost and TDMA, and to rounding
+    for min-max, whose energy is the period times the fair base itself
+    rather than the sum over its time-shared vertices.
+    """
+    n = backlog.packets.size
+    active, packets, sub, rates = _active(backlog, period, noise)
+    _, minicost = _minicost_vertex(rates, sub)
+    fractions, _, slot_powers = _tdma_slots(
+        packets, backlog.packet_bits, period, sub)
+    return {
+        "minmax": _embed(period * minmax._fair_transmit(rates, sub), active, n),
+        "minicost": _embed(period * minicost, active, n),
+        "tdma": _embed((fractions * period) * slot_powers, active, n),
+    }

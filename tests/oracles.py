@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from macfair import RunResult, build_schedule, energy_report, period_backlog
+
 
 def rank_of(rate_sum, sigma_sq=1.0):
     """Subset power rank computed the naive way: sigma^2 * (2**(2R) - 1)."""
@@ -181,3 +183,34 @@ def first_order_gap(received, rates, sigma_sq, gains=None):
     grad = g * (u - level)
     _, vertices = all_received_vertices(rates, sigma_sq)
     return float(grad @ u) - float(np.min(vertices @ grad))
+
+
+def simulate_with_schedules(config, strategy):
+    """Lifetime runs of one strategy, one full schedule per period.
+
+    The reference loop for the energies-only engine: every period draws its
+    backlog on its own key with ``period_backlog``, builds and validates the
+    strategy's schedule, sums the epochs into per-node energies with
+    ``energy_report``, and pays them only if every node can.
+    """
+    results = []
+    for run in range(config.runs):
+        energies = np.full(config.n_nodes, float(config.initial_energy))
+        peaks = []
+        period = 0
+        censored = True
+        while period < config.period_cap:
+            backlog = period_backlog(config, run, period)
+            report = energy_report(build_schedule(
+                strategy, backlog, config.period, config.noise))
+            if not np.all(report.per_node_energy <= energies):
+                censored = False
+                break
+            energies = energies - report.per_node_energy
+            peaks.append(report.max_power)
+            period += 1
+        results.append(RunResult(lifetime_periods=period,
+                                 residual_energy=energies,
+                                 per_period_max_power=peaks,
+                                 censored=censored))
+    return results

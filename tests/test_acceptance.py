@@ -126,7 +126,7 @@ def test_criterion_3_minimum_distance_characterization():
 
 @criterion(4, "unit-gain and weighted solves pass the brute-force first-order "
               "certificate", budget=60.0)
-def test_criterion_4_backend_agreement():
+def test_criterion_4_solver_certificate():
     rng = np.random.default_rng(104)
     for n in range(2, 8):
         for _ in range(50):

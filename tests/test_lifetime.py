@@ -1,26 +1,31 @@
 """Monte Carlo simulator: draws, period accounting, determinism, comparisons."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles
 from macfair import (
+    STRATEGIES,
     Backlog,
     NoiseModel,
     SimConfig,
     compare_strategies,
     draw_backlogs,
+    lifetime,
     period_backlog,
-    run_period,
+    period_energies,
     simulate_lifetime,
 )
-from macfair.lifetime import _KeyedUniform, _period_rng
+from macfair.lifetime import _period_rng, _run_backlogs
 
 NOISE = NoiseModel(1e-3)
 
 
 def paper_config(**overrides):
     base = dict(n_nodes=4, initial_energy=2.0, period=30.0, packet_bits=30.0,
-                noise=NOISE, lam=1.0, strategy="minmax", runs=20, seed=1)
+                noise=NOISE, lam=1.0, runs=20, seed=1)
     base.update(overrides)
     return SimConfig(**base)
 
@@ -30,29 +35,31 @@ def test_draws_are_reproducible_and_order_independent():
     a = period_backlog(cfg, run=3, period=17).packets
     b = period_backlog(cfg, run=3, period=17).packets
     assert np.array_equal(a, b)
-    keyed = _KeyedUniform(cfg.seed)
-    keyed.draws(9, 4, 4)  # interleave an unrelated draw
-    c = cfg.lam * (1.0 - keyed.draws(3, 17, 4))
+    other = _run_backlogs(cfg, 9)
+    next(other)  # interleave an unrelated draw
+    stream = _run_backlogs(cfg, 3)
+    c = next(itertools.islice(stream, 17, None)).packets
     assert np.array_equal(a, c)
     # different keys give different values
     assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
     assert not np.array_equal(a, period_backlog(cfg, run=3, period=18).packets)
 
 
-@pytest.mark.parametrize("n_nodes", [5, 8])
+@pytest.mark.parametrize("n_nodes", [4, 5, 8])
 def test_draws_do_not_repeat_across_periods(n_nodes):
     # Each Philox block gives 4 doubles; with more than 4 nodes a period's
-    # draws must not reach into the blocks of the next period.
+    # draws must not reach into the blocks of the next period.  A run's
+    # stream must give every period's keyed draw.
     cfg = paper_config(n_nodes=n_nodes)
-    keyed = _KeyedUniform(cfg.seed)
+    periods = 100
     for run in range(3):
-        draws = np.concatenate([keyed.draws(run, period, n_nodes)
-                                for period in range(50)])
-        assert np.unique(draws).size == draws.size
+        stream = np.concatenate([
+            b.packets for b in itertools.islice(_run_backlogs(cfg, run),
+                                                periods)])
+        assert np.unique(stream).size == stream.size
         backlogs = np.concatenate([period_backlog(cfg, run, period).packets
-                                   for period in range(50)])
-        assert np.unique(backlogs).size == backlogs.size
-        assert np.array_equal(backlogs, cfg.lam * (1.0 - draws))
+                                   for period in range(periods)])
+        assert np.array_equal(backlogs, stream)
 
 
 def test_draw_backlogs_range_and_mean():
@@ -66,66 +73,90 @@ def test_draw_backlogs_range_and_mean():
     assert np.all(wide > 0.0) and np.all(wide <= 2.0)
 
 
-def test_run_period_success_and_depletion():
-    cfg = paper_config()
+def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
+    """Every strategy's single run when every period has the same backlog."""
+    monkeypatch.setattr(lifetime, "_run_backlogs",
+                        lambda config, run: itertools.repeat(backlog))
+    results = simulate_lifetime(paper_config(runs=1, **overrides))
+    return {s: runs[0] for s, runs in results.items()}
+
+
+def test_depletion_rule(monkeypatch):
+    # A period runs only if every node can pay its full share; paying to
+    # exactly zero is allowed, and the failed period leaves the batteries
+    # as they were.  Each strategy keeps its own ledger.
     backlog = Backlog(np.full(4, 0.01), 30.0)
-    energies = np.full(4, 2.0)
-    after, ok, report = run_period(backlog, "minmax", cfg, energies)
-    assert ok
-    assert np.all(after < energies) and np.all(after >= 0.0)
-    assert np.array_equal(energies, np.full(4, 2.0))  # input untouched
+    spent = period_energies(backlog, 30.0, NOISE)
+    budget = float(spent["minmax"][0] * 2)
+    results = _fixed_backlog_runs(monkeypatch, backlog, initial_energy=budget)
+    mm = results["minmax"]
+    assert mm.lifetime_periods == 2 and not mm.censored
+    assert np.array_equal(mm.residual_energy,
+                          budget - spent["minmax"] - spent["minmax"])
+    for s in ("minicost", "tdma"):
+        r = results[s]
+        battery = np.full(4, budget)
+        for _ in range(r.lifetime_periods):
+            battery = battery - spent[s]
+        assert np.array_equal(r.residual_energy, battery)
+        assert not np.all(spent[s] <= battery)
 
-    depleted = np.array([0.0, 2.0, 2.0, 2.0])
-    after, ok, _ = run_period(backlog, "minmax", cfg, depleted)
-    assert not ok
-    assert np.array_equal(after, depleted)
 
-
-def test_run_period_minicost_fails_where_minmax_survives():
-    cfg = paper_config(n_nodes=2, noise=NoiseModel(1.0))
+def test_minicost_fails_where_minmax_survives(monkeypatch):
+    noise = NoiseModel(1.0)
     backlog = Backlog(np.array([1.0, 2.0]), 30.0)
-    energies = np.array([2000.0, 1700.0])
-    _, ok_mini, report = run_period(backlog, "minicost", cfg, energies)
-    assert not ok_mini
-    assert report.per_node_energy[1] == pytest.approx(1800.0, rel=1e-9)
-    after, ok_mm, report = run_period(backlog, "minmax", cfg, energies)
-    assert ok_mm
-    assert np.allclose(report.per_node_energy, 945.0, atol=1e-6)
+    spent = period_energies(backlog, 30.0, noise)
+    assert spent["minicost"][1] == pytest.approx(1800.0, rel=1e-9)
+    assert np.allclose(spent["minmax"], 945.0, atol=1e-6)
+    results = _fixed_backlog_runs(monkeypatch, backlog, n_nodes=2,
+                                  noise=noise, initial_energy=1700.0)
+    assert results["minicost"].lifetime_periods == 0
+    assert np.array_equal(results["minicost"].residual_energy, [1700.0] * 2)
+    assert results["minmax"].lifetime_periods == 1
+    assert np.allclose(results["minmax"].residual_energy, 755.0, atol=1e-6)
+    assert results["minmax"].per_period_max_power == pytest.approx((31.5,))
 
 
 def test_zero_energy_and_period_cap():
     dead = paper_config(initial_energy=0.0, runs=3)
-    assert all(r.lifetime_periods == 0 for r in simulate_lifetime(dead))
+    for results in simulate_lifetime(dead).values():
+        assert all(r.lifetime_periods == 0 for r in results)
 
     immortal = paper_config(initial_energy=1e12, runs=2, period_cap=25)
-    for r in simulate_lifetime(immortal):
-        assert r.lifetime_periods == 25
-        assert r.censored
+    for results in simulate_lifetime(immortal).values():
+        for r in results:
+            assert r.lifetime_periods == 25
+            assert r.censored
 
 
 def test_energy_ledger():
     cfg = paper_config(runs=10)
-    for run, result in enumerate(simulate_lifetime(cfg)):
-        spent = 0.0
-        energies = np.full(4, 2.0)
-        for period in range(result.lifetime_periods):
-            backlog = period_backlog(cfg, run, period)
-            energies, ok, report = run_period(backlog, "minmax", cfg, energies)
-            assert ok
-            spent += report.per_node_energy.sum()
-        assert np.allclose(energies, result.residual_energy, atol=1e-12)
-        assert spent + result.residual_energy.sum() == pytest.approx(
-            4 * 2.0, abs=1e-9)
+    for s, results in simulate_lifetime(cfg).items():
+        for run, result in enumerate(results):
+            spent = 0.0
+            energies = np.full(4, 2.0)
+            for period in range(result.lifetime_periods):
+                e = period_energies(period_backlog(cfg, run, period),
+                                    cfg.period, cfg.noise)[s]
+                assert np.all(e <= energies)
+                energies = energies - e
+                spent += e.sum()
+            assert np.array_equal(energies, result.residual_energy)
+            assert spent + result.residual_energy.sum() == pytest.approx(
+                4 * 2.0, abs=1e-9)
 
 
 def test_simulation_determinism():
     cfg = paper_config(runs=8)
     a = simulate_lifetime(cfg)
     b = simulate_lifetime(cfg)
-    assert [r.lifetime_periods for r in a] == [r.lifetime_periods for r in b]
-    for x, y in zip(a, b):
-        assert np.array_equal(x.residual_energy, y.residual_energy)
-        assert x.per_period_max_power == y.per_period_max_power
+    assert set(a) == set(STRATEGIES)
+    for s in STRATEGIES:
+        assert ([r.lifetime_periods for r in a[s]]
+                == [r.lifetime_periods for r in b[s]])
+        for x, y in zip(a[s], b[s]):
+            assert np.array_equal(x.residual_energy, y.residual_energy)
+            assert x.per_period_max_power == y.per_period_max_power
 
 
 def test_compare_strategies_common_draws_and_ordering():
@@ -133,9 +164,10 @@ def test_compare_strategies_common_draws_and_ordering():
     table = compare_strategies(cfg)
     assert set(table.stats) == {"minmax", "minicost", "tdma"}
     # lifetimes match standalone simulations (identical draw keys)
-    solo = simulate_lifetime(paper_config(runs=30, strategy="minicost"))
-    assert np.array_equal(table.lifetimes["minicost"],
-                          [r.lifetime_periods for r in solo])
+    solo = simulate_lifetime(paper_config(runs=30))
+    for s in STRATEGIES:
+        assert np.array_equal(table.lifetimes[s],
+                              [r.lifetime_periods for r in solo[s]])
     # per-run dominance under common random numbers
     assert np.all(table.lifetimes["minmax"] >= table.lifetimes["minicost"])
     assert table.stats["minmax"].mean_max_power <= (
@@ -145,8 +177,8 @@ def test_compare_strategies_common_draws_and_ordering():
 def test_lambda_monotonicity_smoke():
     means = []
     for lam in (0.4, 1.0):
-        cfg = paper_config(runs=40, lam=lam, strategy="minmax")
-        res = simulate_lifetime(cfg)
+        cfg = paper_config(runs=40, lam=lam)
+        res = simulate_lifetime(cfg)["minmax"]
         means.append(np.mean([r.lifetime_periods for r in res]))
     assert means[0] > means[1]
 
@@ -156,5 +188,22 @@ def test_config_validation():
         paper_config(runs=0)
     with pytest.raises(ValueError):
         paper_config(lam=0.0)
-    with pytest.raises(ValueError):
-        paper_config(strategy="roundrobin")
+
+@pytest.mark.parametrize("overrides", [
+    dict(lam=0.6), dict(lam=1.0), dict(n_nodes=5, lam=0.6),
+    dict(n_nodes=8, lam=0.4),
+    dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0]), lam=0.6),
+    dict(initial_energy=0.0), dict(initial_energy=1e3, period_cap=25),
+], ids=["lam0.6", "lam1.0", "n5", "n8", "gains", "no-energy", "cap25"])
+def test_engine_matches_schedule_oracle(overrides):
+    cfg = paper_config(**{"runs": 20, **overrides})
+    engine = simulate_lifetime(cfg)
+    for s in STRATEGIES:
+        for ours, ref in zip(engine[s], oracles.simulate_with_schedules(cfg, s),
+                             strict=True):
+            assert ours.lifetime_periods == ref.lifetime_periods
+            assert ours.censored == ref.censored
+            assert np.allclose(ours.residual_energy, ref.residual_energy,
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(ours.per_period_max_power,
+                               ref.per_period_max_power, rtol=1e-12, atol=0.0)

@@ -353,7 +353,7 @@ def test_mirrored_fairness_certificate_rejects_skewed_rate_base():
     assert not is_lex_optimal_rate_base(skew, [1, 1], UNIT)
 
 
-def test_auto_backend_dispatch():
+def test_input_selects_method():
     # The input picks the method: unit gains the exact hull, any other gains
     # Wolfe's method on the whole ground set.  Both work at any n.
     small = solve(np.full(3, 0.4), UNIT)

@@ -12,6 +12,7 @@ from macfair import (
     energy_report,
     minicost_schedule,
     minmax_schedule,
+    period_energies,
     sum_power,
     tdma_schedule,
 )
@@ -171,6 +172,40 @@ def test_zero_backlog_nodes_reported_silent():
 def test_all_zero_backlog_rejected():
     with pytest.raises(ValueError):
         minicost_schedule(Backlog([0.0, 0.0], 30), 30.0, UNIT)
+    with pytest.raises(ValueError):
+        period_energies(Backlog([0.0, 0.0], 30), 30.0, UNIT)
+
+
+def test_period_energies_match_schedules():
+    # Zero backlogs are dropped before solving: with unequal gains a
+    # zero-rate node would move the weighted base.
+    rng = np.random.default_rng(83)
+    for k in range(120):
+        n = int(rng.integers(1, 8))
+        packets = rng.uniform(0.0, 1.5, n)
+        packets[rng.random(n) < 0.25] = 0.0
+        packets[int(rng.integers(n))] += 0.05
+        sigma_sq = float(rng.choice([1.0, 1e-3]))
+        gains = None if k % 2 else rng.uniform(0.2, 5.0, n)
+        noise = NoiseModel(sigma_sq, gains=gains)
+        backlog = Backlog(packets, 30.0)
+        energies = period_energies(backlog, 30.0, noise)
+        assert set(energies) == {"minmax", "minicost", "tdma"}
+        for strategy, energy in energies.items():
+            expected = energy_report(build_schedule(
+                strategy, backlog, 30.0, noise)).per_node_energy
+            if strategy == "minmax":
+                assert np.allclose(energy, expected, rtol=1e-9, atol=0.0)
+            else:
+                assert np.array_equal(energy, expected)
+            assert np.all(energy[packets == 0.0] == 0.0)
+
+
+def test_period_energies_worked_example():
+    energies = period_energies(Backlog([1.0, 2.0], 30), 30.0, UNIT)
+    assert energies["minicost"] == pytest.approx([90.0, 1800.0], rel=1e-9)
+    assert energies["minmax"] == pytest.approx([945.0, 945.0], rel=1e-9)
+    assert energies["tdma"] == pytest.approx([630.0, 1260.0], rel=1e-9)
 
 
 def test_build_schedule_rejects_unknown_strategy():
