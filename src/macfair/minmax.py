@@ -2,30 +2,32 @@
 
 The min-max fair (lexicographically optimal) power allocation at fixed rates
 is the base of the dominant face closest to the equal-allocation point.  One
-solver computes it; the input decides how:
+pipeline computes it for every input:
 
-* Unit gains.  The rank ``sigma^2 * (2^(2*R(A)) - 1)`` depends on a subset
-  only through its rate sum, so the fair base is the slope sequence of the
-  least concave majorant of the prefix ranks of the rates sorted in
-  descending order: Fujishige's lexicographically optimal base (Math. OR
-  5(3), 1980).  Each hull segment is a block of nodes sharing one power
-  level.  The time-sharing weights decompose each block's equal point over
-  the block's greedy chains with Wolfe's minimum-norm-point method, and a
-  north-west-corner coupling of the blocks gives at most ``n`` epochs.
-* Unequal gains.  The objective is the gain-weighted squared distance
-  ``sum_i g_i * (Q_i - c)^2`` to the level ``c = sum_power / sum(gains)``.
-  Wolfe's method runs on the whole ground set in the ``sqrt(g)`` metric with
-  the greedy rule as its vertex oracle (the Fujishige-Wolfe method of
-  Chakrabarty, Jain and Kothari, NeurIPS 2014), so the ``n!`` vertices are
-  never listed.
+1. Exact levels, block by block along a chain.  Unit gains: the rank
+   ``sigma^2 * (2^(2*R(A)) - 1)`` depends on a subset only through its rate
+   sum, so the base is the slope sequence of the least concave majorant of
+   the prefix ranks of the rates sorted in descending order, Fujishige's
+   lexicographically optimal base (Math. OR 5(3), 1980); each hull segment
+   is a block at one level.  Unequal gains: the objective is the
+   gain-weighted squared distance ``sum_i g_i * (Q_i - c)^2`` to the level
+   ``c = sum_power / sum(gains)``; it is separable convex, so its blocks are
+   successive max-ratio sets of the contracted rank, each found by
+   Dinkelbach's iteration (Management Sci. 13(7), 1967) over prefixes of
+   one sort.
+2. Time sharing.  Each block's point is decomposed over the block's greedy
+   chains with Wolfe's minimum-norm-point method (the block is a region of
+   the same form, contracted by the blocks before it), and a
+   north-west-corner coupling of the blocks gives at most ``n`` epochs.
 
-Both work on the received-power region normalized by the conserved sum
-power, which makes every output exactly linear in the noise power.
+Levels are computed in units of the noise power and Wolfe's method runs on
+vertices relative to them, so every output power is exactly linear in the
+noise power.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
-solved by :func:`max_min_rates` the same way, from the greatest convex
-minorant of the prefix capacities over the received powers sorted in
-ascending order.
+solved by :func:`max_min_rates` the same way, with the levels from the
+greatest convex minorant of the prefix capacities over the received powers
+sorted in ascending order.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ class MinMaxSolution:
         self.received.flags.writeable = False
         self.transmit.flags.writeable = False
 
-    @property
-    def base(self) -> np.ndarray:
-        """The min-max optimal base (received-power coordinates)."""
-        return self.received
-
 
 def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     """Transmit powers of the equal-allocation point.
@@ -135,12 +132,10 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
 
 
 def _prefix_ranks(rates: np.ndarray, sigma_sq: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descending rate order, its prefix rate sums and prefix ranks.
-
-    Both prefix arrays start with the empty set; ranks are in units of the
-    noise power.  Raises ``ValueError`` when the sum power leaves the range
-    in which it, and the squared distances built from it, are finite.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Descending rate order and its prefix ranks, empty set first, in units
+    of the noise power.  Raises ``ValueError`` when the sum power leaves the
+    range in which it, and the squared distances built from it, are finite.
     """
     order = np.argsort(-rates, kind="stable")
     prefix = np.zeros(rates.size + 1)
@@ -150,7 +145,7 @@ def _prefix_ranks(rates: np.ndarray, sigma_sq: float
         raise ValueError(
             f"the rates sum to {prefix[-1]:g} bits per channel use; above "
             f"about {limit:.4g} the sum power overflows at this noise power")
-    return order, prefix, np.expm1((2.0 * LN2) * prefix)
+    return order, np.expm1((2.0 * LN2) * prefix)
 
 
 def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
@@ -179,7 +174,7 @@ def classify_case(rates, noise: NoiseModel) -> CaseLabel:
     """
     r = _as_vector(rates, "rates")
     gains = noise.gains_for(r.size)
-    _, _, ranks = _prefix_ranks(r, noise.sigma_sq)
+    _, ranks = _prefix_ranks(r, noise.sigma_sq)
     if ranks[-1] == 0.0:
         return CaseLabel.VERTEX_COINCIDENT
     return _case_label(ranks / ranks[-1], 1.0 / float(gains.sum()))
@@ -205,8 +200,6 @@ def _hull_ends(values: list[float]) -> list[int]:
 def _affine_min_coeffs(points: np.ndarray) -> np.ndarray:
     """Coefficients of the min-norm point of the affine hull of the rows."""
     m = points.shape[0]
-    if m == 1:
-        return np.ones(1)
     if m == 2:
         diff = points[0] - points[1]
         denom = float(diff @ diff)
@@ -227,19 +220,18 @@ def _affine_min_coeffs(points: np.ndarray) -> np.ndarray:
     return sol[1:]
 
 
-def _wolfe_min_norm(chain, lmo, start: tuple[int, ...]):
+def _wolfe_min_norm(chain, lmo, m: int):
     """Wolfe's minimum-norm point of the convex hull of the chain vertices.
 
-    ``chain`` maps a decoding order to its vertex, already shifted so the
-    target is the origin and scaled to the problem's metric; ``lmo`` maps a
-    point ``x`` to the order whose vertex minimizes ``x . v`` (the greedy
-    rule), so the vertex set is never materialized.  The search starts at
-    the vertex of ``start``.  Returns ``(x, corral orders, coefficients,
-    major cycles, gap)`` where ``gap = x.x - min_v x.v`` is the final
-    duality gap of ``0.5*|x|^2``.
+    ``chain`` maps an order of ``0..m-1`` to its vertex, already shifted so
+    the target is the origin and scaled to the problem's metric; ``lmo``
+    maps a point ``x`` to the order whose vertex minimizes ``x . v`` (the
+    greedy rule), so the vertex set is never materialized.  The search
+    starts at the vertex of the identity order.  Returns the corral orders,
+    their coefficients and the major cycles spent.
     """
-    orders = [start]
-    points = chain(start)[None, :]
+    orders = [tuple(range(m))]
+    points = chain(orders[0])[None, :]
     coeffs = np.ones(1)
     x = points[0]
     xx = scale = float(x @ x)
@@ -280,36 +272,40 @@ def _wolfe_min_norm(chain, lmo, start: tuple[int, ...]):
             coeffs /= coeffs.sum()
         x = coeffs @ points
         xx = float(x @ x)
-    return x, orders, coeffs, majors, max(gap, 0.0)
+    return orders, coeffs, majors
 
 
-def _decompose(nodes: np.ndarray, level: float, vertex, lmo):
-    """Time-sharing weights of one hull block's equal point.
+def _decompose(order: np.ndarray, ends: list[int], target: np.ndarray,
+               block_vertex, lmo):
+    """Time sharing of a base given block by block along a chain, and the
+    Wolfe cycles it took.
 
-    ``vertex`` maps an order of the block's positions ``0..m-1`` to the
-    block's vertex; Wolfe's method runs on vertices over ``level`` minus
-    one, so the equal point is the origin.  Returns the orders mapped to
-    node indices, their weights and the major cycles spent.
+    ``block_vertex(lo, hi)`` maps an order of the positions ``0..m-1`` of
+    block ``[lo, hi)`` of ``order`` to its vertex in the region contracted by
+    the blocks before it.  Wolfe's method runs on those vertices over the
+    block's part of ``target``, minus one, with ``lmo`` on the gradient
+    rescaled the same way; the blocks are then coupled north-west-corner.
     """
-    if nodes.size == 1:
-        return [(int(nodes[0]),)], np.ones(1), 0
-    inv = 1.0 / level
+    parts = []
+    majors = 0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        nodes = order[lo:hi]
+        if nodes.size == 1:
+            parts.append(([(int(nodes[0]),)], np.ones(1)))
+            continue
+        vertex = block_vertex(lo, hi)
+        inv = 1.0 / target[nodes]
+        orders, coeffs, cycles = _wolfe_min_norm(
+            lambda o: vertex(o) * inv - 1.0, lambda x: lmo(x * inv),
+            nodes.size)
+        keep = coeffs > 0.0
+        parts.append(([tuple(nodes[list(o)].tolist())
+                       for o, k in zip(orders, keep) if k], coeffs[keep]))
+        majors += cycles
+    return _couple(parts), majors
 
-    def chain(o):
-        p = vertex(o)
-        p *= inv
-        p -= 1.0
-        return p
 
-    _, orders, coeffs, majors, _ = _wolfe_min_norm(
-        chain, lmo, tuple(range(nodes.size)))
-    keep = coeffs > 0.0
-    mapped = [tuple(nodes[list(o)].tolist())
-              for o, k in zip(orders, keep) if k]
-    return mapped, coeffs[keep], majors
-
-
-def _couple(parts) -> dict[tuple[int, ...], float]:
+def _couple(parts) -> tuple[tuple[tuple[int, ...], float], ...]:
     """North-west-corner coupling of per-block time-sharing weights.
 
     ``parts`` lists, block by block in chain order, ``(orders, weights)``
@@ -317,10 +313,11 @@ def _couple(parts) -> dict[tuple[int, ...], float]:
     ``[0, 1]`` and cutting at all their breakpoints gives epochs whose
     restriction to each block reproduces that block's weights, so the
     concatenated orders time-share the whole base in at most
-    ``sum(len(weights)) - len(parts) + 1`` epochs.
+    ``sum(len(weights)) - len(parts) + 1`` epochs.  Returns the
+    ``(order, weight)`` pairs, heaviest first, without rounding residue.
     """
     if all(len(w) == 1 for _, w in parts):
-        return {sum((orders[0] for orders, _ in parts), ()): 1.0}
+        return ((sum((orders[0] for orders, _ in parts), ()), 1.0),)
     cums = []
     for _, w in parts:
         c = list(itertools.accumulate(w.tolist()))
@@ -335,10 +332,6 @@ def _couple(parts) -> dict[tuple[int, ...], float]:
                 pos[j] += 1
             order += orders[pos[j]]
         support[order] = support.get(order, 0.0) + (b - a)
-    return support
-
-
-def _prune_support(support: dict) -> tuple[tuple[tuple[int, ...], float], ...]:
     kept = {o: w for o, w in support.items() if w > WEIGHT_PRUNE}
     total = sum(kept.values())
     items = [(o, w / total) for o, w in kept.items()]
@@ -356,86 +349,97 @@ def _unit_gains(noise: NoiseModel) -> bool:
     return noise.gains is None or bool(np.all(noise.gains == 1.0))
 
 
-def _hull_base(order: np.ndarray, ranks: np.ndarray
-               ) -> tuple[np.ndarray, list[int]]:
-    """Fujishige's lexicographically optimal base in units of the noise
-    power, and its blocks ``[lo, hi)`` along the descending order: the
-    segments of the least concave majorant of the prefix ranks, each at the
-    level of its slope."""
-    base = np.empty(order.size)
+def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
+                     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Gain-weighted nearest base in units of the noise power, its chain
+    order and its blocks ``[lo, hi)`` along that order.
+
+    Block k is a set ``A`` of the remaining nodes that maximizes
+    ``(f_k(A) - c|A|) / sum_A 1/g_i``, where ``f_k`` is the rank contracted
+    by the blocks before it (noise ``4^R(placed)``) and ``c`` the equal
+    level; its nodes sit at ``c + lam/g_i``, ``lam`` the maximal ratio
+    (Fujishige's decomposition, Math. OR 5(3), 1980).  Dinkelbach's
+    iteration finds the set: with ``a_i = c + lam/g_i``, ``f_k(A) - a(A)`` is
+    convex in ``(R(A), a(A))``, so its maximum over all subsets is a prefix
+    of the nodes sorted by ``r_i / a_i`` descending, non-positive ``a_i``
+    first.  ``lam`` grows strictly over finitely many prefix sets, so the
+    iteration ends without a tolerance.  Zero-rate nodes get zero power and
+    close the chain as single-node blocks.
+    """
+    c = total / float(gains.sum())
+    inv_g = 1.0 / gains
+    base = np.zeros(r.size)
+    remaining = np.flatnonzero(r > 0.0)
+    chain: list[int] = []
+    ends = [0]
+    placed = 0.0
+    while remaining.size:
+        scale = float(np.exp2(2.0 * placed))
+        rr, w = r[remaining], inv_g[remaining]
+        seq, k, lam = np.arange(rr.size), rr.size, -np.inf
+        while True:  # Dinkelbach, from the whole remaining set
+            rank = scale * math.expm1(2.0 * LN2 * float(rr[seq[:k]].sum()))
+            ratio = (rank - c * k) / float(w[seq[:k]].sum())
+            if not ratio > lam:
+                break
+            lam, take = ratio, seq[:k]
+            a = c + lam * w
+            key = np.divide(rr, a, out=np.full(a.size, np.inf), where=a > 0.0)
+            seq = np.argsort(-key, kind="stable")
+            gain = (scale * np.expm1((2.0 * LN2) * np.cumsum(rr[seq]))
+                    - np.cumsum(a[seq]))
+            k = int(np.argmax(gain)) + 1
+        block = remaining[take]
+        base[block] = c + lam * inv_g[block]
+        chain.extend(block.tolist())
+        ends.append(len(chain))
+        placed += float(rr[take].sum())
+        remaining = np.delete(remaining, take)
+    chain.extend(np.flatnonzero(r == 0.0).tolist())
+    ends.extend(range(ends[-1] + 1, r.size + 1))
+    return base, np.asarray(chain, dtype=np.intp), ends
+
+
+def _fair_base(r: np.ndarray, noise: NoiseModel):
+    """The fair base in units of the noise power, its chain order, its
+    blocks ``[lo, hi)`` along that order, and the descending prefix ranks.
+
+    Unit gains take Fujishige's lexicographically optimal base: the slopes
+    of the least concave majorant of the descending prefix ranks, one block
+    per segment.  Other gains take the weighted max-ratio blocks.
+    """
+    order, ranks = _prefix_ranks(r, noise.sigma_sq)
+    if not _unit_gains(noise):
+        base, chain, ends = _weighted_levels(r, noise.gains, float(ranks[-1]))
+        return base, chain, ends, ranks
+    base = np.empty(r.size)
     values = ranks.tolist()
     ends = _hull_ends(values)
     for lo, hi in zip(ends[:-1], ends[1:]):
         base[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
-    return base, ends
-
-
-def _hull_time_sharing(r: np.ndarray, order: np.ndarray, prefix: np.ndarray,
-                       base: np.ndarray, ends: list[int]):
-    """Time sharing of the hull base and the Wolfe cycles it took.
-
-    Block ``[lo, hi)`` of the descending order is the contraction by the
-    blocks above it, a power region of the same form with noise
-    ``2^(2*prefix[lo])``, so its chains are ordinary chain vertices.
-    """
-    parts = []
-    majors = 0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        nodes = order[lo:hi]
-        rb = r[nodes]
-        noise_b = float(np.exp2(2.0 * prefix[lo]))
-
-        def vertex(o, rb=rb, noise_b=noise_b):
-            return _chain_received_trusted(rb, noise_b,
-                                           np.asarray(o, dtype=np.intp))
-
-        orders, weights, cycles = _decompose(nodes, float(base[nodes[0]]),
-                                             vertex, _power_lmo)
-        parts.append((orders, weights))
-        majors += cycles
-    return _couple(parts), majors
+    return base, order, ends, ranks
 
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Transmit powers of the min-max fair base without its time sharing:
-    the hull levels alone for unit gains, Wolfe's base otherwise."""
-    if not _unit_gains(noise):
-        return solve(r, noise, check=False).transmit
-    order, _, ranks = _prefix_ranks(r, noise.sigma_sq)
-    return noise.sigma_sq * _hull_base(order, ranks)[0]
-
-
-def _weighted_base(r: np.ndarray, gains: np.ndarray, level: float,
-                   total: float, start: tuple[int, ...]):
-    """Gain-weighted nearest base by Wolfe's method on the whole ground set,
-    in units of the sum power."""
-    root = np.sqrt(gains)
-    unit = 1.0 / total
-
-    def chain(o):
-        v = _chain_received_trusted(r, unit, np.asarray(o, dtype=np.intp))
-        return (v - level) * root
-
-    def lmo(x):
-        return _power_lmo(x * root)
-
-    x, orders, coeffs, majors, gap = _wolfe_min_norm(chain, lmo, start)
-    return x / root + level, dict(zip(orders, coeffs.tolist())), majors, gap
+    """Transmit powers of the min-max fair base without its time sharing."""
+    base = _fair_base(r, noise)[0]
+    return noise.sigma_sq * base / noise.gains_for(r.size)
 
 
 def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     """Min-max fair base of the power region and its time sharing.
 
-    Unit gains take the exact hull base; unequal gains take Wolfe's method
-    on the gain-weighted objective.  With ``check`` (and unit gains,
-    ``n <= 12``) the base must also pass :func:`is_lex_optimal_base`.
+    The base comes from exact levels, block by block along a chain (the
+    hull for unit gains, max-ratio blocks for unequal gains); each block's
+    point is decomposed over the block's chains by Wolfe's method and the
+    blocks are coupled.  With ``check`` (and unit gains, ``n <= 12``) the
+    base must also pass :func:`is_lex_optimal_base`.
     """
     r = _as_vector(rates, "rates")
     n = r.size
     gains = noise.gains_for(n)
-    order, prefix, ranks = _prefix_ranks(r, noise.sigma_sq)
+    base, order, ends, ranks = _fair_base(r, noise)
     total = float(ranks[-1])
-    scale = noise.sigma_sq
 
     if total == 0.0:
         received = np.zeros(n)
@@ -446,29 +450,32 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
             distance=0.0, iterations=0, gap=0.0)
 
     level = 1.0 / float(gains.sum())
-    shares = ranks / total
-    case = _case_label(shares, level)
-    unit_gains = _unit_gains(noise)
-    if unit_gains:
-        base, ends = _hull_base(order, ranks)
-        support, iters = _hull_time_sharing(r, order, prefix, base, ends)
-        received = scale * base
-        u = base / total
-        # The descending chain is a greedy vertex of the gradient u - level:
-        # it visits the blocks in order of decreasing level.
-        grad = u[order] - level
-        gap = max(float(grad @ (u[order] - np.diff(shares))), 0.0)
-    else:
-        u, support, iters, gap = _weighted_base(
-            r, gains, level, total, tuple(order.tolist()))
-        received = scale * (total * u)
+    case = _case_label(ranks / total, level)
+    prefix = np.zeros(n + 1)
+    np.cumsum(r[order], out=prefix[1:])
 
+    def block_vertex(lo, hi):
+        # The contraction by the blocks before is a power region of the
+        # same form with noise 2^(2*prefix[lo]).
+        rb = r[order[lo:hi]]
+        noise_b = float(np.exp2(2.0 * prefix[lo]))
+        return lambda o: _chain_received_trusted(
+            rb, noise_b, np.asarray(o, dtype=np.intp))
+
+    support, iters = _decompose(order, ends, base, block_vertex, _power_lmo)
+    received = noise.sigma_sq * base
     transmit = received / gains
-    factor = (scale * total) ** 2
+    u = base / total
+    # The chain visits the blocks in order of decreasing gradient
+    # g * (u - level), so its vertex is a greedy one.
+    grad = gains[order] * (u[order] - level)
+    shares = np.expm1((2.0 * LN2) * prefix) / total
+    gap = max(float(grad @ (u[order] - np.diff(shares))), 0.0)
+    factor = (noise.sigma_sq * total) ** 2
     distance = factor * float(gains @ (u - level) ** 2)
     gap_phys = factor * gap
 
-    if check and unit_gains and n <= LEX_CHECK_MAX_N:
+    if check and _unit_gains(noise) and n <= LEX_CHECK_MAX_N:
         if not is_lex_optimal_base(transmit, r, noise):
             raise SolverFailureError(
                 "solver output failed the lexicographic optimality check",
@@ -476,7 +483,7 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
 
     return MinMaxSolution(
         received=received, transmit=transmit,
-        coefficients=_prune_support(support), case=case,
+        coefficients=support, case=case,
         distance=distance, iterations=iters, gap=gap_phys)
 
 
@@ -507,19 +514,14 @@ def max_min_rates(powers, noise: NoiseModel
     if caps[-1] == 0.0:
         return np.zeros(n), ((tuple(range(n)), 1.0),)
     rates = np.empty(n)
-    parts = []
     values = caps.tolist()
     ends = _hull_ends([-c for c in values])
     for lo, hi in zip(ends[:-1], ends[1:]):
-        nodes = order[lo:hi]
-        level = (values[hi] - values[lo]) / (hi - lo)
-        rates[nodes] = level
+        rates[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
+
+    def block_vertex(lo, hi):
+        qb = q[order[lo:hi]]
         block_noise = NoiseModel(noise.sigma_sq + float(cum[lo]))
-        qb = q[nodes]
+        return lambda o: capacity_chain(qb, block_noise, o)
 
-        def vertex(o, qb=qb, block_noise=block_noise):
-            return capacity_chain(qb, block_noise, o)
-
-        orders, weights, _ = _decompose(nodes, level, vertex, _capacity_lmo)
-        parts.append((orders, weights))
-    return rates, _prune_support(_couple(parts))
+    return rates, _decompose(order, ends, rates, block_vertex, _capacity_lmo)[0]

@@ -230,43 +230,53 @@ def _subset_bits(n: int) -> np.ndarray:
 
 
 class _RankTable:
-    """All 2^n subset ranks of the power region, for exhaustive oracles."""
+    """All 2^n subset ranks of the power region, for exhaustive oracles, and
+    the received powers ``q`` of the transmit powers ``p`` under test."""
 
-    def __init__(self, rates, noise: NoiseModel, max_n: int, what: str):
+    def __init__(self, p: np.ndarray, rates, noise: NoiseModel, max_n: int,
+                 what: str):
         r = _as_vector(rates, "rates")
         if r.size > max_n:
             raise EnumerationLimitError(
                 f"{what} enumerates 2^n subsets and is capped at n <= {max_n}; "
                 f"got n = {r.size}"
             )
+        if p.size != r.size:
+            raise ValueError("powers and rates must have the same length")
         self.n = r.size
+        self.q = noise.received(p)
         self.noise = noise
         self.bits = _subset_bits(self.n)
         self.rank = noise.sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
         self.tol = TIGHT_RTOL * (1.0 + np.abs(self.rank))
 
-    def subset_sums(self, x: np.ndarray) -> np.ndarray:
-        return self.bits @ x
-
     def slack(self, received: np.ndarray) -> np.ndarray:
-        return self.subset_sums(received) - self.rank
+        return self.bits @ received - self.rank
 
     def is_member(self, received: np.ndarray) -> bool:
         return bool(np.all(self.slack(received) >= -self.tol))
 
-    def tight_masks(self, received: np.ndarray) -> np.ndarray:
-        """Bitmasks of the subsets whose constraint holds with equality."""
-        tight = np.abs(self.slack(received)) <= self.tol
-        return np.nonzero(tight)[0]
+    def tight_masks(self) -> list[int]:
+        """Bitmasks of the subsets whose constraint is tight at ``q``."""
+        tight = np.abs(self.slack(self.q)) <= self.tol
+        return [int(m) for m in np.nonzero(tight)[0]]
 
 
 def contains(powers, rates, noise: NoiseModel) -> bool:
     """Whether the transmit powers satisfy all 2^n received-power constraints."""
-    p = _as_vector(powers, "powers")
-    table = _RankTable(rates, noise, MEMBERSHIP_MAX_N, "membership test")
-    if p.size != table.n:
-        raise ValueError("powers and rates must have the same length")
-    return table.is_member(noise.received(p))
+    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
+                       MEMBERSHIP_MAX_N, "membership test")
+    return table.is_member(table.q)
+
+
+def _base_table(p: np.ndarray, rates, noise: NoiseModel) -> _RankTable:
+    """Rank table of a base; raises ``NotABaseError`` when ``p`` is not one."""
+    total = sum_power(rates, noise)
+    if abs(float(noise.received(p).sum()) - total) <= _tight_tol(total):
+        table = _RankTable(p, rates, noise, MEMBERSHIP_MAX_N, "membership test")
+        if table.is_member(table.q):
+            return table
+    raise NotABaseError("the point is not on the dominant face")
 
 
 def is_base(powers, rates, noise: NoiseModel) -> bool:
@@ -275,12 +285,11 @@ def is_base(powers, rates, noise: NoiseModel) -> bool:
     A base saturates the full-set constraint: the received-power sum equals
     ``sum_power(rates, noise)``.
     """
-    p = _as_vector(powers, "powers")
-    total = sum_power(rates, noise)
-    q = noise.received(p)
-    if abs(float(q.sum()) - total) > _tight_tol(total):
+    try:
+        _base_table(_as_vector(powers, "powers"), rates, noise)
+    except NotABaseError:
         return False
-    return contains(powers, rates, noise)
+    return True
 
 
 def check_rank_modularity(rank_fn: Callable[[frozenset], float], n: int,
@@ -376,14 +385,11 @@ def _tight_point(powers, rates, noise: NoiseModel
                  ) -> tuple[np.ndarray, list[int]]:
     """Received powers of a feasible point and the bitmasks of its tight
     sets."""
-    p = _as_vector(powers, "powers")
-    table = _RankTable(rates, noise, TIGHT_SET_MAX_N, "tight-set enumeration")
-    if p.size != table.n:
-        raise ValueError("powers and rates must have the same length")
-    q = noise.received(p)
-    if not table.is_member(q):
+    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
+                       TIGHT_SET_MAX_N, "tight-set enumeration")
+    if not table.is_member(table.q):
         raise NotAMemberError("the point violates a subset power constraint")
-    return q, [int(m) for m in table.tight_masks(q)]
+    return table.q, table.tight_masks()
 
 
 def _minimal_tight(tight: list[int], i: int) -> int:
@@ -505,10 +511,8 @@ def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
         raise EnumerationLimitError(
             f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {p.size}"
         )
-    if not is_base(p, rates, noise):
-        raise NotABaseError("the point is not on the dominant face")
-    q, tight = _tight_point(p, rates, noise)
-    return _prefixes_closed(distinct_levels(q), tight)
+    table = _base_table(p, rates, noise)
+    return _prefixes_closed(distinct_levels(table.q), table.tight_masks())
 
 
 def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bool:
@@ -525,10 +529,8 @@ def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bo
         raise EnumerationLimitError(
             f"perturbation probe is capped at n <= {PERTURB_MAX_N}; got {p.size}"
         )
-    if not is_base(p, rates, noise):
-        raise NotABaseError("the point is not on the dominant face")
-    table = _RankTable(rates, noise, PERTURB_MAX_N, "perturbation probe")
-    q = noise.received(p)
+    table = _base_table(p, rates, noise)
+    q = table.q
     if step is None:
         step = PERTURB_STEP_FRACTION * sum_power(rates, noise)
     if not step > 0.0:

@@ -29,10 +29,6 @@ class SuiteResult:
     checks: int
     message: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.passed or not self.ran
-
 
 def _skip(name: str, cap: int, n: int) -> SuiteResult:
     return SuiteResult(name=name, ran=False, passed=True, checks=0,

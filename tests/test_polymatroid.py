@@ -30,6 +30,7 @@ from macfair import (
     sum_power,
     vertex,
 )
+from macfair import polymatroid
 
 UNIT = NoiseModel(1.0)
 RHO2_19 = 2.0 ** 3.8 - 1.0  # singleton rank at rate 1.9
@@ -316,6 +317,22 @@ def test_is_lex_optimal_base_examples():
 def test_is_lex_optimal_base_rejects_non_base():
     with pytest.raises(NotABaseError):
         is_lex_optimal_base([9, 8], [0.5, 1.5], UNIT)
+
+
+def test_certificates_build_one_rank_table(monkeypatch):
+    built = []
+
+    class CountingTable(polymatroid._RankTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(polymatroid, "_RankTable", CountingTable)
+    point = [15.0 - RHO2_19, RHO2_19]
+    assert is_lex_optimal_base(point, [0.1, 1.9], UNIT)
+    assert len(built) == 1
+    assert is_minmax(point, [0.1, 1.9], UNIT)
+    assert len(built) == 2
 
 
 def test_is_minmax_examples():
