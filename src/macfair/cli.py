@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,41 +80,33 @@ def wire_to_order(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_floats(text: str, flag: str) -> np.ndarray:
+    """Comma-separated finite numbers: ranges are the library's to check."""
     try:
         values = np.array([float(tok) for tok in text.split(",") if tok != ""])
     except ValueError as exc:
         raise UsageError(f"could not parse {flag}={text!r} as numbers") from exc
     if values.size == 0:
         raise UsageError(f"{flag} must contain at least one number")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{flag} entries must be finite")
     return values
 
 
-def _noise_from_args(args, n: int) -> NoiseModel:
+def _noise_from_args(args) -> NoiseModel:
     if args.noise_db is not None and args.noise is not None:
         raise UsageError("give either --noise (linear watts) or --noise-db, not both")
     gains = None
     if args.gains is not None:
         gains = _parse_floats(args.gains, "--gains")
-        if gains.size != n:
-            raise UsageError(f"--gains needs {n} entries, got {gains.size}")
-        if not np.all(gains > 0):
-            raise UsageError("--gains entries must be positive")
-    try:
-        if args.noise_db is not None:
-            return NoiseModel.from_db(args.noise_db, gains=gains)
-        return NoiseModel(args.noise if args.noise is not None else 1.0,
-                          gains=gains)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.noise_db is not None:
+        return NoiseModel.from_db(args.noise_db, gains=gains)
+    return NoiseModel(args.noise if args.noise is not None else 1.0,
+                      gains=gains)
 
 
 def cmd_solve(args) -> int:
     rates = _parse_floats(args.rates, "--rates")
-    if not np.all(np.isfinite(rates)):
-        raise UsageError("--rates entries must be finite")
-    if not np.all(rates >= 0):
-        raise UsageError("--rates entries must be non-negative")
-    noise = _noise_from_args(args, rates.size)
+    noise = _noise_from_args(args)
     solution = minmax.solve(rates, noise)
     shares = [{"order": order_to_wire(o), "weight": float(fmt(w))}
               for o, w in solution.coefficients]
@@ -179,16 +171,7 @@ def read_schedule_csv(path, kind: str, period: float) -> Schedule:
 
 def cmd_schedule(args) -> int:
     backlogs = _parse_floats(args.backlogs, "--backlogs")
-    if not np.all(np.isfinite(backlogs)):
-        raise UsageError("--backlogs entries must be finite")
-    if not np.all(backlogs >= 0) or not np.any(backlogs > 0):
-        raise UsageError("--backlogs must be non-negative with at least one "
-                         "positive entry")
-    if not args.packet_bits > 0:
-        raise UsageError("--packet-bits must be positive")
-    if not args.period > 0:
-        raise UsageError("--period must be positive")
-    noise = _noise_from_args(args, backlogs.size)
+    noise = _noise_from_args(args)
     backlog = Backlog(packets=backlogs, packet_bits=args.packet_bits)
     schedule = scheduling.build_schedule(args.strategy, backlog, args.period,
                                          noise)
@@ -212,33 +195,11 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed `simulate` configuration (flat key=value file)."""
-
-    nodes: int
-    initial_energy_j: float
-    period_s: float
-    packet_bits: float
-    sigma_sq: float
-    lambda_packets: float
-    runs: int
-    seed: int
-    gains: np.ndarray | None = None
-    lambda_sweep: list[float] = field(default_factory=list)
-    period_cap: int = lifetime.DEFAULT_PERIOD_CAP
-    out_dir: str = "."
-    seed_source: str = "config"
-
-    def sim_config(self, lam: float) -> lifetime.SimConfig:
-        return lifetime.SimConfig(
-            n_nodes=self.nodes, initial_energy=self.initial_energy_j,
-            period=self.period_s, packet_bits=self.packet_bits,
-            noise=NoiseModel(self.sigma_sq, gains=self.gains), lam=lam,
-            runs=self.runs, seed=self.seed, period_cap=self.period_cap)
-
-
-def parse_experiment_config(text: str) -> ExperimentConfig:
+def parse_experiment_config(text: str
+                            ) -> tuple[lifetime.SimConfig, list[float], Path]:
+    """Parse a `simulate` config into the simulation at ``lambda_packets``,
+    the swept backlog bounds and the output directory.  Every swept bound is
+    checked here, before anything is simulated or written."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -268,13 +229,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
     if ("noise_db" in raw) == ("noise_w" in raw):
         raise UsageError("config must set exactly one of noise_db / noise_w")
-    if "noise_db" in raw:
-        sigma_sq = 10.0 ** (parse("noise_db", float, raw["noise_db"]) / 10.0)
-    else:
-        sigma_sq = parse("noise_w", float, raw["noise_w"])
-        if not sigma_sq > 0:
-            raise UsageError("config key 'noise_w' must be positive")
-
     gains = None
     if "gains" in raw:
         gains = _parse_floats(raw["gains"], "gains")
@@ -282,33 +236,33 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     lam = parse("lambda_packets", float, need("lambda_packets"))
     sweep = [lam]
     if "lambda_sweep" in raw:
-        sweep = [float(x) for x in _parse_floats(raw["lambda_sweep"],
-                                                 "lambda_sweep")]
+        sweep = _parse_floats(raw["lambda_sweep"], "lambda_sweep").tolist()
 
-    config = ExperimentConfig(
-        nodes=parse("nodes", int, need("nodes")),
-        initial_energy_j=parse("initial_energy_j", float,
-                               need("initial_energy_j")),
-        period_s=parse("period_s", float, need("period_s")),
-        packet_bits=parse("packet_bits", float, need("packet_bits")),
-        sigma_sq=sigma_sq,
-        lambda_packets=lam,
-        runs=parse("runs", int, need("runs")),
-        seed=parse("seed", int, need("seed")),
-        gains=gains,
-        lambda_sweep=sweep,
-        period_cap=parse("period_cap", int, raw["period_cap"])
-        if "period_cap" in raw else lifetime.DEFAULT_PERIOD_CAP,
-        out_dir=raw.get("out_dir", "."),
-    )
-    if gains is not None and gains.size != config.nodes:
-        raise UsageError(f"config key 'gains' needs {config.nodes} entries, "
-                         f"got {gains.size}")
     try:
-        config.sim_config(config.lambda_packets)
+        if "noise_db" in raw:
+            noise = NoiseModel.from_db(parse("noise_db", float, raw["noise_db"]),
+                                       gains=gains)
+        else:
+            noise = NoiseModel(parse("noise_w", float, raw["noise_w"]),
+                               gains=gains)
+        config = lifetime.SimConfig(
+            n_nodes=parse("nodes", int, need("nodes")),
+            initial_energy=parse("initial_energy_j", float,
+                                 need("initial_energy_j")),
+            period=parse("period_s", float, need("period_s")),
+            packet_bits=parse("packet_bits", float, need("packet_bits")),
+            noise=noise,
+            lam=lam,
+            runs=parse("runs", int, need("runs")),
+            seed=parse("seed", int, need("seed")),
+            period_cap=parse("period_cap", int, raw["period_cap"])
+            if "period_cap" in raw else lifetime.DEFAULT_PERIOD_CAP,
+        )
+        for swept in sweep:
+            dataclasses.replace(config, lam=swept)
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
-    return config
+    return config, sweep, Path(raw.get("out_dir", "."))
 
 
 def _write_csv(path: Path, header_comment: str, header: list[str],
@@ -321,36 +275,34 @@ def _write_csv(path: Path, header_comment: str, header: list[str],
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-    config = parse_experiment_config(text)
+    config, sweep, out_dir = parse_experiment_config(
+        Path(args.config).read_text())
     if args.out_dir is not None:
-        config.out_dir = args.out_dir
+        out_dir = Path(args.out_dir)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            config.seed = int(env_seed)
+            seed = int(env_seed)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
-        config.seed_source = f"env {SEED_ENV_VAR}"
-    out_dir = Path(config.out_dir)
+        config = dataclasses.replace(config, seed=seed)
+    source = "config" if env_seed is None else f"env {SEED_ENV_VAR}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = f"# seed={config.seed} source={config.seed_source}"
+    stamp = f"# seed={config.seed} source={source}"
 
-    table = lifetime.compare_strategies(config.sim_config(config.lambda_packets))
+    table = lifetime.compare_strategies(config)
     _write_csv(out_dir / "fig4.csv", stamp, ["strategy", "mean_max_power_w"],
                [[s, repr(table.stats[s].mean_max_power)] for s in STRATEGIES])
     _write_csv(out_dir / "fig5.csv", stamp, ["strategy", "mean_sum_energy_j"],
                [[s, repr(table.stats[s].mean_sum_energy)] for s in STRATEGIES])
 
     sweep_rows = []
-    for lam in config.lambda_sweep:
-        if lam == config.lambda_packets:
+    for lam in sweep:
+        if lam == config.lam:
             swept = table
         else:
-            swept = lifetime.compare_strategies(config.sim_config(lam))
+            swept = lifetime.compare_strategies(
+                dataclasses.replace(config, lam=lam))
         for s in STRATEGIES:
             sweep_rows.append([repr(float(lam)), s,
                                repr(swept.stats[s].mean_lifetime)])
@@ -436,13 +388,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SolverFailureError as exc:
         print(f"solver failure: {exc} (gap {exc.gap:g})", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

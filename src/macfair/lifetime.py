@@ -46,18 +46,21 @@ class SimConfig:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
-        if not self.initial_energy >= 0:
-            raise ValueError("initial_energy must be non-negative")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        if not self.packet_bits > 0:
-            raise ValueError("packet_bits must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 <= self.initial_energy < np.inf:
+            raise ValueError("initial_energy must be non-negative and finite")
+        if not 0 < self.period < np.inf:
+            raise ValueError("period must be positive and finite")
+        if not 0 < self.packet_bits < np.inf:
+            raise ValueError("packet_bits must be positive and finite")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.period_cap < 1:
+            raise ValueError("period_cap must be at least 1")
+        self.noise.gains_for(self.n_nodes)  # raises on a gain count != n_nodes
 
 
 @dataclass(frozen=True)

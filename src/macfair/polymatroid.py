@@ -99,7 +99,11 @@ class NoiseModel:
     @classmethod
     def from_db(cls, noise_db: float, gains=None) -> "NoiseModel":
         """Build a model from a noise power in dB (e.g. -30 dB -> 1e-3 W)."""
-        return cls(sigma_sq=10.0 ** (noise_db / 10.0), gains=gains)
+        try:
+            sigma_sq = 10.0 ** (noise_db / 10.0)
+        except OverflowError:  # a float power past the largest double raises
+            sigma_sq = np.inf
+        return cls(sigma_sq=sigma_sq, gains=gains)
 
     def gains_for(self, n: int) -> np.ndarray:
         if self.gains is None:

@@ -51,8 +51,8 @@ class Backlog:
 
     def __post_init__(self):
         p = _as_vector(self.packets, "packets")
-        if not self.packet_bits > 0:
-            raise ValueError("packet_bits must be positive")
+        if not 0 < self.packet_bits < np.inf:
+            raise ValueError("packet_bits must be positive and finite")
         p.flags.writeable = False
         object.__setattr__(self, "packets", p)
 
@@ -136,14 +136,15 @@ class EnergyReport:
 
 def average_rates(backlog: Backlog, period: float) -> np.ndarray:
     """Constant rates that clear the backlog: ``b_i * B / T`` bits per use."""
-    if not period > 0:
-        raise ValueError("period must be positive")
+    if not 0 < period < np.inf:
+        raise ValueError("period must be positive and finite")
     return backlog.bits / period
 
 
 def _active(backlog: Backlog, period: float, noise: NoiseModel):
     """The nodes with a positive backlog, their packets, their channel and
     their average rates: every strategy leaves the other nodes out."""
+    rates = average_rates(backlog, period)
     active = np.nonzero(backlog.packets > 0.0)[0]
     if active.size == 0:
         raise ValueError("at least one node must have a positive backlog")
@@ -151,7 +152,7 @@ def _active(backlog: Backlog, period: float, noise: NoiseModel):
     if noise.gains is not None:
         gains = noise.gains_for(backlog.packets.size)
         noise = NoiseModel(noise.sigma_sq, gains[active])
-    return active, packets, noise, packets * backlog.packet_bits / period
+    return active, packets, noise, rates[active]
 
 
 def _embed(values: np.ndarray, active: np.ndarray, n: int) -> np.ndarray:

@@ -214,6 +214,102 @@ def test_simulate_env_seed_echoed(tmp_path, capsys, monkeypatch):
     assert "seed=77" in header and "MACFAIR_SEED" in header
 
 
+def assert_one_error_line(code, err, prefix="error: "):
+    assert code == EXIT_USAGE
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1
+
+
+def config_with(line):
+    """CONFIG with ``key = value`` replacing (or adding) that key's line,
+    one run and a 3-period cap, so a config that ought to be rejected but
+    is simulated still ends quickly."""
+    key = line.split("=")[0].strip()
+    kept = [l for l in CONFIG.splitlines()
+            if l.split("=")[0].strip() not in (key, "runs")]
+    if key != "period_cap":
+        kept.append("period_cap = 3")
+    return "\n".join(kept + ["runs = 1", line]) + "\n"
+
+
+def test_noise_db_past_the_largest_double_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "solve", "--rates", "1",
+                             "--noise-db", "5000")
+    assert_one_error_line(code, err)
+    assert out == ""
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(config_with("noise_db = 5000"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out"))
+    assert_one_error_line(code, err, "error: config:")
+    assert out == ""
+
+
+def test_simulate_checks_every_swept_bound_before_output(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(CONFIG.replace("lambda_sweep = 0.6,1.0",
+                                  "lambda_sweep = 1.0,-0.5"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                             "--out-dir", str(out_dir))
+    assert_one_error_line(code, err, "error: config:")
+    assert out == ""
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "initial_energy_j = inf", "period_s = inf", "packet_bits = inf",
+    "lambda_packets = inf", "period_cap = 0", "gains = 1,2,4",
+])
+def test_simulate_rejects_what_simconfig_rejects(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_with(line))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                             "--out-dir", str(out_dir))
+    assert_one_error_line(code, err, "error: config:")
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_schedule_rejects_infinite_period_before_output(capsys):
+    code, out, err = run_cli(capsys, "schedule", "--backlogs", "1,2",
+                             "--period", "inf")
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+# Out-of-range inputs whose range the library checks, not the CLI: each
+# must end in exit 1 with one `error:` line and no traceback.
+@pytest.mark.parametrize("argv", [
+    ["solve", "--rates=-1,2"],
+    ["solve", "--rates", "1,1", "--gains", "1,0"],
+    ["solve", "--rates", "1,1", "--gains", "1,2,3"],
+    ["solve", "--rates", "1,1", "--noise", "0"],
+    ["schedule", "--backlogs", "0,0"],
+    ["schedule", "--backlogs=1,-2"],
+    ["schedule", "--backlogs", "1,2", "--packet-bits", "-3"],
+    ["schedule", "--backlogs", "1,2", "--packet-bits", "nan"],
+    ["schedule", "--backlogs", "1,2", "--period", "0"],
+    ["schedule", "--backlogs", "1,2", "--gains", "1,2,3"],
+    pytest.param(["simulate", CONFIG.replace("noise_db = -30", "noise_w = -1")],
+                 id="config noise_w = -1"),
+    pytest.param(["simulate", CONFIG + "gains = 1,2,4\n"],
+                 id="config gains = 1,2,4"),
+    pytest.param(["simulate", None], id="config missing"),
+], ids=" ".join)
+def test_rejection_parity(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        if argv[1] is not None:
+            cfg.write_text(argv[1])
+        argv = ["simulate", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, err)
+
+
 def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(Exception) as err:
         parse_experiment_config(CONFIG + "bandwidth = 5\n")

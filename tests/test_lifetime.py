@@ -189,6 +189,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         paper_config(lam=0.0)
 
+
+@pytest.mark.parametrize("overrides", [
+    dict(initial_energy=np.inf), dict(period=np.inf), dict(packet_bits=np.inf),
+    dict(lam=np.inf), dict(period_cap=0),
+    dict(noise=NoiseModel(1e-3, gains=[1.0, 2.0, 4.0])),
+], ids=["energy-inf", "period-inf", "bits-inf", "lam-inf", "cap0", "gains3"])
+def test_config_rejects_non_finite_and_inconsistent_values(overrides):
+    # An infinite battery would run every run to the period cap and a zero
+    # cap would simulate nothing; either would give NaN means.
+    with pytest.raises(ValueError):
+        paper_config(**overrides)
+
 @pytest.mark.parametrize("overrides", [
     dict(lam=0.6), dict(lam=1.0), dict(n_nodes=5, lam=0.6),
     dict(n_nodes=8, lam=0.4),

@@ -354,3 +354,10 @@ def test_enumeration_caps():
         is_minmax(np.full(9, 1.0), np.full(9, 0.1), NoiseModel(1.0))
     with pytest.raises(EnumerationLimitError):
         contains(np.full(21, 1.0), np.full(21, 0.01), NoiseModel(1.0))
+
+
+def test_noise_db_past_the_largest_double_rejected():
+    with pytest.raises(ValueError, match="positive and finite"):
+        NoiseModel.from_db(5000.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        NoiseModel.from_db(-5000.0)

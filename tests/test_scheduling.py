@@ -169,6 +169,18 @@ def test_zero_backlog_nodes_reported_silent():
     assert mini.epochs[0].powers[1] == 0.0
 
 
+def test_non_finite_period_and_packet_bits_rejected():
+    with pytest.raises(ValueError, match="packet_bits"):
+        Backlog([1.0, 2.0], np.inf)
+    backlog = Backlog([1.0, 2.0], 30)
+    # An infinite period gives zero rates and NaN energies (inf * 0).
+    with pytest.raises(ValueError, match="period"):
+        period_energies(backlog, np.inf, UNIT)
+    for strategy in ("minmax", "minicost", "tdma"):
+        with pytest.raises(ValueError, match="period"):
+            build_schedule(strategy, backlog, np.inf, UNIT)
+
+
 def test_all_zero_backlog_rejected():
     with pytest.raises(ValueError):
         minicost_schedule(Backlog([0.0, 0.0], 30), 30.0, UNIT)
