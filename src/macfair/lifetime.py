@@ -14,6 +14,20 @@ execute in any order or in parallel with identical results.  Each
 (run, period) is drawn once and shared by the three strategies (common
 random numbers), which makes the strategy comparisons hold per run and not
 just in expectation.
+
+A period's energies depend only on its backlog, never on the batteries, so
+the engine works in chunks of periods.  Each step reads the next periods of
+every live run from the run's stream and prices them as one array per
+strategy, over the runs in which that strategy still lives.  Then it
+replays each ledger: the battery after period ``j`` of a chunk is
+``np.subtract.accumulate`` over the battery and the chunk's energies, which
+is the sequential ``battery - e`` fold, and the strategy dies at the first
+period some node cannot pay.  Results are bit for bit those of a loop over
+single periods.  The first chunk of a run has ``FIRST_CHUNK`` periods; a
+later one lasts until the first live strategy is expected to die at the
+spend rate seen so far, with a margin.  A step prices at most
+``MAX_CELLS // n_nodes`` periods, so memory does not grow with the number
+of runs.
 """
 
 from __future__ import annotations
@@ -23,9 +37,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, STRATEGIES, period_energies
+from .scheduling import Backlog, STRATEGIES, _ENERGY
 
 DEFAULT_PERIOD_CAP = 1_000_000
+
+# Periods in the first chunk of a run.
+FIRST_CHUNK = 16
+
+# A later chunk covers this multiple of the periods the first of the run's
+# live strategies is expected to last at the spend rate seen so far, plus
+# FIRST_CHUNK: an overshoot costs rows in a shared array, a shortfall a
+# whole step.  Sizing for the first death, not the last, keeps the rows a
+# strategy is priced on after its death few, which matters where one
+# strategy's pricing is a loop over rows (min-max with unequal gains).
+CHUNK_MARGIN = 1.25
+
+# Cells in one step's backlog array (rows times n_nodes), so that memory
+# does not grow with the number of runs.
+MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,8 +151,8 @@ def draw_backlogs(lam: float, n_nodes: int, packet_bits: float,
                   rng: np.random.Generator) -> Backlog:
     """Independent per-node backlogs, uniform on the half-open interval
     (0, lam] (never exactly zero)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     packets = lam * (1.0 - rng.random(n_nodes))
     return Backlog(packets=packets, packet_bits=packet_bits)
 
@@ -135,52 +164,86 @@ def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
     return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
 
 
-def _run_backlogs(config: SimConfig, run: int):
-    """The backlogs of one run, period after period, without end.
+def _run_stream(config: SimConfig, run: int) -> np.random.Generator:
+    """One Philox stream keyed on ``(seed, run)`` from counter 0: the draws
+    of all the run's periods, in order."""
+    key = np.array([config.seed, run], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
-    One Philox stream keyed on ``(seed, run)`` from counter 0; each period
-    takes the next ``4 * _blocks_per_period(n)`` doubles and keeps the
-    first ``n``.  So period ``p`` starts at the block where
-    :func:`_period_rng` puts it, and every backlog is bit-identical to
-    :func:`period_backlog`.
-    """
+
+def _draw(config: SimConfig, stream: np.random.Generator,
+          periods: int) -> np.ndarray:
+    """Packets of the next ``periods`` periods of a run's stream, one row
+    each.  A period takes the next ``4 * _blocks_per_period(n)`` doubles and
+    keeps the first ``n``, so it starts at the block where
+    :func:`_period_rng` puts it, and every row is bit-identical to
+    :func:`period_backlog`."""
     n = config.n_nodes
     width = 4 * _blocks_per_period(n)
-    key = np.array([config.seed, run], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    while True:
-        packets = config.lam * (1.0 - gen.random(width)[:n])
-        yield Backlog(packets=packets, packet_bits=config.packet_bits)
+    u = stream.random(periods * width).reshape(periods, width)[:, :n]
+    return config.lam * (1.0 - u)
 
 
-def _simulate_run(config: SimConfig, run: int) -> dict[str, RunResult]:
-    """Every strategy's outcome of one run, on the run's shared backlogs.
+class _Run:
+    """One run in progress: its stream, its completed periods, and every
+    strategy's batteries, peaks and period of death."""
 
-    Each strategy keeps its own batteries and stops at the first period
-    some node cannot pay for, or at the period cap (censored).
-    """
-    batteries = {s: np.full(config.n_nodes, float(config.initial_energy))
-                 for s in STRATEGIES}
-    peaks: dict[str, list[float]] = {s: [] for s in STRATEGIES}
-    died: dict[str, int] = {}
-    backlogs = _run_backlogs(config, run)
-    period = 0
-    while len(died) < len(STRATEGIES) and period < config.period_cap:
-        spent = period_energies(next(backlogs), config.period, config.noise)
-        for s, e in spent.items():
-            if s in died:
-                continue
-            if np.all(e <= batteries[s]):
-                batteries[s] = batteries[s] - e
-                peaks[s].append(float(e.max()) / config.period)
+    def __init__(self, config: SimConfig, run: int):
+        self.config = config
+        self.stream = _run_stream(config, run)
+        self.period = 0
+        self.battery = np.full((len(STRATEGIES), config.n_nodes),
+                               float(config.initial_energy))
+        self.peaks: list[list[float]] = [[] for _ in STRATEGIES]
+        self.died: dict[int, int] = {}
+
+    @property
+    def done(self) -> bool:
+        return (len(self.died) == len(STRATEGIES)
+                or self.period == self.config.period_cap)
+
+    def chunk(self, max_rows: int) -> int:
+        """Periods to draw next: for a later chunk, enough for the first
+        live strategy to die at the spend rate seen so far, with a
+        margin."""
+        want = FIRST_CHUNK
+        if self.period:
+            live = [i for i in range(len(STRATEGIES)) if i not in self.died]
+            left = self.battery[live]
+            spent = self.config.initial_energy - left
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lasts = float((left / spent).min()) * self.period
+            if lasts < max_rows:
+                want += int(CHUNK_MARGIN * lasts)
             else:
-                died[s] = period
-        period += 1
-    return {s: RunResult(lifetime_periods=died.get(s, period),
-                         residual_energy=batteries[s],
-                         per_period_max_power=peaks[s],
-                         censored=s not in died)
-            for s in STRATEGIES}
+                want = max_rows
+        return min(want, max_rows, self.config.period_cap - self.period)
+
+    def pay(self, spent: np.ndarray) -> None:
+        """Charge a chunk, ``spent[strategy, period, node]``, to the live
+        strategies' batteries, up to each one's first unaffordable
+        period."""
+        periods = spent.shape[1]
+        ledger = np.subtract.accumulate(
+            np.concatenate((self.battery[:, None, :], spent), axis=1), axis=1)
+        paid = np.all(spent <= ledger[:, :-1], axis=2)
+        peaks = spent.max(axis=2) / self.config.period
+        for i in range(len(STRATEGIES)):
+            if i in self.died:
+                continue
+            fails = np.flatnonzero(~paid[i])
+            last = int(fails[0]) if fails.size else periods
+            if fails.size:
+                self.died[i] = self.period + last
+            self.battery[i] = ledger[i, last]
+            self.peaks[i].extend(peaks[i, :last].tolist())
+        self.period += periods
+
+    def result(self, i: int) -> RunResult:
+        return RunResult(lifetime_periods=self.died.get(i, self.period),
+                         residual_energy=self.battery[i].copy(),
+                         per_period_max_power=self.peaks[i],
+                         censored=i not in self.died)
 
 
 def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
@@ -189,8 +252,35 @@ def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
     Runs are independent given their (seed, run) keys; executing them in any
     order, or concurrently, yields identical results.
     """
-    runs = [_simulate_run(config, run) for run in range(config.runs)]
-    return {s: [r[s] for r in runs] for s in STRATEGIES}
+    runs = [_Run(config, run) for run in range(config.runs)]
+    max_rows = max(1, MAX_CELLS // config.n_nodes)
+    live = runs
+    while live:
+        batch: list[tuple[_Run, int]] = []
+        size = 0
+        for run in live:
+            periods = run.chunk(max_rows)
+            if batch and size + periods > max_rows:
+                break
+            batch.append((run, periods))
+            size += periods
+        packets = np.concatenate([_draw(config, run.stream, periods)
+                                  for run, periods in batch])
+        spent = np.zeros((len(STRATEGIES),) + packets.shape)
+        for i, s in enumerate(STRATEGIES):
+            # Only the rows of runs in which the strategy still lives.
+            rows = np.repeat([i not in run.died for run, _ in batch],
+                             [periods for _, periods in batch])
+            if rows.any():
+                spent[i, rows] = _ENERGY[s](packets[rows], config.packet_bits,
+                                            config.period, config.noise)
+        start = 0
+        for run, periods in batch:
+            run.pay(spent[:, start:start + periods])
+            start += periods
+        live = [run for run in live if not run.done]
+    return {s: [run.result(i) for run in runs]
+            for i, s in enumerate(STRATEGIES)}
 
 
 def compare_strategies(config: SimConfig) -> ComparisonTable:

@@ -134,18 +134,42 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
 def _prefix_ranks(rates: np.ndarray, sigma_sq: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Descending rate order and its prefix ranks, empty set first, in units
-    of the noise power.  Raises ``ValueError`` when the sum power leaves the
-    range in which it, and the squared distances built from it, are finite.
+    of the noise power, of a rate vector or of every row of a rate matrix.
+    Raises ``ValueError`` when a sum power leaves the range in which it, and
+    the squared distances built from it, are finite.
     """
-    order = np.argsort(-rates, kind="stable")
-    prefix = np.zeros(rates.size + 1)
-    np.cumsum(rates[order], out=prefix[1:])
+    order = np.argsort(-rates, axis=-1, kind="stable")
+    prefix = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
+    np.cumsum(np.take_along_axis(rates, order, -1), axis=-1,
+              out=prefix[..., 1:])
+    total = prefix[..., -1].max()
     limit = math.log1p(_MAX_SUM_POWER / sigma_sq) / (2.0 * LN2)
-    if not prefix[-1] < limit:
+    if not total < limit:
         raise ValueError(
-            f"the rates sum to {prefix[-1]:g} bits per channel use; above "
+            f"the rates sum to {total:g} bits per channel use; above "
             f"about {limit:.4g} the sum power overflows at this noise power")
     return order, np.expm1((2.0 * LN2) * prefix)
+
+
+def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
+    """Slope of the least concave majorant of the points ``(k, F_k)`` on
+    every unit step ``[k, k + 1]``, for every row ``F`` of ``ranks``.
+
+    The slope on step ``k`` is ``min_{a <= k} max_{b > k} (F_b - F_a) /
+    (b - a)``, the max-min formula of isotonic regression (Robertson, Wright
+    and Dykstra, *Order Restricted Statistical Inference*, 1988).  Each
+    slope is one quotient ``(F_b - F_a) / (b - a)``, the expression that
+    :func:`_fair_base` evaluates on the hull's segments.
+    """
+    n = ranks.shape[-1] - 1
+    levels = np.full(ranks.shape[:-1] + (n,), np.inf)
+    for a in range(n):
+        slopes = (ranks[..., a + 1:] - ranks[..., a, None]) / np.arange(
+            1.0, n + 1 - a)
+        # The steepest slope from a to any b > k, for every step k >= a.
+        steepest = np.maximum.accumulate(slopes[..., ::-1], axis=-1)[..., ::-1]
+        np.minimum(levels[..., a:], steepest, out=levels[..., a:])
+    return levels
 
 
 def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
@@ -421,9 +445,19 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
 
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Transmit powers of the min-max fair base without its time sharing."""
-    base = _fair_base(r, noise)[0]
-    return noise.sigma_sq * base / noise.gains_for(r.size)
+    """Transmit powers of the min-max fair base without its time sharing,
+    for a rate vector or for every row of a rate matrix.  Unit gains take
+    the majorant's slopes of all rows at once; other gains solve row by
+    row."""
+    if _unit_gains(noise):
+        order, ranks = _prefix_ranks(r, noise.sigma_sq)
+        base = np.empty_like(r)
+        np.put_along_axis(base, order, _majorant_levels(ranks), axis=-1)
+    else:
+        rows = r.reshape(-1, r.shape[-1])
+        base = np.array([_fair_base(row, noise)[0] for row in rows]
+                        ).reshape(r.shape)
+    return noise.sigma_sq * base / noise.gains_for(r.shape[-1])
 
 
 def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:

@@ -196,14 +196,16 @@ def sum_power(rates, noise: NoiseModel) -> float:
 
 def _chain_received_trusted(r: np.ndarray, sigma_sq: float,
                             idx: np.ndarray) -> np.ndarray:
-    rp = r[idx]
-    prefix = rp.cumsum()
+    """The chain vertex of a rate vector, or of every row of a rate matrix
+    along one order ``idx``."""
+    rp = r[..., idx]
+    prefix = rp.cumsum(axis=-1)
     prefix -= rp
     coords = np.exp2(2.0 * prefix)
     coords *= sigma_sq
     coords *= np.expm1(2.0 * LN2 * rp)
     out = np.empty_like(coords)
-    out[idx] = coords
+    out[..., idx] = coords
     return out
 
 

@@ -94,8 +94,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind must be one of {STRATEGIES}, got {self.kind!r}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < np.inf:
+            raise ValueError("period must be positive and finite")
         object.__setattr__(self, "epochs", tuple(self.epochs))
         total = sum(e.duration_fraction for e in self.epochs)
         if abs(total - 1.0) > 1e-10:
@@ -164,8 +164,9 @@ def _embed(values: np.ndarray, active: np.ndarray, n: int) -> np.ndarray:
 def _minicost_vertex(rates: np.ndarray, noise: NoiseModel
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The minimum-energy decoding order, higher-gain nodes later on the
-    chain (decoded first), and its transmit powers."""
-    gains = noise.gains_for(rates.size)
+    chain (decoded first), and its transmit powers, for a rate vector or for
+    every row of a rate matrix."""
+    gains = noise.gains_for(rates.shape[-1])
     order = np.argsort(-(1.0 / gains), kind="stable")
     return order, _chain_received_trusted(rates, noise.sigma_sq, order) / gains
 
@@ -192,13 +193,16 @@ def minicost_schedule(backlog: Backlog, period: float,
 
 
 def _tdma_slots(packets: np.ndarray, packet_bits: float, period: float,
-                noise: NoiseModel) -> tuple[np.ndarray, float, np.ndarray]:
+                noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot fractions of the active nodes, their common slot rate, and the
-    transmit power of each node in its slot."""
-    slot_rate = float(packets.sum()) * packet_bits / period
-    slot_received = noise.sigma_sq * float(np.expm1(2.0 * LN2 * slot_rate))
-    return (packets / packets.sum(), slot_rate,
-            slot_received / noise.gains_for(packets.size))
+    transmit power of each node in its slot, for a backlog vector or for
+    every row of a backlog matrix (the slot rate keeps a length-one last
+    axis)."""
+    total = packets.sum(axis=-1, keepdims=True)
+    slot_rate = total * packet_bits / period
+    slot_received = noise.sigma_sq * np.expm1(2.0 * LN2 * slot_rate)
+    return (packets / total, slot_rate,
+            slot_received / noise.gains_for(packets.shape[-1]))
 
 
 def tdma_schedule(backlog: Backlog, period: float,
@@ -218,7 +222,7 @@ def tdma_schedule(backlog: Backlog, period: float,
         powers = np.zeros(n)
         powers[i] = power
         rates = np.zeros(n)
-        rates[i] = slot_rate
+        rates[i] = slot_rate[0]
         epochs.append(Epoch(duration_fraction=float(frac), powers=powers,
                             rates=rates, decode_order=identity))
     return Schedule(kind="tdma", epochs=tuple(epochs), period=period)
@@ -280,6 +284,32 @@ def build_schedule(strategy: str, backlog: Backlog, period: float,
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def _minmax_energy(packets: np.ndarray, packet_bits: float, period: float,
+                   noise: NoiseModel) -> np.ndarray:
+    rates = packets * packet_bits / period
+    return period * minmax._fair_transmit(rates, noise)
+
+
+def _minicost_energy(packets: np.ndarray, packet_bits: float, period: float,
+                     noise: NoiseModel) -> np.ndarray:
+    rates = packets * packet_bits / period
+    return period * _minicost_vertex(rates, noise)[1]
+
+
+def _tdma_energy(packets: np.ndarray, packet_bits: float, period: float,
+                 noise: NoiseModel) -> np.ndarray:
+    fractions, _, slot_powers = _tdma_slots(packets, packet_bits, period,
+                                            noise)
+    return (fractions * period) * slot_powers
+
+
+# Per-node energy of each strategy over one period, for every row of a
+# matrix of positive backlogs ``packets``: the one pricing of
+# :func:`period_energies` and of the lifetime simulation.
+_ENERGY = {"minmax": _minmax_energy, "minicost": _minicost_energy,
+          "tdma": _tdma_energy}
+
+
 def period_energies(backlog: Backlog, period: float,
                     noise: NoiseModel) -> dict[str, np.ndarray]:
     """Per-node energy of every strategy over one period, without schedules.
@@ -287,15 +317,11 @@ def period_energies(backlog: Backlog, period: float,
     Equals ``energy_report(build_schedule(s, ...)).per_node_energy`` for
     every strategy ``s``: bit for bit for minicost and TDMA, and to rounding
     for min-max, whose energy is the period times the fair base itself
-    rather than the sum over its time-shared vertices.
+    rather than the sum over its time-shared vertices.  Nodes without
+    backlog spend nothing.
     """
     n = backlog.packets.size
-    active, packets, sub, rates = _active(backlog, period, noise)
-    _, minicost = _minicost_vertex(rates, sub)
-    fractions, _, slot_powers = _tdma_slots(
-        packets, backlog.packet_bits, period, sub)
-    return {
-        "minmax": _embed(period * minmax._fair_transmit(rates, sub), active, n),
-        "minicost": _embed(period * minicost, active, n),
-        "tdma": _embed((fractions * period) * slot_powers, active, n),
-    }
+    active, packets, sub, _ = _active(backlog, period, noise)
+    return {s: _embed(price(packets[None, :], backlog.packet_bits, period,
+                            sub)[0], active, n)
+            for s, price in _ENERGY.items()}

@@ -209,6 +209,12 @@ def certificate_suite(n: int, instances: int, seed: int) -> SuiteResult:
 
 
 def run_all(n: int, instances: int, seed: int) -> list[SuiteResult]:
+    """Every suite on ``n`` nodes; a run that would check nothing is
+    refused."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     return [
         modularity_suite(n, max(1, instances // 10), seed),
         vertex_suite(n, instances, seed + 1),

@@ -9,7 +9,16 @@ import itertools
 
 import numpy as np
 
-from macfair import RunResult, build_schedule, energy_report, period_backlog
+from macfair import (
+    STRATEGIES,
+    Backlog,
+    RunResult,
+    build_schedule,
+    energy_report,
+    period_backlog,
+    period_energies,
+)
+from macfair.lifetime import _blocks_per_period
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -214,3 +223,51 @@ def simulate_with_schedules(config, strategy):
                                  per_period_max_power=peaks,
                                  censored=censored))
     return results
+
+
+def _run_backlogs(config, run):
+    """The backlogs of one run, period after period, without end.
+
+    One Philox stream keyed on ``(seed, run)`` from counter 0; each period
+    takes the next ``4 * _blocks_per_period(n)`` doubles and keeps the
+    first ``n``, one period per call of the generator.
+    """
+    n = config.n_nodes
+    width = 4 * _blocks_per_period(n)
+    key = np.array([config.seed, run], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    while True:
+        packets = config.lam * (1.0 - gen.random(width)[:n])
+        yield Backlog(packets=packets, packet_bits=config.packet_bits)
+
+
+def _simulate_run(config, run):
+    """Every strategy's outcome of one run, one period at a time.
+
+    The reference loop for the chunked engine: each period's backlog is
+    priced with ``period_energies`` and charged to each live strategy's
+    batteries only if every node can pay; a strategy stops at its first
+    unaffordable period, the run at the period cap (censored).
+    """
+    batteries = {s: np.full(config.n_nodes, float(config.initial_energy))
+                 for s in STRATEGIES}
+    peaks = {s: [] for s in STRATEGIES}
+    died = {}
+    backlogs = _run_backlogs(config, run)
+    period = 0
+    while len(died) < len(STRATEGIES) and period < config.period_cap:
+        spent = period_energies(next(backlogs), config.period, config.noise)
+        for s, e in spent.items():
+            if s in died:
+                continue
+            if np.all(e <= batteries[s]):
+                batteries[s] = batteries[s] - e
+                peaks[s].append(float(e.max()) / config.period)
+            else:
+                died[s] = period
+        period += 1
+    return {s: RunResult(lifetime_periods=died.get(s, period),
+                         residual_energy=batteries[s],
+                         per_period_max_power=peaks[s],
+                         censored=s not in died)
+            for s in STRATEGIES}

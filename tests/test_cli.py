@@ -337,6 +337,27 @@ def test_verify_passes(capsys):
     assert out.count("ok") >= 5
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "0"), ("--instances", "-1"), ("--n", "0"), ("--n", "-2"),
+])
+def test_verify_refuses_to_check_nothing(capsys, flag, value):
+    # A run with no instance or no node would check nothing, so it must not
+    # read as a pass; the message names the argument.
+    code, out, err = run_cli(capsys, "verify", flag, value)
+    assert_one_error_line(code, err)
+    assert flag[2:] + " must be at least 1" in err
+    assert out == ""
+
+
+def test_read_schedule_csv_rejects_infinite_period(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, _ = run_cli(capsys, "schedule", "--backlogs", "1,2",
+                         "--noise", "1", "--out", str(out))
+    assert code == EXIT_OK
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        read_schedule_csv(out, "minmax", np.inf)
+
+
 def test_verify_skips_factorial_suites_for_large_n(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "9", "--instances", "2",
                            "--seed", "7")

@@ -1,7 +1,5 @@
 """Monte Carlo simulator: draws, period accounting, determinism, comparisons."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,8 @@ from macfair import (
     period_energies,
     simulate_lifetime,
 )
-from macfair.lifetime import _period_rng, _run_backlogs
+from macfair.lifetime import _draw, _period_rng, _run_stream
+from macfair.minmax import _fair_base
 
 NOISE = NoiseModel(1e-3)
 
@@ -30,15 +29,22 @@ def paper_config(**overrides):
     return SimConfig(**base)
 
 
+def chunked_draws(cfg, run, chunks):
+    """A run's backlogs drawn in chunks of the given lengths, one row per
+    period."""
+    stream = _run_stream(cfg, run)
+    return np.concatenate([_draw(cfg, stream, k) for k in chunks])
+
+
 def test_draws_are_reproducible_and_order_independent():
     cfg = paper_config()
     a = period_backlog(cfg, run=3, period=17).packets
     b = period_backlog(cfg, run=3, period=17).packets
     assert np.array_equal(a, b)
-    other = _run_backlogs(cfg, 9)
-    next(other)  # interleave an unrelated draw
-    stream = _run_backlogs(cfg, 3)
-    c = next(itertools.islice(stream, 17, None)).packets
+    other = _run_stream(cfg, 9)
+    _draw(cfg, other, 1)  # interleave an unrelated draw
+    stream = _run_stream(cfg, 3)
+    c = np.concatenate([_draw(cfg, stream, k) for k in (5, 12, 1)])[17]
     assert np.array_equal(a, c)
     # different keys give different values
     assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
@@ -49,17 +55,20 @@ def test_draws_are_reproducible_and_order_independent():
 def test_draws_do_not_repeat_across_periods(n_nodes):
     # Each Philox block gives 4 doubles; with more than 4 nodes a period's
     # draws must not reach into the blocks of the next period.  A run's
-    # stream must give every period's keyed draw.
+    # stream, read in chunks of any length, must give every period's keyed
+    # draw, and so must the one-period-at-a-time oracle.
     cfg = paper_config(n_nodes=n_nodes)
-    periods = 100
+    chunks = (1, 15, 16, 17, 51)
+    periods = sum(chunks)
     for run in range(3):
-        stream = np.concatenate([
-            b.packets for b in itertools.islice(_run_backlogs(cfg, run),
-                                                periods)])
+        stream = chunked_draws(cfg, run, chunks)
         assert np.unique(stream).size == stream.size
-        backlogs = np.concatenate([period_backlog(cfg, run, period).packets
-                                   for period in range(periods)])
+        backlogs = np.stack([period_backlog(cfg, run, period).packets
+                             for period in range(periods)])
         assert np.array_equal(backlogs, stream)
+        oracle = oracles._run_backlogs(cfg, run)
+        assert np.array_equal(
+            np.stack([next(oracle).packets for _ in range(periods)]), stream)
 
 
 def test_draw_backlogs_range_and_mean():
@@ -73,10 +82,16 @@ def test_draw_backlogs_range_and_mean():
     assert np.all(wide > 0.0) and np.all(wide <= 2.0)
 
 
+@pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
+def test_draw_backlogs_names_lam(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        draw_backlogs(lam, 4, 30.0, _period_rng(0, 0, 0, 4))
+
+
 def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
     """Every strategy's single run when every period has the same backlog."""
-    monkeypatch.setattr(lifetime, "_run_backlogs",
-                        lambda config, run: itertools.repeat(backlog))
+    monkeypatch.setattr(lifetime, "_draw", lambda config, stream, periods:
+                        np.tile(backlog.packets, (periods, 1)))
     results = simulate_lifetime(paper_config(runs=1, **overrides))
     return {s: runs[0] for s, runs in results.items()}
 
@@ -219,3 +234,51 @@ def test_engine_matches_schedule_oracle(overrides):
                                rtol=0.0, atol=1e-12)
             assert np.allclose(ours.per_period_max_power,
                                ref.per_period_max_power, rtol=1e-12, atol=0.0)
+
+
+ORACLE_CASES = {
+    "n4": dict(),
+    "n5": dict(n_nodes=5),
+    "n8": dict(n_nodes=8, initial_energy=4.0),
+    "gains": dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("cap", [1, 15, 16, 17, 33, None])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_engine_matches_run_oracle(case, cap):
+    # The chunked engine against the one-period loop, exactly.  Lifetimes
+    # of 5 to 40 periods and the caps put deaths and caps on, before and
+    # after the chunk boundaries (the first chunk has FIRST_CHUNK = 16
+    # periods).
+    cap = {} if cap is None else {"period_cap": cap}
+    for lam in (0.6, 1.0):
+        cfg = paper_config(runs=8, lam=lam, **cap, **ORACLE_CASES[case])
+        engine = simulate_lifetime(cfg)
+        for run in range(cfg.runs):
+            ref = oracles._simulate_run(cfg, run)
+            for s in STRATEGIES:
+                ours = engine[s][run]
+                assert ours.lifetime_periods == ref[s].lifetime_periods
+                assert ours.censored == ref[s].censored
+                assert np.array_equal(ours.residual_energy,
+                                      ref[s].residual_energy)
+                assert ours.per_period_max_power == (
+                    ref[s].per_period_max_power)
+
+
+def test_engine_row_cap_splits_steps(monkeypatch):
+    # A step holding only one or two runs, each chunk cut at 20 periods,
+    # gives the same runs as the loop.
+    monkeypatch.setattr(lifetime, "MAX_CELLS", 20 * 4)
+    cfg = paper_config(runs=6, lam=0.4)
+    engine = simulate_lifetime(cfg)
+    for run in range(cfg.runs):
+        ref = oracles._simulate_run(cfg, run)
+        for s in STRATEGIES:
+            assert engine[s][run].lifetime_periods > 20
+            assert engine[s][run].lifetime_periods == ref[s].lifetime_periods
+            assert np.array_equal(engine[s][run].residual_energy,
+                                  ref[s].residual_energy)
+            assert engine[s][run].per_period_max_power == (
+                ref[s].per_period_max_power)

@@ -398,3 +398,26 @@ def test_input_selects_method():
     weighted = NoiseModel(1e-3, gains=np.linspace(0.5, 2.0, 9))
     sol = solve(big_rates, weighted)
     assert is_base(sol.transmit, big_rates, weighted)
+
+
+def test_batched_unit_levels_equal_the_hull_bitwise():
+    # The lifetime engine prices min-max energies for many rows at once
+    # with the max-min formula of the majorant's slopes; every level must
+    # be the hull's own quotient, including rows with exactly tied rates
+    # and rows of a few repeated quarter-bit values.
+    rng = np.random.default_rng(11)
+    rows = 0
+    for n in range(1, 9):
+        r = (1.0 - rng.random((3000, n))) * rng.choice([1e-3, 0.2, 1.0, 3.0],
+                                                       size=(3000, 1))
+        ties = rng.random(3000) < 0.3
+        r[ties, -1] = r[ties, 0]
+        coarse = rng.random(3000) < 0.2
+        r[coarse] = 0.25 * rng.integers(1, 4, size=(int(coarse.sum()), n))
+        for noise in (UNIT, NoiseModel(1e-3)):
+            batched = minmax._fair_transmit(r, noise)
+            hull = np.stack([noise.sigma_sq * minmax._fair_base(row, noise)[0]
+                             for row in r])
+            assert np.array_equal(batched, hull)
+            rows += r.shape[0]
+    assert rows >= 20_000

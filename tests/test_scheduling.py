@@ -6,7 +6,9 @@ import pytest
 import oracles
 from macfair import (
     Backlog,
+    Epoch,
     NoiseModel,
+    Schedule,
     average_rates,
     build_schedule,
     energy_report,
@@ -179,6 +181,15 @@ def test_non_finite_period_and_packet_bits_rejected():
     for strategy in ("minmax", "minicost", "tdma"):
         with pytest.raises(ValueError, match="period"):
             build_schedule(strategy, backlog, np.inf, UNIT)
+
+
+@pytest.mark.parametrize("period", [np.inf, np.nan, 0.0, -30.0])
+def test_schedule_rejects_non_finite_period(period):
+    # The same range as average_rates: an infinite period would make the
+    # delivered bits infinite and the energies NaN.
+    epoch = Epoch(1.0, [1.0, 2.0], [1.0, 1.0], (0, 1))
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        Schedule("minicost", (epoch,), period)
 
 
 def test_all_zero_backlog_rejected():
