@@ -131,23 +131,24 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     return level / noise.gains_for(r.size)
 
 
-def _prefix_ranks(rates: np.ndarray, sigma_sq: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Descending rate order and its prefix ranks, empty set first, in units
-    of the noise power, of a rate vector or of every row of a rate matrix.
-    Raises ``ValueError`` when a sum power leaves the range in which it, and
-    the squared distances built from it, are finite.
-    """
-    order = np.argsort(-rates, axis=-1, kind="stable")
-    prefix = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
-    np.cumsum(np.take_along_axis(rates, order, -1), axis=-1,
-              out=prefix[..., 1:])
-    total = prefix[..., -1].max()
+def _check_sum_rate(total: float, sigma_sq: float) -> None:
+    """Raise ``ValueError`` when the sum power of a rate sum leaves the range
+    in which it, and the squared distances built from it, are finite."""
     limit = math.log1p(_MAX_SUM_POWER / sigma_sq) / (2.0 * LN2)
     if not total < limit:
         raise ValueError(
             f"the rates sum to {total:g} bits per channel use; above "
             f"about {limit:.4g} the sum power overflows at this noise power")
+
+
+def _prefix_ranks(rates: np.ndarray, sigma_sq: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Descending rate order and its prefix ranks, empty set first, in units
+    of the noise power (range checked by :func:`_check_sum_rate`)."""
+    order = np.argsort(-rates, kind="stable")
+    prefix = np.zeros(rates.size + 1)
+    np.cumsum(rates[order], out=prefix[1:])
+    _check_sum_rate(prefix[-1], sigma_sq)
     return order, np.expm1((2.0 * LN2) * prefix)
 
 
@@ -450,9 +451,16 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     the majorant's slopes of all rows at once; other gains solve row by
     row."""
     if _unit_gains(noise):
-        order, ranks = _prefix_ranks(r, noise.sigma_sq)
+        # The prefix ranks of _prefix_ranks for every row at once; the
+        # vector form there stays as cheap as it was for solve.
+        order = np.argsort(-r, axis=-1, kind="stable")
+        prefix = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+        np.cumsum(np.take_along_axis(r, order, -1), axis=-1,
+                  out=prefix[..., 1:])
+        _check_sum_rate(prefix[..., -1].max(), noise.sigma_sq)
+        levels = _majorant_levels(np.expm1((2.0 * LN2) * prefix))
         base = np.empty_like(r)
-        np.put_along_axis(base, order, _majorant_levels(ranks), axis=-1)
+        np.put_along_axis(base, order, levels, axis=-1)
     else:
         rows = r.reshape(-1, r.shape[-1])
         base = np.array([_fair_base(row, noise)[0] for row in rows]

@@ -196,16 +196,16 @@ def sum_power(rates, noise: NoiseModel) -> float:
 
 def _chain_received_trusted(r: np.ndarray, sigma_sq: float,
                             idx: np.ndarray) -> np.ndarray:
-    """The chain vertex of a rate vector, or of every row of a rate matrix
-    along one order ``idx``."""
-    rp = r[..., idx]
-    prefix = rp.cumsum(axis=-1)
+    """The chain vertex of a rate vector, or of every column of a rate
+    matrix, along one order ``idx`` of the first axis."""
+    rp = r[idx]
+    prefix = rp.cumsum(axis=0)
     prefix -= rp
     coords = np.exp2(2.0 * prefix)
     coords *= sigma_sq
     coords *= np.expm1(2.0 * LN2 * rp)
     out = np.empty_like(coords)
-    out[..., idx] = coords
+    out[idx] = coords
     return out
 
 

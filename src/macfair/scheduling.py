@@ -168,7 +168,8 @@ def _minicost_vertex(rates: np.ndarray, noise: NoiseModel
     every row of a rate matrix."""
     gains = noise.gains_for(rates.shape[-1])
     order = np.argsort(-(1.0 / gains), kind="stable")
-    return order, _chain_received_trusted(rates, noise.sigma_sq, order) / gains
+    received = _chain_received_trusted(rates.T, noise.sigma_sq, order).T
+    return order, received / gains
 
 
 def minicost_schedule(backlog: Backlog, period: float,
