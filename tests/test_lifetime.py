@@ -17,7 +17,6 @@ from macfair import (
     simulate_lifetime,
 )
 from macfair.lifetime import _draw, _period_rng, _run_stream
-from macfair.minmax import _fair_base
 
 NOISE = NoiseModel(1e-3)
 
@@ -43,8 +42,7 @@ def test_draws_are_reproducible_and_order_independent():
     assert np.array_equal(a, b)
     other = _run_stream(cfg, 9)
     _draw(cfg, other, 1)  # interleave an unrelated draw
-    stream = _run_stream(cfg, 3)
-    c = np.concatenate([_draw(cfg, stream, k) for k in (5, 12, 1)])[17]
+    c = chunked_draws(cfg, 3, (5, 12, 1))[17]
     assert np.array_equal(a, c)
     # different keys give different values
     assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
@@ -268,8 +266,8 @@ def test_engine_matches_run_oracle(case, cap):
 
 
 def test_engine_row_cap_splits_steps(monkeypatch):
-    # A step holding only one or two runs, each chunk cut at 20 periods,
-    # gives the same runs as the loop.
+    # Steps of at most 20 periods, one run's chunk at a time, give the same
+    # runs as the loop.
     monkeypatch.setattr(lifetime, "MAX_CELLS", 20 * 4)
     cfg = paper_config(runs=6, lam=0.4)
     engine = simulate_lifetime(cfg)
