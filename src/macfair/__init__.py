@@ -64,6 +64,7 @@ from .lifetime import (
     SimConfig,
     StrategyStats,
     compare_strategies,
+    compare_sweep,
     draw_backlogs,
     period_backlog,
     simulate_lifetime,

@@ -15,27 +15,33 @@ execute in any order or in parallel with identical results.  Each
 random numbers), which makes the strategy comparisons hold per run and not
 just in expectation.
 
-A period's energies depend only on its backlog, never on the batteries, so
-the engine works in chunks of periods.  Each step reads the next periods of
-every live run from the run's stream and prices them as one array per
-strategy, over the runs in which that strategy still lives.  Then it
-replays each ledger: the battery after period ``j`` of a chunk is
-``np.subtract.accumulate`` over the battery and the chunk's energies, which
-is the sequential ``battery - e`` fold, and the strategy dies at the first
-period some node cannot pay.  Results are bit for bit those of a loop over
-single periods.  The first chunk of a run has ``FIRST_CHUNK`` periods; a
-later one lasts until the first live strategy is expected to die at the
-spend rate seen so far, with a margin.  A step prices at most
-``MAX_CELLS // n_nodes`` periods, so memory does not grow with the number
-of runs.
+The engine's unit of work is one ``(lambda, run)`` pair: a run of the
+config at one backlog bound, with its own stream, batteries and chunk
+sizes.  A whole lambda sweep is one pass over all its units, and a single
+simulation is the sweep of one lambda.  A period's energies depend only on
+its backlog, never on the batteries, so the engine works in chunks of
+periods.  Each step reads the next periods of every live unit from its
+stream and prices them as one array per strategy, over the units in which
+that strategy still lives, whatever their lambda (the pricing depends only
+on the packet size, the period and the channel, which the lambdas share).
+Then it replays each unit's ledger: the battery after period ``j`` of a
+chunk is ``np.subtract.accumulate`` over the battery and the chunk's
+energies, which is the sequential ``battery - e`` fold, and the strategy
+dies at the first period some node cannot pay.  Results are bit for bit
+those of a loop over single periods, one lambda at a time.  The first
+chunk of a unit has ``FIRST_CHUNK`` periods; a later one lasts until the
+first live strategy is expected to die at the spend rate seen so far, with
+a margin.  A step prices at most ``MAX_CELLS // n_nodes`` periods, so
+memory does not grow with the number of runs or lambdas.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .minmax import _check_sum_rate
 from .polymatroid import NoiseModel
 from .scheduling import Backlog, STRATEGIES, _ENERGY
 
@@ -90,6 +96,14 @@ class SimConfig:
         if self.period_cap < 1:
             raise ValueError("period_cap must be at least 1")
         self.noise.gains_for(self.n_nodes)  # raises on a gain count != n_nodes
+        # The largest sum rate a period can draw: every node at lam, summed
+        # as the pricing sums a row, whose every other row sums to less.
+        rate = self.lam * self.packet_bits / self.period
+        try:
+            _check_sum_rate(np.cumsum(np.full(self.n_nodes, rate))[-1],
+                            self.noise.sigma_sq)
+        except ValueError as exc:
+            raise ValueError(f"lam = {self.lam:g} is too large: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -246,15 +260,17 @@ class _Run:
                          censored=i not in self.died)
 
 
-def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
-    """Simulate all runs of every strategy, keyed by strategy name.
+def _simulate(config: SimConfig, lams: list[float]) -> list[list[_Run]]:
+    """Every run of ``config`` at each backlog bound in ``lams``: one list of
+    finished runs per bound, in the order of ``lams``.
 
-    Runs are independent given their (seed, run) keys; executing them in any
-    order, or concurrently, yields identical results.
+    Units are independent given their (seed, run) keys and bounds; which
+    units share a step changes no result.
     """
-    runs = [_Run(config, run) for run in range(config.runs)]
+    sweep = [[_Run(unit_config, run) for run in range(config.runs)]
+             for unit_config in (replace(config, lam=lam) for lam in lams)]
     max_rows = max(1, MAX_CELLS // config.n_nodes)
-    live = runs
+    live = [run for runs in sweep for run in runs]
     while live:
         batch: list[tuple[_Run, int]] = []
         size = 0
@@ -264,11 +280,11 @@ def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
                 break
             batch.append((run, periods))
             size += periods
-        packets = np.concatenate([_draw(config, run.stream, periods)
+        packets = np.concatenate([_draw(run.config, run.stream, periods)
                                   for run, periods in batch])
         spent = np.zeros((len(STRATEGIES),) + packets.shape)
         for i, s in enumerate(STRATEGIES):
-            # Only the rows of runs in which the strategy still lives.
+            # Only the rows of units in which the strategy still lives.
             rows = np.repeat([i not in run.died for run, _ in batch],
                              [periods for _, periods in batch])
             if rows.any():
@@ -279,19 +295,29 @@ def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
             run.pay(spent[:, start:start + periods])
             start += periods
         live = [run for run in live if not run.done]
+    return sweep
+
+
+def _results(runs: list[_Run]) -> dict[str, list[RunResult]]:
     return {s: [run.result(i) for run in runs]
             for i, s in enumerate(STRATEGIES)}
 
 
-def compare_strategies(config: SimConfig) -> ComparisonTable:
-    """Simulate every strategy on the same backlog sequences and tabulate.
+def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
+    """Simulate all runs of every strategy, keyed by strategy name.
 
-    All strategies see identical backlogs in every (run, period), so
-    per-run comparisons are meaningful.
+    Runs are independent given their (seed, run) keys; executing them in any
+    order, or concurrently, yields identical results.
     """
+    return _results(_simulate(config, [config.lam])[0])
+
+
+def _tabulate(config: SimConfig,
+              simulated: dict[str, list[RunResult]]) -> ComparisonTable:
+    """Per-strategy statistics of the runs of one backlog bound."""
     stats: dict[str, StrategyStats] = {}
     lifetimes: dict[str, np.ndarray] = {}
-    for strategy, results in simulate_lifetime(config).items():
+    for strategy, results in simulated.items():
         lifetimes[strategy] = np.array(
             [r.lifetime_periods for r in results], dtype=int)
         life = lifetimes[strategy].astype(float)
@@ -313,3 +339,25 @@ def compare_strategies(config: SimConfig) -> ComparisonTable:
         )
     return ComparisonTable(stats=stats, lifetimes=lifetimes, seed=config.seed,
                            runs=config.runs)
+
+
+def compare_strategies(config: SimConfig) -> ComparisonTable:
+    """Simulate every strategy on the same backlog sequences and tabulate.
+
+    All strategies see identical backlogs in every (run, period), so
+    per-run comparisons are meaningful.
+    """
+    return _tabulate(config, simulate_lifetime(config))
+
+
+def compare_sweep(config: SimConfig,
+                  lams: Iterable[float]) -> dict[float, ComparisonTable]:
+    """:func:`compare_strategies` of ``config`` at every backlog bound in
+    ``lams`` (each bound once), keyed by bound, from one engine pass.
+
+    Every table equals ``compare_strategies(replace(config, lam=lam))``; the
+    bound of ``config`` itself is simulated only if it is in ``lams``.
+    """
+    bounds = list(dict.fromkeys(float(lam) for lam in lams))
+    return {lam: _tabulate(config, _results(runs))
+            for lam, runs in zip(bounds, _simulate(config, bounds))}

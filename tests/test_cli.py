@@ -1,11 +1,17 @@
 """Command-line surface: flags, wire formats, exit codes, determinism."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macfair import NoiseModel, minmax, vertex
+from macfair import STRATEGIES, NoiseModel, compare_strategies, minmax, vertex
+from macfair import cli as cli_module
 from macfair.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -214,6 +220,85 @@ def test_simulate_env_seed_echoed(tmp_path, capsys, monkeypatch):
     assert "seed=77" in header and "MACFAIR_SEED" in header
 
 
+def per_lambda_csvs(config_text):
+    """fig4/5/6 as one `compare_strategies` call per lambda writes them."""
+    config, sweep, _ = parse_experiment_config(config_text)
+    stamp = f"# seed={config.seed} source=config"
+    table = compare_strategies(config)
+    fig4 = [stamp, "strategy,mean_max_power_w"] + [
+        f"{s},{table.stats[s].mean_max_power!r}" for s in STRATEGIES]
+    fig5 = [stamp, "strategy,mean_sum_energy_j"] + [
+        f"{s},{table.stats[s].mean_sum_energy!r}" for s in STRATEGIES]
+    fig6 = [stamp, "lambda_packets,strategy,mean_lifetime_periods"]
+    for lam in sweep:
+        swept = compare_strategies(dataclasses.replace(config, lam=lam))
+        fig6 += [f"{lam!r},{s},{swept.stats[s].mean_lifetime!r}"
+                 for s in STRATEGIES]
+    return {name: "\n".join(lines) + "\n"
+            for name, lines in (("fig4.csv", fig4), ("fig5.csv", fig5),
+                                ("fig6.csv", fig6))}
+
+
+@pytest.mark.parametrize("extra", [
+    "", "gains = 0.5,1,2,4\n", "period_cap = 25\n",
+], ids=["unit-gains", "gains", "cap"])
+def test_simulate_sweep_equals_one_comparison_per_lambda(tmp_path, capsys,
+                                                         extra):
+    # Unsorted, one bound twice, and lambda_packets not in the sweep: fig6
+    # keeps one row per listed bound, in the listed order.
+    text = (CONFIG.replace("lambda_packets = 1.0", "lambda_packets = 0.8")
+            .replace("lambda_sweep = 0.6,1.0", "lambda_sweep = 1.0,0.4,1.0,0.6")
+            .replace("runs = 12", "runs = 6") + extra)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    for name, expected in per_lambda_csvs(text).items():
+        assert (tmp_path / "out" / name).read_text() == expected
+    lams = [row.split(",")[0] for row in
+            (tmp_path / "out" / "fig6.csv").read_text().splitlines()[2:]]
+    assert lams == [lam for lam in ("1.0", "0.4", "1.0", "0.6")
+                    for _ in STRATEGIES]
+
+
+def test_one_process_answers_like_fresh_ones(tmp_path, capsys):
+    # The parser is built once per process and reused: a usage error, a
+    # solve and a simulate in one process give the exit codes and output
+    # of three fresh processes.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(CONFIG.replace("runs = 12", "runs = 2"))
+    env = dict(os.environ)
+    env.pop("MACFAIR_SEED", None)
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    calls = [
+        ["solve", "--rates"],
+        ["solve", "--rates", "0.5,1.5", "--noise", "1"],
+        ["simulate", "--config", str(cfg), "--out-dir", str(out)],
+    ]
+
+    def figs():
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    codes, parsers = [], set()
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "macfair.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        fresh_figs = figs()
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                          fresh.stderr)
+        assert figs() == fresh_figs
+        codes.append(fresh.returncode)
+        parsers.add(id(cli_module._parser))
+    assert codes == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert len(fresh_figs) == 3
+    assert len(parsers) == 1
+
+
 def assert_one_error_line(code, err, prefix="error: "):
     assert code == EXIT_USAGE
     assert err.startswith(prefix)
@@ -261,6 +346,7 @@ def test_simulate_checks_every_swept_bound_before_output(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "initial_energy_j = inf", "period_s = inf", "packet_bits = inf",
     "lambda_packets = inf", "period_cap = 0", "gains = 1,2,4",
+    "lambda_sweep = 0.6,100",
 ])
 def test_simulate_rejects_what_simconfig_rejects(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Monte Carlo simulator: draws, period accounting, determinism, comparisons."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,14 @@ from macfair import (
     NoiseModel,
     SimConfig,
     compare_strategies,
+    compare_sweep,
     draw_backlogs,
     lifetime,
     period_backlog,
     period_energies,
     simulate_lifetime,
 )
-from macfair.lifetime import _draw, _period_rng, _run_stream
+from macfair.lifetime import _draw, _period_rng, _results, _run_stream, _simulate
 
 NOISE = NoiseModel(1e-3)
 
@@ -214,6 +217,19 @@ def test_config_rejects_non_finite_and_inconsistent_values(overrides):
     with pytest.raises(ValueError):
         paper_config(**overrides)
 
+def test_config_rejects_a_lam_whose_sum_power_overflows():
+    # Every node at lam sums to 4 * lam bits per channel use here; at
+    # -30 dB the sum power overflows past about 261.  The check is on the
+    # config, so no run depends on which periods happen to be priced.
+    with pytest.raises(ValueError, match="lam = 100 is too large"):
+        paper_config(lam=100.0)
+    with pytest.raises(ValueError, match="lam = 66 is too large"):
+        paper_config(lam=66.0)
+    paper_config(lam=65.0)
+    with pytest.raises(ValueError, match="lam = 100 is too large"):
+        paper_config(lam=100.0, noise=NoiseModel(1e-3, gains=[0.5, 1, 2, 4]))
+
+
 @pytest.mark.parametrize("overrides", [
     dict(lam=0.6), dict(lam=1.0), dict(n_nodes=5, lam=0.6),
     dict(n_nodes=8, lam=0.4),
@@ -280,3 +296,62 @@ def test_engine_row_cap_splits_steps(monkeypatch):
                                   ref[s].residual_energy)
             assert engine[s][run].per_period_max_power == (
                 ref[s].per_period_max_power)
+
+
+def assert_same_runs(ours, ref):
+    """Two ``{strategy: [RunResult, ...]}`` are equal bit for bit."""
+    for s in STRATEGIES:
+        for a, b in zip(ours[s], ref[s], strict=True):
+            assert a.lifetime_periods == b.lifetime_periods
+            assert a.censored == b.censored
+            assert np.array_equal(a.residual_energy, b.residual_energy)
+            assert a.per_period_max_power == b.per_period_max_power
+
+
+SWEEP_CASES = {
+    # Unsorted, one bound twice, and the config's own bound not swept.
+    "unsorted-dup": (dict(lam=0.8), (1.0, 0.4, 1.0, 0.6)),
+    "gains": (dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
+              (0.6, 1.0, 0.45)),
+    # Runs at 0.3 outlast the cap and end censored; at 1.0 they die first.
+    "cap": (dict(period_cap=30), (0.3, 1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("max_cells", [None, 40 * 4])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
+                                                       max_cells):
+    # One engine pass over every (lambda, run) against one engine call per
+    # lambda and the one-period loop.  With MAX_CELLS at 160 a step holds
+    # at most 40 periods: two first chunks (one step joins the last run of
+    # a lambda and the first of the next), and the pass takes many steps.
+    overrides, lams = SWEEP_CASES[case]
+    if max_cells is not None:
+        monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
+    cfg = paper_config(runs=5, **overrides)
+    bounds = list(dict.fromkeys(lams))
+    sweep = _simulate(cfg, bounds)
+    assert len(sweep) == len(bounds)
+    for lam, runs in zip(bounds, sweep, strict=True):
+        one = replace(cfg, lam=lam)
+        ours = _results(runs)
+        assert_same_runs(ours, simulate_lifetime(one))
+        oracle = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
+        assert_same_runs(ours, {s: [ref[s] for ref in oracle]
+                                for s in STRATEGIES})
+    if case == "cap":
+        censored = [r.censored for runs in sweep for r in _results(runs)["tdma"]]
+        assert any(censored) and not all(censored)
+
+
+def test_compare_sweep_equals_compare_strategies_per_lambda():
+    cfg = paper_config(runs=6, lam=0.8)
+    tables = compare_sweep(cfg, [1.0, 0.4, 1.0, 0.6])
+    assert list(tables) == [1.0, 0.4, 0.6]
+    for lam, table in tables.items():
+        solo = compare_strategies(replace(cfg, lam=lam))
+        assert table.stats == solo.stats
+        assert (table.seed, table.runs) == (solo.seed, solo.runs)
+        for s in STRATEGIES:
+            assert np.array_equal(table.lifetimes[s], solo.lifetimes[s])
