@@ -16,28 +16,34 @@ random numbers), which makes the strategy comparisons hold per run and not
 just in expectation.
 
 The engine's unit of work is one ``(lambda, run)`` pair: a run of the
-config at one backlog bound, with its own stream, batteries and chunk
-sizes.  A whole lambda sweep is one pass over all its units, and a single
-simulation is the sweep of one lambda.  A period's energies depend only on
-its backlog, never on the batteries, so the engine works in chunks of
-periods.  Each step reads the next periods of every live unit from its
-stream and prices them as one array per strategy, over the units in which
-that strategy still lives, whatever their lambda (the pricing depends only
-on the packet size, the period and the channel, which the lambdas share).
-Then it replays each unit's ledger: the battery after period ``j`` of a
-chunk is ``np.subtract.accumulate`` over the battery and the chunk's
-energies, which is the sequential ``battery - e`` fold, and the strategy
-dies at the first period some node cannot pay.  Results are bit for bit
-those of a loop over single periods, one lambda at a time.  The first
-chunk of a unit has ``FIRST_CHUNK`` periods; a later one lasts until the
-first live strategy is expected to die at the spend rate seen so far, with
-a margin.  A step prices at most ``MAX_CELLS // n_nodes`` periods, so
-memory does not grow with the number of runs or lambdas.
+config at one backlog bound.  A whole lambda sweep is one pass over all its
+units, and a single simulation is the sweep of one lambda.  The state of a
+pass is arrays, not per-run objects: batteries ``[strategy, unit, node]``,
+completed periods ``[unit]``, the period of death ``[strategy, unit]``, and
+the peak power of every completed period in float64 arrays.  A period's
+energies depend only on its backlog, never on the batteries, so the engine
+works in chunks of periods.  Each step sizes the next chunk of every live
+unit at once, reads each unit's periods from its own Philox stream, and
+prices them as one array per strategy, over the units in which that
+strategy still lives, whatever their lambda (the pricing depends only on
+the packet size, the period and the channel, which the lambdas share).
+Then it replays the ledgers of the step's units together, in groups whose
+chunk lengths are within a factor of two: each group's energies are padded
+with zeros to its longest chunk, and ``np.subtract.accumulate`` along the
+periods is the sequential ``battery - e`` fold (subtracting a zero changes
+no battery).  A strategy dies at the first period some node cannot pay.
+Results are bit for bit those of a loop over single periods, one lambda at
+a time.  The first chunk of a unit has ``FIRST_CHUNK`` periods; a later one
+lasts until the first live strategy is expected to die at the spend rate
+seen so far, with a margin.  A step prices at most ``MAX_CELLS // n_nodes``
+periods, so its arrays do not grow with the number of runs or lambdas.  The
+statistics are reductions over these arrays; :class:`RunResult` objects are
+built only by :func:`simulate_lifetime`.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,128 +184,194 @@ def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
     return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
 
 
-def _run_stream(config: SimConfig, run: int) -> np.random.Generator:
-    """One Philox stream keyed on ``(seed, run)`` from counter 0: the draws
-    of all the run's periods, in order."""
-    key = np.array([config.seed, run], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _draw(config: SimConfig, stream: np.random.Generator,
-          periods: int) -> np.ndarray:
-    """Packets of the next ``periods`` periods of a run's stream, one row
-    each.  A period takes the next ``4 * _blocks_per_period(n)`` doubles and
-    keeps the first ``n``, so it starts at the block where
-    :func:`_period_rng` puts it, and every row is bit-identical to
+def _draw(config: SimConfig, bits: np.random.Philox, lams: np.ndarray,
+          runs: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Packets of ``sizes[i]`` periods of run ``runs[i]`` at bound
+    ``lams[i]`` from period ``first[i]`` on, for every ``i``, one row per
+    period.  Each unit reads the Philox stream keyed on ``(seed, run)`` from
+    the block where :func:`_period_rng` puts its first period, with ``bits``
+    re-keyed for it; a period takes the next ``4 * _blocks_per_period(n)``
+    doubles and keeps the first ``n``, so every row is bit-identical to
     :func:`period_backlog`."""
     n = config.n_nodes
-    width = 4 * _blocks_per_period(n)
-    u = stream.random(periods * width).reshape(periods, width)[:, :n]
-    return config.lam * (1.0 - u)
+    blocks = _blocks_per_period(n)
+    u = np.empty((int(sizes.sum()), 4 * blocks))
+    key = np.array([config.seed, 0], dtype=np.uint64)
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    uniform = np.random.Generator(bits).random
+    end = 0
+    for run, period, k in zip(runs.tolist(), first.tolist(), sizes.tolist()):
+        key[1], counter[0] = run, period * blocks
+        bits.state = state
+        uniform(out=u[end:end + k].reshape(-1))
+        end += k
+    return np.repeat(lams, sizes)[:, None] * (1.0 - u[:, :n])
 
 
-class _Run:
-    """One run in progress: its stream, its completed periods, and every
-    strategy's batteries, peaks and period of death."""
-
-    def __init__(self, config: SimConfig, run: int):
-        self.config = config
-        self.stream = _run_stream(config, run)
-        self.period = 0
-        self.battery = np.full((len(STRATEGIES), config.n_nodes),
-                               float(config.initial_energy))
-        self.peaks: list[list[float]] = [[] for _ in STRATEGIES]
-        self.died: dict[int, int] = {}
-
-    @property
-    def done(self) -> bool:
-        return (len(self.died) == len(STRATEGIES)
-                or self.period == self.config.period_cap)
-
-    def chunk(self, max_rows: int) -> int:
-        """Periods to draw next: for a later chunk, enough for the first
-        live strategy to die at the spend rate seen so far, with a
-        margin."""
-        want = FIRST_CHUNK
-        if self.period:
-            live = [i for i in range(len(STRATEGIES)) if i not in self.died]
-            left = self.battery[live]
-            spent = self.config.initial_energy - left
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lasts = float((left / spent).min()) * self.period
-            if lasts < max_rows:
-                want += int(CHUNK_MARGIN * lasts)
-            else:
-                want = max_rows
-        return min(want, max_rows, self.config.period_cap - self.period)
-
-    def pay(self, spent: np.ndarray) -> None:
-        """Charge a chunk, ``spent[strategy, period, node]``, to the live
-        strategies' batteries, up to each one's first unaffordable
-        period."""
-        periods = spent.shape[1]
-        ledger = np.subtract.accumulate(
-            np.concatenate((self.battery[:, None, :], spent), axis=1), axis=1)
-        paid = np.all(spent <= ledger[:, :-1], axis=2)
-        peaks = spent.max(axis=2) / self.config.period
-        for i in range(len(STRATEGIES)):
-            if i in self.died:
-                continue
-            fails = np.flatnonzero(~paid[i])
-            last = int(fails[0]) if fails.size else periods
-            if fails.size:
-                self.died[i] = self.period + last
-            self.battery[i] = ledger[i, last]
-            self.peaks[i].extend(peaks[i, :last].tolist())
-        self.period += periods
-
-    def result(self, i: int) -> RunResult:
-        return RunResult(lifetime_periods=self.died.get(i, self.period),
-                         residual_energy=self.battery[i].copy(),
-                         per_period_max_power=self.peaks[i],
-                         censored=i not in self.died)
+def _chunks(config: SimConfig, battery: np.ndarray, alive: np.ndarray,
+            period: np.ndarray, max_rows: int) -> np.ndarray:
+    """Periods each unit draws next, from its batteries
+    ``[strategy, unit, node]``, which strategies still live in it
+    ``[strategy, unit]`` and its completed periods ``[unit]``.  A first chunk
+    has ``FIRST_CHUNK`` periods; a later one lasts until the first live
+    strategy is expected to die at the spend rate seen so far, with a
+    margin."""
+    # A unit with no completed period gives inf * 0 here, and one whose
+    # batteries started empty 0 / 0; neither value is used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = battery / (config.initial_energy - battery)
+        lasts = np.where(alive[..., None], ratio, np.inf).min(axis=(0, 2)) * period
+    short = lasts < max_rows
+    want = np.full(period.shape, max_rows)
+    want[short] = FIRST_CHUNK + (CHUNK_MARGIN * lasts[short]).astype(np.int64)
+    want[period == 0] = FIRST_CHUNK
+    return np.minimum(np.minimum(want, max_rows), config.period_cap - period)
 
 
-def _simulate(config: SimConfig, lams: list[float]) -> list[list[_Run]]:
-    """Every run of ``config`` at each backlog bound in ``lams``: one list of
-    finished runs per bound, in the order of ``lams``.
+def _replay(battery: np.ndarray, spent: np.ndarray, lengths: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Charge chunks to batteries ``[strategy, unit, node]``, up to each
+    ledger's first unaffordable period.  ``spent[strategy, row, node]``
+    holds the units' chunks one after another, ``lengths`` their periods.
 
-    Units are independent given their (seed, run) keys and bounds; which
-    units share a step changes no result.
+    Returns, for every (strategy, unit), the periods paid, whether one was
+    not, the batteries after the paid ones, and every period's largest
+    energy ``[strategy, unit, period]``.  A strategy charged zeros keeps
+    its battery.
     """
-    sweep = [[_Run(unit_config, run) for run in range(config.runs)]
-             for unit_config in (replace(config, lam=lam) for lam in lams)]
-    max_rows = max(1, MAX_CELLS // config.n_nodes)
-    live = [run for runs in sweep for run in runs]
-    while live:
-        batch: list[tuple[_Run, int]] = []
-        size = 0
-        for run in live:
-            periods = run.chunk(max_rows)
-            if batch and size + periods > max_rows:
-                break
-            batch.append((run, periods))
-            size += periods
-        packets = np.concatenate([_draw(run.config, run.stream, periods)
-                                  for run, periods in batch])
-        spent = np.zeros((len(STRATEGIES),) + packets.shape)
+    strategies, units, n = battery.shape
+    length = int(lengths.max())
+    # charges[strategy, unit, node] is the battery, then the unit's energies
+    # period by period, then zeros; subtracting a zero leaves a battery as
+    # it is, so np.subtract.accumulate stays the sequential battery - e fold.
+    charges = np.zeros((strategies, units, n, length + 1))
+    charges[..., 0] = battery
+    charges[..., 1:].transpose(0, 1, 3, 2)[
+        :, np.arange(length) < lengths[:, None]] = spent
+    ledger = np.subtract.accumulate(charges, axis=3)
+    # A paid period leaves no battery negative, so the padding after it is
+    # paid too.
+    unpaid = ~np.all(charges[..., 1:] <= ledger[..., :-1], axis=2)
+    fails = unpaid.any(axis=2)
+    paid = np.where(fails, unpaid.argmax(axis=2), lengths)
+    left = ledger[np.arange(strategies)[:, None], np.arange(units), :, paid]
+    return paid, fails, left, charges[..., 1:].max(axis=2)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The outcome of every ``(lambda, run)`` unit of a pass, by strategy:
+    completed periods and whether the period cap ended them
+    ``[strategy, lambda, run]``, the batteries left
+    ``[strategy, lambda, run, node]``, and the peak power of every completed
+    period in one array, run after run in the order of ``lifetimes``
+    (``starts`` has each run's first index, then the end)."""
+
+    lifetimes: np.ndarray
+    censored: np.ndarray
+    residual: np.ndarray
+    peaks: np.ndarray
+    starts: np.ndarray
+
+    def peaks_of(self, i: int, lam: int, run: int) -> np.ndarray:
+        at = np.ravel_multi_index((i, lam, run), self.lifetimes.shape)
+        return self.peaks[self.starts[at]:self.starts[at + 1]]
+
+
+def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
+    """Every run of ``config`` at each backlog bound in ``lams``.
+
+    Unit ``u`` is run ``u % runs`` at bound ``lams[u // runs]``.  Units are
+    independent given their (seed, run) keys and bounds; which units share
+    a step, and which share a replay, changes no result.
+    """
+    n, runs, strategies = config.n_nodes, config.runs, len(STRATEGIES)
+    n_units = len(lams) * runs
+    unit_lam = np.repeat(np.asarray(lams, dtype=float), runs)
+    unit_run = np.tile(np.arange(runs), len(lams))
+    battery = np.full((strategies, n_units, n), float(config.initial_energy))
+    period = np.zeros(n_units, dtype=np.int64)
+    died = np.full((strategies, n_units), -1, dtype=np.int64)
+    bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    # Per replay: each (strategy, unit)'s index in the sweep, its first
+    # period and its paid periods, and their peaks, in that order.
+    replays: list[tuple[np.ndarray, ...]] = []
+    max_rows = max(1, MAX_CELLS // n)
+    live = np.arange(n_units)
+    while live.size:
+        sizes = _chunks(config, battery[:, live], died[:, live] < 0,
+                        period[live], max_rows)
+        take = max(1, int(np.searchsorted(np.cumsum(sizes), max_rows,
+                                          side="right")))
+        # Chunks whose lengths are within a factor of two of each other are
+        # replayed together, so that the zero padding of the shorter ones
+        # stays small; each such group is drawn as one block of rows.
+        octave = np.frexp(sizes[:take])[1]
+        order = np.argsort(octave, kind="stable")
+        batch, sizes, octave = live[order], sizes[order], octave[order]
+        packets = _draw(config, bits, unit_lam[batch], unit_run[batch],
+                        period[batch], sizes)
+        alive = died[:, batch] < 0
+        spent = np.zeros((strategies,) + packets.shape)
         for i, s in enumerate(STRATEGIES):
             # Only the rows of units in which the strategy still lives.
-            rows = np.repeat([i not in run.died for run, _ in batch],
-                             [periods for _, periods in batch])
-            if rows.any():
+            if alive[i].all():
+                spent[i] = _ENERGY[s](packets, config.packet_bits,
+                                      config.period, config.noise)
+            elif alive[i].any():
+                rows = np.repeat(alive[i], sizes)
                 spent[i, rows] = _ENERGY[s](packets[rows], config.packet_bits,
                                             config.period, config.noise)
-        start = 0
-        for run, periods in batch:
-            run.pay(spent[:, start:start + periods])
-            start += periods
-        live = [run for run in live if not run.done]
-    return sweep
+        cuts = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), take]
+        first_row = [0, *np.cumsum(sizes).tolist()]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            units = batch[lo:hi]
+            paid, fails, battery[:, units], peaks = _replay(
+                battery[:, units], spent[:, first_row[lo]:first_row[hi]],
+                sizes[lo:hi])
+            live_here = alive[:, lo:hi]
+            died[:, units] = np.where(live_here & fails, period[units] + paid,
+                                      died[:, units])
+            paid[~live_here] = 0
+            replays.append((
+                (np.arange(strategies)[:, None] * n_units + units).ravel(),
+                np.tile(period[units], strategies),
+                paid.ravel(),
+                peaks[np.arange(peaks.shape[-1]) < paid[..., None]]
+                / config.period))
+        period[batch] += sizes
+        done = ((died[:, live] >= 0).all(axis=0)
+                | (period[live] == config.period_cap))
+        live = live[~done]
+    lifetimes = np.where(died >= 0, died, period)
+    starts = np.zeros(lifetimes.size + 1, dtype=np.int64)
+    np.cumsum(lifetimes, out=starts[1:])
+    peaks = np.empty(starts[-1])
+    index, first, paid, values = (np.concatenate(column)
+                                  for column in zip(*replays))
+    skip = np.cumsum(paid) - paid
+    peaks[np.arange(values.size)
+          + np.repeat(starts[index] + first - skip, paid)] = values
+    shape = (strategies, len(lams), runs)
+    return _Sweep(lifetimes=lifetimes.reshape(shape),
+                  censored=(died < 0).reshape(shape),
+                  residual=battery.reshape(shape + (n,)),
+                  peaks=peaks, starts=starts)
 
 
-def _results(runs: list[_Run]) -> dict[str, list[RunResult]]:
-    return {s: [run.result(i) for run in runs]
+def _results(sweep: _Sweep, lam: int) -> dict[str, list[RunResult]]:
+    """The runs of the ``lam``-th bound of a pass, as :class:`RunResult`s."""
+    runs = sweep.lifetimes.shape[2]
+    return {s: [RunResult(lifetime_periods=int(sweep.lifetimes[i, lam, run]),
+                          residual_energy=sweep.residual[i, lam, run].copy(),
+                          per_period_max_power=sweep.peaks_of(
+                              i, lam, run).tolist(),
+                          censored=bool(sweep.censored[i, lam, run]))
+                for run in range(runs)]
             for i, s in enumerate(STRATEGIES)}
 
 
@@ -309,36 +381,49 @@ def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
     Runs are independent given their (seed, run) keys; executing them in any
     order, or concurrently, yields identical results.
     """
-    return _results(_simulate(config, [config.lam])[0])
+    return _results(_simulate(config, [config.lam]), 0)
 
 
-def _tabulate(config: SimConfig,
-              simulated: dict[str, list[RunResult]]) -> ComparisonTable:
-    """Per-strategy statistics of the runs of one backlog bound."""
-    stats: dict[str, StrategyStats] = {}
-    lifetimes: dict[str, np.ndarray] = {}
-    for strategy, results in simulated.items():
-        lifetimes[strategy] = np.array(
-            [r.lifetime_periods for r in results], dtype=int)
-        life = lifetimes[strategy].astype(float)
-        peak_means = [float(np.mean(r.per_period_max_power))
-                      for r in results if r.per_period_max_power]
-        sum_means = []
-        for r in results:
-            if r.lifetime_periods == 0:
-                continue
-            spent = config.n_nodes * config.initial_energy - float(
-                r.residual_energy.sum())
-            sum_means.append(spent / r.lifetime_periods)
-        stats[strategy] = StrategyStats(
-            runs=config.runs,
-            mean_lifetime=float(life.mean()),
-            std_lifetime=float(life.std(ddof=1)) if config.runs > 1 else 0.0,
-            mean_max_power=float(np.mean(peak_means)) if peak_means else float("nan"),
-            mean_sum_energy=float(np.mean(sum_means)) if sum_means else float("nan"),
-        )
-    return ComparisonTable(stats=stats, lifetimes=lifetimes, seed=config.seed,
-                           runs=config.runs)
+def _tabulate(config: SimConfig, sweep: _Sweep) -> list[ComparisonTable]:
+    """Per-strategy statistics of every bound of a pass, in its order.
+
+    Every mean is the reduction that ``np.mean`` makes over one contiguous
+    row, so it equals ``np.mean`` over the same values one run or one bound
+    at a time: a run's peak mean over its peaks, a bound's means over its
+    runs.  Runs that completed no period have no peak or sum-energy mean.
+    """
+    life = sweep.lifetimes.astype(float)
+    ran = sweep.lifetimes > 0
+    peaks, bounds = sweep.peaks, sweep.starts.tolist()
+    peak_means = np.zeros(life.shape)
+    peak_means[ran] = [float(np.add.reduce(peaks[bounds[at]:bounds[at + 1]]))
+                       for at in np.flatnonzero(ran).tolist()]
+    spent = (config.n_nodes * config.initial_energy
+             - sweep.residual.sum(axis=-1))
+    sum_means = np.zeros(life.shape)
+    np.divide(peak_means, life, out=peak_means, where=ran)
+    np.divide(spent, life, out=sum_means, where=ran)
+    means = np.stack((life.mean(axis=-1),
+                      (life.std(axis=-1, ddof=1) if config.runs > 1
+                       else np.zeros(ran.shape[:-1])),
+                      peak_means.mean(axis=-1), sum_means.mean(axis=-1)),
+                     axis=-1)
+    # A bound at which some runs completed no period averages the others.
+    for i, lam in zip(*np.nonzero(~ran.all(axis=-1))):
+        some = ran[i, lam]
+        means[i, lam, 2:] = np.nan
+        if some.any():
+            means[i, lam, 2:] = (peak_means[i, lam, some].mean(),
+                                 sum_means[i, lam, some].mean())
+    tables = []
+    for lam in range(ran.shape[1]):
+        stats = {s: StrategyStats(config.runs, *means[i, lam].tolist())
+                 for i, s in enumerate(STRATEGIES)}
+        lifetimes = {s: sweep.lifetimes[i, lam].copy()
+                     for i, s in enumerate(STRATEGIES)}
+        tables.append(ComparisonTable(stats=stats, lifetimes=lifetimes,
+                                      seed=config.seed, runs=config.runs))
+    return tables
 
 
 def compare_strategies(config: SimConfig) -> ComparisonTable:
@@ -347,7 +432,7 @@ def compare_strategies(config: SimConfig) -> ComparisonTable:
     All strategies see identical backlogs in every (run, period), so
     per-run comparisons are meaningful.
     """
-    return _tabulate(config, simulate_lifetime(config))
+    return _tabulate(config, _simulate(config, [config.lam]))[0]
 
 
 def compare_sweep(config: SimConfig,
@@ -359,5 +444,4 @@ def compare_sweep(config: SimConfig,
     bound of ``config`` itself is simulated only if it is in ``lams``.
     """
     bounds = list(dict.fromkeys(float(lam) for lam in lams))
-    return {lam: _tabulate(config, _results(runs))
-            for lam, runs in zip(bounds, _simulate(config, bounds))}
+    return dict(zip(bounds, _tabulate(config, _simulate(config, bounds))))

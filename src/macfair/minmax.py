@@ -163,14 +163,17 @@ def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
     :func:`_fair_base` evaluates on the hull's segments.
     """
     n = ranks.shape[-1] - 1
-    levels = np.full(ranks.shape[:-1] + (n,), np.inf)
+    # Point k of every row along the contiguous axis, so that each step
+    # below works on whole rows of points.
+    points = ranks.reshape(-1, n + 1).T.copy()
+    steps = np.arange(1.0, n + 1)[:, None]
+    levels = np.full((n, points.shape[1]), np.inf)
     for a in range(n):
-        slopes = (ranks[..., a + 1:] - ranks[..., a, None]) / np.arange(
-            1.0, n + 1 - a)
+        slopes = (points[a + 1:] - points[a]) / steps[:n - a]
         # The steepest slope from a to any b > k, for every step k >= a.
-        steepest = np.maximum.accumulate(slopes[..., ::-1], axis=-1)[..., ::-1]
-        np.minimum(levels[..., a:], steepest, out=levels[..., a:])
-    return levels
+        steepest = np.maximum.accumulate(slopes[::-1], axis=0)[::-1]
+        np.minimum(levels[a:], steepest, out=levels[a:])
+    return levels.T.reshape(ranks.shape[:-1] + (n,))
 
 
 def _case_label(shares: np.ndarray, level: float) -> CaseLabel:

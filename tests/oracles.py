@@ -12,13 +12,15 @@ import numpy as np
 from macfair import (
     STRATEGIES,
     Backlog,
+    ComparisonTable,
     RunResult,
+    StrategyStats,
     build_schedule,
     energy_report,
     period_backlog,
     period_energies,
 )
-from macfair.lifetime import _blocks_per_period
+from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -271,3 +273,54 @@ def _simulate_run(config, run):
                          per_period_max_power=peaks[s],
                          censored=s not in died)
             for s in STRATEGIES}
+
+
+def chunk(config, battery, alive, period, max_rows):
+    """Periods one unit draws next, the unit on its own: its batteries
+    ``[strategy, node]``, which strategies live in it, its completed
+    periods.  A first chunk has ``FIRST_CHUNK`` periods; a later one lasts
+    until the first live strategy is expected to die at the spend rate seen
+    so far, with a margin."""
+    want = FIRST_CHUNK
+    if period:
+        left = battery[alive]
+        spent = config.initial_energy - left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lasts = float((left / spent).min()) * period
+        if lasts < max_rows:
+            want += int(CHUNK_MARGIN * lasts)
+        else:
+            want = max_rows
+    return min(want, max_rows, config.period_cap - period)
+
+
+def tabulate(config, simulated):
+    """Per-strategy statistics of one bound's runs, ``{strategy:
+    [RunResult, ...]}``, one run at a time: means and sample standard
+    deviations with ``np.mean`` and ``np.std`` over Python lists and the
+    runs' peak tuples.  Runs that completed no period have no peak or
+    sum-energy mean."""
+    stats = {}
+    lifetimes = {}
+    for strategy, results in simulated.items():
+        lifetimes[strategy] = np.array(
+            [r.lifetime_periods for r in results], dtype=int)
+        life = lifetimes[strategy].astype(float)
+        peak_means = [float(np.mean(r.per_period_max_power))
+                      for r in results if r.per_period_max_power]
+        sum_means = []
+        for r in results:
+            if r.lifetime_periods == 0:
+                continue
+            spent = config.n_nodes * config.initial_energy - float(
+                r.residual_energy.sum())
+            sum_means.append(spent / r.lifetime_periods)
+        stats[strategy] = StrategyStats(
+            runs=config.runs,
+            mean_lifetime=float(life.mean()),
+            std_lifetime=float(life.std(ddof=1)) if config.runs > 1 else 0.0,
+            mean_max_power=float(np.mean(peak_means)) if peak_means else float("nan"),
+            mean_sum_energy=float(np.mean(sum_means)) if sum_means else float("nan"),
+        )
+    return ComparisonTable(stats=stats, lifetimes=lifetimes, seed=config.seed,
+                           runs=config.runs)

@@ -19,7 +19,7 @@ from macfair import (
     period_energies,
     simulate_lifetime,
 )
-from macfair.lifetime import _draw, _period_rng, _results, _run_stream, _simulate
+from macfair.lifetime import _draw, _period_rng, _results, _simulate
 
 NOISE = NoiseModel(1e-3)
 
@@ -34,8 +34,12 @@ def paper_config(**overrides):
 def chunked_draws(cfg, run, chunks):
     """A run's backlogs drawn in chunks of the given lengths, one row per
     period."""
-    stream = _run_stream(cfg, run)
-    return np.concatenate([_draw(cfg, stream, k) for k in chunks])
+    sizes = np.array(chunks)
+    bits = np.random.Philox()
+    return np.concatenate([
+        _draw(cfg, bits, np.array([cfg.lam]), np.array([run]),
+              np.array([start]), np.array([k]))
+        for start, k in zip(np.cumsum(sizes) - sizes, sizes)])
 
 
 def test_draws_are_reproducible_and_order_independent():
@@ -43,10 +47,12 @@ def test_draws_are_reproducible_and_order_independent():
     a = period_backlog(cfg, run=3, period=17).packets
     b = period_backlog(cfg, run=3, period=17).packets
     assert np.array_equal(a, b)
-    other = _run_stream(cfg, 9)
-    _draw(cfg, other, 1)  # interleave an unrelated draw
     c = chunked_draws(cfg, 3, (5, 12, 1))[17]
     assert np.array_equal(a, c)
+    # one call that draws other runs before and after it
+    d = _draw(cfg, np.random.Philox(), np.full(3, cfg.lam), np.array([9, 3, 4]),
+              np.array([0, 17, 2]), np.array([1, 1, 3]))[1]
+    assert np.array_equal(a, d)
     # different keys give different values
     assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
     assert not np.array_equal(a, period_backlog(cfg, run=3, period=18).packets)
@@ -91,8 +97,9 @@ def test_draw_backlogs_names_lam(lam):
 
 def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
     """Every strategy's single run when every period has the same backlog."""
-    monkeypatch.setattr(lifetime, "_draw", lambda config, stream, periods:
-                        np.tile(backlog.packets, (periods, 1)))
+    monkeypatch.setattr(lifetime, "_draw",
+                        lambda config, bits, lams, runs, first, sizes:
+                        np.tile(backlog.packets, (sizes.sum(), 1)))
     results = simulate_lifetime(paper_config(runs=1, **overrides))
     return {s: runs[0] for s, runs in results.items()}
 
@@ -315,6 +322,9 @@ SWEEP_CASES = {
               (0.6, 1.0, 0.45)),
     # Runs at 0.3 outlast the cap and end censored; at 1.0 they die first.
     "cap": (dict(period_cap=30), (0.3, 1.0, 0.5)),
+    # After the first step, runs at 0.2 draw chunks of hundreds of periods
+    # and runs at 1.0 chunks of tens, in the same step.
+    "ragged": (dict(), (0.2, 1.0)),
 }
 
 
@@ -329,19 +339,27 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
     overrides, lams = SWEEP_CASES[case]
     if max_cells is not None:
         monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
+    steps = []
+    chunks = lifetime._chunks
+    monkeypatch.setattr(lifetime, "_chunks",
+                        lambda *args: steps.append(chunks(*args)) or steps[-1])
     cfg = paper_config(runs=5, **overrides)
     bounds = list(dict.fromkeys(lams))
     sweep = _simulate(cfg, bounds)
-    assert len(sweep) == len(bounds)
-    for lam, runs in zip(bounds, sweep, strict=True):
+    if case == "ragged":
+        longest = 4 * min(steps[1]) if max_cells is None else max_cells // 4
+        assert max(steps[1]) >= longest
+    assert sweep.lifetimes.shape == (len(STRATEGIES), len(bounds), cfg.runs)
+    for k, lam in enumerate(bounds):
         one = replace(cfg, lam=lam)
-        ours = _results(runs)
+        ours = _results(sweep, k)
         assert_same_runs(ours, simulate_lifetime(one))
         oracle = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
         assert_same_runs(ours, {s: [ref[s] for ref in oracle]
                                 for s in STRATEGIES})
     if case == "cap":
-        censored = [r.censored for runs in sweep for r in _results(runs)["tdma"]]
+        censored = [r.censored for k in range(len(bounds))
+                    for r in _results(sweep, k)["tdma"]]
         assert any(censored) and not all(censored)
 
 
@@ -355,3 +373,104 @@ def test_compare_sweep_equals_compare_strategies_per_lambda():
         assert (table.seed, table.runs) == (solo.seed, solo.runs)
         for s in STRATEGIES:
             assert np.array_equal(table.lifetimes[s], solo.lifetimes[s])
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(runs=5), dict(runs=5, initial_energy=0.0),
+    dict(runs=4, initial_energy=1e3, period_cap=300),
+    dict(runs=4, noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
+], ids=["paper", "no-energy", "cap", "gains"])
+@pytest.mark.parametrize("max_cells", [None, 40 * 4])
+def test_chunk_sizes_follow_the_per_unit_rule(monkeypatch, overrides,
+                                              max_cells):
+    # The array sizing gives every live unit the chunk the one-unit rule
+    # gives it, including units with no completed period next to units
+    # with many, empty batteries, and batteries that barely move.
+    if max_cells is not None:
+        monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
+    calls = []
+    chunks = lifetime._chunks
+
+    def spy(config, battery, alive, period, max_rows):
+        sizes = chunks(config, battery, alive, period, max_rows)
+        calls.append((battery.copy(), alive.copy(), period.copy(), max_rows,
+                      sizes))
+        return sizes
+
+    monkeypatch.setattr(lifetime, "_chunks", spy)
+    cfg = paper_config(**overrides)
+    _simulate(cfg, [0.2, 1.0])
+    assert calls
+    for battery, alive, period, max_rows, sizes in calls:
+        assert sizes.tolist() == [
+            oracles.chunk(cfg, battery[:, u], alive[:, u], int(period[u]),
+                          max_rows)
+            for u in range(period.size)]
+
+
+def assert_same_table(table, ref):
+    """Two comparison tables are equal bit for bit (``repr``, since a mean
+    over no run is nan)."""
+    assert repr(table.stats) == repr(ref.stats)
+    assert (table.seed, table.runs) == (ref.seed, ref.runs)
+    assert list(table.lifetimes) == list(ref.lifetimes)
+    for s in STRATEGIES:
+        assert table.lifetimes[s].dtype == ref.lifetimes[s].dtype
+        assert np.array_equal(table.lifetimes[s], ref.lifetimes[s])
+
+
+STATS_CASES = {
+    "unit-sweep": (dict(lam=0.8), (1.0, 0.4, 0.6)),
+    "gains": (dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
+              (0.6, 1.0)),
+    "cap": (dict(period_cap=30), (0.3, 1.0)),
+    "n7": (dict(n_nodes=7, initial_energy=4.0), (0.6, 1.0)),
+    "one-run": (dict(runs=1), (0.6, 1.0)),
+    "no-energy": (dict(initial_energy=0.0), (0.6, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", STATS_CASES)
+def test_tables_equal_the_statistics_oracle(case):
+    # The array statistics against the one-run-at-a-time statistics of the
+    # one-period loop's runs, bit for bit.
+    overrides, lams = STATS_CASES[case]
+    cfg = paper_config(**{"runs": 6, **overrides})
+    tables = compare_sweep(cfg, lams)
+    assert list(tables) == list(lams)
+    censored = []
+    for lam in lams:
+        one = replace(cfg, lam=lam)
+        runs = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
+        censored += [r[s].censored for r in runs for s in STRATEGIES]
+        ref = oracles.tabulate(one, {s: [r[s] for r in runs]
+                                     for s in STRATEGIES})
+        assert_same_table(tables[lam], ref)
+        assert_same_table(compare_strategies(one), ref)
+        for s in STRATEGIES:
+            stats = tables[lam].stats[s]
+            if case == "one-run":
+                assert stats.std_lifetime == 0.0
+            if case == "no-energy":
+                assert not tables[lam].lifetimes[s].any()
+                assert np.isnan(stats.mean_max_power)
+                assert np.isnan(stats.mean_sum_energy)
+    if case == "cap":
+        assert any(censored) and not all(censored)
+
+
+def test_sweep_statistics_build_no_run_results(monkeypatch):
+    cfg = paper_config(runs=6,
+                       noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0]))
+    lams = (0.6, 1.0, 0.45)
+    expected = compare_sweep(cfg, lams)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RunResult was built")
+
+    monkeypatch.setattr(lifetime, "RunResult", refuse)
+    tables = compare_sweep(cfg, lams)
+    for lam in lams:
+        assert_same_table(tables[lam], expected[lam])
+    with pytest.raises(AssertionError, match="RunResult"):
+        simulate_lifetime(cfg)

@@ -407,7 +407,7 @@ def test_batched_unit_levels_equal_the_hull_bitwise():
     # and rows of a few repeated quarter-bit values.
     rng = np.random.default_rng(11)
     rows = 0
-    for n in range(1, 9):
+    for n in [*range(1, 9), 20]:
         r = (1.0 - rng.random((3000, n))) * rng.choice([1e-3, 0.2, 1.0, 3.0],
                                                        size=(3000, 1))
         ties = rng.random(3000) < 0.3
