@@ -341,8 +341,12 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
         monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
     steps = []
     chunks = lifetime._chunks
-    monkeypatch.setattr(lifetime, "_chunks",
-                        lambda *args: steps.append(chunks(*args)) or steps[-1])
+
+    def spy(*args):
+        steps.append(chunks(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(lifetime, "_chunks", spy)
     cfg = paper_config(runs=5, **overrides)
     bounds = list(dict.fromkeys(lams))
     sweep = _simulate(cfg, bounds)
