@@ -198,6 +198,8 @@ def _draw(config: SimConfig, bits: np.random.Philox, lams: np.ndarray,
     u = np.empty((int(sizes.sum()), 4 * blocks))
     key = np.array([config.seed, 0], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
+    # An empty buffer (buffer_pos 4), so that a re-keyed stream's first
+    # double comes from the block its counter names.
     state = {"bit_generator": "Philox",
              "state": {"counter": counter, "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
