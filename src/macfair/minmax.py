@@ -15,14 +15,16 @@ pipeline computes it for every input:
    successive max-ratio sets of the contracted rank, each found by
    Dinkelbach's iteration (Management Sci. 13(7), 1967) over prefixes of
    one sort.
-2. Time sharing.  Each block's point is decomposed over the block's greedy
-   chains with Wolfe's minimum-norm-point method (the block is a region of
-   the same form, contracted by the blocks before it), and a
-   north-west-corner coupling of the blocks gives at most ``n`` epochs.
+2. Time sharing.  Each block is a region of the same form, contracted by
+   the blocks before it, and its point is decomposed exactly by a
+   Carathéodory walk (Cunningham, JCTB 36, 1984; Fujishige, *Submodular
+   Functions and Optimization*, 2005) along one sort of the block: at most
+   ``m - 1`` splits, each one pass over prefixes, and no tolerance.  One
+   sweep over all the blocks' breakpoints couples them north-west-corner
+   into at most ``n`` epochs.
 
-Levels are computed in units of the noise power and Wolfe's method runs on
-vertices relative to them, so every output power is exactly linear in the
-noise power.
+Levels and the walk are computed in units of the noise power, so every
+output power is exactly linear in the noise power.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
 solved by :func:`max_min_rates` the same way, with the levels from the
@@ -33,7 +35,6 @@ sorted in ascending order.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,6 @@ from .polymatroid import (
     LN2,
     NoiseModel,
     _as_vector,
-    _chain_received_trusted,
-    capacity_chain,
     is_lex_optimal_base,
     sum_power,
 )
@@ -54,18 +53,6 @@ from .polymatroid import (
 # power; loose enough to recognize equal points specified with a handful of
 # decimals.
 CASE_TOL = 1e-5
-
-# Time-sharing weights below this are rounding residue of the coupling;
-# they are dropped and the rest renormalized.
-WEIGHT_PRUNE = 1e-14
-
-# Wolfe's method stops when the greedy vertex is already in the corral, or
-# when the duality gap falls below this fraction of the largest squared
-# vertex norm seen: rounding hides any progress below that level.
-_GAP_FLOOR = 1e-13
-
-# Major cycles of Wolfe's method before a solve is declared failed.
-MAX_CYCLES = 10_000
 
 # Largest sum power whose square, the scale of distances and gaps, is finite.
 _MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
@@ -83,7 +70,11 @@ class CaseLabel(enum.Enum):
 
 
 class SolverFailureError(RuntimeError):
-    """The solver did not converge."""
+    """The solver's output failed its lexicographic optimality certificate.
+
+    ``gap`` is the duality gap of the rejected base and ``iterations`` the
+    walk's split count, as on :class:`MinMaxSolution`.
+    """
 
     def __init__(self, message: str, gap: float = float("nan"),
                  iterations: int = 0):
@@ -104,7 +95,8 @@ class MinMaxSolution:
     unique but the weights need not be.  ``distance`` is the (gain-weighted)
     squared distance to the equal-allocation target and ``gap`` the duality
     gap of the returned base against the greedy vertex, both in physical
-    units.  ``iterations`` counts the major cycles of Wolfe's method.
+    units.  ``iterations`` counts the splits of the time-sharing walk, at
+    most ``n - 1``.
     """
 
     received: np.ndarray
@@ -225,152 +217,159 @@ def _hull_ends(values: list[float]) -> list[int]:
     return ends
 
 
-def _affine_min_coeffs(points: np.ndarray) -> np.ndarray:
-    """Coefficients of the min-norm point of the affine hull of the rows."""
-    m = points.shape[0]
-    if m == 2:
-        diff = points[0] - points[1]
-        denom = float(diff @ diff)
-        if denom <= 0.0:
-            return np.array([1.0, 0.0])
-        t = float(points[0] @ diff) / denom
-        return np.array([1.0 - t, t])
-    system = np.zeros((m + 1, m + 1))
-    system[0, 1:] = 1.0
-    system[1:, 0] = 1.0
-    system[1:, 1:] = points @ points.T
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    return sol[1:]
+class _PowerBlock:
+    """One block of the power region, along its sort, in units of the noise
+    power.  A piece ``[lo, hi)`` of noise ``s`` has the rank
+    ``f(P) = s (4^R(P) - 1)``, kept as ``c (E_k - E_lo)`` with ``E`` the
+    block's prefix values of ``4^R`` and ``c = s / E_lo`` (the block's own
+    noise at ``lo = 0``), so that no piece evaluates an exponential."""
+
+    def __init__(self, rates: np.ndarray):
+        sums = np.zeros(rates.size + 1)
+        np.cumsum(rates, out=sums[1:])
+        self.em = np.expm1((2.0 * LN2) * sums)  # E - 1, exact near 0
+        self.inv = 1.0 / (1.0 + self.em)
+
+    def split(self, lo: int, hi: int, c: float):
+        """The ranks of the piece's prefixes, empty set first, and
+        ``f(N) - f(P) - f(S) = f(P) f(S) / s`` for its proper splits into a
+        prefix ``P`` and a suffix ``S``."""
+        em = self.em
+        ranks = c * (em[lo:hi + 1] - em[lo])
+        excess = ranks[1:-1] * ((em[hi] - em[lo + 1:hi]) * self.inv[lo + 1:hi])
+        return ranks, excess
+
+    def parts(self, lo: int, cut: int, hi: int, c: float):
+        """``c`` of the suffix ``[cut, hi)``, a restriction (noise ``s``),
+        and of the prefix ``[lo, cut)``, the contraction by the suffix
+        (noise ``s 4^R(S)``)."""
+        inv = self.inv[cut]
+        return c * (1.0 + self.em[lo]) * inv, c * (1.0 + self.em[hi]) * inv
 
 
-def _wolfe_min_norm(chain, lmo, m: int):
-    """Wolfe's minimum-norm point of the convex hull of the chain vertices.
+class _CapacityBlock:
+    """One block of the capacity region, along its sort, mirrored to the
+    supermodular rank ``f(P) = -log2(1 + Q(P)/s) / 2`` of a piece of noise
+    ``s`` so that both regions walk alike (the walk takes negated rates)."""
 
-    ``chain`` maps an order of ``0..m-1`` to its vertex, already shifted so
-    the target is the origin and scaled to the problem's metric; ``lmo``
-    maps a point ``x`` to the order whose vertex minimizes ``x . v`` (the
-    greedy rule), so the vertex set is never materialized.  The search
-    starts at the vertex of the identity order.  Returns the corral orders,
-    their coefficients and the major cycles spent.
+    def __init__(self, received: np.ndarray):
+        self.sums = np.zeros(received.size + 1)
+        np.cumsum(received, out=self.sums[1:])
+
+    def split(self, lo: int, hi: int, s: float):
+        """As :meth:`_PowerBlock.split`; the excess is
+        ``C(P) + C(S) - C(N)``."""
+        q = self.sums[lo:hi + 1] - self.sums[lo]
+        ranks = (-0.5 / LN2) * np.log1p(q / s)
+        head = q[1:-1]
+        excess = (0.5 / LN2) * np.log1p(
+            head * (q[-1] - head) / (s * (s + q[-1])))
+        return ranks, excess
+
+    def parts(self, lo: int, cut: int, hi: int, s: float):
+        """Noise of the suffix (a restriction) and of the prefix (the
+        contraction by the suffix)."""
+        return s, s + (self.sums[hi] - self.sums[cut])
+
+
+def _breakpoint(ranks: np.ndarray, excess: np.ndarray, mass: np.ndarray,
+                scale: float) -> tuple[float, int]:
+    """Breakpoint of a piece and the length of the prefix before its tight
+    suffix.
+
+    ``ranks`` and ``excess`` are the piece's ``split``.  The split after
+    prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) - f(P)) /
+    (f(N) - f(P) - f(S))`` with ``x = mass / scale``; the walk meets the
+    split of largest ``b``, capped at ``scale``.
     """
-    orders = [tuple(range(m))]
-    points = chain(orders[0])[None, :]
-    coeffs = np.ones(1)
-    x = points[0]
-    xx = scale = float(x @ x)
-    majors = 0
-    while True:
-        order = lmo(x)
-        known = order in orders
-        v = points[orders.index(order)] if known else chain(order)
-        gap = xx - float(x @ v)
-        scale = max(scale, float(v @ v))
-        if known or gap <= _GAP_FLOOR * scale:
-            break
-        if majors >= MAX_CYCLES:
-            raise SolverFailureError(
-                f"minimum-norm point did not converge in {MAX_CYCLES} cycles",
-                gap=gap, iterations=majors)
-        majors += 1
-        orders.append(order)
-        points = np.concatenate((points, v[None, :]))
-        coeffs = np.concatenate((coeffs, (0.0,)))
-        while True:
-            target = _affine_min_coeffs(points)
-            if target.min() >= -1e-12:
-                coeffs = np.maximum(target, 0.0)
-                coeffs /= coeffs.sum()
-                break
-            shrink = coeffs - target
-            move = shrink > 1e-14
-            theta = float(np.min(coeffs[move] / shrink[move]))
-            theta = min(max(theta, 0.0), 1.0)
-            coeffs = coeffs + theta * (target - coeffs)
-            keep = coeffs > 1e-14
-            if not keep.any():
-                keep[int(np.argmax(coeffs))] = True
-            orders = [o for o, k in zip(orders, keep) if k]
-            points = points[keep]
-            coeffs = coeffs[keep]
-            coeffs /= coeffs.sum()
-        x = coeffs @ points
-        xx = float(x @ x)
-    return orders, coeffs, majors
+    ratio = (mass[:-1].cumsum() - scale * ranks[1:-1]) / excess
+    k = int(ratio.argmax())
+    return min(float(ratio[k]), scale), k + 1
 
 
-def _decompose(order: np.ndarray, ends: list[int], target: np.ndarray,
-               block_vertex, lmo):
-    """Time sharing of a base given block by block along a chain, and the
-    Wolfe cycles it took.
+def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
+          region, at: int) -> tuple[list[int], list[tuple[float, int, int, int]]]:
+    """Exact time sharing of one block by a Carathéodory walk.
 
-    ``block_vertex(lo, hi)`` maps an order of the positions ``0..m-1`` of
-    block ``[lo, hi)`` of ``order`` to its vertex in the region contracted by
-    the blocks before it.  Wolfe's method runs on those vertices over the
-    block's part of ``target``, minus one, with ``lmo`` on the gradient
-    rescaled the same way; the blocks are then coupled north-west-corner.
+    The block is a region of noise ``noise`` whose rank ``f`` depends on a
+    subset only through its weight sum, convexly, and ``x`` is a base of it
+    (both over ``nodes``).  Along the order sorting ``x_i / w_i``
+    descending, the chain vertex ``v`` has ``v_i / w_i`` nondecreasing, so
+    ``x + t (x - v)`` stays sorted for every ``t >= 0`` and the first set it
+    makes tight is a suffix.  The walk moves there in one pass over the
+    prefixes, splits the piece into that suffix (a restriction) and the
+    rest (the contraction by it), and goes on with both; every piece is a
+    contiguous range of the one sort.  Pieces are kept as masses
+    ``scale * y``, ``scale`` the time they share, so a split subtracts the
+    vertex's mass and divides by nothing small.
+
+    A piece shares ``[0, scale]`` and opens at its breakpoint ``b``: on
+    ``(b, scale]`` it follows its chain, below ``b`` its suffix goes first.
+    Returns the sorted nodes and the openings ``(b, start, size, k)``: below
+    ``b`` the ``size`` slots from ``start`` (the block starting at slot
+    ``at``) put their last ``size - k`` nodes first.  There are at most
+    ``m - 1`` openings.
     """
-    parts = []
-    majors = 0
+    sort = np.argsort(-x / w, kind="stable")
+    block = region(w[sort])
+    mass = x[sort]
+    openings = []
+    pieces = [(0, nodes.size, at, noise, 1.0)]
+    # Ranks that underflow give a NaN breakpoint, which ends the piece.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while pieces:
+            lo, hi, start, p, scale = pieces.pop()
+            ranks, excess = block.split(lo, hi, p)
+            b, k = _breakpoint(ranks, excess, mass[lo:hi], scale)
+            if not b > 0.0:
+                continue
+            mass[lo:hi] -= (scale - b) * (ranks[1:] - ranks[:-1])
+            cut = lo + k
+            suffix, prefix = block.parts(lo, cut, hi, p)
+            openings.append((b, start, hi - lo, k))
+            if hi - cut > 1:
+                pieces.append((cut, hi, start, suffix, b))
+            if k > 1:
+                pieces.append((lo, cut, start + hi - cut, prefix, b))
+    return nodes[sort].tolist(), openings
+
+
+def _decompose(order: np.ndarray, ends: list[int], x: np.ndarray,
+               w: np.ndarray, noises: np.ndarray, region):
+    """Time sharing of a base given block by block along a chain, as
+    ``(order, weight)`` pairs, heaviest first, and the walk's split count.
+
+    Block ``[lo, hi)`` of ``order`` is a region of noise ``noises[lo]``
+    (contracted by the blocks before it) with node weights ``w`` and base
+    ``x``; :func:`_walk` walks each.  Laying the blocks' sorted nodes end to
+    end and sweeping all their openings by falling breakpoint couples the
+    blocks north-west-corner: every block keeps its own time sharing, and
+    each distinct breakpoint adds one epoch, so there are at most ``n``.
+    """
+    arrangement: list[int] = []
+    openings = []
     for lo, hi in zip(ends[:-1], ends[1:]):
         nodes = order[lo:hi]
         if nodes.size == 1:
-            parts.append(([(int(nodes[0]),)], np.ones(1)))
+            arrangement.append(int(nodes[0]))
             continue
-        vertex = block_vertex(lo, hi)
-        inv = 1.0 / target[nodes]
-        orders, coeffs, cycles = _wolfe_min_norm(
-            lambda o: vertex(o) * inv - 1.0, lambda x: lmo(x * inv),
-            nodes.size)
-        keep = coeffs > 0.0
-        parts.append(([tuple(nodes[list(o)].tolist())
-                       for o, k in zip(orders, keep) if k], coeffs[keep]))
-        majors += cycles
-    return _couple(parts), majors
-
-
-def _couple(parts) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """North-west-corner coupling of per-block time-sharing weights.
-
-    ``parts`` lists, block by block in chain order, ``(orders, weights)``
-    with weights summing to one.  Laying every block's weights end to end on
-    ``[0, 1]`` and cutting at all their breakpoints gives epochs whose
-    restriction to each block reproduces that block's weights, so the
-    concatenated orders time-share the whole base in at most
-    ``sum(len(weights)) - len(parts) + 1`` epochs.  Returns the
-    ``(order, weight)`` pairs, heaviest first, without rounding residue.
-    """
-    if all(len(w) == 1 for _, w in parts):
-        return ((sum((orders[0] for orders, _ in parts), ()), 1.0),)
-    cums = []
-    for _, w in parts:
-        c = list(itertools.accumulate(w.tolist()))
-        cums.append([x / c[-1] for x in c[:-1]] + [1.0])
-    edges = sorted(set(itertools.chain([0.0], *cums)))
-    pos = [0] * len(parts)
-    support: dict[tuple[int, ...], float] = {}
-    for a, b in zip(edges[:-1], edges[1:]):
-        order: tuple[int, ...] = ()
-        for j, (c, (orders, _)) in enumerate(zip(cums, parts)):
-            while c[pos[j]] <= a:
-                pos[j] += 1
-            order += orders[pos[j]]
-        support[order] = support.get(order, 0.0) + (b - a)
-    kept = {o: w for o, w in support.items() if w > WEIGHT_PRUNE}
-    total = sum(kept.values())
-    items = [(o, w / total) for o, w in kept.items()]
-    items.sort(key=lambda ow: (-ow[1], ow[0]))
-    return tuple(items)
-
-
-def _power_lmo(x: np.ndarray) -> tuple[int, ...]:
-    # Contra-polymatroid side: chain increments grow along the chain, so the
-    # largest gradient entry goes first.
-    return tuple(np.argsort(-x, kind="stable").tolist())
+        sorted_nodes, opened = _walk(nodes, w[nodes], x[nodes],
+                                     float(noises[lo]), region, lo)
+        arrangement += sorted_nodes
+        openings += opened
+    # Stable: at a tied breakpoint a piece still opens before its parts.
+    openings.sort(key=lambda o: -o[0])
+    support = []
+    top = 1.0
+    for b, start, size, k in openings:
+        if b < top:
+            support.append((tuple(arrangement), top - b))
+            top = b
+        arrangement[start:start + size] = (arrangement[start + k:start + size]
+                                           + arrangement[start:start + k])
+    support.append((tuple(arrangement), top))
+    support.sort(key=lambda ow: (-ow[1], ow[0]))
+    return tuple(support), len(openings)
 
 
 def _unit_gains(noise: NoiseModel) -> bool:
@@ -476,9 +475,10 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
 
     The base comes from exact levels, block by block along a chain (the
     hull for unit gains, max-ratio blocks for unequal gains); each block's
-    point is decomposed over the block's chains by Wolfe's method and the
-    blocks are coupled.  With ``check`` (and unit gains, ``n <= 12``) the
-    base must also pass :func:`is_lex_optimal_base`.
+    point is decomposed exactly by the walk of :func:`_walk` and the blocks
+    are coupled.  With ``check`` (and unit gains, ``n <= 12``) the base must
+    also pass :func:`is_lex_optimal_base`, or :class:`SolverFailureError`
+    is raised.
     """
     r = _as_vector(rates, "rates")
     n = r.size
@@ -499,15 +499,10 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     prefix = np.zeros(n + 1)
     np.cumsum(r[order], out=prefix[1:])
 
-    def block_vertex(lo, hi):
-        # The contraction by the blocks before is a power region of the
-        # same form with noise 2^(2*prefix[lo]).
-        rb = r[order[lo:hi]]
-        noise_b = float(np.exp2(2.0 * prefix[lo]))
-        return lambda o: _chain_received_trusted(
-            rb, noise_b, np.asarray(o, dtype=np.intp))
-
-    support, iters = _decompose(order, ends, base, block_vertex, _power_lmo)
+    # Block [lo, hi) is the power region contracted by the blocks before
+    # it, of noise 4^R(before) in units of the noise power.
+    support, splits = _decompose(order, ends, base, r, np.exp2(2.0 * prefix),
+                                 _PowerBlock)
     received = noise.sigma_sq * base
     transmit = received / gains
     u = base / total
@@ -524,18 +519,12 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
         if not is_lex_optimal_base(transmit, r, noise):
             raise SolverFailureError(
                 "solver output failed the lexicographic optimality check",
-                gap=gap_phys, iterations=iters)
+                gap=gap_phys, iterations=splits)
 
     return MinMaxSolution(
         received=received, transmit=transmit,
         coefficients=support, case=case,
-        distance=distance, iterations=iters, gap=gap_phys)
-
-
-def _capacity_lmo(x: np.ndarray) -> tuple[int, ...]:
-    # Polymatroid side: chain increments shrink along the chain, so the
-    # smallest gradient entry takes the first (largest) share.
-    return tuple(np.argsort(x, kind="stable").tolist())
+        distance=distance, iterations=splits, gap=gap_phys)
 
 
 def max_min_rates(powers, noise: NoiseModel
@@ -564,9 +553,6 @@ def max_min_rates(powers, noise: NoiseModel
     for lo, hi in zip(ends[:-1], ends[1:]):
         rates[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
 
-    def block_vertex(lo, hi):
-        qb = q[order[lo:hi]]
-        block_noise = NoiseModel(noise.sigma_sq + float(cum[lo]))
-        return lambda o: capacity_chain(qb, block_noise, o)
-
-    return rates, _decompose(order, ends, rates, block_vertex, _capacity_lmo)[0]
+    # Mirrored to a supermodular rank: the walk takes the negated rates.
+    return rates, _decompose(order, ends, -rates, q, noise.sigma_sq + cum,
+                             _CapacityBlock)[0]

@@ -80,6 +80,58 @@ def capacity_of(received_sum, sigma_sq):
     return 0.5 * np.log2(1.0 + received_sum / sigma_sq)
 
 
+def naive_capacity_vertex(powers, sigma_sq, order):
+    """Rate vertex of the capacity region via successive capacity
+    differences, scalar math."""
+    powers = np.asarray(powers, dtype=float)
+    out = np.zeros(powers.size)
+    cum = 0.0
+    prev = 0.0
+    for i in order:
+        cum += powers[i]
+        cur = capacity_of(cum, sigma_sq)
+        out[i] = cur - prev
+        prev = cur
+    return out
+
+
+def all_capacity_vertices(powers, sigma_sq):
+    """All n! rate vertices of the capacity region by explicit enumeration."""
+    n = len(powers)
+    orders = list(itertools.permutations(range(n)))
+    return orders, np.stack([naive_capacity_vertex(powers, sigma_sq, o)
+                             for o in orders])
+
+
+def subset_ranks(values, rank):
+    """``rank(sum of values over A)`` for every subset ``A`` of
+    ``range(n)``, indexed by its bit mask."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    return np.array([rank(sum(values[i] for i in range(n) if mask >> i & 1))
+                     for mask in range(2 ** n)])
+
+
+def walk_ratios(x, v, ranks):
+    """Step lengths ``t`` at which ``x + t (x - v)`` meets each subset
+    constraint ``y(A) >= f(A)``, by enumeration.
+
+    Returns ``{mask: t}`` over the nonempty proper subsets with
+    ``v(A) > x(A)``, the only ones the walk can meet; ``ranks[mask]`` is
+    ``f(A)``.  A polymatroid's ``y(A) <= g(A)`` is passed negated.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = x.size
+    out = {}
+    for mask in range(1, 2 ** n - 1):
+        members = [i for i in range(n) if mask >> i & 1]
+        xa, va = float(x[members].sum()), float(v[members].sum())
+        if va > xa:
+            out[mask] = (xa - ranks[mask]) / (va - xa)
+    return out
+
+
 def grid_maxmin_rates_n2(powers, sigma_sq, npts=1_000_000):
     """Grid search for the rate base nearest the equal split, n=2."""
     p1, p2 = powers

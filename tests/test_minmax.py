@@ -183,10 +183,12 @@ def test_solve_lex_optimal_beyond_seven_nodes():
 
 
 def test_solver_failure_carries_gap(monkeypatch):
-    monkeypatch.setattr(minmax, "MAX_CYCLES", 2)
+    # The walk cannot fail; a rejected certificate is the one failure.
+    monkeypatch.setattr(minmax, "is_lex_optimal_base", lambda *args: False)
     with pytest.raises(SolverFailureError) as err:
         solve([1.0, 1.0, 1.0, 1.0], UNIT)
     assert err.value.gap >= 0.0
+    assert 0 <= err.value.iterations <= 3
 
 
 def test_solve_near_vertex_returns_equal_point():
@@ -246,11 +248,14 @@ def test_time_sharing_invariants_large_n(n):
         assert sol.received.sum() == pytest.approx(total, rel=1e-12)
         assert greedy_gap(sol, rates, noise) <= 1e-12 * total * total
         assert np.all(sol.transmit[rates == 0.0] == 0.0)
+        assert sol.iterations <= n - 1
 
 
 def test_weighted_large_instance_with_zero_rates():
-    # An n = 200 instance with 21 zero rates on which Wolfe's method over the
-    # whole ground set did not converge in 10,000 major cycles.
+    # Two n = 200 instances with zero rates.  On the first, Wolfe's method
+    # over the whole ground set did not converge in 10,000 major cycles; on
+    # the second, Wolfe's method run block by block took 2217 major cycles
+    # and 2.8 s, against 142 splits of the walk.
     rng = np.random.default_rng(7)
     for n in (8, 20, 50, 200):
         for _ in range(30 if n < 200 else 3):
@@ -258,13 +263,83 @@ def test_weighted_large_instance_with_zero_rates():
             rates[rng.random(n) < 0.1] = 0.0
             gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
     assert np.count_nonzero(rates == 0.0) == 21
-    noise = NoiseModel(NoiseModel.from_db(-30.0).sigma_sq, gains=gains)
-    sol = solve(rates, noise)
-    total = sum_power(rates, noise)
-    assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
-        <= 1e-12 * total
-    assert greedy_gap(sol, rates, noise) <= 1e-12 * total * total
-    assert np.all(sol.transmit[rates == 0.0] == 0.0)
+    instances = [(rates, gains)]
+    rng = np.random.default_rng(12)
+    rates = (4.0 / 200) * (1.0 - rng.random(200))
+    rates[rng.random(200) < 0.1] = 0.0
+    gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
+    assert np.count_nonzero(rates == 0.0) == 15
+    instances.append((rates, gains))
+    for rates, gains in instances:
+        noise = NoiseModel(NoiseModel.from_db(-30.0).sigma_sq, gains=gains)
+        sol = solve(rates, noise)
+        total = sum_power(rates, noise)
+        assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
+            <= 1e-12 * total
+        assert greedy_gap(sol, rates, noise) <= 1e-12 * total * total
+        assert np.all(sol.transmit[rates == 0.0] == 0.0)
+        assert len(sol.coefficients) <= 200 and sol.iterations <= 199
+
+
+def _random_block(rng, side):
+    """A random region of either side at n <= 7 and a point of it mixed
+    from all n! vertices, mirrored to the contra-polymatroid form the walk
+    takes: weights, noise, signed point, signed vertices and ranks."""
+    n = int(rng.integers(2, 8))
+    w = rng.uniform(0.05, 1.5, n) * (1.0 if side == "power" else 4.0)
+    s = float(rng.choice([1.0, 1e-3, 5.0]))
+    if side == "power":
+        orders, vertices = oracles.all_received_vertices(w, s)
+        ranks = oracles.subset_ranks(w, lambda a: oracles.rank_of(a, s))
+        sign = 1.0
+    else:
+        orders, vertices = oracles.all_capacity_vertices(w, s)
+        ranks = -oracles.subset_ranks(w, lambda a: oracles.capacity_of(a, s))
+        sign = -1.0
+    x = sign * (rng.dirichlet(np.ones(len(orders))) @ vertices)
+    return w, s, x, orders, sign * vertices, ranks
+
+
+BLOCKS = {"power": minmax._PowerBlock, "capacity": minmax._CapacityBlock}
+
+
+@pytest.mark.parametrize("side", ["power", "capacity"])
+def test_walk_step_meets_a_suffix_first(side):
+    # Along the anti-aligned order, the first constraint the walk from the
+    # chain vertex through x meets is a suffix, and the walk's one pass
+    # over the prefixes finds it: its breakpoint is 1/(1+t) for the
+    # all-subset minimum t.
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        w, s, x, orders, vertices, ranks = _random_block(rng, side)
+        n = w.size
+        sort = np.argsort(-x / w, kind="stable")
+        v = vertices[orders.index(tuple(sort.tolist()))]
+        ratios = oracles.walk_ratios(x, v, ranks)
+        best = min(ratios.values())
+        suffixes = [sum(1 << int(i) for i in sort[k:]) for k in range(1, n)]
+        assert min(ratios[m] for m in suffixes) == pytest.approx(best,
+                                                                 rel=1e-9)
+        split = BLOCKS[side](w[sort]).split(0, n, s)
+        b, k = minmax._breakpoint(*split, x[sort], 1.0)
+        assert b == pytest.approx(1.0 / (1.0 + best), rel=1e-9)
+        assert ratios[suffixes[k - 1]] == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("side", ["power", "capacity"])
+def test_block_walk_rebuilds_random_point(side):
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        w, s, x, orders, vertices, _ = _random_block(rng, side)
+        n = w.size
+        support, splits = minmax._decompose(np.arange(n), [0, n], x, w,
+                                            np.array([s]), BLOCKS[side])
+        weights = np.array([a for _, a in support])
+        assert np.all(weights > 0.0) and len(support) <= n
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert splits <= n - 1
+        rebuilt = sum(a * vertices[orders.index(o)] for o, a in support)
+        assert np.max(np.abs(rebuilt - x)) <= 1e-12 * np.abs(x).sum()
 
 
 @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0]])
