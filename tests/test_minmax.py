@@ -254,8 +254,8 @@ def test_time_sharing_invariants_large_n(n):
 def test_weighted_large_instance_with_zero_rates():
     # Two n = 200 instances with zero rates.  On the first, Wolfe's method
     # over the whole ground set did not converge in 10,000 major cycles; on
-    # the second, Wolfe's method run block by block took 2217 major cycles
-    # and 2.8 s, against 142 splits of the walk.
+    # the second, Wolfe's method run block by block took 2217 major cycles,
+    # against 142 splits of the walk.
     rng = np.random.default_rng(7)
     for n in (8, 20, 50, 200):
         for _ in range(30 if n < 200 else 3):
@@ -281,10 +281,11 @@ def test_weighted_large_instance_with_zero_rates():
         assert len(sol.coefficients) <= 200 and sol.iterations <= 199
 
 
-def _random_block(rng, side):
+def _random_block(rng, side, mixed=None):
     """A random region of either side at n <= 7 and a point of it mixed
-    from all n! vertices, mirrored to the contra-polymatroid form the walk
-    takes: weights, noise, signed point, signed vertices and ranks."""
+    from all n! vertices (or from ``mixed`` of them, a point on a face),
+    mirrored to the contra-polymatroid form the walk takes: weights, noise,
+    signed point, signed vertices and ranks."""
     n = int(rng.integers(2, 8))
     w = rng.uniform(0.05, 1.5, n) * (1.0 if side == "power" else 4.0)
     s = float(rng.choice([1.0, 1e-3, 5.0]))
@@ -296,7 +297,8 @@ def _random_block(rng, side):
         orders, vertices = oracles.all_capacity_vertices(w, s)
         ranks = -oracles.subset_ranks(w, lambda a: oracles.capacity_of(a, s))
         sign = -1.0
-    x = sign * (rng.dirichlet(np.ones(len(orders))) @ vertices)
+    pick = rng.permutation(len(orders))[:mixed]
+    x = sign * (rng.dirichlet(np.ones(pick.size)) @ vertices[pick])
     return w, s, x, orders, sign * vertices, ranks
 
 
@@ -327,10 +329,13 @@ def test_walk_step_meets_a_suffix_first(side):
 
 
 @pytest.mark.parametrize("side", ["power", "capacity"])
-def test_block_walk_rebuilds_random_point(side):
+@pytest.mark.parametrize("mixed", [None, 2, 3])
+def test_block_walk_rebuilds_random_point(side, mixed):
+    # Points on a face have tight sets the walk meets at once, so pieces
+    # open at their parent's breakpoint.
     rng = np.random.default_rng(73)
     for _ in range(40):
-        w, s, x, orders, vertices, _ = _random_block(rng, side)
+        w, s, x, orders, vertices, _ = _random_block(rng, side, mixed)
         n = w.size
         support, splits = minmax._decompose(np.arange(n), [0, n], x, w,
                                             np.array([s]), BLOCKS[side])
