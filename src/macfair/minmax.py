@@ -288,7 +288,7 @@ def _breakpoint(ranks: np.ndarray, excess: np.ndarray, mass: np.ndarray,
 
 
 def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
-          region, at: int) -> tuple[list[int], list[tuple[float, int, int, int]]]:
+          region, at: int) -> tuple[list[int], list[tuple]]:
     """Exact time sharing of one block by a Carathéodory walk.
 
     The block is a region of noise ``noise`` whose rank ``f`` depends on a
