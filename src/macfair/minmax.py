@@ -14,7 +14,7 @@ pipeline computes it for every input:
    ``c = sum_power / sum(gains)``; it is separable convex, so its blocks are
    successive max-ratio sets of the contracted rank, each found by
    Dinkelbach's iteration (Management Sci. 13(7), 1967) over prefixes of
-   one sort.
+   one sort, started from the previous block's sort.
 2. Time sharing.  Each block is a region of the same form, contracted by
    the blocks before it, and its point is decomposed exactly by a
    Carathéodory walk (Cunningham, JCTB 36, 1984; Fujishige, *Submodular
@@ -277,12 +277,13 @@ def _breakpoint(ranks: np.ndarray, excess: np.ndarray, mass: np.ndarray,
     """Breakpoint of a piece and the length of the prefix before its tight
     suffix.
 
-    ``ranks`` and ``excess`` are the piece's ``split``.  The split after
-    prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) - f(P)) /
-    (f(N) - f(P) - f(S))`` with ``x = mass / scale``; the walk meets the
-    split of largest ``b``, capped at ``scale``.
+    ``ranks`` and ``excess`` are the piece's ``split`` and ``mass`` its
+    prefix masses, empty set first.  The split after prefix ``P`` (suffix
+    ``S``) is met at ``b = scale (x(P) - f(P)) / (f(N) - f(P) - f(S))`` with
+    ``x(P) = mass(P) / scale``; the walk meets the split of largest ``b``,
+    capped at ``scale``.
     """
-    ratio = (mass[:-1].cumsum() - scale * ranks[1:-1]) / excess
+    ratio = (mass[1:-1] - scale * ranks[1:-1]) / excess
     k = int(ratio.argmax())
     return min(float(ratio[k]), scale), k + 1
 
@@ -299,9 +300,12 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     makes tight is a suffix.  The walk moves there in one pass over the
     prefixes, splits the piece into that suffix (a restriction) and the
     rest (the contraction by it), and goes on with both; every piece is a
-    contiguous range of the one sort.  Pieces are kept as masses
-    ``scale * y``, ``scale`` the time they share, so a split subtracts the
-    vertex's mass and divides by nothing small.
+    contiguous range of the one sort.  Pieces are kept as prefix masses
+    ``scale * y(P)`` over their prefixes ``P``, empty set first, ``scale``
+    the time they share.  A split subtracts the vertex's prefix masses (the
+    piece's prefix ranks) and divides by nothing small; the prefix keeps
+    the leading masses, and the suffix's are the rest less the prefix's
+    total.
 
     A piece shares ``[0, scale]`` and opens at its breakpoint ``b``: on
     ``(b, scale]`` it follows its chain, below ``b`` its suffix goes first.
@@ -312,25 +316,27 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     """
     sort = np.argsort(-x / w, kind="stable")
     block = region(w[sort])
-    mass = x[sort]
+    mass = np.zeros(nodes.size + 1)
+    np.cumsum(x[sort], out=mass[1:])
     openings = []
-    pieces = [(0, nodes.size, at, noise, 1.0)]
+    pieces = [(0, nodes.size, at, noise, 1.0, mass)]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
     with np.errstate(divide="ignore", invalid="ignore"):
         while pieces:
-            lo, hi, start, p, scale = pieces.pop()
+            lo, hi, start, p, scale, mass = pieces.pop()
             ranks, excess = block.split(lo, hi, p)
-            b, k = _breakpoint(ranks, excess, mass[lo:hi], scale)
+            b, k = _breakpoint(ranks, excess, mass, scale)
             if not b > 0.0:
                 continue
-            mass[lo:hi] -= (scale - b) * (ranks[1:] - ranks[:-1])
+            mass -= (scale - b) * ranks
             cut = lo + k
             suffix, prefix = block.parts(lo, cut, hi, p)
             openings.append((b, start, hi - lo, k))
             if hi - cut > 1:
-                pieces.append((cut, hi, start, suffix, b))
+                pieces.append((cut, hi, start, suffix, b, mass[k:] - mass[k]))
             if k > 1:
-                pieces.append((lo, cut, start + hi - cut, prefix, b))
+                pieces.append((lo, cut, start + hi - cut, prefix, b,
+                               mass[:k + 1]))
     return nodes[sort].tolist(), openings
 
 
@@ -389,39 +395,50 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
     iteration finds the set: with ``a_i = c + lam/g_i``, ``f_k(A) - a(A)`` is
     convex in ``(R(A), a(A))``, so its maximum over all subsets is a prefix
     of the nodes sorted by ``r_i / a_i`` descending, non-positive ``a_i``
-    first.  ``lam`` grows strictly over finitely many prefix sets, so the
-    iteration ends without a tolerance.  Zero-rate nodes get zero power and
-    close the chain as single-node blocks.
+    first, and the cumulative sums of that sort price every prefix's ratio.
+    The first block starts from all nodes; a later one from the best prefix
+    of the previous block's final sort, restricted to the remaining nodes
+    and priced at the previous ratio, so a block that this order already
+    holds costs one sort.  ``lam`` grows strictly over finitely many prefix
+    sets, so the iteration ends without a tolerance.  Zero-rate nodes get
+    zero power and close the chain as single-node blocks.
     """
     c = total / float(gains.sum())
     inv_g = 1.0 / gains
     base = np.zeros(r.size)
-    remaining = np.flatnonzero(r > 0.0)
+    keep = r > 0.0
+    remaining = np.flatnonzero(keep)
+    seq = remaining  # the last sort, restricted to the remaining nodes
+    price = None  # the ratio that picks a prefix of seq; None takes all
     chain: list[int] = []
     ends = [0]
     placed = 0.0
     while remaining.size:
         scale = float(np.exp2(2.0 * placed))
         rr, w = r[remaining], inv_g[remaining]
-        seq, k, lam = np.arange(rr.size), rr.size, -np.inf
-        while True:  # Dinkelbach, from the whole remaining set
-            rank = scale * math.expm1(2.0 * LN2 * float(rr[seq[:k]].sum()))
-            ratio = (rank - c * k) / float(w[seq[:k]].sum())
+        level = c * np.arange(1.0, remaining.size + 1)
+        lam = -np.inf
+        while True:  # Dinkelbach, from the warm start
+            rates = r[seq].cumsum()
+            rank = scale * np.expm1((2.0 * LN2) * rates)
+            weight = inv_g[seq].cumsum()
+            k = (seq.size if price is None
+                 else int((rank - level - price * weight).argmax()) + 1)
+            ratio = float((rank[k - 1] - level[k - 1]) / weight[k - 1])
             if not ratio > lam:
                 break
-            lam, take = ratio, seq[:k]
+            lam = price = ratio
+            take, rate = seq[:k], float(rates[k - 1])
             a = c + lam * w
             key = np.divide(rr, a, out=np.full(a.size, np.inf), where=a > 0.0)
-            seq = np.argsort(-key, kind="stable")
-            gain = (scale * np.expm1((2.0 * LN2) * np.cumsum(rr[seq]))
-                    - np.cumsum(a[seq]))
-            k = int(np.argmax(gain)) + 1
-        block = remaining[take]
-        base[block] = c + lam * inv_g[block]
-        chain.extend(block.tolist())
+            seq = remaining[(-key).argsort(kind="stable")]
+        base[take] = c + lam * inv_g[take]
+        chain.extend(take.tolist())
         ends.append(len(chain))
-        placed += float(rr[take].sum())
-        remaining = np.delete(remaining, take)
+        placed += rate
+        keep[take] = False
+        remaining = np.flatnonzero(keep)
+        seq = seq[keep[seq]]
     chain.extend(np.flatnonzero(r == 0.0).tolist())
     ends.extend(range(ends[-1] + 1, r.size + 1))
     return base, np.asarray(chain, dtype=np.intp), ends

@@ -6,6 +6,7 @@ the solver code paths it is used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from macfair import (
     period_energies,
 )
 from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
+from macfair.polymatroid import LN2
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -246,6 +248,89 @@ def first_order_gap(received, rates, sigma_sq, gains=None):
     grad = g * (u - level)
     _, vertices = all_received_vertices(rates, sigma_sq)
     return float(grad @ u) - float(np.min(vertices @ grad))
+
+
+def max_ratio_blocks(rates, gains, rtol=1e-12):
+    """Successive max-ratio blocks of the gain-weighted fair base, by
+    enumerating every subset, in units of the noise power.
+
+    With ``c`` the sum power over the gain sum, block k maximizes
+    ``(f_k(A) - c|A|) / sum_A 1/g_i`` over the nonempty subsets ``A`` of
+    the positive-rate nodes not yet placed, where ``f_k(A) = F(placed + A)
+    - F(placed)`` and ``F`` is the rank of a rate sum.  Sets within
+    ``rtol * sum_power * max(gains)`` of the largest ratio tie, and the
+    block is their union (the largest maximizer), which must tie as well.
+    Returns ``[(frozenset of nodes, ratio), ...]``; zero-rate nodes belong
+    to no block.
+    """
+    r = np.asarray(rates, dtype=float)
+    g = np.asarray(gains, dtype=float)
+    total = rank_of(float(r.sum()))
+    c = total / float(g.sum())
+    tol = rtol * total * float(g.max())
+    remaining = [i for i in range(r.size) if r[i] > 0.0]
+    placed = 0.0
+    blocks = []
+    while remaining:
+        scored = []
+        for size in range(1, len(remaining) + 1):
+            for subset in itertools.combinations(remaining, size):
+                f = rank_of(placed + float(r[list(subset)].sum())) \
+                    - rank_of(placed)
+                w = float((1.0 / g[list(subset)]).sum())
+                scored.append(((f - c * size) / w, subset))
+        best = max(ratio for ratio, _ in scored)
+        block = frozenset().union(*(subset for ratio, subset in scored
+                                    if ratio >= best - tol))
+        ratio = next(q for q, subset in scored
+                     if frozenset(subset) == block)
+        assert ratio >= best - tol, "the tied maximizers' union is not one"
+        blocks.append((block, ratio))
+        placed += float(r[sorted(block)].sum())
+        remaining = [i for i in remaining if i not in block]
+    return blocks
+
+
+def restart_weighted_levels(r, gains, total):
+    """The max-ratio blocks with every block's Dinkelbach iteration
+    restarted from the whole remaining set, each step summing its prefix
+    anew and re-sorting every remaining node.
+
+    The reference for ``minmax._weighted_levels``, which starts each block
+    from the previous block's sort; same arguments and returns.
+    """
+    c = total / float(gains.sum())
+    inv_g = 1.0 / gains
+    base = np.zeros(r.size)
+    remaining = np.flatnonzero(r > 0.0)
+    chain: list[int] = []
+    ends = [0]
+    placed = 0.0
+    while remaining.size:
+        scale = float(np.exp2(2.0 * placed))
+        rr, w = r[remaining], inv_g[remaining]
+        seq, k, lam = np.arange(rr.size), rr.size, -np.inf
+        while True:  # Dinkelbach, from the whole remaining set
+            rank = scale * math.expm1(2.0 * LN2 * float(rr[seq[:k]].sum()))
+            ratio = (rank - c * k) / float(w[seq[:k]].sum())
+            if not ratio > lam:
+                break
+            lam, take = ratio, seq[:k]
+            a = c + lam * w
+            key = np.divide(rr, a, out=np.full(a.size, np.inf), where=a > 0.0)
+            seq = np.argsort(-key, kind="stable")
+            gain = (scale * np.expm1((2.0 * LN2) * np.cumsum(rr[seq]))
+                    - np.cumsum(a[seq]))
+            k = int(np.argmax(gain)) + 1
+        block = remaining[take]
+        base[block] = c + lam * inv_g[block]
+        chain.extend(block.tolist())
+        ends.append(len(chain))
+        placed += float(rr[take].sum())
+        remaining = np.delete(remaining, take)
+    chain.extend(np.flatnonzero(r == 0.0).tolist())
+    ends.extend(range(ends[-1] + 1, r.size + 1))
+    return base, np.asarray(chain, dtype=np.intp), ends
 
 
 def simulate_with_schedules(config, strategy):

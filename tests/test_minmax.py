@@ -252,18 +252,20 @@ def test_time_sharing_invariants_large_n(n):
 
 
 def test_weighted_large_instance_with_zero_rates():
-    # Two n = 200 instances with zero rates.  On the first, Wolfe's method
-    # over the whole ground set did not converge in 10,000 major cycles; on
-    # the second, Wolfe's method run block by block took 2217 major cycles,
-    # against 142 splits of the walk.
+    # Weighted instances with zero rates, among them two named n = 200 ones.
+    # On the first, Wolfe's method over the whole ground set did not
+    # converge in 10,000 major cycles; on the second, Wolfe's method run
+    # block by block took 2217 major cycles, against 142 splits of the walk.
+    instances = []
     rng = np.random.default_rng(7)
     for n in (8, 20, 50, 200):
         for _ in range(30 if n < 200 else 3):
             rates = rng.uniform(0.0, 4.0 / n, n)
             rates[rng.random(n) < 0.1] = 0.0
             gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+            instances.append((rates, gains))
+    assert len(instances) == 93
     assert np.count_nonzero(rates == 0.0) == 21
-    instances = [(rates, gains)]
     rng = np.random.default_rng(12)
     rates = (4.0 / 200) * (1.0 - rng.random(200))
     rates[rng.random(200) < 0.1] = 0.0
@@ -271,6 +273,7 @@ def test_weighted_large_instance_with_zero_rates():
     assert np.count_nonzero(rates == 0.0) == 15
     instances.append((rates, gains))
     for rates, gains in instances:
+        n = rates.size
         noise = NoiseModel(NoiseModel.from_db(-30.0).sigma_sq, gains=gains)
         sol = solve(rates, noise)
         total = sum_power(rates, noise)
@@ -278,7 +281,90 @@ def test_weighted_large_instance_with_zero_rates():
             <= 1e-12 * total
         assert greedy_gap(sol, rates, noise) <= 1e-12 * total * total
         assert np.all(sol.transmit[rates == 0.0] == 0.0)
-        assert len(sol.coefficients) <= 200 and sol.iterations <= 199
+        assert len(sol.coefficients) <= n and sol.iterations <= n - 1
+
+
+def _spread_rates(rng, n):
+    """Rates log-uniform on [0.003, 0.3]: several blocks at n <= 10."""
+    return 0.3 * np.exp(rng.uniform(np.log(0.01), 0.0, n))
+
+
+def _tied_weighted(rng):
+    """Rates and gains at n <= 10 with exact ties: a pair tied in both, a
+    node tied with another in rate only and one in gain only."""
+    n = int(rng.integers(4, 11))
+    rates = _spread_rates(rng, n)
+    gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+    a, b, d, e = rng.permutation(n)[:4]
+    rates[b], gains[b] = rates[a], gains[a]
+    rates[d] = rates[a]
+    gains[e] = gains[a]
+    return rates, gains
+
+
+def _zero_rate_weighted(rng):
+    n = int(rng.integers(2, 11))
+    rates = _spread_rates(rng, n)
+    rates[rng.random(n) < 0.3] = 0.0
+    return rates, np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+
+
+def _spread_weighted(rng):
+    n = int(rng.integers(2, 11))
+    return (_spread_rates(rng, n),
+            np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n)))
+
+
+@pytest.mark.parametrize("draw", [_tied_weighted, _zero_rate_weighted,
+                                  _spread_weighted])
+def test_weighted_levels_are_max_ratio_blocks(draw):
+    # Every block is the largest set of the best ratio over all subsets of
+    # the nodes left, and its nodes sit at c + lam/g_i.
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        rates, gains = draw(rng)
+        total = oracles.rank_of(float(rates.sum()))
+        c = total / float(gains.sum())
+        base, chain, ends = minmax._weighted_levels(rates, gains, total)
+        blocks = [frozenset(chain[lo:hi].tolist())
+                  for lo, hi in zip(ends[:-1], ends[1:])]
+        expected = oracles.max_ratio_blocks(rates, gains)
+        assert blocks[:len(expected)] == [block for block, _ in expected]
+        for block, lam in expected:
+            nodes = sorted(block)
+            assert np.allclose(base[nodes], c + lam / gains[nodes],
+                               rtol=0.0, atol=1e-12 * total)
+        zero = np.flatnonzero(rates == 0.0)
+        assert blocks[len(expected):] == [frozenset([i]) for i in zero]
+        assert np.all(base[zero] == 0.0)
+
+
+def test_weighted_levels_match_the_restart_form():
+    # The warm-started blocks are those of Dinkelbach's iteration restarted
+    # from the whole remaining set, on the weighted half of the solve-large
+    # benchmark recipe (seeds 0-2) and on n = 200 instances with zero rates.
+    instances = []
+    for seed in range(3):
+        for i in range(1, 300, 2):
+            rng = np.random.default_rng([seed, i])
+            rates = (4.0 / 50) * (1.0 - rng.random(50))
+            gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 50))
+            instances.append((rates, gains))
+    for seed in range(30):
+        rng = np.random.default_rng([200, seed])
+        rates = (4.0 / 200) * (1.0 - rng.random(200))
+        rates[rng.random(200) < 0.1] = 0.0
+        gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
+        instances.append((rates, gains))
+    for rates, gains in instances:
+        total = float(minmax._prefix_ranks(rates, 1.0)[1][-1])
+        base, chain, ends = minmax._weighted_levels(rates, gains, total)
+        ref_base, ref_chain, ref_ends = oracles.restart_weighted_levels(
+            rates, gains, total)
+        assert ends == ref_ends
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            assert set(chain[lo:hi].tolist()) == set(ref_chain[lo:hi].tolist())
+        assert np.max(np.abs(base - ref_base)) <= 1e-15 * total
 
 
 def _random_block(rng, side, mixed=None):
@@ -323,7 +409,8 @@ def test_walk_step_meets_a_suffix_first(side):
         assert min(ratios[m] for m in suffixes) == pytest.approx(best,
                                                                  rel=1e-9)
         split = BLOCKS[side](w[sort]).split(0, n, s)
-        b, k = minmax._breakpoint(*split, x[sort], 1.0)
+        mass = np.concatenate(([0.0], np.cumsum(x[sort])))
+        b, k = minmax._breakpoint(*split, mass, 1.0)
         assert b == pytest.approx(1.0 / (1.0 + best), rel=1e-9)
         assert ratios[suffixes[k - 1]] == pytest.approx(best, rel=1e-9)
 
