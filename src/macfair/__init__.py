@@ -17,21 +17,14 @@ from .polymatroid import (
     capacity_chain,
     capacity_rank,
     chain_received,
-    check_rank_modularity,
-    contains,
     dep,
     distinct_levels,
-    greedy_linear_max_rates,
     greedy_linear_min,
     is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
     is_minmax,
-    lex_leq,
     power_rank,
-    sat,
-    sort_desc,
-    subset_sum,
     sum_power,
     vertex,
 )

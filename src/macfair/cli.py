@@ -1,15 +1,13 @@
-"""Command-line surface: solve single instances, emit schedules, run the
-lifetime simulation, and verify the library's invariants.
+"""Command-line surface: solve single instances, emit schedules and run the
+lifetime simulation.
 
 Commands
 --------
 ``solve``     print the min-max fair power allocation for one rate vector
 ``schedule``  write a per-epoch schedule CSV and print its energy report
 ``simulate``  run the Monte Carlo comparison and write fig4/fig5/fig6 CSVs
-``verify``    run the randomized property suites
 
-Exit codes: 0 success, 1 usage or parse error, 2 solver failure,
-3 verification failure.
+Exit codes: 0 success, 1 usage or parse error, 2 solver failure.
 
 Wire formats
 ------------
@@ -36,17 +34,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lifetime, minmax, scheduling, verify
+from . import lifetime, minmax, scheduling
 from .minmax import SolverFailureError
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, Epoch, Schedule, STRATEGIES
+from .scheduling import Backlog, Schedule, STRATEGIES
 
 SEED_ENV_VAR = "MACFAIR_SEED"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
-EXIT_VERIFY = 3
 
 
 class UsageError(Exception):
@@ -67,16 +64,6 @@ def fmt(x: float) -> str:
 
 def order_to_wire(order) -> str:
     return ">".join(str(int(i) + 1) for i in order)
-
-
-def wire_to_order(text: str, n: int) -> tuple[int, ...]:
-    try:
-        order = tuple(int(tok) - 1 for tok in text.split(">"))
-    except ValueError as exc:
-        raise UsageError(f"bad decode order {text!r}") from exc
-    if sorted(order) != list(range(n)):
-        raise UsageError(f"decode order {text!r} is not a permutation of 1..{n}")
-    return order
 
 
 def _parse_floats(text: str, flag: str) -> np.ndarray:
@@ -150,23 +137,6 @@ def schedule_rows(schedule: Schedule) -> list[list[str]]:
 def write_schedule_csv(schedule: Schedule, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerows(schedule_rows(schedule))
-
-
-def read_schedule_csv(path, kind: str, period: float) -> Schedule:
-    """Re-parse a schedule CSV back into a validated Schedule."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header = rows[0]
-    n = sum(1 for name in header if name.startswith("power_"))
-    epochs = []
-    for row in rows[1:]:
-        fraction = float(row[0])
-        order = wire_to_order(row[1], n)
-        powers = np.array([float(x) for x in row[2:2 + n]])
-        rates = np.array([float(x) for x in row[2 + n:2 + 2 * n]])
-        epochs.append(Epoch(duration_fraction=fraction, powers=powers,
-                            rates=rates, decode_order=order))
-    return Schedule(kind=kind, epochs=tuple(epochs), period=period)
 
 
 def cmd_schedule(args) -> int:
@@ -315,21 +285,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    results = verify.run_all(args.n, args.instances, args.seed)
-    failed = False
-    for res in results:
-        if not res.ran:
-            print(f"suite {res.name}: {res.message}")
-        elif res.passed:
-            print(f"suite {res.name}: ok ({res.checks} checks)")
-        else:
-            failed = True
-            print(f"suite {res.name}: FAILED after {res.checks} checks")
-            print(f"  counterexample: {res.message}")
-    return EXIT_VERIFY if failed else EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="macfair",
                      description="Min-max fair multi-access power scheduling")
@@ -366,12 +321,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", default=None,
                    help="override the config's out_dir")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

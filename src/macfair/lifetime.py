@@ -43,7 +43,7 @@ built only by :func:`simulate_lifetime`.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -443,7 +443,13 @@ def compare_sweep(config: SimConfig,
     ``lams`` (each bound once), keyed by bound, from one engine pass.
 
     Every table equals ``compare_strategies(replace(config, lam=lam))``; the
-    bound of ``config`` itself is simulated only if it is in ``lams``.
+    bound of ``config`` itself is simulated only if it is in ``lams``.  Every
+    bound is checked as that ``replace`` checks it before anything is
+    simulated; no bounds give no tables.
     """
     bounds = list(dict.fromkeys(float(lam) for lam in lams))
+    for lam in bounds:
+        replace(config, lam=lam)
+    if not bounds:
+        return {}
     return dict(zip(bounds, _tabulate(config, _simulate(config, bounds))))

@@ -10,10 +10,10 @@ point (vertex) of either region is realized by one successive-decoding order,
 so any point of the dominant face can be scheduled by time sharing among
 decoding orders.
 
-This module implements the two rank functions, exhaustive subset-constraint
-membership, vertex construction along decoding chains, Edmonds-style greedy
-linear optimization, and the saturated-set / dependent-set machinery that
-certifies lexicographic (min-max fair) optimality of a base.
+This module implements the two rank functions, the exhaustive base test,
+vertex construction along decoding chains, Edmonds-style greedy linear
+minimization, and the tight-set / dependent-set machinery that certifies
+lexicographic (min-max fair) optimality of a base.
 
 Conventions
 -----------
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -47,8 +47,7 @@ LEVEL_RTOL = 1e-6
 # Hard caps on exhaustive enumeration.  Exceeding a cap raises
 # EnumerationLimitError; there is never a silent approximate fallback.
 MEMBERSHIP_MAX_N = 20   # 2^n subset constraints
-TIGHT_SET_MAX_N = 16    # 2^n tight-set enumeration (sat/dep)
-MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
+TIGHT_SET_MAX_N = 16    # 2^n tight-set enumeration (dep, capacity tight sets)
 LEX_CHECK_MAX_N = 12    # dependent-set checks per fairness level
 PERTURB_MAX_N = 8       # pairwise transfer probing
 
@@ -158,13 +157,6 @@ def _tight_tol(rank_value: float) -> float:
     return TIGHT_RTOL * (1.0 + abs(rank_value))
 
 
-def subset_sum(values, members) -> float:
-    """Sum of the vector entries indexed by ``members`` (0 for the empty set)."""
-    x = _as_vector(values, "values", nonneg=False)
-    idx = _as_subset(members, x.size)
-    return float(x[idx].sum())
-
-
 def power_rank(rates, noise: NoiseModel, members) -> float:
     """Minimum aggregate received power a node subset needs at the given rates.
 
@@ -268,13 +260,6 @@ class _RankTable:
         return [int(m) for m in np.nonzero(tight)[0]]
 
 
-def contains(powers, rates, noise: NoiseModel) -> bool:
-    """Whether the transmit powers satisfy all 2^n received-power constraints."""
-    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
-                       MEMBERSHIP_MAX_N, "membership test")
-    return table.is_member(table.q)
-
-
 def _base_table(p: np.ndarray, rates, noise: NoiseModel) -> _RankTable:
     """Rank table of a base; raises ``NotABaseError`` when ``p`` is not one."""
     total = sum_power(rates, noise)
@@ -295,47 +280,6 @@ def is_base(powers, rates, noise: NoiseModel) -> bool:
         _base_table(_as_vector(powers, "powers"), rates, noise)
     except NotABaseError:
         return False
-    return True
-
-
-def check_rank_modularity(rank_fn: Callable[[frozenset], float], n: int,
-                          mode: str = "super") -> bool:
-    """Exhaustively check that a set function is a valid (contra-)polymatroid rank.
-
-    Verifies ``rank({}) == 0``, monotonicity under inclusion, and the
-    sub/supermodular exchange inequality over all subset pairs, within
-    relative tolerance ``TIGHT_RTOL``.
-    """
-    if mode not in ("sub", "super"):
-        raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
-    if n > MODULARITY_MAX_N:
-        raise EnumerationLimitError(
-            f"modularity check enumerates all subset pairs and is capped at "
-            f"n <= {MODULARITY_MAX_N}; got n = {n}"
-        )
-    size = 1 << n
-    bits = _subset_bits(n)
-    values = np.array(
-        [rank_fn(frozenset(np.nonzero(bits[m])[0].tolist())) for m in range(size)]
-    )
-    tol = TIGHT_RTOL * (1.0 + np.abs(values))
-    if abs(values[0]) > tol[0]:
-        return False
-    # Monotonicity: adding one element never decreases the rank.
-    for i in range(n):
-        without = np.nonzero(~bits[:, i])[0]
-        with_i = without | (1 << i)
-        if np.any(values[without] > values[with_i] + tol[with_i]):
-            return False
-    masks = np.arange(size, dtype=np.intp)
-    for a in range(size):
-        union = masks | a
-        inter = masks & a
-        lhs = values[a] + values
-        rhs = values[union] + values[inter]
-        margin = lhs - rhs if mode == "sub" else rhs - lhs
-        if np.any(margin < -(tol[union] + tol[inter])):
-            return False
     return True
 
 
@@ -369,56 +313,14 @@ def capacity_chain(powers, noise: NoiseModel, order) -> np.ndarray:
     return out
 
 
-def greedy_linear_max_rates(lam, powers, noise: NoiseModel) -> tuple[tuple[int, ...], np.ndarray]:
-    """Maximize ``lam . R`` over the capacity region by the greedy rule.
-
-    The node with the largest coefficient is decoded last (first on the
-    chain), where it sees no interference and gets its single-user capacity.
-    """
-    w = _as_vector(lam, "lam", nonneg=False)
-    p = _as_vector(powers, "powers")
-    if w.size != p.size:
-        raise ValueError("lam and powers must have the same length")
-    pi = tuple(int(i) for i in np.argsort(-w, kind="stable"))
-    return pi, capacity_chain(p, noise, pi)
-
-
 def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-def _tight_point(powers, rates, noise: NoiseModel
-                 ) -> tuple[np.ndarray, list[int]]:
-    """Received powers of a feasible point and the bitmasks of its tight
-    sets."""
-    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
-                       TIGHT_SET_MAX_N, "tight-set enumeration")
-    if not table.is_member(table.q):
-        raise NotAMemberError("the point violates a subset power constraint")
-    return table.q, table.tight_masks()
 
 
 def _minimal_tight(tight: list[int], i: int) -> int:
     """Intersection of the tight sets that contain node ``i``; 0 if none."""
     containing = [m for m in tight if (m >> i) & 1]
     return functools.reduce(operator.and_, containing) if containing else 0
-
-
-def sat(powers, rates, noise: NoiseModel) -> frozenset[int]:
-    """Saturated set: the union of all tight subsets at the given point.
-
-    The union of tight sets is itself tight (tight sets form a lattice), so
-    the result is the unique maximal tight set.  Empty for interior points;
-    the full ground set for any base.
-    """
-    q, tight = _tight_point(powers, rates, noise)
-    union = functools.reduce(operator.or_, tight, 0)
-    members = _mask_to_set(union)
-    if union:
-        top = power_rank(rates, noise, members)
-        assert abs(subset_sum(q, members) - top) <= _tight_tol(top), \
-            "union of tight sets is not tight"
-    return members
 
 
 def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
@@ -428,7 +330,11 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     ``i`` is not saturated (its power can be decreased without leaving the
     region).
     """
-    q, tight = _tight_point(powers, rates, noise)
+    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
+                       TIGHT_SET_MAX_N, "tight-set enumeration")
+    if not table.is_member(table.q):
+        raise NotAMemberError("the point violates a subset power constraint")
+    q, tight = table.q, table.tight_masks()
     if not 0 <= int(i) < q.size:
         raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
     members = _mask_to_set(_minimal_tight(tight, int(i)))
@@ -436,30 +342,9 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
         return members
     assert int(i) in members, "dependent set lost its own node"
     bottom = power_rank(rates, noise, members)
-    assert abs(subset_sum(q, members) - bottom) <= _tight_tol(bottom), \
+    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(bottom), \
         "intersection of tight sets is not tight"
     return members
-
-
-def sort_desc(values) -> np.ndarray:
-    """The entries of a vector in non-increasing order."""
-    x = _as_vector(values, "values", nonneg=False)
-    return np.sort(x)[::-1]
-
-
-def lex_leq(x, y) -> bool:
-    """Lexicographic order on raw vectors: equal, or smaller at the first
-    differing position.  Compose with :func:`sort_desc` for fairness
-    comparisons of allocation vectors."""
-    a = _as_vector(x, "x", nonneg=False)
-    b = _as_vector(y, "y", nonneg=False)
-    if a.size != b.size:
-        raise ValueError("vectors must have the same length")
-    diff = np.nonzero(a != b)[0]
-    if diff.size == 0:
-        return True
-    k = diff[0]
-    return bool(a[k] < b[k])
 
 
 def distinct_levels(values) -> list[np.ndarray]:

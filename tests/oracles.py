@@ -2,9 +2,11 @@
 
 Everything here recomputes expected results from first principles (direct
 formulas, exhaustive enumeration, fine grid searches) without going through
-the solver code paths it is used to check.
+the solver code paths it is used to check.  It also reads schedule CSVs
+back, so that the tests can check what the CLI wrote.
 """
 
+import csv
 import itertools
 import math
 
@@ -14,7 +16,10 @@ from macfair import (
     STRATEGIES,
     Backlog,
     ComparisonTable,
+    EnumerationLimitError,
+    Epoch,
     RunResult,
+    Schedule,
     StrategyStats,
     build_schedule,
     energy_report,
@@ -22,7 +27,9 @@ from macfair import (
     period_energies,
 )
 from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
-from macfair.polymatroid import LN2
+from macfair.polymatroid import LN2, TIGHT_RTOL, _subset_bits
+
+MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -112,6 +119,46 @@ def subset_ranks(values, rank):
     n = values.size
     return np.array([rank(sum(values[i] for i in range(n) if mask >> i & 1))
                      for mask in range(2 ** n)])
+
+
+def check_rank_modularity(rank_fn, n, mode="super"):
+    """Exhaustively check that a set function is a valid (contra-)polymatroid rank.
+
+    Verifies ``rank({}) == 0``, monotonicity under inclusion, and the
+    sub/supermodular exchange inequality over all subset pairs, within
+    relative tolerance ``TIGHT_RTOL``.
+    """
+    if mode not in ("sub", "super"):
+        raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
+    if n > MODULARITY_MAX_N:
+        raise EnumerationLimitError(
+            f"modularity check enumerates all subset pairs and is capped at "
+            f"n <= {MODULARITY_MAX_N}; got n = {n}"
+        )
+    size = 1 << n
+    bits = _subset_bits(n)
+    values = np.array(
+        [rank_fn(frozenset(np.nonzero(bits[m])[0].tolist())) for m in range(size)]
+    )
+    tol = TIGHT_RTOL * (1.0 + np.abs(values))
+    if abs(values[0]) > tol[0]:
+        return False
+    # Monotonicity: adding one element never decreases the rank.
+    for i in range(n):
+        without = np.nonzero(~bits[:, i])[0]
+        with_i = without | (1 << i)
+        if np.any(values[without] > values[with_i] + tol[with_i]):
+            return False
+    masks = np.arange(size, dtype=np.intp)
+    for a in range(size):
+        union = masks | a
+        inter = masks & a
+        lhs = values[a] + values
+        rhs = values[union] + values[inter]
+        margin = lhs - rhs if mode == "sub" else rhs - lhs
+        if np.any(margin < -(tol[union] + tol[inter])):
+            return False
+    return True
 
 
 def walk_ratios(x, v, ranks):
@@ -461,3 +508,31 @@ def tabulate(config, simulated):
         )
     return ComparisonTable(stats=stats, lifetimes=lifetimes, seed=config.seed,
                            runs=config.runs)
+
+
+def wire_to_order(text, n):
+    """A ``>``-joined 1-based decode order as 0-based node indices."""
+    try:
+        order = tuple(int(tok) - 1 for tok in text.split(">"))
+    except ValueError as exc:
+        raise ValueError(f"bad decode order {text!r}") from exc
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"decode order {text!r} is not a permutation of 1..{n}")
+    return order
+
+
+def read_schedule_csv(path, kind, period):
+    """Re-parse a schedule CSV back into a validated Schedule."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    n = sum(1 for name in header if name.startswith("power_"))
+    epochs = []
+    for row in rows[1:]:
+        fraction = float(row[0])
+        order = wire_to_order(row[1], n)
+        powers = np.array([float(x) for x in row[2:2 + n]])
+        rates = np.array([float(x) for x in row[2 + n:2 + 2 * n]])
+        epochs.append(Epoch(duration_fraction=fraction, powers=powers,
+                            rates=rates, decode_order=order))
+    return Schedule(kind=kind, epochs=tuple(epochs), period=period)

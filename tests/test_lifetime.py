@@ -379,6 +379,26 @@ def test_compare_sweep_equals_compare_strategies_per_lambda():
             assert np.array_equal(table.lifetimes[s], solo.lifetimes[s])
 
 
+@pytest.mark.parametrize("lams", [
+    [0.0], [0.6, -1.0], [np.inf], [0.6, np.nan], [100.0], [],
+], ids=["zero", "negative", "inf", "nan", "overflow", "none"])
+def test_compare_sweep_checks_every_bound_first(monkeypatch, lams):
+    # Unchecked, a zero bound simulates every run to the period cap with a
+    # NaN TDMA peak, a negative one fails in numpy, and no bounds at all
+    # fail to unpack.  A bad bound after a good one is still caught before
+    # anything is simulated.
+    def no_simulation(*args):
+        raise AssertionError("simulated before every bound was checked")
+
+    monkeypatch.setattr(lifetime, "_simulate", no_simulation)
+    cfg = paper_config(runs=2)
+    if not lams:
+        assert compare_sweep(cfg, lams) == {}
+        return
+    with pytest.raises(ValueError, match="lam"):
+        compare_sweep(cfg, lams)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(runs=5), dict(runs=5, initial_energy=0.0),
     dict(runs=4, initial_energy=1e3, period_cap=300),

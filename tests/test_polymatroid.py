@@ -14,19 +14,12 @@ from macfair import (
     NotAMemberError,
     capacity_rank,
     chain_received,
-    check_rank_modularity,
-    contains,
     dep,
-    greedy_linear_max_rates,
     greedy_linear_min,
     is_base,
     is_lex_optimal_base,
     is_minmax,
-    lex_leq,
     power_rank,
-    sat,
-    sort_desc,
-    subset_sum,
     sum_power,
     vertex,
 )
@@ -36,21 +29,12 @@ UNIT = NoiseModel(1.0)
 RHO2_19 = 2.0 ** 3.8 - 1.0  # singleton rank at rate 1.9
 
 
-def test_subset_sum_examples():
-    assert subset_sum([3.0, 12.0], [0, 1]) == 15.0
-    assert subset_sum([3.0, 12.0], []) == 0.0
-    assert subset_sum([0.149, 13.851], [1]) == 13.851
-
-
-def test_subset_sum_rejects_out_of_range():
-    with pytest.raises(InvalidSubsetError):
-        subset_sum([1.0, 2.0], [2])
-
-
 def test_power_rank_examples():
     assert power_rank([1, 1], UNIT, [0]) == pytest.approx(3.0, rel=1e-12)
     assert power_rank([1, 1], UNIT, [0, 1]) == pytest.approx(15.0, rel=1e-12)
     assert power_rank([1, 1], UNIT, []) == 0.0
+    with pytest.raises(InvalidSubsetError):
+        power_rank([1, 1], UNIT, [2])
 
 
 def test_capacity_rank_examples():
@@ -66,12 +50,12 @@ def test_capacity_rank_uses_gains():
 
 
 def test_modularity_check():
-    assert check_rank_modularity(
+    assert oracles.check_rank_modularity(
         lambda A: power_rank([1, 1, 0.5], UNIT, A), 3, "super")
-    assert check_rank_modularity(
+    assert oracles.check_rank_modularity(
         lambda A: capacity_rank([1, 2, 3], UNIT, A), 3, "sub")
     # 3 + 3 < 15: the power rank fails the submodular direction
-    assert not check_rank_modularity(
+    assert not oracles.check_rank_modularity(
         lambda A: power_rank([1, 1], UNIT, A), 2, "sub")
 
 
@@ -82,34 +66,27 @@ def test_modularity_random_instances():
         rates = rng.uniform(0.0, 2.0, n)
         powers = rng.uniform(0.0, 8.0, n)
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        assert check_rank_modularity(
+        assert oracles.check_rank_modularity(
             lambda A: power_rank(rates, noise, A), n, "super")
-        assert check_rank_modularity(
+        assert oracles.check_rank_modularity(
             lambda A: capacity_rank(powers, noise, A), n, "sub")
 
 
 def test_modularity_limit():
     with pytest.raises(EnumerationLimitError):
-        check_rank_modularity(lambda A: 0.0, 13, "super")
-
-
-def test_contains_examples():
-    assert contains([7.5, 7.5], [0.5, 1.5], UNIT)
-    assert not contains([7.5, 7.5], [0.1, 1.9], UNIT)
-    assert contains([0.0, 0.0], [0.0, 0.0], UNIT)
-
-
-def test_contains_weights_received_power():
-    noise = NoiseModel(1.0, gains=[4.0, 1.0])
-    # transmit (1.875, 7.5) -> received (7.5, 7.5)
-    assert contains([1.875, 7.5], [0.5, 1.5], noise)
-    assert not contains([1.875, 7.5], [0.5, 1.5], UNIT)
+        oracles.check_rank_modularity(lambda A: 0.0, 13, "super")
 
 
 def test_is_base_examples():
     assert is_base([3, 12], [1, 1], UNIT)
     assert not is_base([4, 12], [1, 1], UNIT)
     assert is_base([7.5, 7.5], [1, 1], UNIT)
+    assert is_base([0.0, 0.0], [0.0, 0.0], UNIT)
+    # on the full-set face, but below node 1's own rank 2^3.8 - 1
+    assert not is_base([7.5, 7.5], [0.1, 1.9], UNIT)
+    # transmit (1.875, 7.5) is received (7.5, 7.5) with gains (4, 1)
+    assert is_base([1.875, 7.5], [0.5, 1.5], NoiseModel(1.0, gains=[4.0, 1.0]))
+    assert not is_base([1.875, 7.5], [0.5, 1.5], UNIT)
 
 
 def test_vertex_examples():
@@ -195,61 +172,18 @@ def test_greedy_linear_min_matches_brute_force():
         assert greedy_obj == pytest.approx(brute, rel=1e-12, abs=1e-300)
 
 
-def test_greedy_linear_max_rates_examples():
-    _, rates = greedy_linear_max_rates([1, 1], [1, 1], UNIT)
-    assert rates.sum() == pytest.approx(0.5 * np.log2(3.0), rel=1e-12)
-
-    order, rates = greedy_linear_max_rates([2, 1], [1, 1], UNIT)
-    assert order == (0, 1)  # node 0 first on the chain = decoded last
-    assert rates[0] == pytest.approx(0.5, rel=1e-12)
-    assert rates[1] == pytest.approx(0.5 * np.log2(3.0) - 0.5, rel=1e-12)
-
-    _, rates = greedy_linear_max_rates([1, 1], [0, 0], UNIT)
-    assert np.all(rates == 0.0)
-
-
-def test_greedy_linear_max_rates_matches_brute_force():
-    rng = np.random.default_rng(29)
-    for _ in range(60):
-        n = int(rng.integers(2, 5))
-        powers = rng.uniform(0.0, 8.0, n)
-        lam = rng.uniform(0.05, 5.0, n)
-        _, best = greedy_linear_max_rates(lam, powers, UNIT)
-        objective = float(lam @ best)
-        for order in itertools.permutations(range(n)):
-            cum = 0.0
-            prev = 0.0
-            rates = np.zeros(n)
-            for i in order:
-                cum += powers[i]
-                cur = oracles.capacity_of(cum, 1.0)
-                rates[i] = cur - prev
-                prev = cur
-            assert objective >= float(lam @ rates) - 1e-10 * (1 + abs(objective))
-
-
-def test_sat_examples():
-    assert sat([8, 7], [0.5, 1.5], UNIT) == {0, 1}
-    assert sat([9, 8], [0.5, 1.5], UNIT) == frozenset()
-    # any base saturates the whole ground set
-    assert sat([7.5, 7.5], [0.5, 1.5], UNIT) == {0, 1}
-    assert sat([1, 14], [0.5, 1.5], UNIT) == {0, 1}
-
-
-def test_sat_rejects_infeasible():
-    with pytest.raises(NotAMemberError):
-        sat([1, 1], [1, 1], UNIT)
-
-
 def test_dep_examples():
     assert dep([8, 7], 1, [0.5, 1.5], UNIT) == {1}
     assert dep([8, 7], 0, [0.5, 1.5], UNIT) == {0, 1}
     assert dep([9, 8], 0, [0.5, 1.5], UNIT) == frozenset()
     assert dep([9, 8], 1, [0.5, 1.5], UNIT) == frozenset()
+    with pytest.raises(NotAMemberError):
+        dep([1, 1], 0, [1, 1], UNIT)
 
 
 def test_sat_dep_lattice_properties():
-    """sat is the maximal tight set; dep(i) the minimal one containing i."""
+    """The saturated set, the union of all tight sets, is tight; dep(i) is
+    the minimal tight set containing i, and empty for an unsaturated i."""
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = int(rng.integers(2, 6))
@@ -268,9 +202,7 @@ def test_sat_dep_lattice_properties():
             rank = power_rank(rates, noise, members)
             if abs(q[members].sum() - rank) <= 1e-9 * (1.0 + rank):
                 tight_sets.append(frozenset(members))
-        s = sat(point, rates, noise)
-        for t in tight_sets:
-            assert t <= s
+        s = frozenset().union(*tight_sets)
         if s:
             assert s in tight_sets
         for i in range(n):
@@ -282,29 +214,6 @@ def test_sat_dep_lattice_properties():
                 assert i in d and d in tight_sets
                 for t in containing:
                     assert d <= t
-
-
-def test_sort_desc_and_lex_leq():
-    assert np.array_equal(sort_desc([3, 12]), [12, 3])
-    assert np.array_equal(sort_desc([7.5, 7.5]), [7.5, 7.5])
-    assert np.array_equal(sort_desc([2.071, 12.929, 0.1]), [12.929, 2.071, 0.1])
-
-    assert lex_leq([12.929, 2.071], [13.851, 0.149])
-    assert lex_leq([7.5, 7.5], [7.5, 7.5])
-    assert not lex_leq([13.851, 0.149], [12.929, 2.071])
-    with pytest.raises(ValueError):
-        lex_leq([1.0], [1.0, 2.0])
-
-
-def test_lex_leq_sorted_is_total_preorder():
-    rng = np.random.default_rng(37)
-    for _ in range(60):
-        n = int(rng.integers(1, 6))
-        x, y, z = (sort_desc(rng.uniform(0, 10, n)) for _ in range(3))
-        assert lex_leq(x, x)
-        assert lex_leq(x, y) or lex_leq(y, x)
-        if lex_leq(x, y) and lex_leq(y, z):
-            assert lex_leq(x, z)
 
 
 def test_is_lex_optimal_base_examples():
@@ -349,11 +258,13 @@ def test_is_minmax_rejects_non_base():
 def test_enumeration_caps():
     big = np.full(17, 0.1)
     with pytest.raises(EnumerationLimitError):
-        sat(big, big, NoiseModel(1.0))
+        dep(big, 0, big, NoiseModel(1.0))
     with pytest.raises(EnumerationLimitError):
         is_minmax(np.full(9, 1.0), np.full(9, 0.1), NoiseModel(1.0))
+    # The full-set sum of a vertex holds, so the 2^n membership test runs.
+    rates = np.full(21, 0.01)
     with pytest.raises(EnumerationLimitError):
-        contains(np.full(21, 1.0), np.full(21, 0.01), NoiseModel(1.0))
+        is_base(vertex(rates, UNIT, range(21)), rates, UNIT)
 
 
 def test_noise_db_past_the_largest_double_rejected():
