@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from macfair import Backlog, NoiseModel, period_energies, solve, sum_power
 
-# A fixed example sequence and no example database: the run is the same on
-# every machine and leaves no files behind.
+# A fixed example sequence and no example database, so every run on every
+# machine checks the same cases: no saved failure is replayed first.
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 
