@@ -26,6 +26,7 @@ from macfair import (
     period_backlog,
     period_energies,
 )
+from macfair import minmax
 from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
 from macfair.polymatroid import LN2, TIGHT_RTOL, _subset_bits
 
@@ -378,6 +379,67 @@ def restart_weighted_levels(r, gains, total):
     chain.extend(np.flatnonzero(r == 0.0).tolist())
     ends.extend(range(ends[-1] + 1, r.size + 1))
     return base, np.asarray(chain, dtype=np.intp), ends
+
+
+class _PiecePowerBlock:
+    """A power block that prices each piece from the prefix values ``E - 1``
+    alone, with no tables; as ``minmax._PowerBlock`` otherwise."""
+
+    def __init__(self, rates):
+        sums = np.zeros(rates.size + 1)
+        np.cumsum(rates, out=sums[1:])
+        self.em = np.expm1((2.0 * LN2) * sums)
+        self.inv = 1.0 / (1.0 + self.em)
+
+    def split(self, lo, hi, c):
+        em = self.em
+        ranks = c * (em[lo:hi + 1] - em[lo])
+        excess = ranks[1:-1] * ((em[hi] - em[lo + 1:hi]) * self.inv[lo + 1:hi])
+        return ranks, excess
+
+    def parts(self, lo, cut, hi, c):
+        inv = self.inv[cut]
+        return c * (1.0 + self.em[lo]) * inv, c * (1.0 + self.em[hi]) * inv
+
+
+def walk_reference(nodes, w, x, noise, region, at):
+    """The Carathéodory walk of one block, every piece priced by one array
+    pass over its prefixes: the reference for ``minmax._walk``, with the
+    same arguments and returns.
+
+    The power region's pieces are priced by ``_PiecePowerBlock``; the
+    capacity region's by ``minmax._CapacityBlock``, which the walk uses as
+    it is.  Every piece, two-node ones too, takes the breakpoint of largest
+    ratio over its splits.
+    """
+    if region is minmax._PowerBlock:
+        region = _PiecePowerBlock
+    sort = np.argsort(-x / w, kind="stable")
+    block = region(w[sort])
+    mass = np.zeros(nodes.size + 1)
+    np.cumsum(x[sort], out=mass[1:])
+    openings = []
+    pieces = [(0, nodes.size, at, noise, 1.0, mass)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while pieces:
+            lo, hi, start, p, scale, mass = pieces.pop()
+            ranks, excess = block.split(lo, hi, p)
+            ratio = (mass[1:-1] - scale * ranks[1:-1]) / excess
+            k = int(ratio.argmax())
+            b = min(float(ratio[k]), scale)
+            k += 1
+            if not b > 0.0:
+                continue
+            mass -= (scale - b) * ranks
+            cut = lo + k
+            suffix, prefix = block.parts(lo, cut, hi, p)
+            openings.append((b, start, hi - lo, k))
+            if hi - cut > 1:
+                pieces.append((cut, hi, start, suffix, b, mass[k:] - mass[k]))
+            if k > 1:
+                pieces.append((lo, cut, start + hi - cut, prefix, b,
+                               mass[:k + 1]))
+    return nodes[sort].tolist(), openings
 
 
 def simulate_with_schedules(config, strategy):

@@ -434,6 +434,134 @@ def test_block_walk_rebuilds_random_point(side, mixed):
         assert np.max(np.abs(rebuilt - x)) <= 1e-12 * np.abs(x).sum()
 
 
+def walked_by(walk, monkeypatch, fn, *args):
+    """``fn(*args)`` with every block walked by ``walk``, and what each
+    walk returned: its sorted nodes and its openings ``(b, start, size,
+    k)``."""
+    walks = []
+
+    def recording(*block):
+        walks.append(walk(*block))
+        return walks[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(minmax, "_walk", recording)
+        return fn(*args), walks
+
+
+def assert_walks_match_reference(monkeypatch, fn, *args):
+    """Openings of every block, and the rates or powers and coefficients of
+    ``fn``, bit for bit equal under ``minmax._walk`` and
+    ``oracles.walk_reference``."""
+    out, walks = walked_by(minmax._walk, monkeypatch, fn, *args)
+    ref, ref_walks = walked_by(oracles.walk_reference, monkeypatch, fn, *args)
+    assert walks == ref_walks
+    if isinstance(out, tuple):  # max_min_rates
+        assert out[0].tobytes() == ref[0].tobytes() and out[1] == ref[1]
+    else:
+        assert out.received.tobytes() == ref.received.tobytes()
+        assert out.coefficients == ref.coefficients
+    return len(walks)
+
+
+def test_walk_matches_the_reference_on_the_benchmark_recipes(monkeypatch):
+    # The solve-small and solve-large inputs of benchmarks/worker.py.
+    noise = NoiseModel.from_db(-30.0)
+    walks = 0
+    for seed in range(3):
+        for i in range(100):
+            rng = np.random.default_rng([seed, i])
+            n = 50
+            rates, large = (4.0 / n) * (1.0 - rng.random(n)), noise
+            if i % 2:
+                gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+                large = NoiseModel(noise.sigma_sq, gains=gains)
+            walks += assert_walks_match_reference(monkeypatch, solve, rates,
+                                                  large)
+            rng = np.random.default_rng([seed, i])
+            n = int(rng.integers(2, 8))
+            rates = 1.0 - rng.random(n)
+            if rng.random() < 0.125:
+                a, b = rng.choice(n, size=2, replace=False)
+                rates[b] = rates[a]
+            walks += assert_walks_match_reference(monkeypatch, solve, rates,
+                                                  noise)
+    assert walks > 600
+
+
+def test_walk_matches_the_reference_at_n_200(monkeypatch):
+    # Thirty draws of each random family of
+    # test_time_sharing_invariants_large_n; the equal-rate family has no
+    # draw, so it runs once.
+    n = 200
+    rng = np.random.default_rng([13, n])
+    sigma_sq = NoiseModel.from_db(-30.0).sigma_sq
+    plain = NoiseModel(sigma_sq)
+    assert_walks_match_reference(monkeypatch, solve, np.full(n, 2.0 / n),
+                                 plain)
+    for _ in range(30):
+        weighted = (4.0 / n) * (1.0 - rng.random(n))
+        weighted[rng.random(n) < 0.1] = 0.0
+        gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        for rates, noise in (
+                ((4.0 / n) * (1.0 - rng.random(n)), plain),
+                ((16.0 / n) * (1.0 - rng.random(n)), plain),
+                (weighted, NoiseModel(sigma_sq, gains=gains))):
+            assert assert_walks_match_reference(monkeypatch, solve, rates,
+                                                noise)
+
+
+def test_dual_walk_matches_the_reference(monkeypatch):
+    # The instances of acceptance criterion 10 and of
+    # test_max_min_rates_lex_optimal_and_rebuilt.
+    assert_walks_match_reference(monkeypatch, max_min_rates, [1.0, 1.0],
+                                 UNIT)
+    rng = np.random.default_rng(110)
+    for _ in range(50):
+        powers = rng.uniform(0.1, 8.0, int(rng.integers(2, 4)))
+        assert_walks_match_reference(monkeypatch, max_min_rates, powers, UNIT)
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        powers = rng.uniform(0.0, 8.0, int(rng.integers(2, 9)))
+        noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
+        assert_walks_match_reference(monkeypatch, max_min_rates, powers,
+                                     noise)
+
+
+def test_two_node_pieces_match_the_reference():
+    # A two-node piece takes its breakpoint in closed form.  Its ratio is
+    # NaN when ranks underflow to an excess of 0 with nothing to spare,
+    # +inf when only the excess rounds to 0, and capped at the piece's time
+    # above it.  Two-node blocks walk one such piece, three-node ones also
+    # a child piece that shares less time.
+    tiny = np.full(2, 1e-17)
+    t = 1e-300 * float(np.expm1(2.0 * np.log(2.0) * 1e-17))
+    blocks = [(tiny, np.array([t, t]), 1e-300),
+              (tiny, np.array([2.0 * t, 0.0]), 1e-300),
+              (np.ones(2), np.array([13.0, 2.0]), 1.0),
+              (np.ones(2), np.array([7.5, 7.5]), 1.0)]
+    rng = np.random.default_rng(79)
+    for _ in range(20):
+        w = rng.uniform(0.05, 1.5, 3)
+        s = float(rng.choice([1.0, 1e-3, 5.0]))
+        _, vertices = oracles.all_received_vertices(w, s)
+        blocks += [(w, x, s) for x in vertices[:2]]
+        blocks.append((w, rng.dirichlet(np.ones(6)) @ vertices, s))
+    blocks.append((np.full(3, 1e-17), np.full(3, t), 1e-300))
+    seen = set()
+    for w, x, s in blocks:
+        sort = np.argsort(-x / w, kind="stable")
+        ranks, excess = oracles._PiecePowerBlock(w[sort]).split(0, 2, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (x[sort][0] - ranks[1]) / excess[0]
+        if w.size == 2:
+            seen.add("nan" if np.isnan(ratio) else "inf" if np.isinf(ratio)
+                     else "capped" if ratio > 1.0 else "open")
+        args = (np.arange(w.size), w, x, s, minmax._PowerBlock, 0)
+        assert minmax._walk(*args) == oracles.walk_reference(*args)
+    assert seen == {"nan", "inf", "capped", "open"}
+
+
 @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0]])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
