@@ -13,7 +13,9 @@ decoding orders.
 This module implements the two rank functions, the exhaustive base test,
 vertex construction along decoding chains, Edmonds-style greedy linear
 minimization, and the tight-set / dependent-set machinery that certifies
-lexicographic (min-max fair) optimality of a base.
+lexicographic (min-max fair) optimality of a base.  The public functions
+check their inputs once; a certificate computes the 2^n slack of its point
+once and reads both membership and the tight sets from it.
 
 Conventions
 -----------
@@ -164,8 +166,7 @@ def power_rank(rates, noise: NoiseModel, members) -> float:
     ``sigma^2 * (2^(2*R(A)) - 1)``.
     """
     r = _as_vector(rates, "rates")
-    idx = _as_subset(members, r.size)
-    return noise.sigma_sq * float(np.expm1(2.0 * LN2 * r[idx].sum()))
+    return _sum_rank(r[_as_subset(members, r.size)], noise.sigma_sq)
 
 
 def capacity_rank(powers, noise: NoiseModel, members) -> float:
@@ -180,10 +181,13 @@ def capacity_rank(powers, noise: NoiseModel, members) -> float:
     return 0.5 * float(np.log1p(q / noise.sigma_sq)) / LN2
 
 
+def _sum_rank(r: np.ndarray, sigma_sq: float) -> float:
+    return sigma_sq * float(np.expm1(2.0 * LN2 * r.sum()))
+
+
 def sum_power(rates, noise: NoiseModel) -> float:
     """Common received-power sum of every base: sigma^2 * (2^(2*sum(R)) - 1)."""
-    r = _as_vector(rates, "rates")
-    return noise.sigma_sq * float(np.expm1(2.0 * LN2 * r.sum()))
+    return _sum_rank(_as_vector(rates, "rates"), noise.sigma_sq)
 
 
 def _chain_received_trusted(r: np.ndarray, sigma_sq: float,
@@ -228,44 +232,43 @@ def _subset_bits(n: int) -> np.ndarray:
 
 
 class _RankTable:
-    """All 2^n subset ranks of the power region, for exhaustive oracles, and
-    the received powers ``q`` of the transmit powers ``p`` under test."""
+    """All 2^n subset ranks of the power region at the checked rates ``r``,
+    for exhaustive oracles, and the slack of every subset constraint at the
+    received powers ``q`` under test, computed once."""
 
-    def __init__(self, p: np.ndarray, rates, noise: NoiseModel, max_n: int,
-                 what: str):
-        r = _as_vector(rates, "rates")
+    def __init__(self, q: np.ndarray, r: np.ndarray, sigma_sq: float,
+                 max_n: int, what: str):
         if r.size > max_n:
             raise EnumerationLimitError(
                 f"{what} enumerates 2^n subsets and is capped at n <= {max_n}; "
                 f"got n = {r.size}"
             )
-        if p.size != r.size:
+        if q.size != r.size:
             raise ValueError("powers and rates must have the same length")
         self.n = r.size
-        self.q = noise.received(p)
-        self.noise = noise
+        self.q = q
         self.bits = _subset_bits(self.n)
-        self.rank = noise.sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
+        self.rank = sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
         self.tol = TIGHT_RTOL * (1.0 + np.abs(self.rank))
+        self.q_slack = self.slack(q)
 
     def slack(self, received: np.ndarray) -> np.ndarray:
         return self.bits @ received - self.rank
 
-    def is_member(self, received: np.ndarray) -> bool:
-        return bool(np.all(self.slack(received) >= -self.tol))
+    def is_member(self, slack: np.ndarray) -> bool:
+        return bool((slack >= -self.tol).all())
 
     def tight_masks(self) -> list[int]:
         """Bitmasks of the subsets whose constraint is tight at ``q``."""
-        tight = np.abs(self.slack(self.q)) <= self.tol
-        return [int(m) for m in np.nonzero(tight)[0]]
+        return (np.abs(self.q_slack) <= self.tol).nonzero()[0].tolist()
 
 
-def _base_table(p: np.ndarray, rates, noise: NoiseModel) -> _RankTable:
-    """Rank table of a base; raises ``NotABaseError`` when ``p`` is not one."""
-    total = sum_power(rates, noise)
-    if abs(float(noise.received(p).sum()) - total) <= _tight_tol(total):
-        table = _RankTable(p, rates, noise, MEMBERSHIP_MAX_N, "membership test")
-        if table.is_member(table.q):
+def _base_table(q: np.ndarray, r: np.ndarray, sigma_sq: float) -> _RankTable:
+    """Rank table of a base; raises ``NotABaseError`` when ``q`` is not one."""
+    total = _sum_rank(r, sigma_sq)
+    if abs(float(q.sum()) - total) <= _tight_tol(total):
+        table = _RankTable(q, r, sigma_sq, MEMBERSHIP_MAX_N, "membership test")
+        if table.is_member(table.q_slack):
             return table
     raise NotABaseError("the point is not on the dominant face")
 
@@ -276,8 +279,10 @@ def is_base(powers, rates, noise: NoiseModel) -> bool:
     A base saturates the full-set constraint: the received-power sum equals
     ``sum_power(rates, noise)``.
     """
+    p = _as_vector(powers, "powers")
+    r = _as_vector(rates, "rates")
     try:
-        _base_table(_as_vector(powers, "powers"), rates, noise)
+        _base_table(noise.received(p), r, noise.sigma_sq)
     except NotABaseError:
         return False
     return True
@@ -330,9 +335,11 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     ``i`` is not saturated (its power can be decreased without leaving the
     region).
     """
-    table = _RankTable(_as_vector(powers, "powers"), rates, noise,
+    p = _as_vector(powers, "powers")
+    r = _as_vector(rates, "rates")
+    table = _RankTable(noise.received(p), r, noise.sigma_sq,
                        TIGHT_SET_MAX_N, "tight-set enumeration")
-    if not table.is_member(table.q):
+    if not table.is_member(table.q_slack):
         raise NotAMemberError("the point violates a subset power constraint")
     q, tight = table.q, table.tight_masks()
     if not 0 <= int(i) < q.size:
@@ -341,10 +348,27 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     if not members:
         return members
     assert int(i) in members, "dependent set lost its own node"
-    bottom = power_rank(rates, noise, members)
-    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(bottom), \
+    idx = sorted(members)
+    bottom = _sum_rank(r[idx], noise.sigma_sq)
+    assert abs(float(q[idx].sum()) - bottom) <= _tight_tol(bottom), \
         "intersection of tight sets is not tight"
     return members
+
+
+def _levels(x: np.ndarray) -> list[list[int]]:
+    """:func:`distinct_levels` of a checked vector, as lists of indices."""
+    order = np.argsort(-x, kind="stable").tolist()
+    values = x.tolist()
+    groups = [[order[0]]]
+    prev = values[order[0]]
+    for k in order[1:]:
+        cur = values[k]
+        if prev - cur > LEVEL_ATOL + LEVEL_RTOL * max(abs(prev), abs(cur)):
+            groups.append([k])
+        else:
+            groups[-1].append(k)
+        prev = cur
+    return groups
 
 
 def distinct_levels(values) -> list[np.ndarray]:
@@ -355,20 +379,10 @@ def distinct_levels(values) -> list[np.ndarray]:
     each level.
     """
     x = _as_vector(values, "values", nonneg=False)
-    order = np.argsort(-x, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for k in order[1:]:
-        prev = x[groups[-1][-1]]
-        cur = x[k]
-        gap_tol = LEVEL_ATOL + LEVEL_RTOL * max(abs(prev), abs(cur))
-        if prev - cur > gap_tol:
-            groups.append([int(k)])
-        else:
-            groups[-1].append(int(k))
-    return [np.asarray(g, dtype=np.intp) for g in groups]
+    return [np.asarray(g, dtype=np.intp) for g in _levels(x)]
 
 
-def _prefixes_closed(groups: list[np.ndarray], tight: list[int]) -> bool:
+def _prefixes_closed(groups: list[list[int]], tight: list[int]) -> bool:
     """Whether every node's minimal tight set exists and lies inside the
     level prefix the node joins, and so inside every later prefix.
 
@@ -377,9 +391,9 @@ def _prefixes_closed(groups: list[np.ndarray], tight: list[int]) -> bool:
     """
     prefix = 0
     for group in groups:
-        prefix |= sum(1 << int(i) for i in group)
+        prefix |= sum(1 << i for i in group)
         for i in group:
-            inter = _minimal_tight(tight, int(i))
+            inter = _minimal_tight(tight, i)
             if not inter:
                 return False
             assert inter in tight, "intersection of tight sets is not tight"
@@ -402,8 +416,9 @@ def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
         raise EnumerationLimitError(
             f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {p.size}"
         )
-    table = _base_table(p, rates, noise)
-    return _prefixes_closed(distinct_levels(table.q), table.tight_masks())
+    r = _as_vector(rates, "rates")
+    table = _base_table(noise.received(p), r, noise.sigma_sq)
+    return _prefixes_closed(_levels(table.q), table.tight_masks())
 
 
 def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bool:
@@ -420,10 +435,11 @@ def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bo
         raise EnumerationLimitError(
             f"perturbation probe is capped at n <= {PERTURB_MAX_N}; got {p.size}"
         )
-    table = _base_table(p, rates, noise)
+    r = _as_vector(rates, "rates")
+    table = _base_table(noise.received(p), r, noise.sigma_sq)
     q = table.q
     if step is None:
-        step = PERTURB_STEP_FRACTION * sum_power(rates, noise)
+        step = PERTURB_STEP_FRACTION * _sum_rank(r, noise.sigma_sq)
     if not step > 0.0:
         return True  # zero rates: the origin admits no transfers
     for e in (step, step / 10.0):
@@ -438,29 +454,9 @@ def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bo
                 trial = q.copy()
                 trial[i] -= e
                 trial[j] += e
-                if table.is_member(trial):
+                if table.is_member(table.slack(trial)):
                     return False
     return True
-
-
-def capacity_tight_masks(rates, powers, noise: NoiseModel) -> np.ndarray:
-    """Bitmasks of capacity constraints that hold with equality at ``rates``."""
-    r = _as_vector(rates, "rates")
-    p = _as_vector(powers, "powers")
-    if r.size != p.size:
-        raise ValueError("rates and powers must have the same length")
-    if r.size > TIGHT_SET_MAX_N:
-        raise EnumerationLimitError(
-            f"tight-set enumeration is capped at n <= {TIGHT_SET_MAX_N}; got {r.size}"
-        )
-    bits = _subset_bits(r.size)
-    q = noise.received(p)
-    rank = 0.5 * np.log1p((bits @ q) / noise.sigma_sq) / LN2
-    tol = TIGHT_RTOL * (1.0 + np.abs(rank))
-    sums = bits @ r
-    if np.any(sums > rank + tol):
-        raise NotAMemberError("the rate point violates a capacity constraint")
-    return np.nonzero(np.abs(sums - rank) <= tol)[0]
 
 
 def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
@@ -476,8 +472,18 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
         raise EnumerationLimitError(
             f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {r.size}"
         )
-    total = capacity_rank(powers, noise, range(r.size))
+    p = _as_vector(powers, "powers")
+    if r.size != p.size:
+        raise ValueError("rates and powers must have the same length")
+    q = noise.received(p)
+    total = 0.5 * float(np.log1p(float(q.sum()) / noise.sigma_sq)) / LN2
     if abs(float(r.sum()) - total) > _tight_tol(total):
         raise NotABaseError("the rate point is not on the dominant face")
-    tight = [int(m) for m in capacity_tight_masks(r, powers, noise)]
-    return _prefixes_closed(distinct_levels(r)[::-1], tight)
+    bits = _subset_bits(r.size)
+    rank = 0.5 * np.log1p((bits @ q) / noise.sigma_sq) / LN2
+    tol = TIGHT_RTOL * (1.0 + np.abs(rank))
+    sums = bits @ r
+    if np.any(sums > rank + tol):
+        raise NotAMemberError("the rate point violates a capacity constraint")
+    tight = (np.abs(sums - rank) <= tol).nonzero()[0].tolist()
+    return _prefixes_closed(_levels(r)[::-1], tight)

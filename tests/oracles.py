@@ -7,8 +7,10 @@ back, so that the tests can check what the CLI wrote.
 """
 
 import csv
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -28,7 +30,27 @@ from macfair import (
 )
 from macfair import minmax
 from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
-from macfair.polymatroid import LN2, TIGHT_RTOL, _subset_bits
+from macfair.polymatroid import (
+    LEVEL_ATOL,
+    LEVEL_RTOL,
+    LEX_CHECK_MAX_N,
+    LN2,
+    MEMBERSHIP_MAX_N,
+    PERTURB_MAX_N,
+    PERTURB_STEP_FRACTION,
+    TIGHT_RTOL,
+    TIGHT_SET_MAX_N,
+    InvalidSubsetError,
+    NotABaseError,
+    NotAMemberError,
+    _as_vector,
+    _mask_to_set,
+    _subset_bits,
+    _tight_tol,
+    capacity_rank,
+    power_rank,
+    sum_power,
+)
 
 MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
 
@@ -440,6 +462,191 @@ def walk_reference(nodes, w, x, noise, region, at):
                 pieces.append((lo, cut, start + hi - cut, prefix, b,
                                mass[:k + 1]))
     return nodes[sort].tolist(), openings
+
+
+# The lexicographic certificate as it was before each certificate checked
+# its inputs once and computed the slack of its point once: every public
+# entry point re-validates what it passes on, the slack of ``q`` is computed
+# for membership and again for the tight sets, and the levels are clustered
+# on NumPy scalars.  The fast path must give the same verdicts: True, False
+# or the same exception class.
+
+class _ReferenceRankTable:
+    """All 2^n subset ranks of the power region, and the received powers
+    ``q`` of the transmit powers ``p`` under test."""
+
+    def __init__(self, p, rates, noise, max_n, what):
+        r = _as_vector(rates, "rates")
+        if r.size > max_n:
+            raise EnumerationLimitError(
+                f"{what} enumerates 2^n subsets and is capped at n <= {max_n}; "
+                f"got n = {r.size}"
+            )
+        if p.size != r.size:
+            raise ValueError("powers and rates must have the same length")
+        self.n = r.size
+        self.q = noise.received(p)
+        self.noise = noise
+        self.bits = _subset_bits(self.n)
+        self.rank = noise.sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
+        self.tol = TIGHT_RTOL * (1.0 + np.abs(self.rank))
+
+    def slack(self, received):
+        return self.bits @ received - self.rank
+
+    def is_member(self, received):
+        return bool(np.all(self.slack(received) >= -self.tol))
+
+    def tight_masks(self):
+        tight = np.abs(self.slack(self.q)) <= self.tol
+        return [int(m) for m in np.nonzero(tight)[0]]
+
+
+def _reference_base_table(p, rates, noise):
+    total = sum_power(rates, noise)
+    if abs(float(noise.received(p).sum()) - total) <= _tight_tol(total):
+        table = _ReferenceRankTable(p, rates, noise, MEMBERSHIP_MAX_N,
+                                    "membership test")
+        if table.is_member(table.q):
+            return table
+    raise NotABaseError("the point is not on the dominant face")
+
+
+def _reference_minimal_tight(tight, i):
+    containing = [m for m in tight if (m >> i) & 1]
+    return functools.reduce(operator.and_, containing) if containing else 0
+
+
+def distinct_levels_reference(values):
+    """Levels of a vector, highest first, clustered on NumPy scalars."""
+    x = _as_vector(values, "values", nonneg=False)
+    order = np.argsort(-x, kind="stable")
+    groups = [[int(order[0])]]
+    for k in order[1:]:
+        prev = x[groups[-1][-1]]
+        cur = x[k]
+        gap_tol = LEVEL_ATOL + LEVEL_RTOL * max(abs(prev), abs(cur))
+        if prev - cur > gap_tol:
+            groups.append([int(k)])
+        else:
+            groups[-1].append(int(k))
+    return [np.asarray(g, dtype=np.intp) for g in groups]
+
+
+def _reference_prefixes_closed(groups, tight):
+    prefix = 0
+    for group in groups:
+        prefix |= sum(1 << int(i) for i in group)
+        for i in group:
+            inter = _reference_minimal_tight(tight, int(i))
+            if not inter:
+                return False
+            assert inter in tight, "intersection of tight sets is not tight"
+            if inter & ~prefix:
+                return False
+    return True
+
+
+def base_reference(powers, rates, noise):
+    """``is_base`` with its inputs re-validated at every step."""
+    try:
+        _reference_base_table(_as_vector(powers, "powers"), rates, noise)
+    except NotABaseError:
+        return False
+    return True
+
+
+def dep_reference(powers, i, rates, noise):
+    """``dep`` with a rank table that computes the slack of ``q`` twice."""
+    table = _ReferenceRankTable(_as_vector(powers, "powers"), rates, noise,
+                                TIGHT_SET_MAX_N, "tight-set enumeration")
+    if not table.is_member(table.q):
+        raise NotAMemberError("the point violates a subset power constraint")
+    q, tight = table.q, table.tight_masks()
+    if not 0 <= int(i) < q.size:
+        raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
+    members = _mask_to_set(_reference_minimal_tight(tight, int(i)))
+    if not members:
+        return members
+    assert int(i) in members, "dependent set lost its own node"
+    bottom = power_rank(rates, noise, members)
+    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(bottom), \
+        "intersection of tight sets is not tight"
+    return members
+
+
+def lex_certificate_reference(powers, rates, noise):
+    """``is_lex_optimal_base`` with its inputs re-validated at every step."""
+    p = _as_vector(powers, "powers")
+    if p.size > LEX_CHECK_MAX_N:
+        raise EnumerationLimitError(
+            f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {p.size}"
+        )
+    table = _reference_base_table(p, rates, noise)
+    return _reference_prefixes_closed(distinct_levels_reference(table.q),
+                                      table.tight_masks())
+
+
+def minmax_probe_reference(powers, rates, noise, step=None):
+    """``is_minmax`` with its inputs re-validated at every step."""
+    p = _as_vector(powers, "powers")
+    if p.size > PERTURB_MAX_N:
+        raise EnumerationLimitError(
+            f"perturbation probe is capped at n <= {PERTURB_MAX_N}; got {p.size}"
+        )
+    table = _reference_base_table(p, rates, noise)
+    q = table.q
+    if step is None:
+        step = PERTURB_STEP_FRACTION * sum_power(rates, noise)
+    if not step > 0.0:
+        return True
+    for e in (step, step / 10.0):
+        for i in range(table.n):
+            if q[i] < e:
+                continue
+            for j in range(table.n):
+                if j == i or not q[j] + e < q[i]:
+                    continue
+                trial = q.copy()
+                trial[i] -= e
+                trial[j] += e
+                if table.is_member(trial):
+                    return False
+    return True
+
+
+def _reference_capacity_tight_masks(rates, powers, noise):
+    r = _as_vector(rates, "rates")
+    p = _as_vector(powers, "powers")
+    if r.size != p.size:
+        raise ValueError("rates and powers must have the same length")
+    if r.size > TIGHT_SET_MAX_N:
+        raise EnumerationLimitError(
+            f"tight-set enumeration is capped at n <= {TIGHT_SET_MAX_N}; got {r.size}"
+        )
+    bits = _subset_bits(r.size)
+    q = noise.received(p)
+    rank = 0.5 * np.log1p((bits @ q) / noise.sigma_sq) / LN2
+    tol = TIGHT_RTOL * (1.0 + np.abs(rank))
+    sums = bits @ r
+    if np.any(sums > rank + tol):
+        raise NotAMemberError("the rate point violates a capacity constraint")
+    return np.nonzero(np.abs(sums - rank) <= tol)[0]
+
+
+def lex_rate_certificate_reference(rates, powers, noise):
+    """``is_lex_optimal_rate_base`` with its inputs re-validated at every
+    step."""
+    r = _as_vector(rates, "rates")
+    if r.size > LEX_CHECK_MAX_N:
+        raise EnumerationLimitError(
+            f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {r.size}"
+        )
+    total = capacity_rank(powers, noise, range(r.size))
+    if abs(float(r.sum()) - total) > _tight_tol(total):
+        raise NotABaseError("the rate point is not on the dominant face")
+    tight = [int(m) for m in _reference_capacity_tight_masks(r, powers, noise)]
+    return _reference_prefixes_closed(distinct_levels_reference(r)[::-1], tight)
 
 
 def simulate_with_schedules(config, strategy):

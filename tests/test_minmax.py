@@ -191,6 +191,26 @@ def test_solver_failure_carries_gap(monkeypatch):
     assert 0 <= err.value.iterations <= 3
 
 
+def test_certificate_runs_for_unit_gains_up_to_its_cap(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_lex_optimal_base(*args)
+
+    monkeypatch.setattr(minmax, "is_lex_optimal_base", counted)
+    noise = NoiseModel.from_db(-30.0)
+    rates = np.linspace(0.1, 0.4, 13)
+    for n in (2, 7, 12):
+        solve(rates[:n], noise)
+        assert len(calls) == 1
+        calls.clear()
+    solve(rates, noise)
+    solve(rates[:4], NoiseModel(1e-3, gains=[4.0, 1.0, 0.5, 2.0]))
+    solve(rates[:4], noise, check=False)
+    assert calls == []
+
+
 def test_solve_near_vertex_returns_equal_point():
     # The equal point is 1e-5 away from a vertex: the case label may call it
     # coincident, but the base and the weights must stay the equal point.

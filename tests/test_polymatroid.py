@@ -12,18 +12,23 @@ from macfair import (
     NoiseModel,
     NotABaseError,
     NotAMemberError,
+    capacity_chain,
     capacity_rank,
     chain_received,
     dep,
     greedy_linear_min,
     is_base,
     is_lex_optimal_base,
+    is_lex_optimal_rate_base,
     is_minmax,
+    max_min_rates,
     power_rank,
+    solve,
     sum_power,
     vertex,
 )
 from macfair import polymatroid
+from macfair.polymatroid import LEVEL_ATOL, LEVEL_RTOL
 
 UNIT = NoiseModel(1.0)
 RHO2_19 = 2.0 ** 3.8 - 1.0  # singleton rank at rate 1.9
@@ -229,19 +234,144 @@ def test_is_lex_optimal_base_rejects_non_base():
 
 
 def test_certificates_build_one_rank_table(monkeypatch):
-    built = []
+    # One table per certificate, and one 2^n slack of the point under test,
+    # computed when the table is built; only is_minmax's trial points add
+    # more slacks.
+    built, slacks = [], []
 
     class CountingTable(polymatroid._RankTable):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
+        def slack(self, received):
+            slacks.append(received)
+            return super().slack(received)
+
     monkeypatch.setattr(polymatroid, "_RankTable", CountingTable)
     point = [15.0 - RHO2_19, RHO2_19]
     assert is_lex_optimal_base(point, [0.1, 1.9], UNIT)
     assert len(built) == 1
+    assert len(slacks) == 1
     assert is_minmax(point, [0.1, 1.9], UNIT)
     assert len(built) == 2
+    slacks.clear()
+    assert not is_lex_optimal_base([8, 7], [0.5, 1.5], UNIT)
+    assert dep(point, 1, [0.1, 1.9], UNIT) == {1}
+    assert dep([8, 7], 0, [0.5, 1.5], UNIT) == {0, 1}
+    assert len(built) == 5
+    assert len(slacks) == 3
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:  # every rejection the checks raise
+        return type(exc)
+
+
+def _shifted(transmit, fraction):
+    # Moves a fraction of the received sum from the highest node to the
+    # lowest (unit gains).
+    out = np.array(transmit, dtype=float)
+    e = fraction * out.sum()
+    out[int(out.argmax())] -= e
+    out[int(out.argmin())] += e
+    return out
+
+
+def _certificate_points():
+    """(powers, rates, noise) instances for the certificate comparison."""
+    noise = NoiseModel.from_db(-30.0)
+    points = []
+
+    def add_solved(rates, noise, vertices=None):
+        sol = solve(rates, noise, check=False)
+        points.append((sol.transmit, rates, noise))
+        for order, _ in sol.coefficients[:vertices]:
+            points.append((vertex(rates, noise, order), rates, noise))
+        points.append((_shifted(sol.transmit, 1e-4), rates, noise))
+
+    # The solve-small recipe of the benchmark, seeds 0-2.
+    for seed in range(3):
+        for i in range(100):
+            rng = np.random.default_rng([seed, i])
+            n = int(rng.integers(2, 8))
+            rates = 1.0 - rng.random(n)
+            if rng.random() < 0.125:
+                a, b = rng.choice(n, size=2, replace=False)
+                rates[b] = rates[a]
+            add_solved(rates, noise)
+    rng = np.random.default_rng(1301)
+    for rates in ([0.5, 0.5, 0.5], [0.3, 0.7, 0.3, 0.7], [0.0, 0.4, 0.0],
+                  [0.0, 0.0], [0.0, 1.0, 1.0, 0.2]):
+        add_solved(np.array(rates), UNIT)
+    for n in range(8, 13):
+        add_solved(rng.uniform(0.05, 0.5, n), noise, vertices=2)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        rates = rng.uniform(0.05, 1.0, n)
+        gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        add_solved(rates, NoiseModel(1e-3, gains=gains), vertices=2)
+    # Non-bases: a feasible point above the face, an infeasible one below,
+    # and a length mismatch off and on the full-set sum.
+    rates = np.array([0.2, 0.5, 0.9])
+    base = solve(rates, UNIT, check=False).transmit
+    points += [(base * 1.001, rates, UNIT), (base * 0.999, rates, UNIT),
+               (base[:2], rates, UNIT),
+               (np.full(2, sum_power(rates, UNIT) / 2.0), rates, UNIT)]
+    # Two received powers whose gap is exactly the level tolerance: one
+    # level, so the full set is the dependent set of both and the point
+    # passes; split into two levels it would fail.
+    a = 1.5e-6
+    b = a - (LEVEL_ATOL + LEVEL_RTOL * a)
+    assert a - b == LEVEL_ATOL + LEVEL_RTOL * max(abs(a), abs(b))
+    points.append((np.array([a, b]), np.array([1.0, 1.0]),
+                   NoiseModel((a + b) / 15.0)))
+    return points
+
+
+def test_certificates_match_the_reference():
+    checks = [(is_lex_optimal_base, oracles.lex_certificate_reference),
+              (is_base, oracles.base_reference),
+              (is_minmax, oracles.minmax_probe_reference)]
+    verdicts = {True: 0, False: 0}
+    for powers, rates, noise in _certificate_points():
+        for check, reference in checks:
+            got = _verdict(check, powers, rates, noise)
+            assert got == _verdict(reference, powers, rates, noise)
+            verdicts[got] = verdicts.get(got, 0) + 1
+        for i in range(len(powers) + 1):  # one index past the ground set
+            assert (_verdict(dep, powers, i, rates, noise)
+                    == _verdict(oracles.dep_reference, powers, i, rates, noise))
+    # The comparison covers passing, failing and rejected points.
+    assert verdicts[True] > 500 and verdicts[False] > 500
+    assert {NotABaseError, EnumerationLimitError, ValueError} <= set(verdicts)
+
+
+def test_rate_certificate_matches_the_reference():
+    rng = np.random.default_rng(1302)
+    noise = NoiseModel(1e-3)
+    cases = [np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.5, 0.5])]
+    cases += [rng.uniform(0.0, 4.0, int(rng.integers(2, 8))) for _ in range(60)]
+    verdicts = []
+    for powers in cases:
+        rates, coefficients = max_min_rates(powers, noise)
+        points = [rates, rates * 0.999, rates * 1.001]
+        points += [capacity_chain(powers, noise, order)
+                   for order, _ in coefficients[:2]]
+        for point in points:
+            got = _verdict(is_lex_optimal_rate_base, point, powers, noise)
+            assert got == _verdict(oracles.lex_rate_certificate_reference,
+                                   point, powers, noise)
+            verdicts.append(got)
+    assert verdicts.count(True) >= len(cases)
+    assert False in verdicts and NotABaseError in verdicts
+    # A length mismatch is rejected before any sum is compared.
+    with pytest.raises(ValueError, match="same length"):
+        is_lex_optimal_rate_base([0.5, 0.5, 0.5], [1.0, 1.0], noise)
+    with pytest.raises(ValueError, match="same length"):
+        is_lex_optimal_rate_base([0.5], [1.0, 1.0], noise)
 
 
 def test_is_minmax_examples():
