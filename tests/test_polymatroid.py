@@ -271,8 +271,7 @@ def _verdict(check, *args):
 
 
 def _shifted(transmit, fraction):
-    # Moves a fraction of the received sum from the highest node to the
-    # lowest (unit gains).
+    # Moves a fraction of the sum from the highest entry to the lowest.
     out = np.array(transmit, dtype=float)
     e = fraction * out.sum()
     out[int(out.argmax())] -= e
