@@ -18,7 +18,6 @@ from .polymatroid import (
     capacity_rank,
     chain_received,
     dep,
-    distinct_levels,
     greedy_linear_min,
     is_base,
     is_lex_optimal_base,

@@ -19,26 +19,27 @@ The engine's unit of work is one ``(lambda, run)`` pair: a run of the
 config at one backlog bound.  A whole lambda sweep is one pass over all its
 units, and a single simulation is the sweep of one lambda.  The state of a
 pass is arrays, not per-run objects: batteries ``[strategy, unit, node]``,
-completed periods ``[unit]``, the period of death ``[strategy, unit]``, and
-the peak power of every completed period in float64 arrays.  A period's
-energies depend only on its backlog, never on the batteries, so the engine
-works in chunks of periods.  Each step sizes the next chunk of every live
-unit at once, reads each unit's periods from its own Philox stream, and
-prices them as one array per strategy, over the units in which that
-strategy still lives, whatever their lambda (the pricing depends only on
-the packet size, the period and the channel, which the lambdas share).
-Then it replays the ledgers of the step's units together, in groups whose
-chunk lengths are within a factor of two: each group's energies are padded
-with zeros to its longest chunk, and ``np.subtract.accumulate`` along the
-periods is the sequential ``battery - e`` fold (subtracting a zero changes
-no battery).  A strategy dies at the first period some node cannot pay.
-Results are bit for bit those of a loop over single periods, one lambda at
-a time.  The first chunk of a unit has ``FIRST_CHUNK`` periods; a later one
-lasts until the first live strategy is expected to die at the spend rate
-seen so far, with a margin.  A step prices at most ``MAX_CELLS // n_nodes``
-periods, so its arrays do not grow with the number of runs or lambdas.  The
-statistics are reductions over these arrays; :class:`RunResult` objects are
-built only by :func:`simulate_lifetime`.
+the period of death ``[strategy, unit]``, and the peak power of every
+completed period in float64 arrays.  A period's energies depend only on
+its backlog, never on the batteries, so the engine works in steps of many
+periods, and every live unit has completed the same number of periods.
+The first step covers ``FIRST_CHUNK`` periods and each later one twice
+the periods done, so the horizon triples (16, 48, 144, ...); a step covers
+at most ``MAX_CELLS // n_nodes`` periods and ends at the period cap.  A
+step takes the live units in slices of at most ``MAX_CELLS // n_nodes``
+rows, so its arrays do not grow with the number of runs or lambdas.  Units
+are ordered run by run, so a slice holds the bounds of a run together: it
+draws each of its runs once at bound 1, from the run's own Philox stream,
+and each unit scales its run's rows by its own bound.  The slice prices
+them as one array per strategy, over the units in which that strategy
+still lives, whatever their lambda (the pricing depends only on the packet
+size, the period and the channel, which the lambdas share).  Then it
+replays the ledgers of its units together: ``np.subtract.accumulate``
+along the periods is the sequential ``battery - e`` fold, and a strategy
+dies at the first period some node cannot pay.  Results are bit for bit
+those of a loop over single periods, one lambda at a time.  The
+statistics are reductions over these arrays; :class:`RunResult` objects
+are built only by :func:`simulate_lifetime`.
 """
 from __future__ import annotations
 
@@ -53,18 +54,11 @@ from .scheduling import Backlog, STRATEGIES, _ENERGY
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
-# Periods in the first chunk of a run.
+# Periods in the first step of a pass; a later step covers twice the
+# periods done.
 FIRST_CHUNK = 16
 
-# A later chunk covers this multiple of the periods the first of the run's
-# live strategies is expected to last at the spend rate seen so far, plus
-# FIRST_CHUNK: an overshoot costs rows in a shared array, a shortfall a
-# whole step.  Sizing for the first death, not the last, keeps the rows a
-# strategy is priced on after its death few, which matters where one
-# strategy's pricing is a loop over rows (min-max with unequal gains).
-CHUNK_MARGIN = 1.25
-
-# Cells in one step's backlog array (rows times n_nodes), so that memory
+# Cells in one slice's backlog array (rows times n_nodes), so that memory
 # does not grow with the number of runs.
 MAX_CELLS = 1 << 16
 
@@ -184,20 +178,20 @@ def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
     return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
 
 
-def _draw(config: SimConfig, bits: np.random.Philox, lams: np.ndarray,
-          runs: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Packets of ``sizes[i]`` periods of run ``runs[i]`` at bound
-    ``lams[i]`` from period ``first[i]`` on, for every ``i``, one row per
-    period.  Each unit reads the Philox stream keyed on ``(seed, run)`` from
-    the block where :func:`_period_rng` puts its first period, with ``bits``
-    re-keyed for it; a period takes the next ``4 * _blocks_per_period(n)``
-    doubles and keeps the first ``n``, so every row is bit-identical to
-    :func:`period_backlog`."""
+def _draw(config: SimConfig, bits: np.random.Philox, runs: np.ndarray,
+          first: int, size: int) -> np.ndarray:
+    """Packets of periods ``first`` to ``first + size - 1`` of every run in
+    ``runs`` at bound 1, as ``[run, period, node]``: ``lam`` times a row is
+    the backlog at bound ``lam``.  Each run reads the Philox stream keyed on
+    ``(seed, run)`` from the block where :func:`_period_rng` puts period
+    ``first``, with ``bits`` re-keyed for it; a period takes the next
+    ``4 * _blocks_per_period(n)`` doubles and keeps the first ``n``, so
+    every scaled row is bit-identical to :func:`period_backlog`."""
     n = config.n_nodes
     blocks = _blocks_per_period(n)
-    u = np.empty((int(sizes.sum()), 4 * blocks))
+    u = np.empty((runs.size, size, 4 * blocks))
     key = np.array([config.seed, 0], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
+    counter = np.array([first * blocks, 0, 0, 0], dtype=np.uint64)
     # An empty buffer (buffer_pos 4), so that a re-keyed stream's first
     # double comes from the block its counter names.
     state = {"bit_generator": "Philox",
@@ -205,61 +199,36 @@ def _draw(config: SimConfig, bits: np.random.Philox, lams: np.ndarray,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     uniform = np.random.Generator(bits).random
-    end = 0
-    for run, period, k in zip(runs.tolist(), first.tolist(), sizes.tolist()):
-        key[1], counter[0] = run, period * blocks
+    for row, run in enumerate(runs.tolist()):
+        key[1] = run
         bits.state = state
-        uniform(out=u[end:end + k].reshape(-1))
-        end += k
-    return np.repeat(lams, sizes)[:, None] * (1.0 - u[:, :n])
+        uniform(out=u[row].reshape(-1))
+    return 1.0 - u[..., :n]
 
 
-def _chunks(config: SimConfig, battery: np.ndarray, alive: np.ndarray,
-            period: np.ndarray, max_rows: int) -> np.ndarray:
-    """Periods each unit draws next, from its batteries
-    ``[strategy, unit, node]``, which strategies still live in it
-    ``[strategy, unit]`` and its completed periods ``[unit]``.  A first chunk
-    has ``FIRST_CHUNK`` periods; a later one lasts until the first live
-    strategy is expected to die at the spend rate seen so far, with a
-    margin."""
-    # A unit with no completed period gives inf * 0 here, and one whose
-    # batteries started empty 0 / 0; neither value is used.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = battery / (config.initial_energy - battery)
-        lasts = np.where(alive[..., None], ratio, np.inf).min(axis=(0, 2)) * period
-    short = lasts < max_rows
-    want = np.full(period.shape, max_rows)
-    want[short] = FIRST_CHUNK + (CHUNK_MARGIN * lasts[short]).astype(np.int64)
-    want[period == 0] = FIRST_CHUNK
-    return np.minimum(np.minimum(want, max_rows), config.period_cap - period)
-
-
-def _replay(battery: np.ndarray, spent: np.ndarray, lengths: np.ndarray
+def _replay(battery: np.ndarray, spent: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Charge chunks to batteries ``[strategy, unit, node]``, up to each
-    ledger's first unaffordable period.  ``spent[strategy, row, node]``
-    holds the units' chunks one after another, ``lengths`` their periods.
+    """Charge ``spent[strategy, unit, period, node]`` to batteries
+    ``[strategy, unit, node]``, up to each ledger's first unaffordable
+    period.
 
     Returns, for every (strategy, unit), the periods paid, whether one was
     not, the batteries after the paid ones, and every period's largest
     energy ``[strategy, unit, period]``.  A strategy charged zeros keeps
     its battery.
     """
-    strategies, units, n = battery.shape
-    length = int(lengths.max())
-    # charges[strategy, unit, node] is the battery, then the unit's energies
-    # period by period, then zeros; subtracting a zero leaves a battery as
-    # it is, so np.subtract.accumulate stays the sequential battery - e fold.
-    charges = np.zeros((strategies, units, n, length + 1))
+    strategies, units, size, n = spent.shape
+    # charges[strategy, unit, node] is the battery, then the energies period
+    # by period: np.subtract.accumulate is the sequential battery - e fold.
+    # Periods go last, so that the reductions over a few nodes are
+    # elementwise over long rows.
+    charges = np.empty((strategies, units, n, size + 1))
     charges[..., 0] = battery
-    charges[..., 1:].transpose(0, 1, 3, 2)[
-        :, np.arange(length) < lengths[:, None]] = spent
+    charges[..., 1:] = spent.transpose(0, 1, 3, 2)
     ledger = np.subtract.accumulate(charges, axis=3)
-    # A paid period leaves no battery negative, so the padding after it is
-    # paid too.
     unpaid = ~np.all(charges[..., 1:] <= ledger[..., :-1], axis=2)
     fails = unpaid.any(axis=2)
-    paid = np.where(fails, unpaid.argmax(axis=2), lengths)
+    paid = np.where(fails, unpaid.argmax(axis=2), size)
     left = ledger[np.arange(strategies)[:, None], np.arange(units), :, paid]
     return paid, fails, left, charges[..., 1:].max(axis=2)
 
@@ -287,82 +256,77 @@ class _Sweep:
 def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
     """Every run of ``config`` at each backlog bound in ``lams``.
 
-    Unit ``u`` is run ``u % runs`` at bound ``lams[u // runs]``.  Units are
-    independent given their (seed, run) keys and bounds; which units share
-    a step, and which share a replay, changes no result.
+    Unit ``u`` is run ``u // len(lams)`` at bound ``lams[u % len(lams)]``.
+    Units are independent given their (seed, run) keys and bounds; which
+    units share a step or a slice changes no result.
     """
     n, runs, strategies = config.n_nodes, config.runs, len(STRATEGIES)
     n_units = len(lams) * runs
-    unit_lam = np.repeat(np.asarray(lams, dtype=float), runs)
-    unit_run = np.tile(np.arange(runs), len(lams))
+    unit_lam = np.tile(np.asarray(lams, dtype=float), runs)
+    unit_run = np.repeat(np.arange(runs), len(lams))
     battery = np.full((strategies, n_units, n), float(config.initial_energy))
-    period = np.zeros(n_units, dtype=np.int64)
     died = np.full((strategies, n_units), -1, dtype=np.int64)
     bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    # Per replay: each (strategy, unit)'s index in the sweep, its first
-    # period and its paid periods, and their peaks, in that order.
+    # Per slice: each (strategy, unit)'s index, the step's first period,
+    # the periods paid, and their peaks, in that order.
     replays: list[tuple[np.ndarray, ...]] = []
     max_rows = max(1, MAX_CELLS // n)
+    period = 0
     live = np.arange(n_units)
-    while live.size:
-        sizes = _chunks(config, battery[:, live], died[:, live] < 0,
-                        period[live], max_rows)
-        take = max(1, int(np.searchsorted(np.cumsum(sizes), max_rows,
-                                          side="right")))
-        # Chunks whose lengths are within a factor of two of each other are
-        # replayed together, so that the zero padding of the shorter ones
-        # stays small; each such group is drawn as one block of rows.
-        octave = np.frexp(sizes[:take])[1]
-        order = np.argsort(octave, kind="stable")
-        batch, sizes, octave = live[order], sizes[order], octave[order]
-        packets = _draw(config, bits, unit_lam[batch], unit_run[batch],
-                        period[batch], sizes)
-        alive = died[:, batch] < 0
-        spent = np.zeros((strategies,) + packets.shape)
-        for i, s in enumerate(STRATEGIES):
-            # Only the rows of units in which the strategy still lives.
-            if alive[i].all():
-                spent[i] = _ENERGY[s](packets, config.packet_bits,
-                                      config.period, config.noise)
-            elif alive[i].any():
-                rows = np.repeat(alive[i], sizes)
-                spent[i, rows] = _ENERGY[s](packets[rows], config.packet_bits,
-                                            config.period, config.noise)
-        cuts = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), take]
-        first_row = [0, *np.cumsum(sizes).tolist()]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            units = batch[lo:hi]
-            paid, fails, battery[:, units], peaks = _replay(
-                battery[:, units], spent[:, first_row[lo]:first_row[hi]],
-                sizes[lo:hi])
-            live_here = alive[:, lo:hi]
-            died[:, units] = np.where(live_here & fails, period[units] + paid,
+    while live.size and period < config.period_cap:
+        size = min(max(FIRST_CHUNK, 2 * period), max_rows,
+                   config.period_cap - period)
+        width = max(1, max_rows // size)
+        for lo in range(0, live.size, width):
+            units = live[lo:lo + width]
+            # Units are run-major, so a slice draws each of its runs once
+            # and every bound of the run scales the same rows.
+            draw_runs, of_run = np.unique(unit_run[units], return_inverse=True)
+            packets = (unit_lam[units, None, None]
+                       * _draw(config, bits, draw_runs, period, size)[of_run])
+            alive = died[:, units] < 0
+            spent = np.zeros((strategies,) + packets.shape)
+            for i, s in enumerate(STRATEGIES):
+                if not alive[i].any():
+                    continue
+                # Only the units in which the strategy still lives; all of
+                # them without a masked copy.
+                rows = slice(None) if alive[i].all() else alive[i]
+                priced = packets[rows]
+                spent[i, rows] = _ENERGY[s](
+                    priced.reshape(-1, n), config.packet_bits, config.period,
+                    config.noise).reshape(priced.shape)
+            paid, fails, battery[:, units], peaks = _replay(battery[:, units],
+                                                            spent)
+            died[:, units] = np.where(alive & fails, period + paid,
                                       died[:, units])
-            paid[~live_here] = 0
+            paid[~alive] = 0
             replays.append((
                 (np.arange(strategies)[:, None] * n_units + units).ravel(),
-                np.tile(period[units], strategies),
-                paid.ravel(),
-                peaks[np.arange(peaks.shape[-1]) < paid[..., None]]
-                / config.period))
-        period[batch] += sizes
-        done = ((died[:, live] >= 0).all(axis=0)
-                | (period[live] == config.period_cap))
-        live = live[~done]
-    lifetimes = np.where(died >= 0, died, period)
+                np.full(paid.size, period), paid.ravel(),
+                peaks[np.arange(size) < paid[..., None]] / config.period))
+        period += size
+        live = live[(died[:, live] < 0).any(axis=0)]
+    shape = (strategies, len(lams), runs)
+
+    def by_bound(a: np.ndarray) -> np.ndarray:
+        """``a[strategy, unit, ...]``, whose units are run-major, as
+        ``[strategy, lambda, run, ...]``."""
+        return np.ascontiguousarray(np.swapaxes(
+            a.reshape(strategies, runs, len(lams), *a.shape[2:]), 1, 2))
+
+    lifetimes = by_bound(np.where(died >= 0, died, period))
     starts = np.zeros(lifetimes.size + 1, dtype=np.int64)
     np.cumsum(lifetimes, out=starts[1:])
+    unit_start = np.swapaxes(starts[:-1].reshape(shape), 1, 2).ravel()
     peaks = np.empty(starts[-1])
     index, first, paid, values = (np.concatenate(column)
                                   for column in zip(*replays))
     skip = np.cumsum(paid) - paid
     peaks[np.arange(values.size)
-          + np.repeat(starts[index] + first - skip, paid)] = values
-    shape = (strategies, len(lams), runs)
-    return _Sweep(lifetimes=lifetimes.reshape(shape),
-                  censored=(died < 0).reshape(shape),
-                  residual=battery.reshape(shape + (n,)),
-                  peaks=peaks, starts=starts)
+          + np.repeat(unit_start[index] + first - skip, paid)] = values
+    return _Sweep(lifetimes=lifetimes, censored=by_bound(died < 0),
+                  residual=by_bound(battery), peaks=peaks, starts=starts)
 
 
 def _results(sweep: _Sweep, lam: int) -> dict[str, list[RunResult]]:

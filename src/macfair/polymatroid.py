@@ -356,7 +356,12 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
 
 
 def _levels(x: np.ndarray) -> list[list[int]]:
-    """:func:`distinct_levels` of a checked vector, as lists of indices."""
+    """Cluster the entries of ``x`` into distinct levels, highest first.
+
+    Two entries belong to the same level when they differ by at most
+    ``LEVEL_ATOL + LEVEL_RTOL * max(|a|, |b|)``.  Returns the indices of
+    each level.
+    """
     order = np.argsort(-x, kind="stable").tolist()
     values = x.tolist()
     groups = [[order[0]]]
@@ -369,17 +374,6 @@ def _levels(x: np.ndarray) -> list[list[int]]:
             groups[-1].append(k)
         prev = cur
     return groups
-
-
-def distinct_levels(values) -> list[np.ndarray]:
-    """Cluster vector entries into distinct levels, highest first.
-
-    Two entries belong to the same level when they differ by at most
-    ``LEVEL_ATOL + LEVEL_RTOL * max(|a|, |b|)``.  Returns the node indices of
-    each level.
-    """
-    x = _as_vector(values, "values", nonneg=False)
-    return [np.asarray(g, dtype=np.intp) for g in _levels(x)]
 
 
 def _prefixes_closed(groups: list[list[int]], tight: list[int]) -> bool:

@@ -29,7 +29,7 @@ from macfair import (
     period_energies,
 )
 from macfair import minmax
-from macfair.lifetime import CHUNK_MARGIN, FIRST_CHUNK, _blocks_per_period
+from macfair.lifetime import _blocks_per_period
 from macfair.polymatroid import (
     LEVEL_ATOL,
     LEVEL_RTOL,
@@ -726,25 +726,6 @@ def _simulate_run(config, run):
                          per_period_max_power=peaks[s],
                          censored=s not in died)
             for s in STRATEGIES}
-
-
-def chunk(config, battery, alive, period, max_rows):
-    """Periods one unit draws next, the unit on its own: its batteries
-    ``[strategy, node]``, which strategies live in it, its completed
-    periods.  A first chunk has ``FIRST_CHUNK`` periods; a later one lasts
-    until the first live strategy is expected to die at the spend rate seen
-    so far, with a margin."""
-    want = FIRST_CHUNK
-    if period:
-        left = battery[alive]
-        spent = config.initial_energy - left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lasts = float((left / spent).min()) * period
-        if lasts < max_rows:
-            want += int(CHUNK_MARGIN * lasts)
-        else:
-            want = max_rows
-    return min(want, max_rows, config.period_cap - period)
 
 
 def tabulate(config, simulated):

@@ -32,14 +32,13 @@ def paper_config(**overrides):
 
 
 def chunked_draws(cfg, run, chunks):
-    """A run's backlogs drawn in chunks of the given lengths, one row per
-    period."""
-    sizes = np.array(chunks)
+    """A run's backlogs at the config's bound drawn in chunks of the given
+    lengths, one row per period."""
     bits = np.random.Philox()
+    starts = np.cumsum(chunks) - chunks
     return np.concatenate([
-        _draw(cfg, bits, np.array([cfg.lam]), np.array([run]),
-              np.array([start]), np.array([k]))
-        for start, k in zip(np.cumsum(sizes) - sizes, sizes)])
+        cfg.lam * _draw(cfg, bits, np.array([run]), int(start), k)[0]
+        for start, k in zip(starts, chunks)])
 
 
 def test_draws_are_reproducible_and_order_independent():
@@ -50,9 +49,8 @@ def test_draws_are_reproducible_and_order_independent():
     c = chunked_draws(cfg, 3, (5, 12, 1))[17]
     assert np.array_equal(a, c)
     # one call that draws other runs before and after it
-    d = _draw(cfg, np.random.Philox(), np.full(3, cfg.lam), np.array([9, 3, 4]),
-              np.array([0, 17, 2]), np.array([1, 1, 3]))[1]
-    assert np.array_equal(a, d)
+    d = cfg.lam * _draw(cfg, np.random.Philox(), np.array([9, 3, 4]), 15, 3)
+    assert np.array_equal(a, d[1, 2])
     # different keys give different values
     assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
     assert not np.array_equal(a, period_backlog(cfg, run=3, period=18).packets)
@@ -78,6 +76,37 @@ def test_draws_do_not_repeat_across_periods(n_nodes):
             np.stack([next(oracle).packets for _ in range(periods)]), stream)
 
 
+@pytest.mark.parametrize("max_cells", [None, 40 * 4])
+@pytest.mark.parametrize("lams", [(1.0,), (1.0, 0.4), (0.2, 0.4, 0.6, 0.8, 1.0)],
+                         ids=["one", "two", "five"])
+def test_a_slice_draws_each_run_once(monkeypatch, lams, max_cells):
+    # However many bounds a slice holds, it draws each of its runs once,
+    # and each bound scales the same rows to its own backlogs.  With
+    # MAX_CELLS at 160 the bounds of a run span several slices.
+    if max_cells is not None:
+        monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
+    calls = []
+    draw = lifetime._draw
+
+    def spy(config, bits, runs, first, size):
+        calls.append((runs.copy(), first, draw(config, bits, runs, first,
+                                                size)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lifetime, "_draw", spy)
+    cfg = paper_config(runs=3)
+    _simulate(cfg, list(lams))
+    assert calls
+    for runs, first, rows in calls:
+        assert np.unique(runs).size == runs.size
+        for lam in lams:
+            one = replace(cfg, lam=lam)
+            for run, periods in zip(runs.tolist(), rows):
+                for period, row in enumerate(periods, first):
+                    assert np.array_equal(
+                        lam * row, period_backlog(one, run, period).packets)
+
+
 def test_draw_backlogs_range_and_mean():
     rng = _period_rng(0, 0, 0, 1000)
     draws = np.concatenate([
@@ -96,10 +125,11 @@ def test_draw_backlogs_names_lam(lam):
 
 
 def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
-    """Every strategy's single run when every period has the same backlog."""
+    """Every strategy's single run when every period has the same backlog
+    (the config's bound is 1, so the draws at bound 1 are the backlogs)."""
     monkeypatch.setattr(lifetime, "_draw",
-                        lambda config, bits, lams, runs, first, sizes:
-                        np.tile(backlog.packets, (sizes.sum(), 1)))
+                        lambda config, bits, runs, first, size:
+                        np.tile(backlog.packets, (runs.size, size, 1)))
     results = simulate_lifetime(paper_config(runs=1, **overrides))
     return {s: runs[0] for s, runs in results.items()}
 
@@ -265,15 +295,16 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("cap", [1, 15, 16, 17, 33, None])
+@pytest.mark.parametrize("cap", [1, 15, 16, 17, 33, 47, 48, 49, 143, 144, 145,
+                                 None])
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_engine_matches_run_oracle(case, cap):
-    # The chunked engine against the one-period loop, exactly.  Lifetimes
-    # of 5 to 40 periods and the caps put deaths and caps on, before and
-    # after the chunk boundaries (the first chunk has FIRST_CHUNK = 16
-    # periods).
+    # The stepped engine against the one-period loop, exactly.  Steps end
+    # after periods 16, 48 and 144.  The caps fall before, on and after
+    # those ends, and lifetimes of 0 to about 230 periods put deaths there
+    # too (at n = 4: 48 and 49 at lambda 0.6, 142, 144 and 146 at 0.3).
     cap = {} if cap is None else {"period_cap": cap}
-    for lam in (0.6, 1.0):
+    for lam in (0.3, 0.6, 1.0):
         cfg = paper_config(runs=8, lam=lam, **cap, **ORACLE_CASES[case])
         engine = simulate_lifetime(cfg)
         for run in range(cfg.runs):
@@ -289,8 +320,8 @@ def test_engine_matches_run_oracle(case, cap):
 
 
 def test_engine_row_cap_splits_steps(monkeypatch):
-    # Steps of at most 20 periods, one run's chunk at a time, give the same
-    # runs as the loop.
+    # Steps of at most 20 periods, one run at a time, give the same runs as
+    # the loop.
     monkeypatch.setattr(lifetime, "MAX_CELLS", 20 * 4)
     cfg = paper_config(runs=6, lam=0.4)
     engine = simulate_lifetime(cfg)
@@ -322,8 +353,8 @@ SWEEP_CASES = {
               (0.6, 1.0, 0.45)),
     # Runs at 0.3 outlast the cap and end censored; at 1.0 they die first.
     "cap": (dict(period_cap=30), (0.3, 1.0, 0.5)),
-    # After the first step, runs at 0.2 draw chunks of hundreds of periods
-    # and runs at 1.0 chunks of tens, in the same step.
+    # Runs at 1.0 die within tens of periods and runs at 0.2 live for
+    # hundreds, so the steps go on growing after most units have died.
     "ragged": (dict(), (0.2, 1.0)),
 }
 
@@ -334,25 +365,33 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
                                                        max_cells):
     # One engine pass over every (lambda, run) against one engine call per
     # lambda and the one-period loop.  With MAX_CELLS at 160 a step holds
-    # at most 40 periods: two first chunks (one step joins the last run of
-    # a lambda and the first of the next), and the pass takes many steps.
+    # at most 40 periods: two units share the first step's slices (one
+    # slice joins two bounds of a run, or two runs), and the pass takes
+    # many steps.
     overrides, lams = SWEEP_CASES[case]
     if max_cells is not None:
         monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
     steps = []
-    chunks = lifetime._chunks
+    draw = lifetime._draw
 
-    def spy(*args):
-        steps.append(chunks(*args))
-        return steps[-1]
+    def spy(config, bits, runs, first, size):
+        steps.append((first, size))
+        return draw(config, bits, runs, first, size)
 
-    monkeypatch.setattr(lifetime, "_chunks", spy)
+    monkeypatch.setattr(lifetime, "_draw", spy)
     cfg = paper_config(runs=5, **overrides)
     bounds = list(dict.fromkeys(lams))
     sweep = _simulate(cfg, bounds)
     if case == "ragged":
-        longest = 4 * min(steps[1]) if max_cells is None else max_cells // 4
-        assert max(steps[1]) >= longest
+        # Every live unit is at the same period: each step is twice the
+        # periods done (16 at first), up to the step's row limit.
+        last = int(sweep.lifetimes.max())
+        assert 144 <= last < 432
+        expected = ([(0, 16), (16, 32), (48, 96), (144, 288)]
+                    if max_cells is None else
+                    [(0, 16), (16, 32)]
+                    + [(first, 40) for first in range(48, last + 1, 40)])
+        assert list(dict.fromkeys(steps)) == expected
     assert sweep.lifetimes.shape == (len(STRATEGIES), len(bounds), cfg.runs)
     for k, lam in enumerate(bounds):
         one = replace(cfg, lam=lam)
@@ -397,39 +436,6 @@ def test_compare_sweep_checks_every_bound_first(monkeypatch, lams):
         return
     with pytest.raises(ValueError, match="lam"):
         compare_sweep(cfg, lams)
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(runs=5), dict(runs=5, initial_energy=0.0),
-    dict(runs=4, initial_energy=1e3, period_cap=300),
-    dict(runs=4, noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
-], ids=["paper", "no-energy", "cap", "gains"])
-@pytest.mark.parametrize("max_cells", [None, 40 * 4])
-def test_chunk_sizes_follow_the_per_unit_rule(monkeypatch, overrides,
-                                              max_cells):
-    # The array sizing gives every live unit the chunk the one-unit rule
-    # gives it, including units with no completed period next to units
-    # with many, empty batteries, and batteries that barely move.
-    if max_cells is not None:
-        monkeypatch.setattr(lifetime, "MAX_CELLS", max_cells)
-    calls = []
-    chunks = lifetime._chunks
-
-    def spy(config, battery, alive, period, max_rows):
-        sizes = chunks(config, battery, alive, period, max_rows)
-        calls.append((battery.copy(), alive.copy(), period.copy(), max_rows,
-                      sizes))
-        return sizes
-
-    monkeypatch.setattr(lifetime, "_chunks", spy)
-    cfg = paper_config(**overrides)
-    _simulate(cfg, [0.2, 1.0])
-    assert calls
-    for battery, alive, period, max_rows, sizes in calls:
-        assert sizes.tolist() == [
-            oracles.chunk(cfg, battery[:, u], alive[:, u], int(period[u]),
-                          max_rows)
-            for u in range(period.size)]
 
 
 def assert_same_table(table, ref):
