@@ -45,10 +45,7 @@ from .scheduling import (
     average_rates,
     build_schedule,
     energy_report,
-    minicost_schedule,
-    minmax_schedule,
     period_energies,
-    tdma_schedule,
 )
 from .lifetime import (
     ComparisonTable,

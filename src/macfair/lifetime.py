@@ -43,6 +43,7 @@ are built only by :func:`simulate_lifetime`.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from .minmax import _check_sum_rate
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, STRATEGIES, _ENERGY
+from .scheduling import Backlog, STRATEGIES, _TABLE
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -79,6 +80,13 @@ class SimConfig:
     period_cap: int = DEFAULT_PERIOD_CAP
 
     def __post_init__(self):
+        # numpy integers pass; 1.5 would be truncated or fail inside numpy.
+        for name in ("n_nodes", "runs", "seed", "period_cap"):
+            try:
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
         if not 0 <= self.initial_energy < np.inf:
@@ -286,14 +294,14 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
                        * _draw(config, bits, draw_runs, period, size)[of_run])
             alive = died[:, units] < 0
             spent = np.zeros((strategies,) + packets.shape)
-            for i, s in enumerate(STRATEGIES):
+            for i, (_, energy) in enumerate(_TABLE.values()):
                 if not alive[i].any():
                     continue
                 # Only the units in which the strategy still lives; all of
                 # them without a masked copy.
                 rows = slice(None) if alive[i].all() else alive[i]
                 priced = packets[rows]
-                spent[i, rows] = _ENERGY[s](
+                spent[i, rows] = energy(
                     priced.reshape(-1, n), config.packet_bits, config.period,
                     config.noise).reshape(priced.shape)
             paid, fails, battery[:, units], peaks = _replay(battery[:, units],

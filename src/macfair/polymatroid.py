@@ -140,7 +140,7 @@ def _as_vector(values, name: str, nonneg: bool = True) -> np.ndarray:
 
 
 def _as_subset(members: Iterable[int], n: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in members)), dtype=np.intp)
+    idx = np.asarray(sorted(set(map(operator.index, members))), dtype=np.intp)
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise InvalidSubsetError(
             f"subset {idx.tolist()} is not contained in the ground set 0..{n - 1}"
@@ -226,9 +226,9 @@ def vertex(rates, noise: NoiseModel, order) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _subset_bits(n: int) -> np.ndarray:
-    """Boolean matrix (2^n, n): row m has the members of bitmask m."""
+    """Float64 0/1 matrix (2^n, n): row m has the members of bitmask m."""
     masks = np.arange(1 << n, dtype=np.uint32)
-    return (masks[:, None] >> np.arange(n)) & 1 > 0
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
 class _RankTable:
@@ -335,6 +335,7 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     ``i`` is not saturated (its power can be decreased without leaving the
     region).
     """
+    i = operator.index(i)
     p = _as_vector(powers, "powers")
     r = _as_vector(rates, "rates")
     table = _RankTable(noise.received(p), r, noise.sigma_sq,
@@ -342,12 +343,12 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     if not table.is_member(table.q_slack):
         raise NotAMemberError("the point violates a subset power constraint")
     q, tight = table.q, table.tight_masks()
-    if not 0 <= int(i) < q.size:
+    if not 0 <= i < q.size:
         raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
-    members = _mask_to_set(_minimal_tight(tight, int(i)))
+    members = _mask_to_set(_minimal_tight(tight, i))
     if not members:
         return members
-    assert int(i) in members, "dependent set lost its own node"
+    assert i in members, "dependent set lost its own node"
     idx = sorted(members)
     bottom = _sum_rank(r[idx], noise.sigma_sq)
     assert abs(float(q[idx].sum()) - bottom) <= _tight_tol(bottom), \

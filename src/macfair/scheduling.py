@@ -4,25 +4,32 @@ Given the per-period backlogs, every strategy here delivers exactly
 ``b_i * B`` bits per node over the period ``T`` (one channel use per second,
 so power x time is energy in joules):
 
-* ``minicost``: a single epoch at the average rates with one fixed decoding
-  order -- the minimum total-energy schedule.
-* ``tdma``: each node transmits alone for a time slice proportional to its
-  backlog; proportional slicing equalizes the slot rates and is the
-  minimum-energy time-division split.
 * ``minmax``: time shares the decoding-order vertices with the min-max
   solver's weights, so the time-averaged power vector is the min-max fair
   base; all three strategies spend the same total energy in a symmetric
   channel, but this one minimizes the largest per-node share.
+* ``minicost``: the same time sharing with one vertex, a single epoch at the
+  average rates with the decoding order that puts higher-gain nodes later
+  on the chain -- the minimum total-energy schedule.
+* ``tdma``: each node transmits alone for a time slice proportional to its
+  backlog; proportional slicing equalizes the slot rates and is the
+  minimum-energy time-division split.
 
 Nodes with zero backlog are removed before scheduling and reported with zero
-power and rate.  :func:`period_energies` gives every strategy's per-node
-energies in closed form, for the lifetime simulation, which needs no
-schedule.
+power and rate.  One table maps each strategy name to its schedule builder
+and to its per-node energies in closed form; :func:`build_schedule`,
+:func:`period_energies` and the lifetime simulation, which needs no
+schedule, all read it.
+
+Public names: :class:`Backlog`, :class:`Epoch`, :class:`Schedule`,
+:class:`EnergyReport`, ``STRATEGIES``, :func:`average_rates`,
+:func:`build_schedule`, :func:`energy_report` and :func:`period_energies`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +41,6 @@ from .polymatroid import (
     _as_vector,
     _chain_received_trusted,
 )
-
-STRATEGIES = ("minmax", "minicost", "tdma")
 
 
 @dataclass(frozen=True)
@@ -161,36 +166,46 @@ def _embed(values: np.ndarray, active: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _minicost_vertex(rates: np.ndarray, noise: NoiseModel
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The minimum-energy decoding order, higher-gain nodes later on the
-    chain (decoded first), and its transmit powers, for a rate vector or for
-    every row of a rate matrix."""
+def _minmax_shares(rates: np.ndarray, noise: NoiseModel):
+    """The solver's ``(decoding order, weight)`` pairs for the fair base."""
+    return minmax.solve(rates, noise).coefficients
+
+
+def _minicost_shares(rates: np.ndarray, noise: NoiseModel):
+    """One vertex at weight 1, for a rate vector or for every row of a rate
+    matrix: the minimum-energy order puts higher-gain nodes later on the
+    chain (decoded first), which in the symmetric channel is the node
+    order."""
     gains = noise.gains_for(rates.shape[-1])
-    order = np.argsort(-(1.0 / gains), kind="stable")
-    received = _chain_received_trusted(rates.T, noise.sigma_sq, order).T
-    return order, received / gains
+    return ((np.argsort(-(1.0 / gains), kind="stable"), 1.0),)
 
 
-def minicost_schedule(backlog: Backlog, period: float,
-                      noise: NoiseModel) -> Schedule:
-    """Single-epoch schedule at the average rates with one fixed decoding order.
+def _time_sharing(shares, backlog: Backlog, period: float,
+                  noise: NoiseModel) -> tuple[Epoch, ...]:
+    """One epoch per ``(decoding order, weight)`` pair of
+    ``shares(rates, noise)`` over the active nodes, each at the chain vertex
+    of its order.
 
-    Constant average rate minimizes the total energy, and one decoding order
-    suffices; the order places higher-gain nodes later on the chain (decoded
-    first), which in the symmetric channel is just the node order.
+    Every epoch runs the average rates, so the delivered bits do not depend
+    on the weights.  The orders index the active nodes; the silent nodes
+    are appended to every decode order.
     """
     n = backlog.packets.size
     active, _, sub, rates = _active(backlog, period, noise)
-    order, powers = _minicost_vertex(rates, sub)
-    epoch = Epoch(
-        duration_fraction=1.0,
-        powers=_embed(powers, active, n),
-        rates=_embed(rates, active, n),
-        decode_order=tuple(active[order].tolist()) + tuple(
-            int(i) for i in range(n) if i not in set(active.tolist())),
-    )
-    return Schedule(kind="minicost", epochs=(epoch,), period=period)
+    gains = sub.gains_for(active.size)
+    full_rates = _embed(rates, active, n)
+    silent = np.flatnonzero(backlog.packets == 0.0).tolist()
+    epochs = []
+    for order, weight in shares(rates, sub):
+        idx = np.asarray(order, dtype=np.intp)
+        received = _chain_received_trusted(rates, sub.sigma_sq, idx)
+        epochs.append(Epoch(
+            duration_fraction=weight,
+            powers=_embed(received / gains, active, n),
+            rates=full_rates,
+            decode_order=active[idx].tolist() + silent,
+        ))
+    return tuple(epochs)
 
 
 def _tdma_slots(packets: np.ndarray, packet_bits: float, period: float,
@@ -206,8 +221,8 @@ def _tdma_slots(packets: np.ndarray, packet_bits: float, period: float,
             slot_received / noise.gains_for(packets.shape[-1]))
 
 
-def tdma_schedule(backlog: Backlog, period: float,
-                  noise: NoiseModel) -> Schedule:
+def _tdma_epochs(backlog: Backlog, period: float,
+                 noise: NoiseModel) -> tuple[Epoch, ...]:
     """Each node transmits alone for a slice proportional to its backlog.
 
     Proportional slices give every slot the same rate ``sum(b) * B / T``,
@@ -217,44 +232,11 @@ def tdma_schedule(backlog: Backlog, period: float,
     active, packets, sub, _ = _active(backlog, period, noise)
     fractions, slot_rate, slot_powers = _tdma_slots(
         packets, backlog.packet_bits, period, sub)
-    identity = tuple(range(n))
-    epochs = []
-    for frac, i, power in zip(fractions, active, slot_powers):
-        powers = np.zeros(n)
-        powers[i] = power
-        rates = np.zeros(n)
-        rates[i] = slot_rate[0]
-        epochs.append(Epoch(duration_fraction=float(frac), powers=powers,
-                            rates=rates, decode_order=identity))
-    return Schedule(kind="tdma", epochs=tuple(epochs), period=period)
-
-
-def minmax_schedule(backlog: Backlog, period: float,
-                    noise: NoiseModel) -> Schedule:
-    """Time-sharing schedule whose averaged powers are the min-max fair base.
-
-    One epoch per time-sharing weight of the solver, each at the vertex of
-    its decoding order; rates are the average rates in every epoch, so the
-    delivered bits are unchanged while the per-node energies are equalized
-    as far as the region allows.
-    """
-    n = backlog.packets.size
-    active, _, sub, rates = _active(backlog, period, noise)
-    solution = minmax.solve(rates, sub)
-    gains = sub.gains_for(active.size)
-    full_rates = _embed(rates, active, n)
-    inactive = tuple(int(i) for i in range(n) if i not in set(active.tolist()))
-    epochs = []
-    for order, weight in solution.coefficients:
-        received = _chain_received_trusted(
-            rates, sub.sigma_sq, np.asarray(order, dtype=np.intp))
-        epochs.append(Epoch(
-            duration_fraction=weight,
-            powers=_embed(received / gains, active, n),
-            rates=full_rates,
-            decode_order=tuple(int(active[i]) for i in order) + inactive,
-        ))
-    return Schedule(kind="minmax", epochs=tuple(epochs), period=period)
+    return tuple(Epoch(duration_fraction=float(frac),
+                       powers=_embed(power, i, n),
+                       rates=_embed(slot_rate[0], i, n),
+                       decode_order=tuple(range(n)))
+                 for frac, i, power in zip(fractions, active, slot_powers))
 
 
 def energy_report(schedule: Schedule) -> EnergyReport:
@@ -273,18 +255,6 @@ def energy_report(schedule: Schedule) -> EnergyReport:
     )
 
 
-def build_schedule(strategy: str, backlog: Backlog, period: float,
-                   noise: NoiseModel) -> Schedule:
-    """Construct the named strategy's schedule for one period."""
-    if strategy == "minmax":
-        return minmax_schedule(backlog, period, noise)
-    if strategy == "minicost":
-        return minicost_schedule(backlog, period, noise)
-    if strategy == "tdma":
-        return tdma_schedule(backlog, period, noise)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-
 def _minmax_energy(packets: np.ndarray, packet_bits: float, period: float,
                    noise: NoiseModel) -> np.ndarray:
     rates = packets * packet_bits / period
@@ -294,7 +264,9 @@ def _minmax_energy(packets: np.ndarray, packet_bits: float, period: float,
 def _minicost_energy(packets: np.ndarray, packet_bits: float, period: float,
                      noise: NoiseModel) -> np.ndarray:
     rates = packets * packet_bits / period
-    return period * _minicost_vertex(rates, noise)[1]
+    ((order, _),) = _minicost_shares(rates, noise)
+    received = _chain_received_trusted(rates.T, noise.sigma_sq, order).T
+    return period * (received / noise.gains_for(rates.shape[-1]))
 
 
 def _tdma_energy(packets: np.ndarray, packet_bits: float, period: float,
@@ -304,11 +276,27 @@ def _tdma_energy(packets: np.ndarray, packet_bits: float, period: float,
     return (fractions * period) * slot_powers
 
 
-# Per-node energy of each strategy over one period, for every row of a
-# matrix of positive backlogs ``packets``: the one pricing of
-# :func:`period_energies` and of the lifetime simulation.
-_ENERGY = {"minmax": _minmax_energy, "minicost": _minicost_energy,
-          "tdma": _tdma_energy}
+# Each strategy's schedule builder, epochs(backlog, period, noise), and its
+# per-node energy over one period for every row of a matrix of positive
+# backlogs, energy(packets, packet_bits, period, noise).  Every dispatch by
+# strategy name reads this table.
+_TABLE = {
+    "minmax": (partial(_time_sharing, _minmax_shares), _minmax_energy),
+    "minicost": (partial(_time_sharing, _minicost_shares), _minicost_energy),
+    "tdma": (_tdma_epochs, _tdma_energy),
+}
+STRATEGIES = tuple(_TABLE)
+
+
+def build_schedule(strategy: str, backlog: Backlog, period: float,
+                   noise: NoiseModel) -> Schedule:
+    """Construct the named strategy's schedule for one period."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    epochs, _ = _TABLE[strategy]
+    return Schedule(kind=strategy, epochs=epochs(backlog, period, noise),
+                    period=period)
 
 
 def period_energies(backlog: Backlog, period: float,
@@ -323,6 +311,6 @@ def period_energies(backlog: Backlog, period: float,
     """
     n = backlog.packets.size
     active, packets, sub, _ = _active(backlog, period, noise)
-    return {s: _embed(price(packets[None, :], backlog.packet_bits, period,
-                            sub)[0], active, n)
-            for s, price in _ENERGY.items()}
+    return {s: _embed(energy(packets[None, :], backlog.packet_bits, period,
+                             sub)[0], active, n)
+            for s, (_, energy) in _TABLE.items()}

@@ -168,7 +168,7 @@ def check_rank_modularity(rank_fn, n, mode="super"):
         return False
     # Monotonicity: adding one element never decreases the rank.
     for i in range(n):
-        without = np.nonzero(~bits[:, i])[0]
+        without = np.nonzero(bits[:, i] == 0)[0]
         with_i = without | (1 << i)
         if np.any(values[without] > values[with_i] + tol[with_i]):
             return False

@@ -241,16 +241,25 @@ def test_config_validation():
         paper_config(runs=0)
     with pytest.raises(ValueError):
         paper_config(lam=0.0)
+    # numpy integers are integers.
+    cfg = paper_config(n_nodes=np.int64(4), runs=np.int32(2),
+                       seed=np.uint64(1), period_cap=np.int64(10))
+    assert (cfg.n_nodes, cfg.runs, cfg.seed, cfg.period_cap) == (4, 2, 1, 10)
 
 
 @pytest.mark.parametrize("overrides", [
     dict(initial_energy=np.inf), dict(period=np.inf), dict(packet_bits=np.inf),
     dict(lam=np.inf), dict(period_cap=0),
     dict(noise=NoiseModel(1e-3, gains=[1.0, 2.0, 4.0])),
-], ids=["energy-inf", "period-inf", "bits-inf", "lam-inf", "cap0", "gains3"])
+    dict(n_nodes=4.0), dict(runs=2.5), dict(seed=1.5),
+    dict(period_cap=10.5),
+], ids=["energy-inf", "period-inf", "bits-inf", "lam-inf", "cap0", "gains3",
+        "nodes-float", "runs-float", "seed-float", "cap-float"])
 def test_config_rejects_non_finite_and_inconsistent_values(overrides):
     # An infinite battery would run every run to the period cap and a zero
-    # cap would simulate nothing; either would give NaN means.
+    # cap would simulate nothing; either would give NaN means.  A float
+    # seed would simulate its integer part, and a float run count or cap
+    # would fail inside numpy.
     with pytest.raises(ValueError):
         paper_config(**overrides)
 

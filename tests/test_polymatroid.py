@@ -40,6 +40,12 @@ def test_power_rank_examples():
     assert power_rank([1, 1], UNIT, []) == 0.0
     with pytest.raises(InvalidSubsetError):
         power_rank([1, 1], UNIT, [2])
+    # Node indices go through operator.index: numpy integers pass, and 0.5
+    # is not truncated to node 0.
+    assert power_rank([1, 1], UNIT, np.array([1])) == pytest.approx(
+        3.0, rel=1e-12)
+    with pytest.raises(TypeError):
+        power_rank([1, 1], UNIT, [0.5])
 
 
 def test_capacity_rank_examples():
@@ -184,6 +190,9 @@ def test_dep_examples():
     assert dep([9, 8], 1, [0.5, 1.5], UNIT) == frozenset()
     with pytest.raises(NotAMemberError):
         dep([1, 1], 0, [1, 1], UNIT)
+    assert dep([8, 7], np.int64(1), [0.5, 1.5], UNIT) == {1}
+    with pytest.raises(TypeError):
+        dep([8, 7], 1.5, [0.5, 1.5], UNIT)
 
 
 def test_sat_dep_lattice_properties():

@@ -12,11 +12,9 @@ from macfair import (
     average_rates,
     build_schedule,
     energy_report,
-    minicost_schedule,
-    minmax_schedule,
     period_energies,
     sum_power,
-    tdma_schedule,
+    vertex,
 )
 
 UNIT = NoiseModel(1.0)
@@ -34,34 +32,36 @@ def test_average_rates_rejects_bad_period():
 
 
 def test_minicost_examples():
-    sched = minicost_schedule(Backlog([1, 2], 30), 30.0, UNIT)
+    sched = build_schedule("minicost", Backlog([1, 2], 30), 30.0, UNIT)
     assert len(sched.epochs) == 1
     assert np.allclose(sched.epochs[0].powers, [3.0, 60.0])
     report = energy_report(sched)
     assert report.sum_energy == pytest.approx(1890.0, rel=1e-9)
     assert report.max_power == pytest.approx(60.0, rel=1e-9)
 
-    report = energy_report(minicost_schedule(Backlog([1, 1], 30), 30.0, UNIT))
+    report = energy_report(
+        build_schedule("minicost", Backlog([1, 1], 30), 30.0, UNIT))
     assert report.sum_energy == pytest.approx(450.0, rel=1e-9)
 
-    report = energy_report(minicost_schedule(Backlog([1.0], 30), 30.0, UNIT))
+    report = energy_report(
+        build_schedule("minicost", Backlog([1.0], 30), 30.0, UNIT))
     assert report.sum_energy == pytest.approx(90.0, rel=1e-9)
 
 
 def test_minicost_decode_order_descending_gains():
     noise = NoiseModel(1.0, gains=[1.0, 4.0])
-    sched = minicost_schedule(Backlog([1, 1], 30), 30.0, noise)
+    sched = build_schedule("minicost", Backlog([1, 1], 30), 30.0, noise)
     # high-gain node last on the chain (decoded first) minimizes transmit sum
     assert sched.epochs[0].decode_order == (0, 1)
     other = NoiseModel(1.0, gains=[4.0, 1.0])
-    sched2 = minicost_schedule(Backlog([1, 1], 30), 30.0, other)
+    sched2 = build_schedule("minicost", Backlog([1, 1], 30), 30.0, other)
     assert sched2.epochs[0].decode_order == (1, 0)
     assert float(sched.epochs[0].powers.sum()) == pytest.approx(
         float(sched2.epochs[0].powers.sum()), rel=1e-12)
 
 
 def test_tdma_examples():
-    sched = tdma_schedule(Backlog([1, 2], 30), 30.0, UNIT)
+    sched = build_schedule("tdma", Backlog([1, 2], 30), 30.0, UNIT)
     fractions = [e.duration_fraction for e in sched.epochs]
     assert np.allclose(fractions, [1 / 3, 2 / 3])
     for e in sched.epochs:
@@ -74,25 +74,26 @@ def test_tdma_examples():
     assert report.sum_energy == pytest.approx(1890.0, rel=1e-9)
     assert report.max_power == pytest.approx(42.0, rel=1e-9)
 
-    report = energy_report(tdma_schedule(Backlog([1, 1], 30), 30.0, UNIT))
+    report = energy_report(
+        build_schedule("tdma", Backlog([1, 1], 30), 30.0, UNIT))
     assert np.allclose(report.per_node_energy, [225.0, 225.0], rtol=1e-9)
 
-    single = tdma_schedule(Backlog([1.0], 30), 30.0, UNIT)
-    mini = minicost_schedule(Backlog([1.0], 30), 30.0, UNIT)
+    single = build_schedule("tdma", Backlog([1.0], 30), 30.0, UNIT)
+    mini = build_schedule("minicost", Backlog([1.0], 30), 30.0, UNIT)
     assert np.allclose(energy_report(single).per_node_energy,
                        energy_report(mini).per_node_energy)
 
 
 def test_tdma_proportional_split_is_energy_optimal():
     for packets in ([1.0, 2.0], [0.4, 1.7], [1.0, 1.0, 2.5]):
-        sched = tdma_schedule(Backlog(packets, 30), 30.0, UNIT)
+        sched = build_schedule("tdma", Backlog(packets, 30), 30.0, UNIT)
         ours = energy_report(sched).sum_energy
         grid_best = oracles.tdma_grid_best_sum_energy(packets, 30.0, 30.0, 1.0)
         assert ours <= grid_best * (1 + 1e-6)
 
 
 def test_minmax_schedule_example():
-    sched = minmax_schedule(Backlog([1, 2], 30), 30.0, UNIT)
+    sched = build_schedule("minmax", Backlog([1, 2], 30), 30.0, UNIT)
     fractions = sorted(e.duration_fraction for e in sched.epochs)
     assert np.allclose(fractions, [11 / 30, 19 / 30], atol=1e-9)
     assert np.allclose(sched.average_powers(), [31.5, 31.5], atol=1e-8)
@@ -100,10 +101,10 @@ def test_minmax_schedule_example():
     assert np.allclose(report.per_node_energy, [945.0, 945.0], atol=1e-6)
     assert report.max_power == pytest.approx(31.5, rel=1e-9)
 
-    sched = minmax_schedule(Backlog([1, 1], 30), 30.0, UNIT)
+    sched = build_schedule("minmax", Backlog([1, 1], 30), 30.0, UNIT)
     assert np.allclose(sched.average_powers(), [7.5, 7.5], atol=1e-9)
 
-    single = minmax_schedule(Backlog([1.0], 30), 30.0, UNIT)
+    single = build_schedule("minmax", Backlog([1.0], 30), 30.0, UNIT)
     assert len(single.epochs) == 1
     assert np.allclose(single.epochs[0].powers, [3.0])
 
@@ -162,12 +163,12 @@ def test_minmax_minimizes_normalized_max_power():
 
 
 def test_zero_backlog_nodes_reported_silent():
-    sched = minmax_schedule(Backlog([1.0, 0.0, 2.0], 30), 30.0, UNIT)
+    sched = build_schedule("minmax", Backlog([1.0, 0.0, 2.0], 30), 30.0, UNIT)
     for e in sched.epochs:
         assert e.powers[1] == 0.0
         assert e.rates[1] == 0.0
     assert np.allclose(sched.delivered_bits(), [30.0, 0.0, 60.0], atol=1e-9)
-    mini = minicost_schedule(Backlog([1.0, 0.0, 2.0], 30), 30.0, UNIT)
+    mini = build_schedule("minicost", Backlog([1.0, 0.0, 2.0], 30), 30.0, UNIT)
     assert mini.epochs[0].powers[1] == 0.0
 
 
@@ -194,14 +195,16 @@ def test_schedule_rejects_non_finite_period(period):
 
 def test_all_zero_backlog_rejected():
     with pytest.raises(ValueError):
-        minicost_schedule(Backlog([0.0, 0.0], 30), 30.0, UNIT)
+        build_schedule("minicost", Backlog([0.0, 0.0], 30), 30.0, UNIT)
     with pytest.raises(ValueError):
         period_energies(Backlog([0.0, 0.0], 30), 30.0, UNIT)
 
 
 def test_period_energies_match_schedules():
     # Zero backlogs are dropped before solving: with unequal gains a
-    # zero-rate node would move the weighted base.
+    # zero-rate node would move the weighted base.  Every min-max and
+    # minicost epoch is the public vertex of its order over the active
+    # nodes, with the silent nodes at the end of its decode order.
     rng = np.random.default_rng(83)
     for k in range(120):
         n = int(rng.integers(1, 8))
@@ -212,16 +215,28 @@ def test_period_energies_match_schedules():
         gains = None if k % 2 else rng.uniform(0.2, 5.0, n)
         noise = NoiseModel(sigma_sq, gains=gains)
         backlog = Backlog(packets, 30.0)
+        active = np.flatnonzero(packets)
+        silent = tuple(np.flatnonzero(packets == 0.0).tolist())
+        rates = average_rates(backlog, 30.0)[active]
+        sub = NoiseModel(sigma_sq,
+                         gains=None if gains is None else gains[active])
         energies = period_energies(backlog, 30.0, noise)
         assert set(energies) == {"minmax", "minicost", "tdma"}
         for strategy, energy in energies.items():
-            expected = energy_report(build_schedule(
-                strategy, backlog, 30.0, noise)).per_node_energy
+            sched = build_schedule(strategy, backlog, 30.0, noise)
+            expected = energy_report(sched).per_node_energy
             if strategy == "minmax":
                 assert np.allclose(energy, expected, rtol=1e-9, atol=0.0)
             else:
                 assert np.array_equal(energy, expected)
             assert np.all(energy[packets == 0.0] == 0.0)
+            if strategy == "tdma":
+                continue
+            for e in sched.epochs:
+                order = np.searchsorted(active, e.decode_order[:active.size])
+                assert np.array_equal(e.powers[active],
+                                      vertex(rates, sub, order))
+                assert e.decode_order[active.size:] == silent
 
 
 def test_period_energies_worked_example():
