@@ -9,7 +9,6 @@ lifetime by Monte Carlo simulation.
 """
 
 from .polymatroid import (
-    EnumerationLimitError,
     InvalidSubsetError,
     NoiseModel,
     NotABaseError,
@@ -22,7 +21,6 @@ from .polymatroid import (
     is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
-    is_minmax,
     power_rank,
     sum_power,
     vertex,

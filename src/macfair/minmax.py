@@ -41,11 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polymatroid import (
-    LEX_CHECK_MAX_N,
     LN2,
     NoiseModel,
     _as_vector,
-    is_lex_optimal_base,
+    _lex_optimal_trusted,
     sum_power,
 )
 
@@ -53,6 +52,9 @@ from .polymatroid import (
 # power; loose enough to recognize equal points specified with a handful of
 # decimals.
 CASE_TOL = 1e-5
+
+# The largest n whose unit-gain solves ``check`` certifies.
+CHECK_MAX_N = 12
 
 # Largest sum power whose square, the scale of distances and gaps, is finite.
 _MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
@@ -134,14 +136,15 @@ def _check_sum_rate(total: float, sigma_sq: float) -> None:
 
 
 def _prefix_ranks(rates: np.ndarray, sigma_sq: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Descending rate order and its prefix ranks, empty set first, in units
-    of the noise power (range checked by :func:`_check_sum_rate`)."""
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending rate order, its prefix rate sums and its prefix ranks in
+    units of the noise power, empty set first (range checked by
+    :func:`_check_sum_rate`)."""
     order = np.argsort(-rates, kind="stable")
     prefix = np.zeros(rates.size + 1)
     np.cumsum(rates[order], out=prefix[1:])
     _check_sum_rate(prefix[-1], sigma_sq)
-    return order, np.expm1((2.0 * LN2) * prefix)
+    return order, prefix, np.expm1((2.0 * LN2) * prefix)
 
 
 def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
@@ -194,7 +197,7 @@ def classify_case(rates, noise: NoiseModel) -> CaseLabel:
     """
     r = _as_vector(rates, "rates")
     gains = noise.gains_for(r.size)
-    _, ranks = _prefix_ranks(r, noise.sigma_sq)
+    ranks = _prefix_ranks(r, noise.sigma_sq)[2]
     if ranks[-1] == 0.0:
         return CaseLabel.VERTEX_COINCIDENT
     return _case_label(ranks / ranks[-1], 1.0 / float(gains.sum()))
@@ -469,22 +472,24 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
 
 def _fair_base(r: np.ndarray, noise: NoiseModel):
     """The fair base in units of the noise power, its chain order, its
-    blocks ``[lo, hi)`` along that order, and the descending prefix ranks.
+    blocks ``[lo, hi)`` along that order, and the prefix rate sums and
+    prefix ranks of the descending rate sort, empty set first.
 
     Unit gains take Fujishige's lexicographically optimal base: the slopes
     of the least concave majorant of the descending prefix ranks, one block
-    per segment.  Other gains take the weighted max-ratio blocks.
+    per segment, so the chain is the descending sort.  Other gains take the
+    weighted max-ratio blocks.
     """
-    order, ranks = _prefix_ranks(r, noise.sigma_sq)
+    order, prefix, ranks = _prefix_ranks(r, noise.sigma_sq)
     if not _unit_gains(noise):
         base, chain, ends = _weighted_levels(r, noise.gains, float(ranks[-1]))
-        return base, chain, ends, ranks
+        return base, chain, ends, prefix, ranks
     base = np.empty(r.size)
     values = ranks.tolist()
     ends = _hull_ends(values)
     for lo, hi in zip(ends[:-1], ends[1:]):
         base[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
-    return base, order, ends, ranks
+    return base, order, ends, prefix, ranks
 
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -516,14 +521,15 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     The base comes from exact levels, block by block along a chain (the
     hull for unit gains, max-ratio blocks for unequal gains); each block's
     point is decomposed exactly by the walk of :func:`_walk` and the blocks
-    are coupled.  With ``check`` (and unit gains, ``n <= 12``) the base must
-    also pass :func:`is_lex_optimal_base`, or :class:`SolverFailureError`
-    is raised.
+    are coupled.  With ``check`` (and unit gains, ``n <= CHECK_MAX_N``) the
+    base must also pass :func:`~macfair.polymatroid.is_lex_optimal_base`,
+    or :class:`SolverFailureError` is raised.
     """
     r = _as_vector(rates, "rates")
     n = r.size
     gains = noise.gains_for(n)
-    base, order, ends, ranks = _fair_base(r, noise)
+    unit = _unit_gains(noise)
+    base, order, ends, prefix, ranks = _fair_base(r, noise)
     total = float(ranks[-1])
 
     if total == 0.0:
@@ -535,9 +541,11 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
             distance=0.0, iterations=0, gap=0.0)
 
     level = 1.0 / float(gains.sum())
-    case = _case_label(ranks / total, level)
-    prefix = np.zeros(n + 1)
-    np.cumsum(r[order], out=prefix[1:])
+    shares = ranks / total
+    case = _case_label(shares, level)
+    if not unit:  # the weighted chain is not the descending sort
+        np.cumsum(r[order], out=prefix[1:])
+        shares = np.expm1((2.0 * LN2) * prefix) / total
 
     # Block [lo, hi) is the power region contracted by the blocks before
     # it, of noise 4^R(before) in units of the noise power.
@@ -549,14 +557,13 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     # The chain visits the blocks in order of decreasing gradient
     # g * (u - level), so its vertex is a greedy one.
     grad = gains[order] * (u[order] - level)
-    shares = np.expm1((2.0 * LN2) * prefix) / total
     gap = max(float(grad @ (u[order] - np.diff(shares))), 0.0)
     factor = (noise.sigma_sq * total) ** 2
     distance = factor * float(gains @ (u - level) ** 2)
     gap_phys = factor * gap
 
-    if check and _unit_gains(noise) and n <= LEX_CHECK_MAX_N:
-        if not is_lex_optimal_base(transmit, r, noise):
+    if check and unit and n <= CHECK_MAX_N:
+        if not _lex_optimal_trusted(received, r, noise.sigma_sq):
             raise SolverFailureError(
                 "solver output failed the lexicographic optimality check",
                 gap=gap_phys, iterations=splits)

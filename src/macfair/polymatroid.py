@@ -10,12 +10,17 @@ point (vertex) of either region is realized by one successive-decoding order,
 so any point of the dominant face can be scheduled by time sharing among
 decoding orders.
 
-This module implements the two rank functions, the exhaustive base test,
-vertex construction along decoding chains, Edmonds-style greedy linear
-minimization, and the tight-set / dependent-set machinery that certifies
-lexicographic (min-max fair) optimality of a base.  The public functions
-check their inputs once; a certificate computes the 2^n slack of its point
-once and reads both membership and the tight sets from it.
+This module implements the two rank functions, vertex construction along
+decoding chains, Edmonds-style greedy linear minimization, the base test,
+dependent sets, and the certificate of lexicographic (min-max fair)
+optimality of a base.  A subset's rank depends on it only through its rate
+sum, convexly, so the slack of its constraint is concave in the point
+``(Q(A), R(A))`` and is least at a prefix of the nodes sorted by
+``r_i / q_i`` descending: membership is one sort and ``n + 1`` prefix
+checks, and the tight sets are such prefixes.  A base is the
+lexicographically optimal one iff every prefix of its levels is tight
+(Fujishige, Math. OR 5(3), 1980).  The public functions check their inputs
+once.
 
 Conventions
 -----------
@@ -28,7 +33,8 @@ Conventions
 
 from __future__ import annotations
 
-import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable
@@ -46,24 +52,9 @@ TIGHT_RTOL = 1e-9
 LEVEL_ATOL = 1e-6
 LEVEL_RTOL = 1e-6
 
-# Hard caps on exhaustive enumeration.  Exceeding a cap raises
-# EnumerationLimitError; there is never a silent approximate fallback.
-MEMBERSHIP_MAX_N = 20   # 2^n subset constraints
-TIGHT_SET_MAX_N = 16    # 2^n tight-set enumeration (dep, capacity tight sets)
-LEX_CHECK_MAX_N = 12    # dependent-set checks per fairness level
-PERTURB_MAX_N = 8       # pairwise transfer probing
-
-# Default perturbation size for the min-max transfer oracle, as a fraction
-# of the conserved received-power sum.
-PERTURB_STEP_FRACTION = 1e-4
-
 
 class InvalidSubsetError(ValueError):
     """A subset refers to node indices outside the ground set."""
-
-
-class EnumerationLimitError(ValueError):
-    """The requested exhaustive check exceeds its enumeration cap."""
 
 
 class NotAMemberError(ValueError):
@@ -149,14 +140,10 @@ def _as_subset(members: Iterable[int], n: int) -> np.ndarray:
 
 
 def _as_order(order, n: int) -> tuple[int, ...]:
-    pi = tuple(int(i) for i in order)
+    pi = tuple(map(operator.index, order))
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
     return pi
-
-
-def _tight_tol(rank_value: float) -> float:
-    return TIGHT_RTOL * (1.0 + abs(rank_value))
 
 
 def power_rank(rates, noise: NoiseModel, members) -> float:
@@ -224,52 +211,69 @@ def vertex(rates, noise: NoiseModel, order) -> np.ndarray:
     return q / noise.gains_for(q.size)
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_bits(n: int) -> np.ndarray:
-    """Float64 0/1 matrix (2^n, n): row m has the members of bitmask m."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+def _power_slack(q_sum: float, r_sum: float, sigma_sq: float):
+    """Slack of the power constraint ``Q(A) >= f(A)`` of a subset with
+    received-power sum ``q_sum`` and rate sum ``r_sum``, and its tolerance."""
+    try:
+        rank = sigma_sq * math.expm1(2.0 * LN2 * r_sum)
+    except OverflowError:  # np.expm1 overflows to infinity
+        rank = math.inf
+    return q_sum - rank, TIGHT_RTOL * (1.0 + abs(rank))
 
 
-class _RankTable:
-    """All 2^n subset ranks of the power region at the checked rates ``r``,
-    for exhaustive oracles, and the slack of every subset constraint at the
-    received powers ``q`` under test, computed once."""
+def _capacity_slack(q_sum: float, r_sum: float, sigma_sq: float):
+    """Slack of the capacity constraint ``R(A) <= C(Q(A))`` and its
+    tolerance."""
+    rank = 0.5 * math.log1p(q_sum / sigma_sq) / LN2
+    return rank - r_sum, TIGHT_RTOL * (1.0 + abs(rank))
 
-    def __init__(self, q: np.ndarray, r: np.ndarray, sigma_sq: float,
-                 max_n: int, what: str):
-        if r.size > max_n:
-            raise EnumerationLimitError(
-                f"{what} enumerates 2^n subsets and is capped at n <= {max_n}; "
-                f"got n = {r.size}"
-            )
-        if q.size != r.size:
+
+def _ratio_sort(q: list[float], r: list[float]):
+    """The nodes sorted by ``r_i / q_i`` descending, and their sort keys.
+
+    A node with a rate and no power comes first, one with neither last.
+    Both slacks are concave in ``(Q(A), R(A))`` and fall as ``R(A)`` grows,
+    so over all subsets they are least at a prefix of this sort, and a
+    tight set is such a prefix, up to nodes with neither rate nor power.
+    """
+    keys = [-(ri / qi) if qi > 0.0 else (-math.inf if ri > 0.0 else math.inf)
+            for qi, ri in zip(q, r)]
+    return sorted(range(len(keys)), key=keys.__getitem__), keys
+
+
+def _group_slacks(groups, q, r, sigma_sq: float, slack):
+    """``slack`` of the union of every leading run of ``groups``."""
+    q_sum = r_sum = 0.0
+    for group in groups:
+        for i in group:
+            q_sum += q[i]
+            r_sum += r[i]
+        yield slack(q_sum, r_sum, sigma_sq)
+
+
+def _is_member(nodes: list[int], q, r, sigma_sq: float, slack) -> bool:
+    """Whether no prefix of the ratio sort ``nodes`` violates its
+    constraint, and so no subset does."""
+    return all(s >= -tol for s, tol in  # zip makes one-node groups
+               _group_slacks(zip(nodes), q, r, sigma_sq, slack))
+
+
+def _all_tight(groups, q, r, sigma_sq: float, slack) -> bool:
+    """Whether the union of every leading run of ``groups`` is tight."""
+    return all(abs(s) <= tol for s, tol in
+               _group_slacks(groups, q, r, sigma_sq, slack))
+
+
+def _base_lists(q: np.ndarray, r: np.ndarray, sigma_sq: float):
+    """``q`` and ``r`` as lists when ``q`` is a base of the power region at
+    rates ``r``; raises ``NotABaseError`` when it is not one."""
+    ql, rl = q.tolist(), r.tolist()
+    full, tol = _power_slack(sum(ql), sum(rl), sigma_sq)
+    if abs(full) <= tol:
+        if len(ql) != len(rl):
             raise ValueError("powers and rates must have the same length")
-        self.n = r.size
-        self.q = q
-        self.bits = _subset_bits(self.n)
-        self.rank = sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
-        self.tol = TIGHT_RTOL * (1.0 + np.abs(self.rank))
-        self.q_slack = self.slack(q)
-
-    def slack(self, received: np.ndarray) -> np.ndarray:
-        return self.bits @ received - self.rank
-
-    def is_member(self, slack: np.ndarray) -> bool:
-        return bool((slack >= -self.tol).all())
-
-    def tight_masks(self) -> list[int]:
-        """Bitmasks of the subsets whose constraint is tight at ``q``."""
-        return (np.abs(self.q_slack) <= self.tol).nonzero()[0].tolist()
-
-
-def _base_table(q: np.ndarray, r: np.ndarray, sigma_sq: float) -> _RankTable:
-    """Rank table of a base; raises ``NotABaseError`` when ``q`` is not one."""
-    total = _sum_rank(r, sigma_sq)
-    if abs(float(q.sum()) - total) <= _tight_tol(total):
-        table = _RankTable(q, r, sigma_sq, MEMBERSHIP_MAX_N, "membership test")
-        if table.is_member(table.q_slack):
-            return table
+        if _is_member(_ratio_sort(ql, rl)[0], ql, rl, sigma_sq, _power_slack):
+            return ql, rl
     raise NotABaseError("the point is not on the dominant face")
 
 
@@ -282,7 +286,7 @@ def is_base(powers, rates, noise: NoiseModel) -> bool:
     p = _as_vector(powers, "powers")
     r = _as_vector(rates, "rates")
     try:
-        _base_table(noise.received(p), r, noise.sigma_sq)
+        _base_lists(noise.received(p), r, noise.sigma_sq)
     except NotABaseError:
         return False
     return True
@@ -318,53 +322,46 @@ def capacity_chain(powers, noise: NoiseModel, order) -> np.ndarray:
     return out
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-def _minimal_tight(tight: list[int], i: int) -> int:
-    """Intersection of the tight sets that contain node ``i``; 0 if none."""
-    containing = [m for m in tight if (m >> i) & 1]
-    return functools.reduce(operator.and_, containing) if containing else 0
-
-
 def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     """Dependent set of node ``i``: the minimal tight set containing it.
 
     Equals the intersection of all tight sets containing ``i``; empty when
     ``i`` is not saturated (its power can be decreased without leaving the
-    region).
+    region).  The tight sets are prefixes of the ratio sort that end
+    between two of its keys, so this is the shortest such tight prefix
+    that holds ``i``; a node with neither rate nor power is its own.
     """
     i = operator.index(i)
     p = _as_vector(powers, "powers")
     r = _as_vector(rates, "rates")
-    table = _RankTable(noise.received(p), r, noise.sigma_sq,
-                       TIGHT_SET_MAX_N, "tight-set enumeration")
-    if not table.is_member(table.q_slack):
+    if p.size != r.size:
+        raise ValueError("powers and rates must have the same length")
+    q, rl = noise.received(p).tolist(), r.tolist()
+    nodes, keys = _ratio_sort(q, rl)
+    if not _is_member(nodes, q, rl, noise.sigma_sq, _power_slack):
         raise NotAMemberError("the point violates a subset power constraint")
-    q, tight = table.q, table.tight_masks()
-    if not 0 <= i < q.size:
-        raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
-    members = _mask_to_set(_minimal_tight(tight, i))
-    if not members:
-        return members
-    assert i in members, "dependent set lost its own node"
-    idx = sorted(members)
-    bottom = _sum_rank(r[idx], noise.sigma_sq)
-    assert abs(float(q[idx].sum()) - bottom) <= _tight_tol(bottom), \
-        "intersection of tight sets is not tight"
-    return members
+    if not 0 <= i < len(q):
+        raise InvalidSubsetError(f"node index {i} outside ground set 0..{len(q) - 1}")
+    if q[i] == 0.0 and rl[i] == 0.0:
+        return frozenset((i,))
+    ties = [list(g) for _, g in itertools.groupby(nodes, keys.__getitem__)]
+    members: list[int] = []
+    for group, (s, tol) in zip(ties, _group_slacks(ties, q, rl, noise.sigma_sq,
+                                                   _power_slack)):
+        members += group
+        if s <= tol and i in members:
+            return frozenset(members)
+    return frozenset()
 
 
-def _levels(x: np.ndarray) -> list[list[int]]:
-    """Cluster the entries of ``x`` into distinct levels, highest first.
+def _levels(values: list[float]) -> list[list[int]]:
+    """Cluster ``values`` into distinct levels, highest first.
 
     Two entries belong to the same level when they differ by at most
     ``LEVEL_ATOL + LEVEL_RTOL * max(|a|, |b|)``.  Returns the indices of
     each level.
     """
-    order = np.argsort(-x, kind="stable").tolist()
-    values = x.tolist()
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     groups = [[order[0]]]
     prev = values[order[0]]
     for k in order[1:]:
@@ -377,81 +374,25 @@ def _levels(x: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _prefixes_closed(groups: list[list[int]], tight: list[int]) -> bool:
-    """Whether every node's minimal tight set exists and lies inside the
-    level prefix the node joins, and so inside every later prefix.
-
-    ``groups`` lists the nodes level by level as the prefixes grow;
-    ``tight`` holds the bitmasks of the tight sets.
-    """
-    prefix = 0
-    for group in groups:
-        prefix |= sum(1 << i for i in group)
-        for i in group:
-            inter = _minimal_tight(tight, i)
-            if not inter:
-                return False
-            assert inter in tight, "intersection of tight sets is not tight"
-            if inter & ~prefix:
-                return False
-    return True
+def _lex_optimal_trusted(q: np.ndarray, r: np.ndarray, sigma_sq: float) -> bool:
+    """:func:`is_lex_optimal_base` on checked received powers ``q`` and
+    rates ``r``."""
+    ql, rl = _base_lists(q, r, sigma_sq)
+    return _all_tight(_levels(ql), ql, rl, sigma_sq, _power_slack)
 
 
 def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
     """Certify that a base is the lexicographically optimal (min-max fair) one.
 
     Clusters the received powers into distinct levels C_1 > ... > C_p and
-    checks, for every prefix set S_j of nodes at level >= C_j, that each
-    member's dependent set is non-empty and contained in S_j.  Any node
+    checks that every prefix set S_j of nodes at level >= C_j is tight, so
+    that each node's dependent set lies inside the prefix it joins.  A node
     failing this could shed power onto a strictly lower node, contradicting
     min-max fairness.
     """
     p = _as_vector(powers, "powers")
-    if p.size > LEX_CHECK_MAX_N:
-        raise EnumerationLimitError(
-            f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {p.size}"
-        )
     r = _as_vector(rates, "rates")
-    table = _base_table(noise.received(p), r, noise.sigma_sq)
-    return _prefixes_closed(_levels(table.q), table.tight_masks())
-
-
-def is_minmax(powers, rates, noise: NoiseModel, step: float | None = None) -> bool:
-    """Finite perturbation probe for min-max fairness of a base.
-
-    For every ordered node pair tries to move ``e`` watts of received power
-    from a higher coordinate onto a strictly lower one (probing ``e`` and
-    ``e/10``); any feasible such transfer improves fairness, so the point is
-    not min-max optimal.  This is a practical finite test of the definition;
-    :func:`is_lex_optimal_base` is the exact certificate.
-    """
-    p = _as_vector(powers, "powers")
-    if p.size > PERTURB_MAX_N:
-        raise EnumerationLimitError(
-            f"perturbation probe is capped at n <= {PERTURB_MAX_N}; got {p.size}"
-        )
-    r = _as_vector(rates, "rates")
-    table = _base_table(noise.received(p), r, noise.sigma_sq)
-    q = table.q
-    if step is None:
-        step = PERTURB_STEP_FRACTION * _sum_rank(r, noise.sigma_sq)
-    if not step > 0.0:
-        return True  # zero rates: the origin admits no transfers
-    for e in (step, step / 10.0):
-        for i in range(table.n):
-            if q[i] < e:
-                continue
-            for j in range(table.n):
-                # Only a transfer that keeps the receiving coordinate below
-                # the donor's old value improves the sorted profile.
-                if j == i or not q[j] + e < q[i]:
-                    continue
-                trial = q.copy()
-                trial[i] -= e
-                trial[j] += e
-                if table.is_member(table.slack(trial)):
-                    return False
-    return True
+    return _lex_optimal_trusted(noise.received(p), r, noise.sigma_sq)
 
 
 def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
@@ -459,26 +400,20 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
 
     Max-min fairness over rates is the mirror of min-max fairness over
     powers: cluster the rates into levels C_1 < ... < C_p from the bottom and
-    require every node in a low prefix to have its minimal tight set inside
-    that prefix (no node can take rate from a strictly higher one).
+    require every low prefix to be tight (no node can take rate from a
+    strictly higher one).  Membership takes the same ratio sort, along which
+    ``R(A) - C(Q(A))`` is largest.
     """
     r = _as_vector(rates, "rates")
-    if r.size > LEX_CHECK_MAX_N:
-        raise EnumerationLimitError(
-            f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {r.size}"
-        )
     p = _as_vector(powers, "powers")
     if r.size != p.size:
         raise ValueError("rates and powers must have the same length")
-    q = noise.received(p)
-    total = 0.5 * float(np.log1p(float(q.sum()) / noise.sigma_sq)) / LN2
-    if abs(float(r.sum()) - total) > _tight_tol(total):
+    q, rl = noise.received(p).tolist(), r.tolist()
+    full, tol = _capacity_slack(sum(q), sum(rl), noise.sigma_sq)
+    if abs(full) > tol:
         raise NotABaseError("the rate point is not on the dominant face")
-    bits = _subset_bits(r.size)
-    rank = 0.5 * np.log1p((bits @ q) / noise.sigma_sq) / LN2
-    tol = TIGHT_RTOL * (1.0 + np.abs(rank))
-    sums = bits @ r
-    if np.any(sums > rank + tol):
+    if not _is_member(_ratio_sort(q, rl)[0], q, rl, noise.sigma_sq,
+                      _capacity_slack):
         raise NotAMemberError("the rate point violates a capacity constraint")
-    tight = (np.abs(sums - rank) <= tol).nonzero()[0].tolist()
-    return _prefixes_closed(_levels(r)[::-1], tight)
+    return _all_tight(_levels(rl)[::-1], q, rl, noise.sigma_sq,
+                      _capacity_slack)

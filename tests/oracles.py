@@ -18,7 +18,6 @@ from macfair import (
     STRATEGIES,
     Backlog,
     ComparisonTable,
-    EnumerationLimitError,
     Epoch,
     RunResult,
     Schedule,
@@ -33,26 +32,47 @@ from macfair.lifetime import _blocks_per_period
 from macfair.polymatroid import (
     LEVEL_ATOL,
     LEVEL_RTOL,
-    LEX_CHECK_MAX_N,
     LN2,
-    MEMBERSHIP_MAX_N,
-    PERTURB_MAX_N,
-    PERTURB_STEP_FRACTION,
     TIGHT_RTOL,
-    TIGHT_SET_MAX_N,
     InvalidSubsetError,
     NotABaseError,
     NotAMemberError,
     _as_vector,
-    _mask_to_set,
-    _subset_bits,
-    _tight_tol,
     capacity_rank,
     power_rank,
     sum_power,
 )
 
+# Caps on exhaustive enumeration.  Exceeding one raises
+# EnumerationLimitError; there is never a silent approximate fallback.
 MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
+MEMBERSHIP_MAX_N = 20   # 2^n subset constraints
+TIGHT_SET_MAX_N = 16    # 2^n tight-set enumeration (dep, capacity tight sets)
+LEX_CHECK_MAX_N = 12    # dependent-set checks per fairness level
+PERTURB_MAX_N = 8       # pairwise transfer probing
+
+# Default perturbation size of the min-max transfer probe, as a fraction of
+# the conserved received-power sum.
+PERTURB_STEP_FRACTION = 1e-4
+
+
+class EnumerationLimitError(ValueError):
+    """The requested exhaustive check exceeds its enumeration cap."""
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_bits(n):
+    """Float64 0/1 matrix (2^n, n): row m has the members of bitmask m."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+def _mask_to_set(mask):
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _tight_tol(rank_value):
+    return TIGHT_RTOL * (1.0 + abs(rank_value))
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -464,12 +484,13 @@ def walk_reference(nodes, w, x, noise, region, at):
     return nodes[sort].tolist(), openings
 
 
-# The lexicographic certificate as it was before each certificate checked
-# its inputs once and computed the slack of its point once: every public
-# entry point re-validates what it passes on, the slack of ``q`` is computed
-# for membership and again for the tight sets, and the levels are clustered
-# on NumPy scalars.  The fast path must give the same verdicts: True, False
-# or the same exception class.
+# The certificates by exhaustive enumeration of the 2^n subset constraints:
+# every public entry point re-validates what it passes on, the slack of
+# ``q`` is computed for membership and again for the tight sets, a node's
+# dependent set is the intersection of the tight sets that hold it, and the
+# levels are clustered on NumPy scalars.  The sort-based certificates of
+# ``macfair.polymatroid`` must give the same verdicts wherever these run:
+# True, False or the same exception class.
 
 class _ReferenceRankTable:
     """All 2^n subset ranks of the power region, and the received powers
@@ -587,8 +608,15 @@ def lex_certificate_reference(powers, rates, noise):
                                       table.tight_masks())
 
 
-def minmax_probe_reference(powers, rates, noise, step=None):
-    """``is_minmax`` with its inputs re-validated at every step."""
+def is_minmax(powers, rates, noise, step=None):
+    """Finite perturbation probe for min-max fairness of a base.
+
+    For every ordered node pair tries to move ``e`` watts of received power
+    from a higher coordinate onto a strictly lower one (probing ``e`` and
+    ``e/10``); any feasible such transfer improves fairness, so the point is
+    not min-max optimal.  This is a practical finite test of the definition,
+    independent of the dependent-set certificate.
+    """
     p = _as_vector(powers, "powers")
     if p.size > PERTURB_MAX_N:
         raise EnumerationLimitError(
@@ -599,12 +627,14 @@ def minmax_probe_reference(powers, rates, noise, step=None):
     if step is None:
         step = PERTURB_STEP_FRACTION * sum_power(rates, noise)
     if not step > 0.0:
-        return True
+        return True  # zero rates: the origin admits no transfers
     for e in (step, step / 10.0):
         for i in range(table.n):
             if q[i] < e:
                 continue
             for j in range(table.n):
+                # Only a transfer that keeps the receiving coordinate below
+                # the donor's old value improves the sorted profile.
                 if j == i or not q[j] + e < q[i]:
                     continue
                 trial = q.copy()

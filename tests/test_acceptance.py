@@ -24,7 +24,6 @@ from macfair import (
     greedy_linear_min,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
-    is_minmax,
     max_min_rates,
     solve,
     sum_power,
@@ -111,7 +110,7 @@ def test_criterion_3_minimum_distance_characterization():
             noise = NoiseModel(1.0)
             sol = solve(rates, noise)
             assert is_lex_optimal_base(sol.transmit, rates, noise)
-            assert is_minmax(sol.transmit, rates, noise)
+            assert oracles.is_minmax(sol.transmit, rates, noise)
             total = sum_power(rates, noise)
             level = total / n
             vertices = np.stack(

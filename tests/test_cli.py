@@ -91,7 +91,7 @@ def test_solve_parse_error_names_field(capsys):
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(minmax, "is_lex_optimal_base", lambda *args: False)
+    monkeypatch.setattr(minmax, "_lex_optimal_trusted", lambda *args: False)
     code, _, err = run_cli(capsys, "solve", "--rates", "1,1,1,1")
     assert code == EXIT_SOLVER
     assert "solver failure" in err

@@ -18,7 +18,6 @@ from macfair import (
     is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
-    is_minmax,
     max_min_rates,
     solve,
     sum_power,
@@ -184,7 +183,7 @@ def test_solve_lex_optimal_beyond_seven_nodes():
 
 def test_solver_failure_carries_gap(monkeypatch):
     # The walk cannot fail; a rejected certificate is the one failure.
-    monkeypatch.setattr(minmax, "is_lex_optimal_base", lambda *args: False)
+    monkeypatch.setattr(minmax, "_lex_optimal_trusted", lambda *args: False)
     with pytest.raises(SolverFailureError) as err:
         solve([1.0, 1.0, 1.0, 1.0], UNIT)
     assert err.value.gap >= 0.0
@@ -193,12 +192,13 @@ def test_solver_failure_carries_gap(monkeypatch):
 
 def test_certificate_runs_for_unit_gains_up_to_its_cap(monkeypatch):
     calls = []
+    certify = minmax._lex_optimal_trusted
 
     def counted(*args):
         calls.append(args)
-        return is_lex_optimal_base(*args)
+        return certify(*args)
 
-    monkeypatch.setattr(minmax, "is_lex_optimal_base", counted)
+    monkeypatch.setattr(minmax, "_lex_optimal_trusted", counted)
     noise = NoiseModel.from_db(-30.0)
     rates = np.linspace(0.1, 0.4, 13)
     for n in (2, 7, 12):
@@ -377,7 +377,7 @@ def test_weighted_levels_match_the_restart_form():
         gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
         instances.append((rates, gains))
     for rates, gains in instances:
-        total = float(minmax._prefix_ranks(rates, 1.0)[1][-1])
+        total = float(minmax._prefix_ranks(rates, 1.0)[2][-1])
         base, chain, ends = minmax._weighted_levels(rates, gains, total)
         ref_base, ref_chain, ref_ends = oracles.restart_weighted_levels(
             rates, gains, total)
@@ -610,7 +610,7 @@ def test_fairness_oracles_agree_on_random_instances():
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
         sol = solve(rates, noise)
         assert is_lex_optimal_base(sol.transmit, rates, noise)
-        assert is_minmax(sol.transmit, rates, noise)
+        assert oracles.is_minmax(sol.transmit, rates, noise)
         orders = orders_cache.setdefault(
             n, list(itertools.permutations(range(n))))
         beta = rng.dirichlet(np.ones(len(orders)))
@@ -621,7 +621,7 @@ def test_fairness_oracles_agree_on_random_instances():
         if np.max(np.abs(mix_received - sol.received)) > 1e-3 * scale:
             mix_transmit = mix_received / noise.gains_for(n)
             assert not is_lex_optimal_base(mix_transmit, rates, noise)
-            assert not is_minmax(mix_transmit, rates, noise)
+            assert not oracles.is_minmax(mix_transmit, rates, noise)
 
 
 def test_weighted_reduces_to_unweighted_bitwise():

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from macfair import (
-    EnumerationLimitError,
+    Epoch,
     InvalidSubsetError,
     NoiseModel,
     NotABaseError,
@@ -20,14 +22,12 @@ from macfair import (
     is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
-    is_minmax,
     max_min_rates,
     power_rank,
     solve,
     sum_power,
     vertex,
 )
-from macfair import polymatroid
 from macfair.polymatroid import LEVEL_ATOL, LEVEL_RTOL
 
 UNIT = NoiseModel(1.0)
@@ -84,7 +84,7 @@ def test_modularity_random_instances():
 
 
 def test_modularity_limit():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(oracles.EnumerationLimitError):
         oracles.check_rank_modularity(lambda A: 0.0, 13, "super")
 
 
@@ -114,6 +114,17 @@ def test_vertex_divides_by_gains():
 def test_vertex_rejects_bad_permutation():
     with pytest.raises(ValueError):
         vertex([1, 1], UNIT, (0, 0))
+    # Decoding orders go through operator.index: 0.5 and 1.2 are not
+    # truncated to the order (0, 1), nor 1.9 and 0.2 to (1, 0).
+    with pytest.raises(TypeError):
+        chain_received([1, 1], 1.0, [0.5, 1.2])
+    with pytest.raises(TypeError):
+        vertex([1, 1], UNIT, [1.9, 0.2])
+    with pytest.raises(TypeError):
+        capacity_chain([1, 1], UNIT, [0.5, 1.2])
+    with pytest.raises(TypeError):
+        Epoch(1.0, [1.0, 1.0], [0.5, 0.5], (0.5, 1.2))
+    assert np.allclose(vertex([1, 1], UNIT, np.array([1, 0])), [12.0, 3.0])
 
 
 def test_vertex_matches_naive_oracle_and_is_tight_base():
@@ -242,36 +253,6 @@ def test_is_lex_optimal_base_rejects_non_base():
         is_lex_optimal_base([9, 8], [0.5, 1.5], UNIT)
 
 
-def test_certificates_build_one_rank_table(monkeypatch):
-    # One table per certificate, and one 2^n slack of the point under test,
-    # computed when the table is built; only is_minmax's trial points add
-    # more slacks.
-    built, slacks = [], []
-
-    class CountingTable(polymatroid._RankTable):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-        def slack(self, received):
-            slacks.append(received)
-            return super().slack(received)
-
-    monkeypatch.setattr(polymatroid, "_RankTable", CountingTable)
-    point = [15.0 - RHO2_19, RHO2_19]
-    assert is_lex_optimal_base(point, [0.1, 1.9], UNIT)
-    assert len(built) == 1
-    assert len(slacks) == 1
-    assert is_minmax(point, [0.1, 1.9], UNIT)
-    assert len(built) == 2
-    slacks.clear()
-    assert not is_lex_optimal_base([8, 7], [0.5, 1.5], UNIT)
-    assert dep(point, 1, [0.1, 1.9], UNIT) == {1}
-    assert dep([8, 7], 0, [0.5, 1.5], UNIT) == {0, 1}
-    assert len(built) == 5
-    assert len(slacks) == 3
-
-
 def _verdict(check, *args):
     try:
         return check(*args)
@@ -339,22 +320,94 @@ def _certificate_points():
     return points
 
 
+def _assert_same_verdict(check, reference, *args):
+    """The verdict of ``check``, which must equal that of the exhaustive
+    ``reference`` wherever the reference runs."""
+    got = _verdict(check, *args)
+    expected = _verdict(reference, *args)
+    if expected is not oracles.EnumerationLimitError:
+        assert got == expected, (check.__name__, args)
+    return got
+
+
 def test_certificates_match_the_reference():
     checks = [(is_lex_optimal_base, oracles.lex_certificate_reference),
-              (is_base, oracles.base_reference),
-              (is_minmax, oracles.minmax_probe_reference)]
+              (is_base, oracles.base_reference)]
     verdicts = {True: 0, False: 0}
     for powers, rates, noise in _certificate_points():
         for check, reference in checks:
-            got = _verdict(check, powers, rates, noise)
-            assert got == _verdict(reference, powers, rates, noise)
+            got = _assert_same_verdict(check, reference, powers, rates, noise)
             verdicts[got] = verdicts.get(got, 0) + 1
         for i in range(len(powers) + 1):  # one index past the ground set
-            assert (_verdict(dep, powers, i, rates, noise)
-                    == _verdict(oracles.dep_reference, powers, i, rates, noise))
+            _assert_same_verdict(dep, oracles.dep_reference, powers, i, rates,
+                                 noise)
     # The comparison covers passing, failing and rejected points.
     assert verdicts[True] > 500 and verdicts[False] > 500
-    assert {NotABaseError, EnumerationLimitError, ValueError} <= set(verdicts)
+    assert {NotABaseError, ValueError} <= set(verdicts)
+
+
+# Rates with ties and zeros, and gains with ties.  Rates stay well above the
+# absolute part of the tightness tolerance, TIGHT_RTOL watts: a node whose
+# rank is below it is tight on its own, wherever the ratio sort puts it.
+RATES = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.5)
+GAINS = st.sampled_from([1.0, 2.0]) | st.floats(0.2, 5.0)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Rates for n = 1..10 nodes, a noise model with unit or unequal gains,
+    and a decoding order."""
+    n = draw(st.integers(1, 10))
+    rates = np.array(draw(st.lists(RATES, min_size=n, max_size=n)))
+    gains = draw(st.none() | st.lists(GAINS, min_size=n, max_size=n))
+    sigma_sq = draw(st.sampled_from([1.0, 1e-3]))
+    order = draw(st.permutations(range(n)))
+    return rates, NoiseModel(sigma_sq, gains=gains), order
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(certificate_cases())
+def test_sort_certificates_match_the_exhaustive_ones(case):
+    rates, noise, order = case
+    base = solve(rates, noise, check=False).transmit
+    points = [base, vertex(rates, noise, order), _shifted(base, 1e-4),
+              _shifted(base, -1e-4), base * 1.001]
+    for powers in points:
+        for check, reference in ((is_base, oracles.base_reference),
+                                 (is_lex_optimal_base,
+                                  oracles.lex_certificate_reference)):
+            _assert_same_verdict(check, reference, powers, rates, noise)
+        for i in range(rates.size):
+            _assert_same_verdict(dep, oracles.dep_reference, powers, i,
+                                 rates, noise)
+    # The rate side at the received powers of the min-max base.
+    powers = noise.received(base)
+    fair, coefficients = max_min_rates(powers, noise)
+    for point in (fair, capacity_chain(powers, noise, order),
+                  capacity_chain(powers, noise, coefficients[0][0]),
+                  fair * 0.999):
+        _assert_same_verdict(is_lex_optimal_rate_base,
+                             oracles.lex_rate_certificate_reference,
+                             point, powers, noise)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_certificate_passes_large_solves_and_fails_a_transfer(n):
+    rng = np.random.default_rng(n)
+    noise = NoiseModel.from_db(-30.0)
+    for _ in range(5):
+        rates = (4.0 / n) * (1.0 - rng.random(n))
+        sol = solve(rates, noise)
+        assert is_lex_optimal_base(sol.transmit, rates, noise)
+        # 1e-4 of the mean power, from the top level to the bottom one: the
+        # top prefix falls below its rank.
+        down = _shifted(sol.transmit, 1e-4 / n)
+        with pytest.raises(NotABaseError):
+            is_lex_optimal_base(down, rates, noise)
+        # The same transfer upwards keeps a base, but not a fair one.
+        up = _shifted(sol.transmit, -1e-4 / n)
+        assert is_base(up, rates, noise)
+        assert not is_lex_optimal_base(up, rates, noise)
 
 
 def test_rate_certificate_matches_the_reference():
@@ -383,26 +436,40 @@ def test_rate_certificate_matches_the_reference():
 
 
 def test_is_minmax_examples():
-    assert is_minmax([7.5, 7.5], [1, 1], UNIT)
-    assert not is_minmax([3, 12], [1, 1], UNIT)
-    assert is_minmax([15.0 - RHO2_19, RHO2_19], [0.1, 1.9], UNIT)
+    assert oracles.is_minmax([7.5, 7.5], [1, 1], UNIT)
+    assert not oracles.is_minmax([3, 12], [1, 1], UNIT)
+    assert oracles.is_minmax([15.0 - RHO2_19, RHO2_19], [0.1, 1.9], UNIT)
 
 
 def test_is_minmax_rejects_non_base():
     with pytest.raises(NotABaseError):
-        is_minmax([9, 8], [0.5, 1.5], UNIT)
+        oracles.is_minmax([9, 8], [0.5, 1.5], UNIT)
 
 
-def test_enumeration_caps():
-    big = np.full(17, 0.1)
-    with pytest.raises(EnumerationLimitError):
-        dep(big, 0, big, NoiseModel(1.0))
-    with pytest.raises(EnumerationLimitError):
-        is_minmax(np.full(9, 1.0), np.full(9, 0.1), NoiseModel(1.0))
+def test_oracle_enumeration_caps():
+    # The exhaustive oracles keep their caps; the sort-based certificates
+    # have none and answer at the same sizes.
+    limit = oracles.EnumerationLimitError
+    with pytest.raises(limit):
+        oracles.is_minmax(np.full(9, 1.0), np.full(9, 0.1), UNIT)
     # The full-set sum of a vertex holds, so the 2^n membership test runs.
     rates = np.full(21, 0.01)
-    with pytest.raises(EnumerationLimitError):
-        is_base(vertex(rates, UNIT, range(21)), rates, UNIT)
+    point = vertex(rates, UNIT, range(21))
+    with pytest.raises(limit):
+        oracles.base_reference(point, rates, UNIT)
+    assert is_base(point, rates, UNIT)
+    with pytest.raises(limit):
+        oracles.dep_reference(point, 2, rates, UNIT)
+    assert dep(point, 2, rates, UNIT) == {0, 1, 2}
+    rates = np.full(13, 0.1)
+    point = vertex(rates, UNIT, range(13))
+    with pytest.raises(limit):
+        oracles.lex_certificate_reference(point, rates, UNIT)
+    assert not is_lex_optimal_base(point, rates, UNIT)
+    fair = max_min_rates(point, UNIT)[0]
+    with pytest.raises(limit):
+        oracles.lex_rate_certificate_reference(fair, point, UNIT)
+    assert is_lex_optimal_rate_base(fair, point, UNIT)
 
 
 def test_noise_db_past_the_largest_double_rejected():
