@@ -225,38 +225,33 @@ class _PowerBlock:
     power.  A piece ``[lo, hi)`` of noise ``s`` has the rank
     ``f(P) = s (4^R(P) - 1)``, kept as ``c (E_k - E_lo)`` with ``E`` the
     block's prefix values of ``4^R`` and ``c = s / E_lo`` (the block's own
-    noise at ``lo = 0``), so that no piece evaluates an exponential.
-
-    Two tables, each one outer operation when the block is built, price
-    every piece: ``diff[lo, j] = E_j - E_lo`` and ``tail[hi, j] = (E_hi -
-    E_j) / E_j``.  They hold ``(m + 1)^2`` doubles each for a block of
-    ``m`` nodes, together about 42 KB at ``m = 50`` and 0.65 MB at
-    ``m = 200``.  A two-node piece reads its one split from two scalars of
-    them (see :func:`_walk`)."""
+    noise at ``lo = 0``), so that no piece evaluates an exponential.  The
+    block keeps only ``E - 1`` and ``1 / E``, as arrays for :meth:`split`
+    and as lists for the scalar reads of :meth:`parts` and :func:`_walk`."""
 
     def __init__(self, rates: np.ndarray):
         sums = np.zeros(rates.size + 1)
         np.cumsum(rates, out=sums[1:])
-        em = np.expm1((2.0 * LN2) * sums)  # E - 1, exact near 0
-        inv = 1.0 / (1.0 + em)
-        self.diff = em - em[:, None]
-        self.tail = (em[:, None] - em) * inv
-        self.up = (1.0 + em).tolist()
-        self.inv = inv.tolist()
+        self.em = np.expm1((2.0 * LN2) * sums)  # E - 1, exact near 0
+        self.inv = 1.0 / (1.0 + self.em)
+        self.em_list = self.em.tolist()
+        self.inv_list = self.inv.tolist()
 
     def split(self, lo: int, hi: int, c: float):
         """The ranks of the piece's prefixes, empty set first, and
         ``f(N) - f(P) - f(S) = f(P) f(S) / s`` for its proper splits into a
         prefix ``P`` and a suffix ``S``."""
-        ranks = c * self.diff[lo, lo:hi + 1]
-        return ranks, ranks[1:-1] * self.tail[hi, lo + 1:hi]
+        em = self.em
+        ranks = c * (em[lo:hi + 1] - em[lo])
+        return ranks, ranks[1:-1] * ((em[hi] - em[lo + 1:hi])
+                                     * self.inv[lo + 1:hi])
 
     def parts(self, lo: int, cut: int, hi: int, c: float):
         """``c`` of the suffix ``[cut, hi)``, a restriction (noise ``s``),
         and of the prefix ``[lo, cut)``, the contraction by the suffix
         (noise ``s 4^R(S)``)."""
-        inv = self.inv[cut]
-        return c * self.up[lo] * inv, c * self.up[hi] * inv
+        em, inv = self.em_list, self.inv_list[cut]
+        return c * (1.0 + em[lo]) * inv, c * (1.0 + em[hi]) * inv
 
 
 class _CapacityBlock:
@@ -326,10 +321,8 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     ``at``) put their last ``size - k`` nodes first.  There are at most
     ``m - 1`` openings.
 
-    A piece of the power region costs two slices of its block's tables
-    (``(m + 1)^2`` doubles each) and a handful of array operations.  A
-    two-node one has one split, ``k = 1``, and no child, so its breakpoint
-    is one quotient of scalars read from the tables.
+    A two-node piece of the power region has one split, ``k = 1``, and no
+    child, so its breakpoint is one quotient of the block's prefix values.
     """
     sort = np.argsort(-x / w, kind="stable")
     block = region(w[sort])
@@ -343,10 +336,10 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
         while pieces:
             lo, hi, start, p, scale, mass = pieces.pop()
             if pair and hi - lo == 2:
-                rank = p * block.diff[lo, lo + 1]
-                ratio = ((mass[1] - scale * rank)
-                         / (rank * block.tail[hi, lo + 1]))
-                b = min(float(ratio), scale)
+                em = block.em_list
+                rank = p * (em[lo + 1] - em[lo])
+                tail = (em[hi] - em[lo + 1]) * block.inv_list[lo + 1]
+                b = min(float((mass[1] - scale * rank) / (rank * tail)), scale)
                 if b > 0.0:
                     openings.append((b, start, 2, 1))
                 continue

@@ -44,11 +44,13 @@ import numpy as np
 LN2 = float(np.log(2.0))
 
 # Relative tolerance for tightness/feasibility of subset constraints; scaled
-# by (1 + |rank|) because rank values span many orders of magnitude.
+# by (unit + |rank|) because rank values span many orders of magnitude.  The
+# unit is the noise power on the power side and one bit on the capacity side.
 TIGHT_RTOL = 1e-9
 
-# Two power levels are considered distinct fairness levels only if they
-# differ by more than this (absolute + relative); solver outputs are numeric.
+# Two levels are considered distinct fairness levels only if they differ by
+# more than this (absolute + relative; the absolute part in units of the
+# noise power for power levels); solver outputs are numeric.
 LEVEL_ATOL = 1e-6
 LEVEL_RTOL = 1e-6
 
@@ -218,7 +220,7 @@ def _power_slack(q_sum: float, r_sum: float, sigma_sq: float):
         rank = sigma_sq * math.expm1(2.0 * LN2 * r_sum)
     except OverflowError:  # np.expm1 overflows to infinity
         rank = math.inf
-    return q_sum - rank, TIGHT_RTOL * (1.0 + abs(rank))
+    return q_sum - rank, TIGHT_RTOL * (sigma_sq + abs(rank))
 
 
 def _capacity_slack(q_sum: float, r_sum: float, sigma_sq: float):
@@ -354,19 +356,19 @@ def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
     return frozenset()
 
 
-def _levels(values: list[float]) -> list[list[int]]:
+def _levels(values: list[float], atol: float) -> list[list[int]]:
     """Cluster ``values`` into distinct levels, highest first.
 
     Two entries belong to the same level when they differ by at most
-    ``LEVEL_ATOL + LEVEL_RTOL * max(|a|, |b|)``.  Returns the indices of
-    each level.
+    ``atol + LEVEL_RTOL * max(|a|, |b|)``.  Returns the indices of each
+    level.
     """
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     groups = [[order[0]]]
     prev = values[order[0]]
     for k in order[1:]:
         cur = values[k]
-        if prev - cur > LEVEL_ATOL + LEVEL_RTOL * max(abs(prev), abs(cur)):
+        if prev - cur > atol + LEVEL_RTOL * max(abs(prev), abs(cur)):
             groups.append([k])
         else:
             groups[-1].append(k)
@@ -378,7 +380,8 @@ def _lex_optimal_trusted(q: np.ndarray, r: np.ndarray, sigma_sq: float) -> bool:
     """:func:`is_lex_optimal_base` on checked received powers ``q`` and
     rates ``r``."""
     ql, rl = _base_lists(q, r, sigma_sq)
-    return _all_tight(_levels(ql), ql, rl, sigma_sq, _power_slack)
+    return _all_tight(_levels(ql, LEVEL_ATOL * sigma_sq), ql, rl, sigma_sq,
+                      _power_slack)
 
 
 def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
@@ -415,5 +418,5 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
     if not _is_member(_ratio_sort(q, rl)[0], q, rl, noise.sigma_sq,
                       _capacity_slack):
         raise NotAMemberError("the rate point violates a capacity constraint")
-    return _all_tight(_levels(rl)[::-1], q, rl, noise.sigma_sq,
+    return _all_tight(_levels(rl, LEVEL_ATOL)[::-1], q, rl, noise.sigma_sq,
                       _capacity_slack)

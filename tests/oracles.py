@@ -71,8 +71,10 @@ def _mask_to_set(mask):
     return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _tight_tol(rank_value):
-    return TIGHT_RTOL * (1.0 + abs(rank_value))
+def _tight_tol(rank_value, unit=1.0):
+    """Tightness tolerance of a rank: ``unit`` is the noise power on the
+    power side and one bit on the capacity side."""
+    return TIGHT_RTOL * (unit + abs(rank_value))
 
 
 def rank_of(rate_sum, sigma_sq=1.0):
@@ -424,8 +426,10 @@ def restart_weighted_levels(r, gains, total):
 
 
 class _PiecePowerBlock:
-    """A power block that prices each piece from the prefix values ``E - 1``
-    alone, with no tables; as ``minmax._PowerBlock`` otherwise."""
+    """The reference power block: each piece priced by array operations on
+    the prefix values ``E - 1`` and ``1 / E``, the IEEE operations that
+    ``minmax._PowerBlock`` and the two-node piece of ``minmax._walk`` must
+    reproduce bit for bit."""
 
     def __init__(self, rates):
         sums = np.zeros(rates.size + 1)
@@ -510,7 +514,7 @@ class _ReferenceRankTable:
         self.noise = noise
         self.bits = _subset_bits(self.n)
         self.rank = noise.sigma_sq * np.expm1(2.0 * LN2 * (self.bits @ r))
-        self.tol = TIGHT_RTOL * (1.0 + np.abs(self.rank))
+        self.tol = TIGHT_RTOL * (noise.sigma_sq + np.abs(self.rank))
 
     def slack(self, received):
         return self.bits @ received - self.rank
@@ -525,7 +529,8 @@ class _ReferenceRankTable:
 
 def _reference_base_table(p, rates, noise):
     total = sum_power(rates, noise)
-    if abs(float(noise.received(p).sum()) - total) <= _tight_tol(total):
+    if abs(float(noise.received(p).sum()) - total) <= _tight_tol(
+            total, noise.sigma_sq):
         table = _ReferenceRankTable(p, rates, noise, MEMBERSHIP_MAX_N,
                                     "membership test")
         if table.is_member(table.q):
@@ -538,15 +543,16 @@ def _reference_minimal_tight(tight, i):
     return functools.reduce(operator.and_, containing) if containing else 0
 
 
-def distinct_levels_reference(values):
-    """Levels of a vector, highest first, clustered on NumPy scalars."""
+def distinct_levels_reference(values, atol=LEVEL_ATOL):
+    """Levels of a vector, highest first, clustered on NumPy scalars;
+    ``atol`` is the absolute part of the gap tolerance."""
     x = _as_vector(values, "values", nonneg=False)
     order = np.argsort(-x, kind="stable")
     groups = [[int(order[0])]]
     for k in order[1:]:
         prev = x[groups[-1][-1]]
         cur = x[k]
-        gap_tol = LEVEL_ATOL + LEVEL_RTOL * max(abs(prev), abs(cur))
+        gap_tol = atol + LEVEL_RTOL * max(abs(prev), abs(cur))
         if prev - cur > gap_tol:
             groups.append([int(k)])
         else:
@@ -591,7 +597,8 @@ def dep_reference(powers, i, rates, noise):
         return members
     assert int(i) in members, "dependent set lost its own node"
     bottom = power_rank(rates, noise, members)
-    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(bottom), \
+    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(
+        bottom, noise.sigma_sq), \
         "intersection of tight sets is not tight"
     return members
 
@@ -604,8 +611,9 @@ def lex_certificate_reference(powers, rates, noise):
             f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {p.size}"
         )
     table = _reference_base_table(p, rates, noise)
-    return _reference_prefixes_closed(distinct_levels_reference(table.q),
-                                      table.tight_masks())
+    return _reference_prefixes_closed(
+        distinct_levels_reference(table.q, LEVEL_ATOL * noise.sigma_sq),
+        table.tight_masks())
 
 
 def is_minmax(powers, rates, noise, step=None):

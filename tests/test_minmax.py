@@ -582,6 +582,15 @@ def test_two_node_pieces_match_the_reference():
     assert seen == {"nan", "inf", "capped", "open"}
 
 
+def test_power_block_memory_is_linear_in_the_block():
+    # A block of m nodes keeps its m + 1 prefix values and nothing larger.
+    for m in (1, 2, 50, 2000):
+        block = minmax._PowerBlock(np.full(m, 0.002))
+        for name, value in vars(block).items():
+            assert isinstance(value, (np.ndarray, list)), name
+            assert np.size(value) <= m + 1, name
+
+
 @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0]])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

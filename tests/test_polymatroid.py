@@ -309,14 +309,17 @@ def _certificate_points():
     points += [(base * 1.001, rates, UNIT), (base * 0.999, rates, UNIT),
                (base[:2], rates, UNIT),
                (np.full(2, sum_power(rates, UNIT) / 2.0), rates, UNIT)]
-    # Two received powers whose gap is exactly the level tolerance: one
-    # level, so the full set is the dependent set of both and the point
-    # passes; split into two levels it would fail.
-    a = 1.5e-6
-    b = a - (LEVEL_ATOL + LEVEL_RTOL * a)
-    assert a - b == LEVEL_ATOL + LEVEL_RTOL * max(abs(a), abs(b))
+    # Two received powers whose gap is exactly the level tolerance, whose
+    # absolute part is in units of the noise power: one level, so the full
+    # set is the dependent set of both and the point passes; split into two
+    # levels it would fail.  ``a`` is a float near 7.5 mW for which ``a - b``
+    # is exact, and ``a + b`` is the sum power within its tolerance.
+    sigma_sq = 1e-3
+    a = 0.0075000042499353
+    b = a - (LEVEL_ATOL * sigma_sq + LEVEL_RTOL * a)
+    assert a - b == LEVEL_ATOL * sigma_sq + LEVEL_RTOL * max(abs(a), abs(b))
     points.append((np.array([a, b]), np.array([1.0, 1.0]),
-                   NoiseModel((a + b) / 15.0)))
+                   NoiseModel(sigma_sq)))
     return points
 
 
@@ -347,8 +350,9 @@ def test_certificates_match_the_reference():
 
 
 # Rates with ties and zeros, and gains with ties.  Rates stay well above the
-# absolute part of the tightness tolerance, TIGHT_RTOL watts: a node whose
-# rank is below it is tight on its own, wherever the ratio sort puts it.
+# absolute part of the tightness tolerance, TIGHT_RTOL times the noise power:
+# a node whose rank is below it is tight on its own, wherever the ratio sort
+# puts it.
 RATES = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.5)
 GAINS = st.sampled_from([1.0, 2.0]) | st.floats(0.2, 5.0)
 
@@ -408,6 +412,28 @@ def test_certificate_passes_large_solves_and_fails_a_transfer(n):
         up = _shifted(sol.transmit, -1e-4 / n)
         assert is_base(up, rates, noise)
         assert not is_lex_optimal_base(up, rates, noise)
+
+
+def test_power_tolerances_scale_with_the_noise_power():
+    # At -30 dB the levels and the tightness floor are in units of 1 mW, not
+    # of 1 W.  A 4e-7 W transfer between two nodes at the fair level 7.5e-4 W
+    # keeps a base but makes two levels, and the top one is not tight.
+    noise = NoiseModel.from_db(-30.0)
+    rates = np.full(4, 0.25)
+    fair = np.full(4, sum_power(rates, noise) / 4.0)
+    assert is_lex_optimal_base(fair, rates, noise)
+    moved = fair + np.array([4e-7, -4e-7, 0.0, 0.0])
+    assert is_base(moved, rates, noise)
+    assert not is_lex_optimal_base(moved, rates, noise)
+    assert not oracles.lex_certificate_reference(moved, rates, noise)
+    # A node whose rank is about 1.4e-10 W is not tight on its own at a
+    # vertex that gives it twice that.
+    rates = np.array([0.5, 1e-7, 0.3])
+    point = vertex(rates, noise, (0, 1, 2))
+    for i in range(3):
+        assert dep(point, i, rates, noise) == oracles.dep_reference(
+            point, i, rates, noise)
+    assert dep(point, 1, rates, noise) == {0, 1}
 
 
 def test_rate_certificate_matches_the_reference():
