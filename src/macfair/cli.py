@@ -69,11 +69,9 @@ def order_to_wire(order) -> str:
 def _parse_floats(text: str, flag: str) -> np.ndarray:
     """Comma-separated finite numbers: ranges are the library's to check."""
     try:
-        values = np.array([float(tok) for tok in text.split(",") if tok != ""])
+        values = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"could not parse {flag}={text!r} as numbers") from exc
-    if values.size == 0:
-        raise UsageError(f"{flag} must contain at least one number")
     if not np.all(np.isfinite(values)):
         raise UsageError(f"{flag} entries must be finite")
     return values

@@ -272,11 +272,14 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
     n_units = len(lams) * runs
     unit_lam = np.tile(np.asarray(lams, dtype=float), runs)
     unit_run = np.repeat(np.arange(runs), len(lams))
+    # slot[strategy, unit] is the unit's place in the [strategy, lambda, run]
+    # layout of the results.
+    slot = (np.arange(strategies)[:, None] * n_units
+            + np.arange(n_units) % len(lams) * runs + unit_run)
     battery = np.full((strategies, n_units, n), float(config.initial_energy))
     died = np.full((strategies, n_units), -1, dtype=np.int64)
     bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    # Per slice: each (strategy, unit)'s index, the step's first period,
-    # the periods paid, and their peaks, in that order.
+    # Per slice: the slot of every peak paid, and the peaks, in that order.
     replays: list[tuple[np.ndarray, ...]] = []
     max_rows = max(1, MAX_CELLS // n)
     period = 0
@@ -310,29 +313,24 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
                                       died[:, units])
             paid[~alive] = 0
             replays.append((
-                (np.arange(strategies)[:, None] * n_units + units).ravel(),
-                np.full(paid.size, period), paid.ravel(),
+                np.repeat(slot[:, units].ravel(), paid.ravel()),
                 peaks[np.arange(size) < paid[..., None]] / config.period))
         period += size
         live = live[(died[:, live] < 0).any(axis=0)]
-    shape = (strategies, len(lams), runs)
 
     def by_bound(a: np.ndarray) -> np.ndarray:
-        """``a[strategy, unit, ...]``, whose units are run-major, as
-        ``[strategy, lambda, run, ...]``."""
-        return np.ascontiguousarray(np.swapaxes(
-            a.reshape(strategies, runs, len(lams), *a.shape[2:]), 1, 2))
+        """``a[strategy, unit, ...]`` as ``[strategy, lambda, run, ...]``."""
+        out = np.empty((slot.size,) + a.shape[2:], dtype=a.dtype)
+        out[slot.ravel()] = a.reshape(out.shape)
+        return out.reshape((strategies, len(lams), runs) + a.shape[2:])
 
     lifetimes = by_bound(np.where(died >= 0, died, period))
     starts = np.zeros(lifetimes.size + 1, dtype=np.int64)
     np.cumsum(lifetimes, out=starts[1:])
-    unit_start = np.swapaxes(starts[:-1].reshape(shape), 1, 2).ravel()
-    peaks = np.empty(starts[-1])
-    index, first, paid, values = (np.concatenate(column)
-                                  for column in zip(*replays))
-    skip = np.cumsum(paid) - paid
-    peaks[np.arange(values.size)
-          + np.repeat(unit_start[index] + first - skip, paid)] = values
+    # Slices append in period order and a unit is in one slice per step, so
+    # a stable sort keeps each slot's peaks in period order.
+    slots, values = (np.concatenate(column) for column in zip(*replays))
+    peaks = values[np.argsort(slots, kind="stable")]
     return _Sweep(lifetimes=lifetimes, censored=by_bound(died < 0),
                   residual=by_bound(battery), peaks=peaks, starts=starts)
 

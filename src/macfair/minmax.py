@@ -59,6 +59,11 @@ CHECK_MAX_N = 12
 # Largest sum power whose square, the scale of distances and gaps, is finite.
 _MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
 
+# Largest rank in units of the noise power, the units of the levels, the
+# walk and the certificate: 2^24 below the largest double, so that their
+# sums over many nodes and their gain-scaled forms stay finite too.
+_MAX_RANK = 2.0 ** 1000
+
 
 class CaseLabel(enum.Enum):
     """Geometric relation between the equal-allocation point and the face."""
@@ -127,8 +132,11 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
 
 def _check_sum_rate(total: float, sigma_sq: float) -> None:
     """Raise ``ValueError`` when the sum power of a rate sum leaves the range
-    in which it, and the squared distances built from it, are finite."""
-    limit = math.log1p(_MAX_SUM_POWER / sigma_sq) / (2.0 * LN2)
+    in which it, and the squared distances built from it, are finite, or
+    its rank in units of the noise power exceeds ``_MAX_RANK``."""
+    # Below about 1.3e-147 W the rank, 4^total - 1, reaches _MAX_RANK first:
+    # the limit is then 500 bits.
+    limit = math.log1p(min(_MAX_SUM_POWER / sigma_sq, _MAX_RANK)) / (2.0 * LN2)
     if not total < limit:
         raise ValueError(
             f"the rates sum to {total:g} bits per channel use; above "
@@ -576,15 +584,23 @@ def max_min_rates(powers, noise: NoiseModel
     the prefix capacities over the received powers sorted in ascending
     order.  Block ``[lo, hi)`` is a capacity region of the same form whose
     noise includes the received power of the blocks below it.  Returns the
-    rate vector and the ``(decoding order, weight)`` pairs realizing it.
+    rate vector and the ``(decoding order, weight)`` pairs realizing it;
+    raises ``ValueError`` when the received-power sum, or its ratio to the
+    noise power, overflows.
     """
     p = _as_vector(powers, "powers")
     n = p.size
-    q = noise.received(p)
-    order = np.argsort(q, kind="stable")
-    cum = np.zeros(n + 1)
-    np.cumsum(q[order], out=cum[1:])
-    caps = (0.5 / LN2) * np.log1p(cum / noise.sigma_sq)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        q = noise.received(p)
+        order = np.argsort(q, kind="stable")
+        cum = np.zeros(n + 1)
+        np.cumsum(q[order], out=cum[1:])
+        snr = cum / noise.sigma_sq
+    if not snr[-1] < np.inf:
+        raise ValueError(
+            f"the received powers sum to {cum[-1]:g} W; the sum or its ratio "
+            f"to the noise power {noise.sigma_sq:g} W overflows")
+    caps = (0.5 / LN2) * np.log1p(snr)
     if caps[-1] == 0.0:
         return np.zeros(n), ((tuple(range(n)), 1.0),)
     rates = np.empty(n)

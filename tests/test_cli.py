@@ -370,6 +370,9 @@ def test_schedule_rejects_infinite_period_before_output(capsys):
     ["solve", "--rates", "1,1", "--gains", "1,0"],
     ["solve", "--rates", "1,1", "--gains", "1,2,3"],
     ["solve", "--rates", "1,1", "--noise", "0"],
+    ["solve", "--rates", "600,1", "--gains", "1,2", "--noise", "1e-200"],
+    ["solve", "--rates", "1,,2"],
+    ["schedule", "--backlogs", "1,,2"],
     ["schedule", "--backlogs", "0,0"],
     ["schedule", "--backlogs=1,-2"],
     ["schedule", "--backlogs", "1,2", "--packet-bits", "-3"],

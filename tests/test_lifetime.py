@@ -274,6 +274,11 @@ def test_config_rejects_a_lam_whose_sum_power_overflows():
     paper_config(lam=65.0)
     with pytest.raises(ValueError, match="lam = 100 is too large"):
         paper_config(lam=100.0, noise=NoiseModel(1e-3, gains=[0.5, 1, 2, 4]))
+    # 600 bits per channel use: past the 512 at which the rank in units of
+    # a 1e-200 W noise power overflows.
+    with pytest.raises(ValueError, match="lam = 1 is too large"):
+        paper_config(n_nodes=2, period=1.0, packet_bits=300.0, lam=1.0,
+                     noise=NoiseModel(1e-200))
 
 
 @pytest.mark.parametrize("overrides", [

@@ -604,6 +604,19 @@ def test_overflowing_sum_rate_rejected():
         solve([300.0, 300.0], UNIT)
     with pytest.raises(ValueError, match="overflows"):
         solve([1.0, 1.0], NoiseModel(1e300))
+    # At tiny noise powers the rank in units of the noise power, 4^R - 1,
+    # overflows first, past R = 512 bits.
+    tiny = NoiseModel(1e-200)
+    with pytest.raises(ValueError, match="overflows"):
+        solve([600.0], tiny)
+    with pytest.raises(ValueError, match="overflows"):
+        solve(np.full(13, 600.0 / 13), tiny)
+    with pytest.raises(ValueError, match="overflows"):
+        solve([600.0, 1.0], NoiseModel(1e-200, gains=[1.0, 2.0]))
+    with pytest.raises(ValueError, match="overflows"):
+        max_min_rates([1e200, 1.0], tiny)
+    with pytest.raises(ValueError, match="overflows"):
+        max_min_rates([1e308, 1e308], UNIT)
     sol = solve([128.0, 127.9], UNIT)
     assert np.all(np.isfinite(sol.received))
     assert np.isfinite(sol.distance) and np.isfinite(sol.gap)
