@@ -53,9 +53,6 @@ from .polymatroid import (
 # decimals.
 CASE_TOL = 1e-5
 
-# The largest n whose unit-gain solves ``check`` certifies.
-CHECK_MAX_N = 12
-
 # Largest sum power whose square, the scale of distances and gaps, is finite.
 _MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
 
@@ -278,7 +275,7 @@ class _CapacityBlock:
         ranks = (-0.5 / LN2) * np.log1p(q / s)
         head = q[1:-1]
         excess = (0.5 / LN2) * np.log1p(
-            head * (q[-1] - head) / (s * (s + q[-1])))
+            (head / s) * ((q[-1] - head) / (s + q[-1])))
         return ranks, excess
 
     def parts(self, lo: int, cut: int, hi: int, s: float):
@@ -516,15 +513,17 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return noise.sigma_sq * base / noise.gains_for(r.shape[-1])
 
 
-def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
+def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     """Min-max fair base of the power region and its time sharing.
 
     The base comes from exact levels, block by block along a chain (the
     hull for unit gains, max-ratio blocks for unequal gains); each block's
     point is decomposed exactly by the walk of :func:`_walk` and the blocks
-    are coupled.  With ``check`` (and unit gains, ``n <= CHECK_MAX_N``) the
-    base must also pass :func:`~macfair.polymatroid.is_lex_optimal_base`,
-    or :class:`SolverFailureError` is raised.
+    are coupled.  Every unit-gain base must pass the certificate of
+    :func:`~macfair.polymatroid.is_lex_optimal_base`, or
+    :class:`SolverFailureError` is raised; a weighted base minimizes a
+    gain-weighted distance instead and is not certified.  Raises
+    ``ValueError`` when the sum power or a weighted distance overflows.
     """
     r = _as_vector(rates, "rates")
     n = r.size
@@ -562,12 +561,13 @@ def solve(rates, noise: NoiseModel, check: bool = True) -> MinMaxSolution:
     factor = (noise.sigma_sq * total) ** 2
     distance = factor * float(gains @ (u - level) ** 2)
     gap_phys = factor * gap
-
-    if check and unit and n <= CHECK_MAX_N:
-        if not _lex_optimal_trusted(received, r, noise.sigma_sq):
-            raise SolverFailureError(
-                "solver output failed the lexicographic optimality check",
-                gap=gap_phys, iterations=splits)
+    if not (math.isfinite(distance) and math.isfinite(gap_phys)):
+        raise ValueError("the gain-weighted distance to the equal point "
+                         "overflows at these gains and this noise power")
+    if unit and not _lex_optimal_trusted(received, r, noise.sigma_sq):
+        raise SolverFailureError(
+            "solver output failed the lexicographic optimality check",
+            gap=gap_phys, iterations=splits)
 
     return MinMaxSolution(
         received=received, transmit=transmit,

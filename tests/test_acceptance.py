@@ -133,8 +133,7 @@ def test_criterion_4_solver_certificate():
             sigma_sq = float(rng.choice([1.0, 1e-3]))
             total = sum_power(rates, NoiseModel(sigma_sq))
             for gains in (None, rng.uniform(0.2, 5.0, n)):
-                sol = solve(rates, NoiseModel(sigma_sq, gains=gains),
-                            check=False)
+                sol = solve(rates, NoiseModel(sigma_sq, gains=gains))
                 gap = oracles.first_order_gap(sol.received, rates, sigma_sq,
                                               gains)
                 assert gap <= 1e-12 * total * total

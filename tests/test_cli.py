@@ -95,6 +95,13 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--rates", "1,1,1,1")
     assert code == EXIT_SOLVER
     assert "solver failure" in err
+    # Past twelve nodes too: the certificate has no size cap.
+    thirteen = ",".join(["0.1"] * 13)
+    for argv in (["solve", "--rates", thirteen],
+                 ["schedule", "--backlogs", thirteen]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_SOLVER
+        assert "solver failure" in err
 
 
 @pytest.mark.parametrize("rates", ["nan,1", "inf,1", "1,-inf"])
@@ -371,6 +378,7 @@ def test_schedule_rejects_infinite_period_before_output(capsys):
     ["solve", "--rates", "1,1", "--gains", "1,2,3"],
     ["solve", "--rates", "1,1", "--noise", "0"],
     ["solve", "--rates", "600,1", "--gains", "1,2", "--noise", "1e-200"],
+    ["solve", "--rates", "255.9,0.01", "--gains", "10,0.1", "--noise", "1"],
     ["solve", "--rates", "1,,2"],
     ["schedule", "--backlogs", "1,,2"],
     ["schedule", "--backlogs", "0,0"],

@@ -159,7 +159,7 @@ def test_solve_passes_brute_force_certificate():
         sigma_sq = float(rng.choice([1.0, 1e-3]))
         total = sum_power(rates, NoiseModel(sigma_sq))
         for gains in (None, rng.uniform(0.2, 5.0, n)):
-            sol = solve(rates, NoiseModel(sigma_sq, gains=gains), check=False)
+            sol = solve(rates, NoiseModel(sigma_sq, gains=gains))
             gap = oracles.first_order_gap(sol.received, rates, sigma_sq, gains)
             assert gap <= 1e-12 * total * total
 
@@ -188,9 +188,15 @@ def test_solver_failure_carries_gap(monkeypatch):
         solve([1.0, 1.0, 1.0, 1.0], UNIT)
     assert err.value.gap >= 0.0
     assert 0 <= err.value.iterations <= 3
+    # The certificate has no size cap.
+    rates = (4.0 / 200) * (1.0 + np.arange(200) % 7 / 7.0)
+    with pytest.raises(SolverFailureError) as err:
+        solve(rates, NoiseModel.from_db(-30.0))
+    assert err.value.gap >= 0.0
+    assert 0 <= err.value.iterations <= 199
 
 
-def test_certificate_runs_for_unit_gains_up_to_its_cap(monkeypatch):
+def test_certificate_runs_for_every_unit_gain_solve(monkeypatch):
     calls = []
     certify = minmax._lex_optimal_trusted
 
@@ -200,14 +206,12 @@ def test_certificate_runs_for_unit_gains_up_to_its_cap(monkeypatch):
 
     monkeypatch.setattr(minmax, "_lex_optimal_trusted", counted)
     noise = NoiseModel.from_db(-30.0)
-    rates = np.linspace(0.1, 0.4, 13)
-    for n in (2, 7, 12):
+    rates = np.linspace(0.01, 0.04, 200)
+    for n in (2, 7, 12, 13, 200):
         solve(rates[:n], noise)
         assert len(calls) == 1
         calls.clear()
-    solve(rates, noise)
     solve(rates[:4], NoiseModel(1e-3, gains=[4.0, 1.0, 0.5, 2.0]))
-    solve(rates[:4], noise, check=False)
     assert calls == []
 
 
@@ -216,11 +220,10 @@ def test_solve_near_vertex_returns_equal_point():
     # coincident, but the base and the weights must stay the equal point.
     rates = [0.5, R2_COINCIDENT * (1 + 1e-5)]
     level = sum_power(rates, UNIT) / 2.0
-    for check in (True, False):
-        sol = solve(rates, UNIT, check=check)
-        assert np.allclose(sol.received, [level, level], rtol=1e-12)
-        assert np.allclose(reconstruct(sol, rates, UNIT), sol.received,
-                           rtol=1e-12)
+    sol = solve(rates, UNIT)
+    assert np.allclose(sol.received, [level, level], rtol=1e-12)
+    assert np.allclose(reconstruct(sol, rates, UNIT), sol.received,
+                       rtol=1e-12)
 
 
 def test_solve_large_symmetric_instance():
@@ -613,6 +616,9 @@ def test_overflowing_sum_rate_rejected():
         solve(np.full(13, 600.0 / 13), tiny)
     with pytest.raises(ValueError, match="overflows"):
         solve([600.0, 1.0], NoiseModel(1e-200, gains=[1.0, 2.0]))
+    # Below the sum-rate limit, a gain-weighted distance can still overflow.
+    with pytest.raises(ValueError, match="overflows"):
+        solve([255.9, 0.01], NoiseModel(1.0, gains=[10.0, 0.1]))
     with pytest.raises(ValueError, match="overflows"):
         max_min_rates([1e200, 1.0], tiny)
     with pytest.raises(ValueError, match="overflows"):
@@ -674,6 +680,15 @@ def test_max_min_rates_symmetric():
     assert np.allclose(rates, [expected, expected], atol=1e-8)
     weights = sorted(w for _, w in coefficients)
     assert np.allclose(weights, [0.5, 0.5], atol=1e-8)
+    # Received powers whose product overflows a double, though their sum
+    # and its ratio to the noise power do not.
+    for power, sigma_sq in ((1e160, 1.0), (1e200, 1e100)):
+        rates, coefficients = max_min_rates([power, power],
+                                            NoiseModel(sigma_sq))
+        expected = float(np.log2(1.0 + 2.0 * power / sigma_sq) / 4.0)
+        assert np.allclose(rates, [expected, expected], rtol=1e-12)
+        weights = sorted(w for _, w in coefficients)
+        assert np.allclose(weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_max_min_rates_zero_power():

@@ -275,7 +275,7 @@ def _certificate_points():
     points = []
 
     def add_solved(rates, noise, vertices=None):
-        sol = solve(rates, noise, check=False)
+        sol = solve(rates, noise)
         points.append((sol.transmit, rates, noise))
         for order, _ in sol.coefficients[:vertices]:
             points.append((vertex(rates, noise, order), rates, noise))
@@ -305,7 +305,7 @@ def _certificate_points():
     # Non-bases: a feasible point above the face, an infeasible one below,
     # and a length mismatch off and on the full-set sum.
     rates = np.array([0.2, 0.5, 0.9])
-    base = solve(rates, UNIT, check=False).transmit
+    base = solve(rates, UNIT).transmit
     points += [(base * 1.001, rates, UNIT), (base * 0.999, rates, UNIT),
                (base[:2], rates, UNIT),
                (np.full(2, sum_power(rates, UNIT) / 2.0), rates, UNIT)]
@@ -373,7 +373,7 @@ def certificate_cases(draw):
 @given(certificate_cases())
 def test_sort_certificates_match_the_exhaustive_ones(case):
     rates, noise, order = case
-    base = solve(rates, noise, check=False).transmit
+    base = solve(rates, noise).transmit
     points = [base, vertex(rates, noise, order), _shifted(base, 1e-4),
               _shifted(base, -1e-4), base * 1.001]
     for powers in points:
