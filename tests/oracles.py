@@ -428,8 +428,8 @@ def restart_weighted_levels(r, gains, total):
 class _PiecePowerBlock:
     """The reference power block: each piece priced by array operations on
     the prefix values ``E - 1`` and ``1 / E``, the IEEE operations that
-    ``minmax._PowerBlock`` and the two-node piece of ``minmax._walk`` must
-    reproduce bit for bit."""
+    ``minmax._PowerBlock`` must reproduce bit for bit, in Python floats on
+    the walk's small pieces and on arrays on its large ones."""
 
     def __init__(self, rates):
         sums = np.zeros(rates.size + 1)
@@ -448,18 +448,39 @@ class _PiecePowerBlock:
         return c * (1.0 + self.em[lo]) * inv, c * (1.0 + self.em[hi]) * inv
 
 
+class _PieceCapacityBlock:
+    """The reference capacity block: each piece priced by array operations
+    on the prefix sums of the received powers, as ``minmax._CapacityBlock``
+    must price it on arrays or in lists."""
+
+    def __init__(self, received):
+        self.sums = np.zeros(received.size + 1)
+        np.cumsum(received, out=self.sums[1:])
+
+    def split(self, lo, hi, s):
+        q = self.sums[lo:hi + 1] - self.sums[lo]
+        ranks = (-0.5 / LN2) * np.log1p(q / s)
+        head = q[1:-1]
+        excess = (0.5 / LN2) * np.log1p(
+            (head / s) * ((q[-1] - head) / (s + q[-1])))
+        return ranks, excess
+
+    def parts(self, lo, cut, hi, s):
+        return s, s + (self.sums[hi] - self.sums[cut])
+
+
 def walk_reference(nodes, w, x, noise, region, at):
     """The Carathéodory walk of one block, every piece priced by one array
     pass over its prefixes: the reference for ``minmax._walk``, with the
     same arguments and returns.
 
-    The power region's pieces are priced by ``_PiecePowerBlock``; the
-    capacity region's by ``minmax._CapacityBlock``, which the walk uses as
-    it is.  Every piece, two-node ones too, takes the breakpoint of largest
-    ratio over its splits.
+    The power region's pieces are priced by ``_PiecePowerBlock``, the
+    capacity region's by ``_PieceCapacityBlock``.  Every piece, whatever its
+    size, takes the breakpoint of largest ratio over its splits by NumPy's
+    ``argmax``.
     """
-    if region is minmax._PowerBlock:
-        region = _PiecePowerBlock
+    region = {minmax._PowerBlock: _PiecePowerBlock,
+              minmax._CapacityBlock: _PieceCapacityBlock}[region]
     sort = np.argsort(-x / w, kind="stable")
     block = region(w[sort])
     mass = np.zeros(nodes.size + 1)

@@ -431,8 +431,8 @@ def test_walk_step_meets_a_suffix_first(side):
         suffixes = [sum(1 << int(i) for i in sort[k:]) for k in range(1, n)]
         assert min(ratios[m] for m in suffixes) == pytest.approx(best,
                                                                  rel=1e-9)
-        split = BLOCKS[side](w[sort]).split(0, n, s)
-        mass = np.concatenate(([0.0], np.cumsum(x[sort])))
+        split = BLOCKS[side](w[sort].tolist()).split(0, n, s)
+        mass = [0.0, *np.cumsum(x[sort]).tolist()]
         b, k = minmax._breakpoint(*split, mass, 1.0)
         assert b == pytest.approx(1.0 / (1.0 + best), rel=1e-9)
         assert ratios[suffixes[k - 1]] == pytest.approx(best, rel=1e-9)
@@ -551,38 +551,107 @@ def test_dual_walk_matches_the_reference(monkeypatch):
                                      noise)
 
 
-def test_two_node_pieces_match_the_reference():
-    # A two-node piece takes its breakpoint in closed form.  Its ratio is
-    # NaN when ranks underflow to an excess of 0 with nothing to spare,
-    # +inf when only the excess rounds to 0, and capped at the piece's time
-    # above it.  Two-node blocks walk one such piece, three-node ones also
-    # a child piece that shares less time.
-    tiny = np.full(2, 1e-17)
-    t = 1e-300 * float(np.expm1(2.0 * np.log(2.0) * 1e-17))
-    blocks = [(tiny, np.array([t, t]), 1e-300),
-              (tiny, np.array([2.0 * t, 0.0]), 1e-300),
-              (np.ones(2), np.array([13.0, 2.0]), 1.0),
-              (np.ones(2), np.array([7.5, 7.5]), 1.0)]
+REFERENCE_BLOCKS = {"power": oracles._PiecePowerBlock,
+                    "capacity": oracles._PieceCapacityBlock}
+
+
+def _root_ratios(side, w, x, s):
+    """The ratios of the first piece of a walk over ``(w, x, s)``, by the
+    reference's array operations, before the cap."""
+    sort = np.argsort(-x / w, kind="stable")
+    ranks, excess = REFERENCE_BLOCKS[side](w[sort]).split(0, w.size, s)
+    mass = np.concatenate(([0.0], np.cumsum(x[sort])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (mass[1:-1] - ranks[1:-1]) / excess
+
+
+def _ratio_cases(ratio):
+    cases = set()
+    nan = np.isnan(ratio)
+    if nan.any():
+        cases.add("nan")
+        if np.isfinite(ratio[:int(nan.argmax())]).any():
+            cases.add("nan after a finite one")
+    cases |= {"+inf"} if (ratio == np.inf).any() else set()
+    cases |= {"-inf"} if (ratio == -np.inf).any() else set()
+    finite = ratio[np.isfinite(ratio)]
+    if finite.size and finite.max() > 1.0:
+        cases.add("capped")
+    if not nan.any() and finite.size and 0.0 < finite.max() <= 1.0:
+        cases.add("open")
+    return cases
+
+
+@pytest.mark.parametrize("side", ["power", "capacity"])
+def test_list_and_array_pieces_match_the_reference(side):
+    # Blocks on both sides of the 32-node threshold, so that pieces are
+    # priced in Python floats, on arrays, or on arrays and then in lists.
+    # Zero excesses give +inf, -inf and NaN ratios, which the lists must
+    # pick as NumPy's argmax does: the first NaN, also after a finite ratio.
+    # Tiny weights make every excess 0: power rates of 1e-17 at 1e-300 W,
+    # whose ranks underflow, or received powers of 1e-300 at 1 W.  Heavy
+    # nodes followed by ones too light to move the prefix values make the
+    # excesses 0 after the heavy ones; their masses set the gain of those
+    # splits to 0, above 0 or below.  Bases mixed from chain vertices, with
+    # tied rates, open inside the piece's time, and scaled ones past it.
+    assert minmax._LIST_PIECE == 32
     rng = np.random.default_rng(79)
-    for _ in range(20):
-        w = rng.uniform(0.05, 1.5, 3)
-        s = float(rng.choice([1.0, 1e-3, 5.0]))
-        _, vertices = oracles.all_received_vertices(w, s)
-        blocks += [(w, x, s) for x in vertices[:2]]
-        blocks.append((w, rng.dirichlet(np.ones(6)) @ vertices, s))
-    blocks.append((np.full(3, 1e-17), np.full(3, t), 1e-300))
-    seen = set()
-    for w, x, s in blocks:
-        sort = np.argsort(-x / w, kind="stable")
-        ranks, excess = oracles._PiecePowerBlock(w[sort]).split(0, 2, s)
+    sign = 1.0 if side == "power" else -1.0
+    vertex = (oracles.naive_vertex if side == "power"
+              else oracles.naive_capacity_vertex)
+    for m in (2, 3, 5, 31, 32, 33, 40):
+        blocks = []
+        w, s = ((np.full(m, 1e-17), 1e-300) if side == "power"
+                else (np.full(m, 1e-300), 1.0))
+        v = sign * vertex(w, s, range(m))
+        blocks += [(w, np.full(m, v[0]), s), (w, v, s), (w, v[::-1].copy(), s)]
+        for heavy in range(1, min(m, 3)):
+            w = np.r_[np.ones(heavy), np.full(m - heavy, 1e-20)]
+            each = float(REFERENCE_BLOCKS[side](w).split(0, m, 1.0)[0][heavy])
+            each /= heavy
+            for f in (1.0, 0.9, 1.1):
+                x = np.r_[np.full(heavy, each * f), w[heavy:] * (each - 1.0)]
+                blocks.append((w, x, 1.0))
+        for _ in range(6):
+            w = rng.uniform(0.05, 1.5, m) * (1.0 if side == "power" else 4.0)
+            w[rng.integers(m)] = w[0]
+            s = float(rng.choice([1.0, 1e-3, 5.0]))
+            vertices = np.stack([sign * vertex(w, s, rng.permutation(m))
+                                 for _ in range(4)])
+            x = rng.dirichlet(np.ones(4)) @ vertices
+            blocks += [(w, x, s), (w, 1.5 * x, s), (w, 0.5 * x, s)]
+        seen = set()
+        for w, x, s in blocks:
+            seen |= _ratio_cases(_root_ratios(side, w, x, s))
+            args = (np.arange(m), w, x, s, BLOCKS[side], 0)
+            assert minmax._walk(*args) == oracles.walk_reference(*args)
+        expected = {"nan", "+inf", "-inf", "capped", "open"}
+        if m > 2:
+            expected.add("nan after a finite one")
+        assert seen == expected, (m, seen)
+
+
+def test_list_breakpoint_takes_numpys_argmax():
+    # Splits whose ratios, (mass - scale * ranks) / excess = gains / excess
+    # here, tie, meet zero excesses (+inf, -inf and NaN, also after a finite
+    # ratio) or tie with the cap.  Lists must pick what NumPy's argmax picks
+    # on arrays: the first maximum, or the first NaN.
+    cases = [([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+             ([0.5, 1.0], [1.0, 0.0]), ([-1.0, -1.0], [0.0, 0.0]),
+             ([0.5, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 0.0]),
+             ([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]), ([3.0, 2.0], [1.5, 1.0])]
+    picked = set()
+    for gains, excess in cases:
+        ranks = [0.0, *range(1, len(gains) + 1), 9.0]
+        mass = [0.0, *(g + 2.0 * r for g, r in zip(gains, ranks[1:])), 20.0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (x[sort][0] - ranks[1]) / excess[0]
-        if w.size == 2:
-            seen.add("nan" if np.isnan(ratio) else "inf" if np.isinf(ratio)
-                     else "capped" if ratio > 1.0 else "open")
-        args = (np.arange(w.size), w, x, s, minmax._PowerBlock, 0)
-        assert minmax._walk(*args) == oracles.walk_reference(*args)
-    assert seen == {"nan", "inf", "capped", "open"}
+            ratio = np.divide(gains, excess)
+        k = int(ratio.argmax())
+        want = (min(float(ratio[k]), 2.0), k + 1)
+        got = minmax._breakpoint([float(r) for r in ranks], excess, mass, 2.0)
+        assert str(got) == str(want), (gains, excess)
+        picked.add(k + 1)
+    assert picked == {1, 2}
 
 
 def test_power_block_memory_is_linear_in_the_block():
