@@ -372,7 +372,8 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     large = m > _LIST_PIECE
     if large:
         sort = np.argsort(-x / w, kind="stable")
-        ws, xs, order = w[sort].tolist(), x[sort].tolist(), nodes[sort].tolist()
+        ws, xs = w[sort].tolist(), x[sort].tolist()
+        order = nodes[sort].tolist()
     else:
         ws, xs, order = w.tolist(), x.tolist(), nodes.tolist()
         keys = [-a / b for a, b in zip(xs, ws)]
@@ -387,6 +388,8 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     openings = []
     pieces = [(0, m, at, noise, 1.0, mass)]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
+    # Only array pieces divide in NumPy; a list piece that meets a zero
+    # excess turns to arrays inside _breakpoint, under its own errstate.
     with (np.errstate(divide="ignore", invalid="ignore") if large
           else contextlib.nullcontext()):
         while pieces:

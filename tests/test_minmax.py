@@ -566,14 +566,13 @@ def _root_ratios(side, w, x, s):
 
 
 def _ratio_cases(ratio):
-    cases = set()
+    cases = {name for name, value in (("+inf", np.inf), ("-inf", -np.inf))
+             if (ratio == value).any()}
     nan = np.isnan(ratio)
     if nan.any():
         cases.add("nan")
         if np.isfinite(ratio[:int(nan.argmax())]).any():
             cases.add("nan after a finite one")
-    cases |= {"+inf"} if (ratio == np.inf).any() else set()
-    cases |= {"-inf"} if (ratio == -np.inf).any() else set()
     finite = ratio[np.isfinite(ratio)]
     if finite.size and finite.max() > 1.0:
         cases.add("capped")
