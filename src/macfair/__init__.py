@@ -13,12 +13,8 @@ from .polymatroid import (
     NoiseModel,
     NotABaseError,
     NotAMemberError,
-    capacity_chain,
-    capacity_rank,
     chain_received,
-    dep,
     greedy_linear_min,
-    is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
     power_rank,
@@ -29,7 +25,6 @@ from .minmax import (
     CaseLabel,
     MinMaxSolution,
     SolverFailureError,
-    classify_case,
     equal_allocation,
     max_min_rates,
     solve,
@@ -40,21 +35,15 @@ from .scheduling import (
     Epoch,
     STRATEGIES,
     Schedule,
-    average_rates,
     build_schedule,
     energy_report,
-    period_energies,
 )
 from .lifetime import (
     ComparisonTable,
-    RunResult,
     SimConfig,
     StrategyStats,
     compare_strategies,
     compare_sweep,
-    draw_backlogs,
-    period_backlog,
-    simulate_lifetime,
 )
 
 __version__ = "0.1.0"

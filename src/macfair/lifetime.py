@@ -38,8 +38,7 @@ replays the ledgers of its units together: ``np.subtract.accumulate``
 along the periods is the sequential ``battery - e`` fold, and a strategy
 dies at the first period some node cannot pay.  Results are bit for bit
 those of a loop over single periods, one lambda at a time.  The
-statistics are reductions over these arrays; :class:`RunResult` objects
-are built only by :func:`simulate_lifetime`.
+statistics are reductions over these arrays.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .minmax import _check_sum_rate
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, STRATEGIES, _TABLE
+from .scheduling import STRATEGIES, _TABLE
 
 DEFAULT_PERIOD_CAP = 1_000_000
 
@@ -115,24 +114,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    """Outcome of one run: completed periods, leftover batteries, and the
-    period-normalized peak power of every completed period."""
-
-    lifetime_periods: int
-    residual_energy: np.ndarray
-    per_period_max_power: tuple[float, ...]
-    censored: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.residual_energy, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "residual_energy", v)
-        object.__setattr__(self, "per_period_max_power",
-                           tuple(self.per_period_max_power))
-
-
-@dataclass(frozen=True)
 class StrategyStats:
     """Per-strategy aggregates over the runs (means and sample st. devs)."""
 
@@ -159,42 +140,16 @@ def _blocks_per_period(n_nodes: int) -> int:
     return -(-n_nodes // 4)
 
 
-def _period_rng(seed: int, run: int, period: int,
-                n_nodes: int) -> np.random.Generator:
-    """Generator whose first ``n_nodes`` draws depend only on
-    (seed, run, period)."""
-    key = np.array([seed, run], dtype=np.uint64)
-    counter = np.array([period * _blocks_per_period(n_nodes), 0, 0, 0],
-                       dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-def draw_backlogs(lam: float, n_nodes: int, packet_bits: float,
-                  rng: np.random.Generator) -> Backlog:
-    """Independent per-node backlogs, uniform on the half-open interval
-    (0, lam] (never exactly zero)."""
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
-    packets = lam * (1.0 - rng.random(n_nodes))
-    return Backlog(packets=packets, packet_bits=packet_bits)
-
-
-def period_backlog(config: SimConfig, run: int, period: int) -> Backlog:
-    """The backlog of a given (run, period), independent of strategy and of
-    the order in which periods are simulated."""
-    rng = _period_rng(config.seed, run, period, config.n_nodes)
-    return draw_backlogs(config.lam, config.n_nodes, config.packet_bits, rng)
-
-
 def _draw(config: SimConfig, bits: np.random.Philox, runs: np.ndarray,
           first: int, size: int) -> np.ndarray:
     """Packets of periods ``first`` to ``first + size - 1`` of every run in
     ``runs`` at bound 1, as ``[run, period, node]``: ``lam`` times a row is
-    the backlog at bound ``lam``.  Each run reads the Philox stream keyed on
-    ``(seed, run)`` from the block where :func:`_period_rng` puts period
-    ``first``, with ``bits`` re-keyed for it; a period takes the next
-    ``4 * _blocks_per_period(n)`` doubles and keeps the first ``n``, so
-    every scaled row is bit-identical to :func:`period_backlog`."""
+    the backlog at bound ``lam``, uniform on ``(0, lam]``.  Each run reads
+    the Philox stream keyed on ``(seed, run)`` from block ``first *
+    _blocks_per_period(n)``, with ``bits`` re-keyed for it; a period takes
+    the next ``4 * _blocks_per_period(n)`` doubles and keeps the first
+    ``n``, so every scaled row is bit-identical to the one-period reference
+    draw, ``oracles.period_backlog`` in the tests."""
     n = config.n_nodes
     blocks = _blocks_per_period(n)
     u = np.empty((runs.size, size, 4 * blocks))
@@ -244,21 +199,17 @@ def _replay(battery: np.ndarray, spent: np.ndarray
 @dataclass(frozen=True)
 class _Sweep:
     """The outcome of every ``(lambda, run)`` unit of a pass, by strategy:
-    completed periods and whether the period cap ended them
-    ``[strategy, lambda, run]``, the batteries left
-    ``[strategy, lambda, run, node]``, and the peak power of every completed
-    period in one array, run after run in the order of ``lifetimes``
-    (``starts`` has each run's first index, then the end)."""
+    completed periods ``[strategy, lambda, run]`` (a death comes before the
+    period cap, so exactly the units alive at the cap read ``period_cap``),
+    the batteries left ``[strategy, lambda, run, node]``, and the peak
+    power of every completed period in one array, run after run in the
+    order of ``lifetimes`` (``starts`` has each run's first index, then the
+    end)."""
 
     lifetimes: np.ndarray
-    censored: np.ndarray
     residual: np.ndarray
     peaks: np.ndarray
     starts: np.ndarray
-
-    def peaks_of(self, i: int, lam: int, run: int) -> np.ndarray:
-        at = np.ravel_multi_index((i, lam, run), self.lifetimes.shape)
-        return self.peaks[self.starts[at]:self.starts[at + 1]]
 
 
 def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
@@ -331,29 +282,8 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
     # a stable sort keeps each slot's peaks in period order.
     slots, values = (np.concatenate(column) for column in zip(*replays))
     peaks = values[np.argsort(slots, kind="stable")]
-    return _Sweep(lifetimes=lifetimes, censored=by_bound(died < 0),
-                  residual=by_bound(battery), peaks=peaks, starts=starts)
-
-
-def _results(sweep: _Sweep, lam: int) -> dict[str, list[RunResult]]:
-    """The runs of the ``lam``-th bound of a pass, as :class:`RunResult`s."""
-    runs = sweep.lifetimes.shape[2]
-    return {s: [RunResult(lifetime_periods=int(sweep.lifetimes[i, lam, run]),
-                          residual_energy=sweep.residual[i, lam, run].copy(),
-                          per_period_max_power=sweep.peaks_of(
-                              i, lam, run).tolist(),
-                          censored=bool(sweep.censored[i, lam, run]))
-                for run in range(runs)]
-            for i, s in enumerate(STRATEGIES)}
-
-
-def simulate_lifetime(config: SimConfig) -> dict[str, list[RunResult]]:
-    """Simulate all runs of every strategy, keyed by strategy name.
-
-    Runs are independent given their (seed, run) keys; executing them in any
-    order, or concurrently, yields identical results.
-    """
-    return _results(_simulate(config, [config.lam]), 0)
+    return _Sweep(lifetimes=lifetimes, residual=by_bound(battery),
+                  peaks=peaks, starts=starts)
 
 
 def _tabulate(config: SimConfig, sweep: _Sweep) -> list[ComparisonTable]:

@@ -203,22 +203,6 @@ def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
     return CaseLabel.INTERIOR_FEASIBLE
 
 
-def classify_case(rates, noise: NoiseModel) -> CaseLabel:
-    """Diagnose where the equal-allocation target sits relative to the face.
-
-    ``VertexCoincident``: a single decoding order realizes it (within
-    ``CASE_TOL``); ``InteriorFeasible``: realizable only by time sharing;
-    ``Infeasible``: outside the region, so the optimum is a strict
-    projection.  Purely diagnostic: the label never changes the solution.
-    """
-    r = _as_vector(rates, "rates")
-    gains = noise.gains_for(r.size)
-    ranks = _prefix_ranks(r, noise.sigma_sq)[2]
-    if ranks[-1] == 0.0:
-        return CaseLabel.VERTEX_COINCIDENT
-    return _case_label(ranks / ranks[-1], 1.0 / float(gains.sum()))
-
-
 def _hull_ends(values: list[float]) -> list[int]:
     """Breakpoints ``0 = k_0 < ... < k_p = n`` of the least concave majorant
     of the points ``(k, values[k])``.  A point exactly on the majorant stays
@@ -312,18 +296,18 @@ def _breakpoint(ranks, excess, mass, scale: float) -> tuple[float, int]:
     """Breakpoint of a piece and the length of the prefix before its tight
     suffix.
 
-    ``ranks`` and ``excess`` are the piece's ``split`` and ``mass`` its
-    prefix masses, empty set first, all lists or all arrays.  The split
-    after prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) - f(P)) /
-    (f(N) - f(P) - f(S))`` with ``x(P) = mass(P) / scale``; the walk meets
-    the split of largest ``b``, capped at ``scale``.  An excess of zero
-    gives a signed infinity or NaN, as NumPy's quotient does, and a NaN
-    ratio is the breakpoint, as in ``argmax``.
+    ``ranks`` and ``excess`` are the piece's ``split`` and ``mass`` the
+    masses of its empty and proper prefixes, all lists or all arrays.  The
+    split after prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) -
+    f(P)) / (f(N) - f(P) - f(S))`` with ``x(P) = mass(P) / scale``; the
+    walk meets the split of largest ``b``, capped at ``scale``.  An excess
+    of zero gives a signed infinity or NaN, as NumPy's quotient does, and a
+    NaN ratio is the breakpoint, as in ``argmax``.
     """
     if isinstance(mass, list):
         try:
             best, k = (mass[1] - scale * ranks[1]) / excess[0], 1
-            for j in range(2, len(mass) - 1):
+            for j in range(2, len(mass)):
                 ratio = (mass[j] - scale * ranks[j]) / excess[j - 1]
                 if ratio > best:
                     best, k = ratio, j
@@ -333,7 +317,7 @@ def _breakpoint(ranks, excess, mass, scale: float) -> tuple[float, int]:
                                    np.array(mass), scale)
         # The masses and ranks are finite, so a ratio is NaN only by 0 / 0.
         return min(best, scale), k
-    ratio = (mass[1:-1] - scale * ranks[1:-1]) / excess
+    ratio = (mass[1:] - scale * ranks[1:-1]) / excess
     k = int(ratio.argmax())
     return min(float(ratio[k]), scale), k + 1
 
@@ -351,11 +335,12 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     in one pass over the prefixes, splits the piece into that suffix (a
     restriction) and the rest (the contraction by it), and goes on with
     both; every piece is a contiguous range of the one sort.  Pieces are
-    kept as prefix masses ``scale * y(P)`` over their prefixes ``P``, empty
-    set first, ``scale`` the time they share.  A split subtracts the
-    vertex's prefix masses (the piece's prefix ranks) and divides by
-    nothing small; the prefix keeps the leading masses, and the suffix's are
-    the rest less the prefix's total.
+    kept as prefix masses ``scale * y(P)`` over their empty and proper
+    prefixes ``P``, ``scale`` the time they share; no breakpoint reads a
+    piece's total.  A split subtracts the vertex's prefix masses (the
+    piece's prefix ranks) and divides by nothing small; the prefix keeps the
+    leading masses, and the suffix's are the rest less the prefix's
+    total.
 
     A piece of at most ``_LIST_PIECE`` nodes is priced in Python floats, a
     larger one on arrays, with the same IEEE operations either way; a
@@ -382,7 +367,7 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
         xs = [xs[i] for i in sort]
         order = [order[i] for i in sort]
     block = region(ws)
-    mass = [0.0, *accumulate(xs)]
+    mass = [0.0, *accumulate(xs[:-1])]
     if large:
         mass = np.array(mass)
     openings = []
@@ -408,22 +393,22 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
                 if hi - cut > 1:
                     top = mass[k] - chain * ranks[k]
                     tail = [0.0]
-                    for j in range(k + 1, hi - lo + 1):
+                    for j in range(k + 1, hi - lo):
                         tail.append((mass[j] - chain * ranks[j]) - top)
                     pieces.append((cut, hi, start, suffix, b, tail))
                 if k > 1:
-                    head = mass[:k + 1]
-                    for j in range(1, k + 1):
+                    head = mass[:k]
+                    for j in range(1, k):
                         head[j] -= chain * ranks[j]
                     pieces.append((lo, cut, start + hi - cut, prefix, b, head))
                 continue
-            mass -= chain * ranks
+            mass -= chain * ranks[:-1]
             if hi - cut > 1:
                 tail = mass[k:] - mass[k]
                 pieces.append((cut, hi, start, suffix, b, tail
                                if hi - cut > _LIST_PIECE else tail.tolist()))
             if k > 1:
-                head = mass[:k + 1]
+                head = mass[:k]
                 pieces.append((lo, cut, start + hi - cut, prefix, b, head
                                if k > _LIST_PIECE else head.tolist()))
     return order, openings

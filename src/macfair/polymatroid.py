@@ -10,14 +10,14 @@ point (vertex) of either region is realized by one successive-decoding order,
 so any point of the dominant face can be scheduled by time sharing among
 decoding orders.
 
-This module implements the two rank functions, vertex construction along
-decoding chains, Edmonds-style greedy linear minimization, the base test,
-dependent sets, and the certificate of lexicographic (min-max fair)
-optimality of a base.  A subset's rank depends on it only through its rate
-sum, convexly, so the slack of its constraint is concave in the point
-``(Q(A), R(A))`` and is least at a prefix of the nodes sorted by
-``r_i / q_i`` descending: membership is one sort and ``n + 1`` prefix
-checks, and the tight sets are such prefixes.  A base is the
+This module implements the power rank, vertex construction along decoding
+chains, Edmonds-style greedy linear minimization, and the certificates of
+lexicographic (min-max fair) optimality of a power base and of a rate base,
+each with its membership and base tests.  A subset's rank depends on it
+only through its rate sum, convexly, so the slack of its constraint is
+concave in the point ``(Q(A), R(A))`` and is least at a prefix of the nodes
+sorted by ``r_i / q_i`` descending: membership is one sort and ``n + 1``
+prefix checks, and the tight sets are such prefixes.  A base is the
 lexicographically optimal one iff every prefix of its levels is tight
 (Fujishige, Math. OR 5(3), 1980).  The public functions check their inputs
 once.
@@ -33,7 +33,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -67,6 +66,12 @@ class NotABaseError(ValueError):
     """The point is not on the dominant face of the region."""
 
 
+def _check_noise_power(sigma_sq: float) -> None:
+    if not 0.0 < sigma_sq < np.inf:
+        raise ValueError(
+            f"noise power must be positive and finite, got {sigma_sq}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Receiver noise power and per-node channel gains.
@@ -78,9 +83,7 @@ class NoiseModel:
     gains: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_sq < np.inf:
-            raise ValueError(
-                f"noise power must be positive and finite, got {self.sigma_sq}")
+        _check_noise_power(self.sigma_sq)
         if self.gains is not None:
             g = np.asarray(self.gains, dtype=float)
             if g.ndim != 1 or g.size < 1:
@@ -158,18 +161,6 @@ def power_rank(rates, noise: NoiseModel, members) -> float:
     return _sum_rank(r[_as_subset(members, r.size)], noise.sigma_sq)
 
 
-def capacity_rank(powers, noise: NoiseModel, members) -> float:
-    """Shannon sum capacity of a node subset, in bits per channel use.
-
-    This is the submodular rank function of the capacity polymatroid:
-    ``0.5 * log2(1 + Q(A)/sigma^2)`` with Q the received powers.
-    """
-    p = _as_vector(powers, "powers")
-    idx = _as_subset(members, p.size)
-    q = float((p[idx] * noise.gains_for(p.size)[idx]).sum())
-    return 0.5 * float(np.log1p(q / noise.sigma_sq)) / LN2
-
-
 def _sum_rank(r: np.ndarray, sigma_sq: float) -> float:
     return sigma_sq * float(np.expm1(2.0 * LN2 * r.sum()))
 
@@ -202,6 +193,7 @@ def chain_received(rates, sigma_sq: float, order) -> np.ndarray:
     ``order[-1]`` first and ``order[0]`` last, so ``order[0]`` gets the
     smallest share.
     """
+    _check_noise_power(sigma_sq)
     r = _as_vector(rates, "rates")
     pi = _as_order(order, r.size)
     return _chain_received_trusted(r, sigma_sq, np.asarray(pi, dtype=np.intp))
@@ -231,7 +223,7 @@ def _capacity_slack(q_sum: float, r_sum: float, sigma_sq: float):
 
 
 def _ratio_sort(q: list[float], r: list[float]):
-    """The nodes sorted by ``r_i / q_i`` descending, and their sort keys.
+    """The nodes sorted by ``r_i / q_i`` descending.
 
     A node with a rate and no power comes first, one with neither last.
     Both slacks are concave in ``(Q(A), R(A))`` and fall as ``R(A)`` grows,
@@ -240,7 +232,7 @@ def _ratio_sort(q: list[float], r: list[float]):
     """
     keys = [-(ri / qi) if qi > 0.0 else (-math.inf if ri > 0.0 else math.inf)
             for qi, ri in zip(q, r)]
-    return sorted(range(len(keys)), key=keys.__getitem__), keys
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _group_slacks(groups, q, r, sigma_sq: float, slack):
@@ -274,24 +266,9 @@ def _base_lists(q: np.ndarray, r: np.ndarray, sigma_sq: float):
     if abs(full) <= tol:
         if len(ql) != len(rl):
             raise ValueError("powers and rates must have the same length")
-        if _is_member(_ratio_sort(ql, rl)[0], ql, rl, sigma_sq, _power_slack):
+        if _is_member(_ratio_sort(ql, rl), ql, rl, sigma_sq, _power_slack):
             return ql, rl
     raise NotABaseError("the point is not on the dominant face")
-
-
-def is_base(powers, rates, noise: NoiseModel) -> bool:
-    """Whether the powers are feasible and lie on the dominant face.
-
-    A base saturates the full-set constraint: the received-power sum equals
-    ``sum_power(rates, noise)``.
-    """
-    p = _as_vector(powers, "powers")
-    r = _as_vector(rates, "rates")
-    try:
-        _base_lists(noise.received(p), r, noise.sigma_sq)
-    except NotABaseError:
-        return False
-    return True
 
 
 def greedy_linear_min(theta, rates, noise: NoiseModel) -> tuple[tuple[int, ...], np.ndarray]:
@@ -309,51 +286,6 @@ def greedy_linear_min(theta, rates, noise: NoiseModel) -> tuple[tuple[int, ...],
         raise ValueError("theta and rates must have the same length")
     pi = tuple(int(i) for i in np.argsort(-t, kind="stable"))
     return pi, vertex(r, noise, pi)
-
-
-def capacity_chain(powers, noise: NoiseModel, order) -> np.ndarray:
-    """Rate vertex of the capacity region for one decoding chain."""
-    p = _as_vector(powers, "powers")
-    pi = _as_order(order, p.size)
-    idx = np.asarray(pi, dtype=np.intp)
-    q = noise.received(p)[idx]
-    cum = 0.5 * np.log1p(np.cumsum(q) / noise.sigma_sq) / LN2
-    coords = np.diff(cum, prepend=0.0)
-    out = np.empty_like(coords)
-    out[idx] = coords
-    return out
-
-
-def dep(powers, i: int, rates, noise: NoiseModel) -> frozenset[int]:
-    """Dependent set of node ``i``: the minimal tight set containing it.
-
-    Equals the intersection of all tight sets containing ``i``; empty when
-    ``i`` is not saturated (its power can be decreased without leaving the
-    region).  The tight sets are prefixes of the ratio sort that end
-    between two of its keys, so this is the shortest such tight prefix
-    that holds ``i``; a node with neither rate nor power is its own.
-    """
-    i = operator.index(i)
-    p = _as_vector(powers, "powers")
-    r = _as_vector(rates, "rates")
-    if p.size != r.size:
-        raise ValueError("powers and rates must have the same length")
-    q, rl = noise.received(p).tolist(), r.tolist()
-    nodes, keys = _ratio_sort(q, rl)
-    if not _is_member(nodes, q, rl, noise.sigma_sq, _power_slack):
-        raise NotAMemberError("the point violates a subset power constraint")
-    if not 0 <= i < len(q):
-        raise InvalidSubsetError(f"node index {i} outside ground set 0..{len(q) - 1}")
-    if q[i] == 0.0 and rl[i] == 0.0:
-        return frozenset((i,))
-    ties = [list(g) for _, g in itertools.groupby(nodes, keys.__getitem__)]
-    members: list[int] = []
-    for group, (s, tol) in zip(ties, _group_slacks(ties, q, rl, noise.sigma_sq,
-                                                   _power_slack)):
-        members += group
-        if s <= tol and i in members:
-            return frozenset(members)
-    return frozenset()
 
 
 def _levels(values: list[float], atol: float) -> list[list[int]]:
@@ -415,7 +347,7 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
     full, tol = _capacity_slack(sum(q), sum(rl), noise.sigma_sq)
     if abs(full) > tol:
         raise NotABaseError("the rate point is not on the dominant face")
-    if not _is_member(_ratio_sort(q, rl)[0], q, rl, noise.sigma_sq,
+    if not _is_member(_ratio_sort(q, rl), q, rl, noise.sigma_sq,
                       _capacity_slack):
         raise NotAMemberError("the rate point violates a capacity constraint")
     return _all_tight(_levels(rl, LEVEL_ATOL)[::-1], q, rl, noise.sigma_sq,

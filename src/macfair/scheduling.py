@@ -17,13 +17,12 @@ so power x time is energy in joules):
 
 Nodes with zero backlog are removed before scheduling and reported with zero
 power and rate.  One table maps each strategy name to its schedule builder
-and to its per-node energies in closed form; :func:`build_schedule`,
-:func:`period_energies` and the lifetime simulation, which needs no
-schedule, all read it.
+and to its per-node energies in closed form; :func:`build_schedule` and the
+lifetime simulation, which needs no schedule, both read it.
 
 Public names: :class:`Backlog`, :class:`Epoch`, :class:`Schedule`,
-:class:`EnergyReport`, ``STRATEGIES``, :func:`average_rates`,
-:func:`build_schedule`, :func:`energy_report` and :func:`period_energies`.
+:class:`EnergyReport`, ``STRATEGIES``, :func:`build_schedule` and
+:func:`energy_report`.
 """
 
 from __future__ import annotations
@@ -139,17 +138,13 @@ class EnergyReport:
         object.__setattr__(self, "per_node_energy", v)
 
 
-def average_rates(backlog: Backlog, period: float) -> np.ndarray:
-    """Constant rates that clear the backlog: ``b_i * B / T`` bits per use."""
-    if not 0 < period < np.inf:
-        raise ValueError("period must be positive and finite")
-    return backlog.bits / period
-
-
 def _active(backlog: Backlog, period: float, noise: NoiseModel):
     """The nodes with a positive backlog, their packets, their channel and
-    their average rates: every strategy leaves the other nodes out."""
-    rates = average_rates(backlog, period)
+    their average rates ``b_i * B / T``, the constant rates that clear the
+    backlog: every strategy leaves the other nodes out."""
+    if not 0 < period < np.inf:
+        raise ValueError("period must be positive and finite")
+    rates = backlog.bits / period
     active = np.nonzero(backlog.packets > 0.0)[0]
     if active.size == 0:
         raise ValueError("at least one node must have a positive backlog")
@@ -298,19 +293,3 @@ def build_schedule(strategy: str, backlog: Backlog, period: float,
     return Schedule(kind=strategy, epochs=epochs(backlog, period, noise),
                     period=period)
 
-
-def period_energies(backlog: Backlog, period: float,
-                    noise: NoiseModel) -> dict[str, np.ndarray]:
-    """Per-node energy of every strategy over one period, without schedules.
-
-    Equals ``energy_report(build_schedule(s, ...)).per_node_energy`` for
-    every strategy ``s``: bit for bit for minicost and TDMA, and to rounding
-    for min-max, whose energy is the period times the fair base itself
-    rather than the sum over its time-shared vertices.  Nodes without
-    backlog spend nothing.
-    """
-    n = backlog.packets.size
-    active, packets, sub, _ = _active(backlog, period, noise)
-    return {s: _embed(energy(packets[None, :], backlog.packet_bits, period,
-                             sub)[0], active, n)
-            for s, (_, energy) in _TABLE.items()}

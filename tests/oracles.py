@@ -2,10 +2,13 @@
 
 Everything here recomputes expected results from first principles (direct
 formulas, exhaustive enumeration, fine grid searches) without going through
-the solver code paths it is used to check.  It also reads schedule CSVs
-back, so that the tests can check what the CLI wrote.
+the solver code paths it is used to check.  The lifetime references work
+one period at a time, where the engine works on many.  It also reads
+schedule CSVs back, and lays an engine pass out run by run, so that the
+tests can check what the CLI wrote and what the engine computed.
 """
 
+import collections
 import csv
 import functools
 import itertools
@@ -19,35 +22,27 @@ from macfair import (
     Backlog,
     ComparisonTable,
     Epoch,
-    RunResult,
     Schedule,
     StrategyStats,
     build_schedule,
     energy_report,
-    period_backlog,
-    period_energies,
 )
-from macfair import minmax
+from macfair import lifetime, minmax, scheduling
 from macfair.lifetime import _blocks_per_period
 from macfair.polymatroid import (
     LEVEL_ATOL,
     LEVEL_RTOL,
     LN2,
     TIGHT_RTOL,
-    InvalidSubsetError,
     NotABaseError,
     NotAMemberError,
     _as_vector,
-    capacity_rank,
-    power_rank,
     sum_power,
 )
 
 # Caps on exhaustive enumeration.  Exceeding one raises
 # EnumerationLimitError; there is never a silent approximate fallback.
 MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
-MEMBERSHIP_MAX_N = 20   # 2^n subset constraints
-TIGHT_SET_MAX_N = 16    # 2^n tight-set enumeration (dep, capacity tight sets)
 LEX_CHECK_MAX_N = 12    # dependent-set checks per fairness level
 PERTURB_MAX_N = 8       # pairwise transfer probing
 
@@ -65,10 +60,6 @@ def _subset_bits(n):
     """Float64 0/1 matrix (2^n, n): row m has the members of bitmask m."""
     masks = np.arange(1 << n, dtype=np.uint32)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-
-
-def _mask_to_set(mask):
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def _tight_tol(rank_value, unit=1.0):
@@ -521,13 +512,8 @@ class _ReferenceRankTable:
     """All 2^n subset ranks of the power region, and the received powers
     ``q`` of the transmit powers ``p`` under test."""
 
-    def __init__(self, p, rates, noise, max_n, what):
+    def __init__(self, p, rates, noise):
         r = _as_vector(rates, "rates")
-        if r.size > max_n:
-            raise EnumerationLimitError(
-                f"{what} enumerates 2^n subsets and is capped at n <= {max_n}; "
-                f"got n = {r.size}"
-            )
         if p.size != r.size:
             raise ValueError("powers and rates must have the same length")
         self.n = r.size
@@ -552,8 +538,7 @@ def _reference_base_table(p, rates, noise):
     total = sum_power(rates, noise)
     if abs(float(noise.received(p).sum()) - total) <= _tight_tol(
             total, noise.sigma_sq):
-        table = _ReferenceRankTable(p, rates, noise, MEMBERSHIP_MAX_N,
-                                    "membership test")
+        table = _ReferenceRankTable(p, rates, noise)
         if table.is_member(table.q):
             return table
     raise NotABaseError("the point is not on the dominant face")
@@ -593,35 +578,6 @@ def _reference_prefixes_closed(groups, tight):
             if inter & ~prefix:
                 return False
     return True
-
-
-def base_reference(powers, rates, noise):
-    """``is_base`` with its inputs re-validated at every step."""
-    try:
-        _reference_base_table(_as_vector(powers, "powers"), rates, noise)
-    except NotABaseError:
-        return False
-    return True
-
-
-def dep_reference(powers, i, rates, noise):
-    """``dep`` with a rank table that computes the slack of ``q`` twice."""
-    table = _ReferenceRankTable(_as_vector(powers, "powers"), rates, noise,
-                                TIGHT_SET_MAX_N, "tight-set enumeration")
-    if not table.is_member(table.q):
-        raise NotAMemberError("the point violates a subset power constraint")
-    q, tight = table.q, table.tight_masks()
-    if not 0 <= int(i) < q.size:
-        raise InvalidSubsetError(f"node index {i} outside ground set 0..{q.size - 1}")
-    members = _mask_to_set(_reference_minimal_tight(tight, int(i)))
-    if not members:
-        return members
-    assert int(i) in members, "dependent set lost its own node"
-    bottom = power_rank(rates, noise, members)
-    assert abs(float(q[sorted(members)].sum()) - bottom) <= _tight_tol(
-        bottom, noise.sigma_sq), \
-        "intersection of tight sets is not tight"
-    return members
 
 
 def lex_certificate_reference(powers, rates, noise):
@@ -679,10 +635,6 @@ def _reference_capacity_tight_masks(rates, powers, noise):
     p = _as_vector(powers, "powers")
     if r.size != p.size:
         raise ValueError("rates and powers must have the same length")
-    if r.size > TIGHT_SET_MAX_N:
-        raise EnumerationLimitError(
-            f"tight-set enumeration is capped at n <= {TIGHT_SET_MAX_N}; got {r.size}"
-        )
     bits = _subset_bits(r.size)
     q = noise.received(p)
     rank = 0.5 * np.log1p((bits @ q) / noise.sigma_sq) / LN2
@@ -701,11 +653,67 @@ def lex_rate_certificate_reference(rates, powers, noise):
         raise EnumerationLimitError(
             f"lexicographic check is capped at n <= {LEX_CHECK_MAX_N}; got {r.size}"
         )
-    total = capacity_rank(powers, noise, range(r.size))
+    received = noise.received(_as_vector(powers, "powers"))
+    total = float(capacity_of(received.sum(), noise.sigma_sq))
     if abs(float(r.sum()) - total) > _tight_tol(total):
         raise NotABaseError("the rate point is not on the dominant face")
     tight = [int(m) for m in _reference_capacity_tight_masks(r, powers, noise)]
     return _reference_prefixes_closed(distinct_levels_reference(r)[::-1], tight)
+
+
+# One run of one strategy: completed periods, the batteries left, the
+# period-normalized peak power of every completed period (a list), and
+# whether the period cap ended the run.
+Run = collections.namedtuple(
+    "Run", "lifetime_periods residual_energy per_period_max_power censored")
+
+
+def sweep_runs(config, sweep, k):
+    """The runs at the ``k``-th bound of a ``lifetime._simulate`` pass, as
+    ``{strategy: [Run, ...]}``.  A run is censored when it lived
+    ``period_cap`` periods: a death always comes before the cap."""
+    shape = sweep.lifetimes.shape
+    out = {}
+    for i, s in enumerate(STRATEGIES):
+        out[s] = []
+        for run in range(shape[2]):
+            at = np.ravel_multi_index((i, k, run), shape)
+            periods = int(sweep.lifetimes[i, k, run])
+            out[s].append(Run(
+                periods, sweep.residual[i, k, run],
+                sweep.peaks[sweep.starts[at]:sweep.starts[at + 1]].tolist(),
+                periods == config.period_cap))
+    return out
+
+
+def engine_runs(config):
+    """Every strategy's runs of ``config`` at its own bound, by the engine."""
+    return sweep_runs(config, lifetime._simulate(config, [config.lam]), 0)
+
+
+def period_backlog(config, run, period):
+    """The backlog of one (run, period), uniform on ``(0, lam]``, from a
+    generator keyed on ``(seed, run)`` whose counter starts at the period's
+    own block: the one-period reference for ``lifetime._draw``."""
+    n = config.n_nodes
+    key = np.array([config.seed, run], dtype=np.uint64)
+    counter = np.array([period * _blocks_per_period(n), 0, 0, 0],
+                       dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    packets = config.lam * (1.0 - rng.random(n))
+    return Backlog(packets=packets, packet_bits=config.packet_bits)
+
+
+def period_energies(backlog, period, noise):
+    """Per-node energy of every strategy over one period, by the engine's
+    closed forms on one row, without schedules: the one-period reference
+    for the lifetime engine's pricing.  Nodes without backlog spend
+    nothing."""
+    n = backlog.packets.size
+    active, packets, sub, _ = scheduling._active(backlog, period, noise)
+    return {s: scheduling._embed(energy(packets[None, :], backlog.packet_bits,
+                                        period, sub)[0], active, n)
+            for s, (_, energy) in scheduling._TABLE.items()}
 
 
 def simulate_with_schedules(config, strategy):
@@ -732,10 +740,8 @@ def simulate_with_schedules(config, strategy):
             energies = energies - report.per_node_energy
             peaks.append(report.max_power)
             period += 1
-        results.append(RunResult(lifetime_periods=period,
-                                 residual_energy=energies,
-                                 per_period_max_power=peaks,
-                                 censored=censored))
+        results.append(Run(lifetime_periods=period, residual_energy=energies,
+                           per_period_max_power=peaks, censored=censored))
     return results
 
 
@@ -780,18 +786,17 @@ def _simulate_run(config, run):
             else:
                 died[s] = period
         period += 1
-    return {s: RunResult(lifetime_periods=died.get(s, period),
-                         residual_energy=batteries[s],
-                         per_period_max_power=peaks[s],
-                         censored=s not in died)
+    return {s: Run(lifetime_periods=died.get(s, period),
+                   residual_energy=batteries[s],
+                   per_period_max_power=peaks[s], censored=s not in died)
             for s in STRATEGIES}
 
 
 def tabulate(config, simulated):
     """Per-strategy statistics of one bound's runs, ``{strategy:
-    [RunResult, ...]}``, one run at a time: means and sample standard
+    [Run, ...]}``, one run at a time: means and sample standard
     deviations with ``np.mean`` and ``np.std`` over Python lists and the
-    runs' peak tuples.  Runs that completed no period have no peak or
+    runs' peak lists.  Runs that completed no period have no peak or
     sum-energy mean."""
     stats = {}
     lifetimes = {}

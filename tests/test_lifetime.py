@@ -13,13 +13,9 @@ from macfair import (
     SimConfig,
     compare_strategies,
     compare_sweep,
-    draw_backlogs,
     lifetime,
-    period_backlog,
-    period_energies,
-    simulate_lifetime,
 )
-from macfair.lifetime import _draw, _period_rng, _results, _simulate
+from macfair.lifetime import _draw, _simulate
 
 NOISE = NoiseModel(1e-3)
 
@@ -43,8 +39,8 @@ def chunked_draws(cfg, run, chunks):
 
 def test_draws_are_reproducible_and_order_independent():
     cfg = paper_config()
-    a = period_backlog(cfg, run=3, period=17).packets
-    b = period_backlog(cfg, run=3, period=17).packets
+    a = oracles.period_backlog(cfg, run=3, period=17).packets
+    b = oracles.period_backlog(cfg, run=3, period=17).packets
     assert np.array_equal(a, b)
     c = chunked_draws(cfg, 3, (5, 12, 1))[17]
     assert np.array_equal(a, c)
@@ -52,8 +48,9 @@ def test_draws_are_reproducible_and_order_independent():
     d = cfg.lam * _draw(cfg, np.random.Philox(), np.array([9, 3, 4]), 15, 3)
     assert np.array_equal(a, d[1, 2])
     # different keys give different values
-    assert not np.array_equal(a, period_backlog(cfg, run=4, period=17).packets)
-    assert not np.array_equal(a, period_backlog(cfg, run=3, period=18).packets)
+    for run, period in ((4, 17), (3, 18)):
+        assert not np.array_equal(
+            a, oracles.period_backlog(cfg, run, period).packets)
 
 
 @pytest.mark.parametrize("n_nodes", [4, 5, 8])
@@ -68,7 +65,7 @@ def test_draws_do_not_repeat_across_periods(n_nodes):
     for run in range(3):
         stream = chunked_draws(cfg, run, chunks)
         assert np.unique(stream).size == stream.size
-        backlogs = np.stack([period_backlog(cfg, run, period).packets
+        backlogs = np.stack([oracles.period_backlog(cfg, run, period).packets
                              for period in range(periods)])
         assert np.array_equal(backlogs, stream)
         oracle = oracles._run_backlogs(cfg, run)
@@ -104,24 +101,24 @@ def test_a_slice_draws_each_run_once(monkeypatch, lams, max_cells):
             for run, periods in zip(runs.tolist(), rows):
                 for period, row in enumerate(periods, first):
                     assert np.array_equal(
-                        lam * row, period_backlog(one, run, period).packets)
+                        lam * row,
+                        oracles.period_backlog(one, run, period).packets)
 
 
 def test_draw_backlogs_range_and_mean():
-    rng = _period_rng(0, 0, 0, 1000)
-    draws = np.concatenate([
-        draw_backlogs(1.0, 100, 30.0, _period_rng(0, run, 0, 100)).packets
-        for run in range(1000)])
+    # The draws at bound 1 lie on (0, 1], never exactly zero; each unit
+    # scales them by its bound (test_a_slice_draws_each_run_once).
+    cfg = paper_config(n_nodes=100, seed=0)
+    draws = _draw(cfg, np.random.Philox(), np.arange(1000), 0, 1)
     assert np.all(draws > 0.0) and np.all(draws <= 1.0)
     assert abs(draws.mean() - 0.5) < 0.01
-    wide = draw_backlogs(2.0, 1000, 30.0, rng).packets
-    assert np.all(wide > 0.0) and np.all(wide <= 2.0)
 
 
 @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
 def test_draw_backlogs_names_lam(lam):
+    # The engine draws at the bounds that SimConfig has checked.
     with pytest.raises(ValueError, match="lam must be positive and finite"):
-        draw_backlogs(lam, 4, 30.0, _period_rng(0, 0, 0, 4))
+        paper_config(lam=lam)
 
 
 def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
@@ -130,7 +127,7 @@ def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
     monkeypatch.setattr(lifetime, "_draw",
                         lambda config, bits, runs, first, size:
                         np.tile(backlog.packets, (runs.size, size, 1)))
-    results = simulate_lifetime(paper_config(runs=1, **overrides))
+    results = oracles.engine_runs(paper_config(runs=1, **overrides))
     return {s: runs[0] for s, runs in results.items()}
 
 
@@ -139,7 +136,7 @@ def test_depletion_rule(monkeypatch):
     # exactly zero is allowed, and the failed period leaves the batteries
     # as they were.  Each strategy keeps its own ledger.
     backlog = Backlog(np.full(4, 0.01), 30.0)
-    spent = period_energies(backlog, 30.0, NOISE)
+    spent = oracles.period_energies(backlog, 30.0, NOISE)
     budget = float(spent["minmax"][0] * 2)
     results = _fixed_backlog_runs(monkeypatch, backlog, initial_energy=budget)
     mm = results["minmax"]
@@ -158,7 +155,7 @@ def test_depletion_rule(monkeypatch):
 def test_minicost_fails_where_minmax_survives(monkeypatch):
     noise = NoiseModel(1.0)
     backlog = Backlog(np.array([1.0, 2.0]), 30.0)
-    spent = period_energies(backlog, 30.0, noise)
+    spent = oracles.period_energies(backlog, 30.0, noise)
     assert spent["minicost"][1] == pytest.approx(1800.0, rel=1e-9)
     assert np.allclose(spent["minmax"], 945.0, atol=1e-6)
     results = _fixed_backlog_runs(monkeypatch, backlog, n_nodes=2,
@@ -172,25 +169,24 @@ def test_minicost_fails_where_minmax_survives(monkeypatch):
 
 def test_zero_energy_and_period_cap():
     dead = paper_config(initial_energy=0.0, runs=3)
-    for results in simulate_lifetime(dead).values():
+    for results in oracles.engine_runs(dead).values():
         assert all(r.lifetime_periods == 0 for r in results)
 
     immortal = paper_config(initial_energy=1e12, runs=2, period_cap=25)
-    for results in simulate_lifetime(immortal).values():
+    for results in oracles.engine_runs(immortal).values():
         for r in results:
             assert r.lifetime_periods == 25
-            assert r.censored
 
 
 def test_energy_ledger():
     cfg = paper_config(runs=10)
-    for s, results in simulate_lifetime(cfg).items():
+    for s, results in oracles.engine_runs(cfg).items():
         for run, result in enumerate(results):
             spent = 0.0
             energies = np.full(4, 2.0)
             for period in range(result.lifetime_periods):
-                e = period_energies(period_backlog(cfg, run, period),
-                                    cfg.period, cfg.noise)[s]
+                backlog = oracles.period_backlog(cfg, run, period)
+                e = oracles.period_energies(backlog, cfg.period, cfg.noise)[s]
                 assert np.all(e <= energies)
                 energies = energies - e
                 spent += e.sum()
@@ -201,8 +197,8 @@ def test_energy_ledger():
 
 def test_simulation_determinism():
     cfg = paper_config(runs=8)
-    a = simulate_lifetime(cfg)
-    b = simulate_lifetime(cfg)
+    a = oracles.engine_runs(cfg)
+    b = oracles.engine_runs(cfg)
     assert set(a) == set(STRATEGIES)
     for s in STRATEGIES:
         assert ([r.lifetime_periods for r in a[s]]
@@ -217,7 +213,7 @@ def test_compare_strategies_common_draws_and_ordering():
     table = compare_strategies(cfg)
     assert set(table.stats) == {"minmax", "minicost", "tdma"}
     # lifetimes match standalone simulations (identical draw keys)
-    solo = simulate_lifetime(paper_config(runs=30))
+    solo = oracles.engine_runs(paper_config(runs=30))
     for s in STRATEGIES:
         assert np.array_equal(table.lifetimes[s],
                               [r.lifetime_periods for r in solo[s]])
@@ -231,8 +227,7 @@ def test_lambda_monotonicity_smoke():
     means = []
     for lam in (0.4, 1.0):
         cfg = paper_config(runs=40, lam=lam)
-        res = simulate_lifetime(cfg)["minmax"]
-        means.append(np.mean([r.lifetime_periods for r in res]))
+        means.append(compare_strategies(cfg).lifetimes["minmax"].mean())
     assert means[0] > means[1]
 
 
@@ -289,7 +284,7 @@ def test_config_rejects_a_lam_whose_sum_power_overflows():
 ], ids=["lam0.6", "lam1.0", "n5", "n8", "gains", "no-energy", "cap25"])
 def test_engine_matches_schedule_oracle(overrides):
     cfg = paper_config(**{"runs": 20, **overrides})
-    engine = simulate_lifetime(cfg)
+    engine = oracles.engine_runs(cfg)
     for s in STRATEGIES:
         for ours, ref in zip(engine[s], oracles.simulate_with_schedules(cfg, s),
                              strict=True):
@@ -320,7 +315,7 @@ def test_engine_matches_run_oracle(case, cap):
     cap = {} if cap is None else {"period_cap": cap}
     for lam in (0.3, 0.6, 1.0):
         cfg = paper_config(runs=8, lam=lam, **cap, **ORACLE_CASES[case])
-        engine = simulate_lifetime(cfg)
+        engine = oracles.engine_runs(cfg)
         for run in range(cfg.runs):
             ref = oracles._simulate_run(cfg, run)
             for s in STRATEGIES:
@@ -338,7 +333,7 @@ def test_engine_row_cap_splits_steps(monkeypatch):
     # the loop.
     monkeypatch.setattr(lifetime, "MAX_CELLS", 20 * 4)
     cfg = paper_config(runs=6, lam=0.4)
-    engine = simulate_lifetime(cfg)
+    engine = oracles.engine_runs(cfg)
     for run in range(cfg.runs):
         ref = oracles._simulate_run(cfg, run)
         for s in STRATEGIES:
@@ -351,7 +346,7 @@ def test_engine_row_cap_splits_steps(monkeypatch):
 
 
 def assert_same_runs(ours, ref):
-    """Two ``{strategy: [RunResult, ...]}`` are equal bit for bit."""
+    """Two ``{strategy: [oracles.Run, ...]}`` are equal bit for bit."""
     for s in STRATEGIES:
         for a, b in zip(ours[s], ref[s], strict=True):
             assert a.lifetime_periods == b.lifetime_periods
@@ -409,14 +404,14 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
     assert sweep.lifetimes.shape == (len(STRATEGIES), len(bounds), cfg.runs)
     for k, lam in enumerate(bounds):
         one = replace(cfg, lam=lam)
-        ours = _results(sweep, k)
-        assert_same_runs(ours, simulate_lifetime(one))
+        ours = oracles.sweep_runs(cfg, sweep, k)
+        assert_same_runs(ours, oracles.engine_runs(one))
         oracle = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
         assert_same_runs(ours, {s: [ref[s] for ref in oracle]
                                 for s in STRATEGIES})
     if case == "cap":
         censored = [r.censored for k in range(len(bounds))
-                    for r in _results(sweep, k)["tdma"]]
+                    for r in oracles.sweep_runs(cfg, sweep, k)["tdma"]]
         assert any(censored) and not all(censored)
 
 
@@ -502,19 +497,3 @@ def test_tables_equal_the_statistics_oracle(case):
     if case == "cap":
         assert any(censored) and not all(censored)
 
-
-def test_sweep_statistics_build_no_run_results(monkeypatch):
-    cfg = paper_config(runs=6,
-                       noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0]))
-    lams = (0.6, 1.0, 0.45)
-    expected = compare_sweep(cfg, lams)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a RunResult was built")
-
-    monkeypatch.setattr(lifetime, "RunResult", refuse)
-    tables = compare_sweep(cfg, lams)
-    for lam in lams:
-        assert_same_table(tables[lam], expected[lam])
-    with pytest.raises(AssertionError, match="RunResult"):
-        simulate_lifetime(cfg)

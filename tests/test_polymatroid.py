@@ -13,13 +13,8 @@ from macfair import (
     InvalidSubsetError,
     NoiseModel,
     NotABaseError,
-    NotAMemberError,
-    capacity_chain,
-    capacity_rank,
     chain_received,
-    dep,
     greedy_linear_min,
-    is_base,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
     max_min_rates,
@@ -49,22 +44,28 @@ def test_power_rank_examples():
 
 
 def test_capacity_rank_examples():
-    assert capacity_rank([1, 1], UNIT, [0]) == pytest.approx(0.5, rel=1e-12)
-    assert capacity_rank([1, 1], UNIT, [0, 1]) == pytest.approx(
+    # The fair rates of a capacity region sum to its full-set rank.
+    assert max_min_rates([1.0], UNIT)[0] == pytest.approx([0.5], rel=1e-12)
+    assert max_min_rates([1, 1], UNIT)[0].sum() == pytest.approx(
         0.5 * np.log2(3.0), rel=1e-12)
-    assert capacity_rank([1, 1], UNIT, []) == 0.0
+    assert max_min_rates([0, 0], UNIT)[0].sum() == 0.0
 
 
 def test_capacity_rank_uses_gains():
+    # Transmit (0.25, 1) is received (1, 1) with gains (4, 1).
     noise = NoiseModel(1.0, gains=[4.0, 1.0])
-    assert capacity_rank([0.25, 1.0], noise, [0]) == pytest.approx(0.5)
+    assert max_min_rates([0.25, 1.0], noise)[0] == pytest.approx(
+        [0.25 * np.log2(3.0)] * 2, rel=1e-12)
+    assert max_min_rates([0.25], NoiseModel(1.0, gains=[4.0]))[0] == (
+        pytest.approx([0.5], rel=1e-12))
 
 
 def test_modularity_check():
     assert oracles.check_rank_modularity(
         lambda A: power_rank([1, 1, 0.5], UNIT, A), 3, "super")
+    powers = np.array([1.0, 2.0, 3.0])
     assert oracles.check_rank_modularity(
-        lambda A: capacity_rank([1, 2, 3], UNIT, A), 3, "sub")
+        lambda A: oracles.capacity_of(powers[sorted(A)].sum(), 1.0), 3, "sub")
     # 3 + 3 < 15: the power rank fails the submodular direction
     assert not oracles.check_rank_modularity(
         lambda A: power_rank([1, 1], UNIT, A), 2, "sub")
@@ -80,7 +81,8 @@ def test_modularity_random_instances():
         assert oracles.check_rank_modularity(
             lambda A: power_rank(rates, noise, A), n, "super")
         assert oracles.check_rank_modularity(
-            lambda A: capacity_rank(powers, noise, A), n, "sub")
+            lambda A: oracles.capacity_of(powers[sorted(A)].sum(),
+                                          noise.sigma_sq), n, "sub")
 
 
 def test_modularity_limit():
@@ -89,15 +91,20 @@ def test_modularity_limit():
 
 
 def test_is_base_examples():
-    assert is_base([3, 12], [1, 1], UNIT)
-    assert not is_base([4, 12], [1, 1], UNIT)
-    assert is_base([7.5, 7.5], [1, 1], UNIT)
-    assert is_base([0.0, 0.0], [0.0, 0.0], UNIT)
-    # on the full-set face, but below node 1's own rank 2^3.8 - 1
-    assert not is_base([7.5, 7.5], [0.1, 1.9], UNIT)
+    # The certificate answers on a base and raises NotABaseError off it.
+    assert not is_lex_optimal_base([3, 12], [1, 1], UNIT)
+    assert is_lex_optimal_base([7.5, 7.5], [1, 1], UNIT)
+    assert is_lex_optimal_base([0.0, 0.0], [0.0, 0.0], UNIT)
     # transmit (1.875, 7.5) is received (7.5, 7.5) with gains (4, 1)
-    assert is_base([1.875, 7.5], [0.5, 1.5], NoiseModel(1.0, gains=[4.0, 1.0]))
-    assert not is_base([1.875, 7.5], [0.5, 1.5], UNIT)
+    assert is_lex_optimal_base([1.875, 7.5], [0.5, 1.5],
+                               NoiseModel(1.0, gains=[4.0, 1.0]))
+    for powers, rates in (([4, 12], [1, 1]),
+                          # on the full-set face, but below node 1's own
+                          # rank 2^3.8 - 1
+                          ([7.5, 7.5], [0.1, 1.9]),
+                          ([1.875, 7.5], [0.5, 1.5])):
+        with pytest.raises(NotABaseError):
+            is_lex_optimal_base(powers, rates, UNIT)
 
 
 def test_vertex_examples():
@@ -121,10 +128,13 @@ def test_vertex_rejects_bad_permutation():
     with pytest.raises(TypeError):
         vertex([1, 1], UNIT, [1.9, 0.2])
     with pytest.raises(TypeError):
-        capacity_chain([1, 1], UNIT, [0.5, 1.2])
-    with pytest.raises(TypeError):
         Epoch(1.0, [1.0, 1.0], [0.5, 0.5], (0.5, 1.2))
     assert np.allclose(vertex([1, 1], UNIT, np.array([1, 0])), [12.0, 3.0])
+    # The bare noise power is checked as NoiseModel checks it.
+    for sigma_sq in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="noise power must be positive and finite"):
+            chain_received([1, 2], sigma_sq, [0, 1])
 
 
 def test_vertex_matches_naive_oracle_and_is_tight_base():
@@ -138,7 +148,7 @@ def test_vertex_matches_naive_oracle_and_is_tight_base():
         p = vertex(rates, noise, order)
         expected = oracles.naive_vertex(rates, sigma, order)
         assert np.allclose(p, expected, rtol=1e-9, atol=1e-12)
-        assert is_base(p, rates, noise)
+        is_lex_optimal_base(p, rates, noise)  # raises NotABaseError off it
         # every nested chain set is tight
         cum = 0.0
         for i in range(n):
@@ -192,53 +202,6 @@ def test_greedy_linear_min_matches_brute_force():
         brute = oracles.brute_linear_min(theta, rates, sigma)
         assert greedy_obj <= brute * (1 + 1e-12) + 1e-300
         assert greedy_obj == pytest.approx(brute, rel=1e-12, abs=1e-300)
-
-
-def test_dep_examples():
-    assert dep([8, 7], 1, [0.5, 1.5], UNIT) == {1}
-    assert dep([8, 7], 0, [0.5, 1.5], UNIT) == {0, 1}
-    assert dep([9, 8], 0, [0.5, 1.5], UNIT) == frozenset()
-    assert dep([9, 8], 1, [0.5, 1.5], UNIT) == frozenset()
-    with pytest.raises(NotAMemberError):
-        dep([1, 1], 0, [1, 1], UNIT)
-    assert dep([8, 7], np.int64(1), [0.5, 1.5], UNIT) == {1}
-    with pytest.raises(TypeError):
-        dep([8, 7], 1.5, [0.5, 1.5], UNIT)
-
-
-def test_sat_dep_lattice_properties():
-    """The saturated set, the union of all tight sets, is tight; dep(i) is
-    the minimal tight set containing i, and empty for an unsaturated i."""
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        rates = rng.uniform(0.05, 1.5, n)
-        noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
-        if rng.random() < 0.5:
-            order = tuple(rng.permutation(n))
-            point = vertex(rates, noise, order)
-        else:
-            point = vertex(rates, noise, tuple(rng.permutation(n)))
-            point = point + rng.uniform(0.0, 0.2, n) * point.sum() / n
-        q = noise.received(point)
-        tight_sets = []
-        for m in range(1 << n):
-            members = [i for i in range(n) if (m >> i) & 1]
-            rank = power_rank(rates, noise, members)
-            if abs(q[members].sum() - rank) <= 1e-9 * (1.0 + rank):
-                tight_sets.append(frozenset(members))
-        s = frozenset().union(*tight_sets)
-        if s:
-            assert s in tight_sets
-        for i in range(n):
-            d = dep(point, i, rates, noise)
-            containing = [t for t in tight_sets if i in t]
-            if i not in s:
-                assert d == frozenset()
-            else:
-                assert i in d and d in tight_sets
-                for t in containing:
-                    assert d <= t
 
 
 def test_is_lex_optimal_base_examples():
@@ -334,16 +297,12 @@ def _assert_same_verdict(check, reference, *args):
 
 
 def test_certificates_match_the_reference():
-    checks = [(is_lex_optimal_base, oracles.lex_certificate_reference),
-              (is_base, oracles.base_reference)]
     verdicts = {True: 0, False: 0}
     for powers, rates, noise in _certificate_points():
-        for check, reference in checks:
-            got = _assert_same_verdict(check, reference, powers, rates, noise)
-            verdicts[got] = verdicts.get(got, 0) + 1
-        for i in range(len(powers) + 1):  # one index past the ground set
-            _assert_same_verdict(dep, oracles.dep_reference, powers, i, rates,
-                                 noise)
+        got = _assert_same_verdict(is_lex_optimal_base,
+                                   oracles.lex_certificate_reference, powers,
+                                   rates, noise)
+        verdicts[got] = verdicts.get(got, 0) + 1
     # The comparison covers passing, failing and rejected points.
     assert verdicts[True] > 500 and verdicts[False] > 500
     assert {NotABaseError, ValueError} <= set(verdicts)
@@ -377,18 +336,18 @@ def test_sort_certificates_match_the_exhaustive_ones(case):
     points = [base, vertex(rates, noise, order), _shifted(base, 1e-4),
               _shifted(base, -1e-4), base * 1.001]
     for powers in points:
-        for check, reference in ((is_base, oracles.base_reference),
-                                 (is_lex_optimal_base,
-                                  oracles.lex_certificate_reference)):
-            _assert_same_verdict(check, reference, powers, rates, noise)
-        for i in range(rates.size):
-            _assert_same_verdict(dep, oracles.dep_reference, powers, i,
-                                 rates, noise)
+        _assert_same_verdict(is_lex_optimal_base,
+                             oracles.lex_certificate_reference, powers, rates,
+                             noise)
     # The rate side at the received powers of the min-max base.
     powers = noise.received(base)
     fair, coefficients = max_min_rates(powers, noise)
-    for point in (fair, capacity_chain(powers, noise, order),
-                  capacity_chain(powers, noise, coefficients[0][0]),
+    received = noise.received(powers)
+    for point in (fair,
+                  oracles.naive_capacity_vertex(received, noise.sigma_sq,
+                                                order),
+                  oracles.naive_capacity_vertex(received, noise.sigma_sq,
+                                                coefficients[0][0]),
                   fair * 0.999):
         _assert_same_verdict(is_lex_optimal_rate_base,
                              oracles.lex_rate_certificate_reference,
@@ -408,32 +367,32 @@ def test_certificate_passes_large_solves_and_fails_a_transfer(n):
         down = _shifted(sol.transmit, 1e-4 / n)
         with pytest.raises(NotABaseError):
             is_lex_optimal_base(down, rates, noise)
-        # The same transfer upwards keeps a base, but not a fair one.
+        # The same transfer upwards keeps a base (no NotABaseError), but
+        # not a fair one.
         up = _shifted(sol.transmit, -1e-4 / n)
-        assert is_base(up, rates, noise)
         assert not is_lex_optimal_base(up, rates, noise)
 
 
 def test_power_tolerances_scale_with_the_noise_power():
     # At -30 dB the levels and the tightness floor are in units of 1 mW, not
     # of 1 W.  A 4e-7 W transfer between two nodes at the fair level 7.5e-4 W
-    # keeps a base but makes two levels, and the top one is not tight.
+    # keeps a base (no NotABaseError) but makes two levels, and the top
+    # one is not tight.
     noise = NoiseModel.from_db(-30.0)
     rates = np.full(4, 0.25)
     fair = np.full(4, sum_power(rates, noise) / 4.0)
     assert is_lex_optimal_base(fair, rates, noise)
     moved = fair + np.array([4e-7, -4e-7, 0.0, 0.0])
-    assert is_base(moved, rates, noise)
     assert not is_lex_optimal_base(moved, rates, noise)
     assert not oracles.lex_certificate_reference(moved, rates, noise)
-    # A node whose rank is about 1.4e-10 W is not tight on its own at a
-    # vertex that gives it twice that.
+    # A node whose rank is about 1.4e-10 W is above the tightness floor: a
+    # vertex that gives it nothing instead is not a base.
     rates = np.array([0.5, 1e-7, 0.3])
     point = vertex(rates, noise, (0, 1, 2))
-    for i in range(3):
-        assert dep(point, i, rates, noise) == oracles.dep_reference(
-            point, i, rates, noise)
-    assert dep(point, 1, rates, noise) == {0, 1}
+    point[1] = 0.0
+    for check in (is_lex_optimal_base, oracles.lex_certificate_reference):
+        with pytest.raises(NotABaseError):
+            check(point, rates, noise)
 
 
 def test_rate_certificate_matches_the_reference():
@@ -445,7 +404,7 @@ def test_rate_certificate_matches_the_reference():
     for powers in cases:
         rates, coefficients = max_min_rates(powers, noise)
         points = [rates, rates * 0.999, rates * 1.001]
-        points += [capacity_chain(powers, noise, order)
+        points += [oracles.naive_capacity_vertex(powers, noise.sigma_sq, order)
                    for order, _ in coefficients[:2]]
         for point in points:
             got = _verdict(is_lex_optimal_rate_base, point, powers, noise)
@@ -478,15 +437,6 @@ def test_oracle_enumeration_caps():
     limit = oracles.EnumerationLimitError
     with pytest.raises(limit):
         oracles.is_minmax(np.full(9, 1.0), np.full(9, 0.1), UNIT)
-    # The full-set sum of a vertex holds, so the 2^n membership test runs.
-    rates = np.full(21, 0.01)
-    point = vertex(rates, UNIT, range(21))
-    with pytest.raises(limit):
-        oracles.base_reference(point, rates, UNIT)
-    assert is_base(point, rates, UNIT)
-    with pytest.raises(limit):
-        oracles.dep_reference(point, 2, rates, UNIT)
-    assert dep(point, 2, rates, UNIT) == {0, 1, 2}
     rates = np.full(13, 0.1)
     point = vertex(rates, UNIT, range(13))
     with pytest.raises(limit):

@@ -9,10 +9,8 @@ from macfair import (
     Epoch,
     NoiseModel,
     Schedule,
-    average_rates,
     build_schedule,
     energy_report,
-    period_energies,
     sum_power,
     vertex,
 )
@@ -21,14 +19,20 @@ UNIT = NoiseModel(1.0)
 
 
 def test_average_rates_examples():
-    assert np.allclose(average_rates(Backlog([1, 2], 30), 30.0), [1.0, 2.0])
-    assert np.allclose(average_rates(Backlog([1, 1, 1, 1], 30), 30.0), np.ones(4))
-    assert np.allclose(average_rates(Backlog([0.5], 30), 30.0), [0.5])
+    # Every epoch of every strategy but TDMA runs the average rates
+    # b_i * B / T, which clear the backlog.
+    for packets, rates in (([1, 2], [1.0, 2.0]), ([1, 1, 1, 1], np.ones(4)),
+                           ([0.5], [0.5])):
+        for strategy in ("minmax", "minicost"):
+            sched = build_schedule(strategy, Backlog(packets, 30), 30.0, UNIT)
+            for e in sched.epochs:
+                assert np.allclose(e.rates, rates)
 
 
 def test_average_rates_rejects_bad_period():
-    with pytest.raises(ValueError):
-        average_rates(Backlog([1.0], 30), 0.0)
+    for strategy in ("minmax", "minicost", "tdma"):
+        with pytest.raises(ValueError, match="period"):
+            build_schedule(strategy, Backlog([1.0], 30), 0.0, UNIT)
 
 
 def test_minicost_examples():
@@ -140,8 +144,7 @@ def test_sum_energy_identical_across_strategies():
         packets = rng.uniform(0.05, 1.0, n)
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
         backlog = Backlog(packets, 30)
-        rates = average_rates(backlog, 30.0)
-        expected = 30.0 * sum_power(rates, noise)
+        expected = 30.0 * sum_power(backlog.bits / 30.0, noise)
         for strategy in ("minmax", "minicost", "tdma"):
             sched = build_schedule(strategy, backlog, 30.0, noise)
             assert energy_report(sched).sum_energy == pytest.approx(
@@ -177,8 +180,6 @@ def test_non_finite_period_and_packet_bits_rejected():
         Backlog([1.0, 2.0], np.inf)
     backlog = Backlog([1.0, 2.0], 30)
     # An infinite period gives zero rates and NaN energies (inf * 0).
-    with pytest.raises(ValueError, match="period"):
-        period_energies(backlog, np.inf, UNIT)
     for strategy in ("minmax", "minicost", "tdma"):
         with pytest.raises(ValueError, match="period"):
             build_schedule(strategy, backlog, np.inf, UNIT)
@@ -186,7 +187,7 @@ def test_non_finite_period_and_packet_bits_rejected():
 
 @pytest.mark.parametrize("period", [np.inf, np.nan, 0.0, -30.0])
 def test_schedule_rejects_non_finite_period(period):
-    # The same range as average_rates: an infinite period would make the
+    # The same range as the builders: an infinite period would make the
     # delivered bits infinite and the energies NaN.
     epoch = Epoch(1.0, [1.0, 2.0], [1.0, 1.0], (0, 1))
     with pytest.raises(ValueError, match="period must be positive and finite"):
@@ -196,8 +197,6 @@ def test_schedule_rejects_non_finite_period(period):
 def test_all_zero_backlog_rejected():
     with pytest.raises(ValueError):
         build_schedule("minicost", Backlog([0.0, 0.0], 30), 30.0, UNIT)
-    with pytest.raises(ValueError):
-        period_energies(Backlog([0.0, 0.0], 30), 30.0, UNIT)
 
 
 def test_period_energies_match_schedules():
@@ -217,10 +216,10 @@ def test_period_energies_match_schedules():
         backlog = Backlog(packets, 30.0)
         active = np.flatnonzero(packets)
         silent = tuple(np.flatnonzero(packets == 0.0).tolist())
-        rates = average_rates(backlog, 30.0)[active]
+        rates = backlog.bits[active] / 30.0
         sub = NoiseModel(sigma_sq,
                          gains=None if gains is None else gains[active])
-        energies = period_energies(backlog, 30.0, noise)
+        energies = oracles.period_energies(backlog, 30.0, noise)
         assert set(energies) == {"minmax", "minicost", "tdma"}
         for strategy, energy in energies.items():
             sched = build_schedule(strategy, backlog, 30.0, noise)
@@ -240,7 +239,7 @@ def test_period_energies_match_schedules():
 
 
 def test_period_energies_worked_example():
-    energies = period_energies(Backlog([1.0, 2.0], 30), 30.0, UNIT)
+    energies = oracles.period_energies(Backlog([1.0, 2.0], 30), 30.0, UNIT)
     assert energies["minicost"] == pytest.approx([90.0, 1800.0], rel=1e-9)
     assert energies["minmax"] == pytest.approx([945.0, 945.0], rel=1e-9)
     assert energies["tdma"] == pytest.approx([630.0, 1260.0], rel=1e-9)
