@@ -19,26 +19,28 @@ The engine's unit of work is one ``(lambda, run)`` pair: a run of the
 config at one backlog bound.  A whole lambda sweep is one pass over all its
 units, and a single simulation is the sweep of one lambda.  The state of a
 pass is arrays, not per-run objects: batteries ``[strategy, unit, node]``,
-the period of death ``[strategy, unit]``, and the peak power of every
-completed period in float64 arrays.  A period's energies depend only on
-its backlog, never on the batteries, so the engine works in steps of many
-periods, and every live unit has completed the same number of periods.
-The first step covers ``FIRST_CHUNK`` periods and each later one twice
-the periods done, so the horizon triples (16, 48, 144, ...); a step covers
-at most ``MAX_CELLS // n_nodes`` periods and ends at the period cap.  A
-step takes the live units in slices of at most ``MAX_CELLS // n_nodes``
-rows, so its arrays do not grow with the number of runs or lambdas.  Units
-are ordered run by run, so a slice holds the bounds of a run together: it
-draws each of its runs once at bound 1, from the run's own Philox stream,
-and each unit scales its run's rows by its own bound.  The slice prices
-them as one array per strategy, over the units in which that strategy
-still lives, whatever their lambda (the pricing depends only on the packet
-size, the period and the channel, which the lambdas share).  Then it
-replays the ledgers of its units together: ``np.subtract.accumulate``
-along the periods is the sequential ``battery - e`` fold, and a strategy
-dies at the first period some node cannot pay.  Results are bit for bit
-those of a loop over single periods, one lambda at a time.  The
-statistics are reductions over these arrays.
+the period of death ``[strategy, unit]``, and the sum of the peak powers
+of the completed periods ``[strategy, unit]``, added in period order:
+none of them grows with the periods simulated.  A period's energies depend
+only on its backlog, never on the batteries, so the engine works in steps
+of many periods, and every live unit has completed the same number of
+periods.  The first step covers ``FIRST_CHUNK`` periods and each later
+one twice the periods done, so the horizon triples (16, 48, 144, ...); a
+step covers at most ``MAX_CELLS // n_nodes`` periods and ends at the
+period cap.  A step takes the live units in slices of at most
+``MAX_CELLS // n_nodes`` rows, so its arrays do not grow with the number of
+runs or lambdas.  Units are ordered run by run, so a slice holds the
+bounds of a run together: it draws each of its runs once at bound 1, from
+the run's own Philox stream, and each unit scales its run's rows by its
+own bound.  The slice prices them as one array per strategy, over the
+units in which that strategy still lives, whatever their lambda (the
+pricing depends only on the packet size, the period and the channel,
+which the lambdas share).  Then it replays the ledgers of its units
+together: ``np.subtract.accumulate`` along the periods is the sequential
+``battery - e`` fold, a strategy dies at the first period some node cannot
+pay, and ``np.cumsum`` adds the paid periods' peaks to the units' sums.
+Results are bit for bit those of a loop over single periods, one lambda
+at a time.  The statistics are reductions over these arrays.
 """
 from __future__ import annotations
 
@@ -198,18 +200,15 @@ def _replay(battery: np.ndarray, spent: np.ndarray
 
 @dataclass(frozen=True)
 class _Sweep:
-    """The outcome of every ``(lambda, run)`` unit of a pass, by strategy:
-    completed periods ``[strategy, lambda, run]`` (a death comes before the
-    period cap, so exactly the units alive at the cap read ``period_cap``),
-    the batteries left ``[strategy, lambda, run, node]``, and the peak
-    power of every completed period in one array, run after run in the
-    order of ``lifetimes`` (``starts`` has each run's first index, then the
-    end)."""
+    """The outcome of every ``(lambda, run)`` unit of a pass, by strategy,
+    each as ``[strategy, lambda, run, ...]``: completed periods (a death
+    comes before the period cap, so exactly the units alive at the cap read
+    ``period_cap``), the batteries left ``[..., node]``, and the sum of the
+    peak powers of the completed periods, added in period order."""
 
     lifetimes: np.ndarray
     residual: np.ndarray
-    peaks: np.ndarray
-    starts: np.ndarray
+    peak_sums: np.ndarray
 
 
 def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
@@ -223,15 +222,10 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
     n_units = len(lams) * runs
     unit_lam = np.tile(np.asarray(lams, dtype=float), runs)
     unit_run = np.repeat(np.arange(runs), len(lams))
-    # slot[strategy, unit] is the unit's place in the [strategy, lambda, run]
-    # layout of the results.
-    slot = (np.arange(strategies)[:, None] * n_units
-            + np.arange(n_units) % len(lams) * runs + unit_run)
     battery = np.full((strategies, n_units, n), float(config.initial_energy))
     died = np.full((strategies, n_units), -1, dtype=np.int64)
+    peak_sums = np.zeros((strategies, n_units))
     bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    # Per slice: the slot of every peak paid, and the peaks, in that order.
-    replays: list[tuple[np.ndarray, ...]] = []
     max_rows = max(1, MAX_CELLS // n)
     period = 0
     live = np.arange(n_units)
@@ -263,47 +257,41 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
             died[:, units] = np.where(alive & fails, period + paid,
                                       died[:, units])
             paid[~alive] = 0
-            replays.append((
-                np.repeat(slot[:, units].ravel(), paid.ravel()),
-                peaks[np.arange(size) < paid[..., None]] / config.period))
+            # Each unit's sum so far, then its peaks, added left to right:
+            # the sum after its paid periods is at index paid.
+            sums = np.empty(peaks.shape[:2] + (size + 1,))
+            sums[..., 0] = peak_sums[:, units]
+            np.divide(peaks, config.period, out=sums[..., 1:])
+            np.cumsum(sums, axis=2, out=sums)
+            peak_sums[:, units] = np.take_along_axis(
+                sums, paid[..., None], axis=2)[..., 0]
         period += size
         live = live[(died[:, live] < 0).any(axis=0)]
 
     def by_bound(a: np.ndarray) -> np.ndarray:
         """``a[strategy, unit, ...]`` as ``[strategy, lambda, run, ...]``."""
-        out = np.empty((slot.size,) + a.shape[2:], dtype=a.dtype)
-        out[slot.ravel()] = a.reshape(out.shape)
-        return out.reshape((strategies, len(lams), runs) + a.shape[2:])
+        a = a.reshape((strategies, runs, len(lams)) + a.shape[2:])
+        return np.ascontiguousarray(a.swapaxes(1, 2))
 
-    lifetimes = by_bound(np.where(died >= 0, died, period))
-    starts = np.zeros(lifetimes.size + 1, dtype=np.int64)
-    np.cumsum(lifetimes, out=starts[1:])
-    # Slices append in period order and a unit is in one slice per step, so
-    # a stable sort keeps each slot's peaks in period order.
-    slots, values = (np.concatenate(column) for column in zip(*replays))
-    peaks = values[np.argsort(slots, kind="stable")]
-    return _Sweep(lifetimes=lifetimes, residual=by_bound(battery),
-                  peaks=peaks, starts=starts)
+    return _Sweep(lifetimes=by_bound(np.where(died >= 0, died, period)),
+                  residual=by_bound(battery), peak_sums=by_bound(peak_sums))
 
 
 def _tabulate(config: SimConfig, sweep: _Sweep) -> list[ComparisonTable]:
     """Per-strategy statistics of every bound of a pass, in its order.
 
-    Every mean is the reduction that ``np.mean`` makes over one contiguous
-    row, so it equals ``np.mean`` over the same values one run or one bound
-    at a time: a run's peak mean over its peaks, a bound's means over its
-    runs.  Runs that completed no period have no peak or sum-energy mean.
+    A run's peak mean is its peak sum over its lifetime.  Every mean over
+    runs is the reduction that ``np.mean`` makes over one contiguous row,
+    so it equals ``np.mean`` over the same values one bound at a time.
+    Runs that completed no period have no peak or sum-energy mean.
     """
     life = sweep.lifetimes.astype(float)
     ran = sweep.lifetimes > 0
-    peaks, bounds = sweep.peaks, sweep.starts.tolist()
-    peak_means = np.zeros(life.shape)
-    peak_means[ran] = [float(np.add.reduce(peaks[bounds[at]:bounds[at + 1]]))
-                       for at in np.flatnonzero(ran).tolist()]
     spent = (config.n_nodes * config.initial_energy
              - sweep.residual.sum(axis=-1))
+    peak_means = np.zeros(life.shape)
     sum_means = np.zeros(life.shape)
-    np.divide(peak_means, life, out=peak_means, where=ran)
+    np.divide(sweep.peak_sums, life, out=peak_means, where=ran)
     np.divide(spent, life, out=sum_means, where=ran)
     means = np.stack((life.mean(axis=-1),
                       (life.std(axis=-1, ddof=1) if config.runs > 1

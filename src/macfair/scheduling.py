@@ -116,13 +116,6 @@ class Schedule:
             out += e.duration_fraction * self.period * e.rates
         return out
 
-    def average_powers(self) -> np.ndarray:
-        """Time-averaged transmit power per node."""
-        out = np.zeros(self.n_nodes)
-        for e in self.epochs:
-            out += e.duration_fraction * e.powers
-        return out
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -141,13 +134,19 @@ class EnergyReport:
 def _active(backlog: Backlog, period: float, noise: NoiseModel):
     """The nodes with a positive backlog, their packets, their channel and
     their average rates ``b_i * B / T``, the constant rates that clear the
-    backlog: every strategy leaves the other nodes out."""
+    backlog: every strategy leaves the other nodes out.  The sum rate is
+    range checked as :func:`minmax.solve` checks it."""
     if not 0 < period < np.inf:
         raise ValueError("period must be positive and finite")
-    rates = backlog.bits / period
+    # A rate or a sum past the largest double is inf, which the check
+    # rejects.
+    with np.errstate(over="ignore"):
+        rates = backlog.bits / period
+        total = rates.sum()
     active = np.nonzero(backlog.packets > 0.0)[0]
     if active.size == 0:
         raise ValueError("at least one node must have a positive backlog")
+    minmax._check_sum_rate(total, noise.sigma_sq)
     packets = backlog.packets[active]
     if noise.gains is not None:
         gains = noise.gains_for(backlog.packets.size)

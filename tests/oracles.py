@@ -661,27 +661,26 @@ def lex_rate_certificate_reference(rates, powers, noise):
     return _reference_prefixes_closed(distinct_levels_reference(r)[::-1], tight)
 
 
-# One run of one strategy: completed periods, the batteries left, the
-# period-normalized peak power of every completed period (a list), and
+# One run of one strategy: completed periods, the batteries left, the sum
+# of the period-normalized peak powers of the completed periods, added with
+# += in period order (builtin sum() compensates from Python 3.12), and
 # whether the period cap ended the run.
 Run = collections.namedtuple(
-    "Run", "lifetime_periods residual_energy per_period_max_power censored")
+    "Run", "lifetime_periods residual_energy peak_sum censored")
 
 
 def sweep_runs(config, sweep, k):
     """The runs at the ``k``-th bound of a ``lifetime._simulate`` pass, as
     ``{strategy: [Run, ...]}``.  A run is censored when it lived
     ``period_cap`` periods: a death always comes before the cap."""
-    shape = sweep.lifetimes.shape
     out = {}
     for i, s in enumerate(STRATEGIES):
         out[s] = []
-        for run in range(shape[2]):
-            at = np.ravel_multi_index((i, k, run), shape)
+        for run in range(sweep.lifetimes.shape[2]):
             periods = int(sweep.lifetimes[i, k, run])
             out[s].append(Run(
                 periods, sweep.residual[i, k, run],
-                sweep.peaks[sweep.starts[at]:sweep.starts[at + 1]].tolist(),
+                float(sweep.peak_sums[i, k, run]),
                 periods == config.period_cap))
     return out
 
@@ -727,7 +726,7 @@ def simulate_with_schedules(config, strategy):
     results = []
     for run in range(config.runs):
         energies = np.full(config.n_nodes, float(config.initial_energy))
-        peaks = []
+        peak_sum = 0.0
         period = 0
         censored = True
         while period < config.period_cap:
@@ -738,10 +737,10 @@ def simulate_with_schedules(config, strategy):
                 censored = False
                 break
             energies = energies - report.per_node_energy
-            peaks.append(report.max_power)
+            peak_sum += report.max_power
             period += 1
         results.append(Run(lifetime_periods=period, residual_energy=energies,
-                           per_period_max_power=peaks, censored=censored))
+                           peak_sum=peak_sum, censored=censored))
     return results
 
 
@@ -771,7 +770,7 @@ def _simulate_run(config, run):
     """
     batteries = {s: np.full(config.n_nodes, float(config.initial_energy))
                  for s in STRATEGIES}
-    peaks = {s: [] for s in STRATEGIES}
+    peak_sums = dict.fromkeys(STRATEGIES, 0.0)
     died = {}
     backlogs = _run_backlogs(config, run)
     period = 0
@@ -782,30 +781,30 @@ def _simulate_run(config, run):
                 continue
             if np.all(e <= batteries[s]):
                 batteries[s] = batteries[s] - e
-                peaks[s].append(float(e.max()) / config.period)
+                peak_sums[s] += float(e.max()) / config.period
             else:
                 died[s] = period
         period += 1
     return {s: Run(lifetime_periods=died.get(s, period),
                    residual_energy=batteries[s],
-                   per_period_max_power=peaks[s], censored=s not in died)
+                   peak_sum=peak_sums[s], censored=s not in died)
             for s in STRATEGIES}
 
 
 def tabulate(config, simulated):
     """Per-strategy statistics of one bound's runs, ``{strategy:
     [Run, ...]}``, one run at a time: means and sample standard
-    deviations with ``np.mean`` and ``np.std`` over Python lists and the
-    runs' peak lists.  Runs that completed no period have no peak or
-    sum-energy mean."""
+    deviations with ``np.mean`` and ``np.std`` over Python lists; a run's
+    peak mean is its peak sum over its lifetime.  Runs that completed no
+    period have no peak or sum-energy mean."""
     stats = {}
     lifetimes = {}
     for strategy, results in simulated.items():
         lifetimes[strategy] = np.array(
             [r.lifetime_periods for r in results], dtype=int)
         life = lifetimes[strategy].astype(float)
-        peak_means = [float(np.mean(r.per_period_max_power))
-                      for r in results if r.per_period_max_power]
+        peak_means = [r.peak_sum / r.lifetime_periods
+                      for r in results if r.lifetime_periods]
         sum_means = []
         for r in results:
             if r.lifetime_periods == 0:

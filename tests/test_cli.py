@@ -387,6 +387,16 @@ def test_schedule_rejects_infinite_period_before_output(capsys):
     ["schedule", "--backlogs", "1,2", "--packet-bits", "nan"],
     ["schedule", "--backlogs", "1,2", "--period", "0"],
     ["schedule", "--backlogs", "1,2", "--gains", "1,2,3"],
+    # Sum rates whose powers overflow, for every builder, and bits or
+    # rates past the largest double.
+    ["schedule", "--backlogs", "5,5", "--noise", "1", "--packet-bits", "300",
+     "--period", "1", "--strategy", "tdma"],
+    ["schedule", "--backlogs", "5,5", "--noise", "1", "--packet-bits", "300",
+     "--period", "1", "--strategy", "minicost"],
+    ["schedule", "--backlogs", "5,5", "--noise", "1", "--packet-bits", "300",
+     "--period", "1", "--strategy", "minmax"],
+    ["schedule", "--backlogs", "1e308,1e308"],
+    ["schedule", "--backlogs", "1,2", "--period", "1e-320"],
     pytest.param(["simulate", CONFIG.replace("noise_db = -30", "noise_w = -1")],
                  id="config noise_w = -1"),
     pytest.param(["simulate", CONFIG + "gains = 1,2,4\n"],

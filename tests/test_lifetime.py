@@ -1,5 +1,6 @@
 """Monte Carlo simulator: draws, period accounting, determinism, comparisons."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_minicost_fails_where_minmax_survives(monkeypatch):
     assert np.array_equal(results["minicost"].residual_energy, [1700.0] * 2)
     assert results["minmax"].lifetime_periods == 1
     assert np.allclose(results["minmax"].residual_energy, 755.0, atol=1e-6)
-    assert results["minmax"].per_period_max_power == pytest.approx((31.5,))
+    assert results["minmax"].peak_sum == pytest.approx(31.5)
 
 
 def test_zero_energy_and_period_cap():
@@ -205,7 +206,7 @@ def test_simulation_determinism():
                 == [r.lifetime_periods for r in b[s]])
         for x, y in zip(a[s], b[s]):
             assert np.array_equal(x.residual_energy, y.residual_energy)
-            assert x.per_period_max_power == y.per_period_max_power
+            assert x.peak_sum == y.peak_sum
 
 
 def test_compare_strategies_common_draws_and_ordering():
@@ -292,8 +293,8 @@ def test_engine_matches_schedule_oracle(overrides):
             assert ours.censored == ref.censored
             assert np.allclose(ours.residual_energy, ref.residual_energy,
                                rtol=0.0, atol=1e-12)
-            assert np.allclose(ours.per_period_max_power,
-                               ref.per_period_max_power, rtol=1e-12, atol=0.0)
+            assert ours.peak_sum == pytest.approx(ref.peak_sum, rel=1e-12,
+                                                  abs=0.0)
 
 
 ORACLE_CASES = {
@@ -324,8 +325,7 @@ def test_engine_matches_run_oracle(case, cap):
                 assert ours.censored == ref[s].censored
                 assert np.array_equal(ours.residual_energy,
                                       ref[s].residual_energy)
-                assert ours.per_period_max_power == (
-                    ref[s].per_period_max_power)
+                assert ours.peak_sum == ref[s].peak_sum
 
 
 def test_engine_row_cap_splits_steps(monkeypatch):
@@ -341,8 +341,23 @@ def test_engine_row_cap_splits_steps(monkeypatch):
             assert engine[s][run].lifetime_periods == ref[s].lifetime_periods
             assert np.array_equal(engine[s][run].residual_energy,
                                   ref[s].residual_energy)
-            assert engine[s][run].per_period_max_power == (
-                ref[s].per_period_max_power)
+            assert engine[s][run].peak_sum == ref[s].peak_sum
+
+
+def test_engine_memory_does_not_grow_with_the_periods():
+    # Batteries of 200 J live twice the periods of 100 J (up to about 35,000
+    # at bound 0.2), yet every array of a pass is bounded by MAX_CELLS or by
+    # the number of units.
+    peaks = []
+    for energy in (100.0, 200.0):
+        cfg = paper_config(runs=4, initial_energy=energy)
+        tracemalloc.start()
+        try:
+            _simulate(cfg, [1.0, 0.2, 0.4, 0.6, 0.8])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def assert_same_runs(ours, ref):
@@ -352,7 +367,7 @@ def assert_same_runs(ours, ref):
             assert a.lifetime_periods == b.lifetime_periods
             assert a.censored == b.censored
             assert np.array_equal(a.residual_energy, b.residual_energy)
-            assert a.per_period_max_power == b.per_period_max_power
+            assert a.peak_sum == b.peak_sum
 
 
 SWEEP_CASES = {

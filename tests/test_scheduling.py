@@ -100,13 +100,15 @@ def test_minmax_schedule_example():
     sched = build_schedule("minmax", Backlog([1, 2], 30), 30.0, UNIT)
     fractions = sorted(e.duration_fraction for e in sched.epochs)
     assert np.allclose(fractions, [11 / 30, 19 / 30], atol=1e-9)
-    assert np.allclose(sched.average_powers(), [31.5, 31.5], atol=1e-8)
     report = energy_report(sched)
+    assert np.allclose(report.per_node_energy / sched.period, [31.5, 31.5],
+                       atol=1e-8)
     assert np.allclose(report.per_node_energy, [945.0, 945.0], atol=1e-6)
     assert report.max_power == pytest.approx(31.5, rel=1e-9)
 
     sched = build_schedule("minmax", Backlog([1, 1], 30), 30.0, UNIT)
-    assert np.allclose(sched.average_powers(), [7.5, 7.5], atol=1e-9)
+    assert np.allclose(energy_report(sched).per_node_energy / sched.period,
+                       [7.5, 7.5], atol=1e-9)
 
     single = build_schedule("minmax", Backlog([1.0], 30), 30.0, UNIT)
     assert len(single.epochs) == 1
