@@ -26,6 +26,15 @@ pipeline computes it for every input:
 Levels and the walk are computed in units of the noise power, so every
 output power is exactly linear in the noise power.
 
+:func:`solve` works in Python floats from the descending rate sort through
+the hull, the case label, the walk, the gap and the distance to the
+certificate, because at a handful of nodes each NumPy call costs more than
+its arithmetic.  Only the elementwise exponentials come from NumPy
+(``np.expm1`` and ``np.exp2``, one call each on the prefix rate sums):
+``math.expm1`` and ``2.0 ** x`` round differently from them on a share of
+arguments, and the outputs are to stay those of the array form.  The sums
+run left to right, as ``np.cumsum`` adds.
+
 The dual problem, max-min fair rate allocation in the capacity region, is
 solved by :func:`max_min_rates` the same way, with the levels from the
 greatest convex minorant of the prefix capacities over the received powers
@@ -151,18 +160,6 @@ def _check_sum_rate(total: float, sigma_sq: float) -> None:
             f"about {limit:.4g} the sum power overflows at this noise power")
 
 
-def _prefix_ranks(rates: np.ndarray, sigma_sq: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descending rate order, its prefix rate sums and its prefix ranks in
-    units of the noise power, empty set first (range checked by
-    :func:`_check_sum_rate`)."""
-    order = np.argsort(-rates, kind="stable")
-    prefix = np.zeros(rates.size + 1)
-    np.cumsum(rates[order], out=prefix[1:])
-    _check_sum_rate(prefix[-1], sigma_sq)
-    return order, prefix, np.expm1((2.0 * LN2) * prefix)
-
-
 def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
     """Slope of the least concave majorant of the points ``(k, F_k)`` on
     every unit step ``[k, k + 1]``, for every row ``F`` of ``ranks``.
@@ -187,7 +184,7 @@ def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
     return levels.T.reshape(ranks.shape[:-1] + (n,))
 
 
-def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
+def _case_label(shares: list[float], level: float) -> CaseLabel:
     """Where the equal-level point sits relative to the face.
 
     ``shares`` are the prefix ranks of the descending rates over the sum
@@ -195,10 +192,10 @@ def _case_label(shares: np.ndarray, level: float) -> CaseLabel:
     share exceeds ``k * level``, and it is the vertex of the descending chain
     when every share equals ``k * level``.
     """
-    excess = shares[1:] - level * np.arange(1, shares.size)
-    if excess.max() > CASE_TOL:
+    excess = [shares[k] - level * k for k in range(1, len(shares))]
+    if max(excess) > CASE_TOL:
         return CaseLabel.INFEASIBLE
-    if np.abs(excess).max() <= CASE_TOL:
+    if max(map(abs, excess)) <= CASE_TOL:
         return CaseLabel.VERTEX_COINCIDENT
     return CaseLabel.INTERIOR_FEASIBLE
 
@@ -322,7 +319,7 @@ def _breakpoint(ranks, excess, mass, scale: float) -> tuple[float, int]:
     return min(float(ratio[k]), scale), k + 1
 
 
-def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
+def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
           region, at: int) -> tuple[list[int], list[tuple]]:
     """Exact time sharing of one block by a Carathéodory walk.
 
@@ -353,19 +350,16 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     ``at``) put their last ``size - k`` nodes first.  There are at most
     ``m - 1`` openings.
     """
-    m = nodes.size
+    m = len(nodes)
     large = m > _LIST_PIECE
     if large:
-        sort = np.argsort(-x / w, kind="stable")
-        ws, xs = w[sort].tolist(), x[sort].tolist()
-        order = nodes[sort].tolist()
+        sort = np.argsort(-np.divide(x, w), kind="stable").tolist()
     else:
-        ws, xs, order = w.tolist(), x.tolist(), nodes.tolist()
-        keys = [-a / b for a, b in zip(xs, ws)]
+        keys = [-a / b for a, b in zip(x, w)]
         sort = sorted(range(m), key=keys.__getitem__)  # stable, as argsort
-        ws = [ws[i] for i in sort]
-        xs = [xs[i] for i in sort]
-        order = [order[i] for i in sort]
+    ws = [w[i] for i in sort]
+    xs = [x[i] for i in sort]
+    order = [nodes[i] for i in sort]
     block = region(ws)
     mass = [0.0, *accumulate(xs[:-1])]
     if large:
@@ -414,8 +408,8 @@ def _walk(nodes: np.ndarray, w: np.ndarray, x: np.ndarray, noise: float,
     return order, openings
 
 
-def _decompose(order: np.ndarray, ends: list[int], x: np.ndarray,
-               w: np.ndarray, noises: np.ndarray, region):
+def _decompose(order: list[int], ends: list[int], x: list[float],
+               w: list[float], noises: list[float], region):
     """Time sharing of a base given block by block along a chain, as
     ``(order, weight)`` pairs, heaviest first, and the walk's split count.
 
@@ -429,12 +423,13 @@ def _decompose(order: np.ndarray, ends: list[int], x: np.ndarray,
     arrangement: list[int] = []
     openings = []
     for lo, hi in zip(ends[:-1], ends[1:]):
-        nodes = order[lo:hi]
-        if nodes.size == 1:
-            arrangement.append(int(nodes[0]))
+        if hi - lo == 1:
+            arrangement.append(order[lo])
             continue
-        sorted_nodes, opened = _walk(nodes, w[nodes], x[nodes],
-                                     float(noises[lo]), region, lo)
+        nodes = order[lo:hi]
+        sorted_nodes, opened = _walk(nodes, [w[i] for i in nodes],
+                                     [x[i] for i in nodes], noises[lo],
+                                     region, lo)
         arrangement += sorted_nodes
         openings += opened
     # Stable: at a tied breakpoint a piece still opens before its parts.
@@ -521,22 +516,30 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
 def _fair_base(r: np.ndarray, noise: NoiseModel):
     """The fair base in units of the noise power, its chain order, its
     blocks ``[lo, hi)`` along that order, and the prefix rate sums and
-    prefix ranks of the descending rate sort, empty set first.
+    prefix ranks of the descending rate sort, empty set first, all lists
+    (range checked by :func:`_check_sum_rate`).
 
     Unit gains take Fujishige's lexicographically optimal base: the slopes
     of the least concave majorant of the descending prefix ranks, one block
     per segment, so the chain is the descending sort.  Other gains take the
     weighted max-ratio blocks.
     """
-    order, prefix, ranks = _prefix_ranks(r, noise.sigma_sq)
+    rl = r.tolist()
+    # Stable, as np.argsort(-r, kind="stable"); accumulate adds left to
+    # right, as np.cumsum does.
+    order = sorted(range(len(rl)), key=rl.__getitem__, reverse=True)
+    prefix = [0.0, *accumulate([rl[i] for i in order])]
+    _check_sum_rate(prefix[-1], noise.sigma_sq)
+    ranks = np.expm1(np.multiply(2.0 * LN2, prefix)).tolist()
     if not _unit_gains(noise):
-        base, chain, ends = _weighted_levels(r, noise.gains, float(ranks[-1]))
-        return base, chain, ends, prefix, ranks
-    base = np.empty(r.size)
-    values = ranks.tolist()
-    ends = _hull_ends(values)
+        base, chain, ends = _weighted_levels(r, noise.gains, ranks[-1])
+        return base.tolist(), chain.tolist(), ends, prefix, ranks
+    base = [0.0] * len(rl)
+    ends = _hull_ends(ranks)
     for lo, hi in zip(ends[:-1], ends[1:]):
-        base[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
+        level = (ranks[hi] - ranks[lo]) / (hi - lo)
+        for i in order[lo:hi]:
+            base[i] = level
     return base, order, ends, prefix, ranks
 
 
@@ -546,8 +549,7 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     the majorant's slopes of all rows at once; other gains solve row by
     row."""
     if _unit_gains(noise):
-        # The prefix ranks of _prefix_ranks for every row at once; the
-        # vector form there stays as cheap as it was for solve.
+        # The prefix ranks of _fair_base for every row at once.
         order = np.argsort(-r, axis=-1, kind="stable")
         prefix = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
         np.cumsum(np.take_along_axis(r, order, -1), axis=-1,
@@ -577,10 +579,10 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     """
     r = _as_vector(rates, "rates")
     n = r.size
-    gains = noise.gains_for(n)
+    gains = [1.0] * n if noise.gains is None else noise.gains_for(n).tolist()
     unit = _unit_gains(noise)
     base, order, ends, prefix, ranks = _fair_base(r, noise)
-    total = float(ranks[-1])
+    total = ranks[-1]
 
     if total == 0.0:
         received = np.zeros(n)
@@ -590,35 +592,48 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
             case=CaseLabel.VERTEX_COINCIDENT,
             distance=0.0, iterations=0, gap=0.0)
 
-    level = 1.0 / float(gains.sum())
-    shares = ranks / total
+    # The gains summed as _weighted_levels sums them for its level.
+    level = 1.0 / (n if unit else float(noise.gains.sum()))
+    shares = [f / total for f in ranks]
     case = _case_label(shares, level)
+    rl = r.tolist()
     if not unit:  # the weighted chain is not the descending sort
-        np.cumsum(r[order], out=prefix[1:])
-        shares = np.expm1((2.0 * LN2) * prefix) / total
+        prefix = [0.0, *accumulate([rl[i] for i in order])]
+        shares = [f / total for f in
+                  np.expm1(np.multiply(2.0 * LN2, prefix)).tolist()]
 
     # Block [lo, hi) is the power region contracted by the blocks before
     # it, of noise 4^R(before) in units of the noise power.
-    support, splits = _decompose(order, ends, base, r, np.exp2(2.0 * prefix),
+    support, splits = _decompose(order, ends, base, rl,
+                                 np.exp2(np.multiply(2.0, prefix)).tolist(),
                                  _PowerBlock)
-    received = noise.sigma_sq * base
-    transmit = received / gains
-    u = base / total
+    sigma_sq = noise.sigma_sq
+    received = [sigma_sq * x for x in base]
+    u = [x / total for x in base]
     # The chain visits the blocks in order of decreasing gradient
-    # g * (u - level), so its vertex is a greedy one.
-    grad = gains[order] * (u[order] - level)
-    gap = max(float(grad @ (u[order] - np.diff(shares))), 0.0)
-    factor = (noise.sigma_sq * total) ** 2
-    distance = factor * float(gains @ (u - level) ** 2)
-    gap_phys = factor * gap
+    # g * (u - level), so its vertex is a greedy one.  Both sums run left
+    # to right, the gap along the chain and the distance over the nodes.
+    gap = distance = 0.0
+    for k, i in enumerate(order):
+        gap += (gains[i] * (u[i] - level)) * (u[i] - (shares[k + 1]
+                                                      - shares[k]))
+    for g, ui in zip(gains, u):
+        d = ui - level
+        distance += g * (d * d)
+    factor = (sigma_sq * total) ** 2
+    distance *= factor
+    gap_phys = factor * max(gap, 0.0)
     if not (math.isfinite(distance) and math.isfinite(gap_phys)):
         raise ValueError("the gain-weighted distance to the equal point "
                          "overflows at these gains and this noise power")
-    if unit and not _lex_optimal_trusted(received, r, noise.sigma_sq):
+    if unit and not _lex_optimal_trusted(received, rl, sigma_sq):
         raise SolverFailureError(
             "solver output failed the lexicographic optimality check",
             gap=gap_phys, iterations=splits)
 
+    received = np.array(received)
+    transmit = (received.copy() if noise.gains is None
+                else received / noise.gains)
     return MinMaxSolution(
         received=received, transmit=transmit,
         coefficients=support, case=case,
@@ -660,5 +675,6 @@ def max_min_rates(powers, noise: NoiseModel
         rates[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
 
     # Mirrored to a supermodular rank: the walk takes the negated rates.
-    return rates, _decompose(order, ends, -rates, q, noise.sigma_sq + cum,
+    return rates, _decompose(order.tolist(), ends, (-rates).tolist(),
+                             q.tolist(), (noise.sigma_sq + cum).tolist(),
                              _CapacityBlock)[0]

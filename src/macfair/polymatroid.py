@@ -258,19 +258,6 @@ def _all_tight(groups, q, r, sigma_sq: float, slack) -> bool:
                _group_slacks(groups, q, r, sigma_sq, slack))
 
 
-def _base_lists(q: np.ndarray, r: np.ndarray, sigma_sq: float):
-    """``q`` and ``r`` as lists when ``q`` is a base of the power region at
-    rates ``r``; raises ``NotABaseError`` when it is not one."""
-    ql, rl = q.tolist(), r.tolist()
-    full, tol = _power_slack(sum(ql), sum(rl), sigma_sq)
-    if abs(full) <= tol:
-        if len(ql) != len(rl):
-            raise ValueError("powers and rates must have the same length")
-        if _is_member(_ratio_sort(ql, rl), ql, rl, sigma_sq, _power_slack):
-            return ql, rl
-    raise NotABaseError("the point is not on the dominant face")
-
-
 def greedy_linear_min(theta, rates, noise: NoiseModel) -> tuple[tuple[int, ...], np.ndarray]:
     """Minimize ``theta . Q`` over the power region by Edmonds' greedy rule.
 
@@ -308,11 +295,16 @@ def _levels(values: list[float], atol: float) -> list[list[int]]:
     return groups
 
 
-def _lex_optimal_trusted(q: np.ndarray, r: np.ndarray, sigma_sq: float) -> bool:
+def _lex_optimal_trusted(q: list[float], r: list[float],
+                         sigma_sq: float) -> bool:
     """:func:`is_lex_optimal_base` on checked received powers ``q`` and
-    rates ``r``."""
-    ql, rl = _base_lists(q, r, sigma_sq)
-    return _all_tight(_levels(ql, LEVEL_ATOL * sigma_sq), ql, rl, sigma_sq,
+    rates ``r`` of one length; raises ``NotABaseError`` when ``q`` is not a
+    base of the power region at rates ``r``."""
+    full, tol = _power_slack(sum(q), sum(r), sigma_sq)
+    if not (abs(full) <= tol and _is_member(_ratio_sort(q, r), q, r,
+                                            sigma_sq, _power_slack)):
+        raise NotABaseError("the point is not on the dominant face")
+    return _all_tight(_levels(q, LEVEL_ATOL * sigma_sq), q, r, sigma_sq,
                       _power_slack)
 
 
@@ -327,7 +319,10 @@ def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
     """
     p = _as_vector(powers, "powers")
     r = _as_vector(rates, "rates")
-    return _lex_optimal_trusted(noise.received(p), r, noise.sigma_sq)
+    if p.size != r.size:
+        raise ValueError("powers and rates must have the same length")
+    return _lex_optimal_trusted(noise.received(p).tolist(), r.tolist(),
+                                noise.sigma_sq)
 
 
 def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:

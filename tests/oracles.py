@@ -472,6 +472,7 @@ def walk_reference(nodes, w, x, noise, region, at):
     """
     region = {minmax._PowerBlock: _PiecePowerBlock,
               minmax._CapacityBlock: _PieceCapacityBlock}[region]
+    nodes, w, x = np.asarray(nodes), np.asarray(w), np.asarray(x)
     sort = np.argsort(-x / w, kind="stable")
     block = region(w[sort])
     mass = np.zeros(nodes.size + 1)
@@ -514,8 +515,6 @@ class _ReferenceRankTable:
 
     def __init__(self, p, rates, noise):
         r = _as_vector(rates, "rates")
-        if p.size != r.size:
-            raise ValueError("powers and rates must have the same length")
         self.n = r.size
         self.q = noise.received(p)
         self.noise = noise
@@ -535,6 +534,9 @@ class _ReferenceRankTable:
 
 
 def _reference_base_table(p, rates, noise):
+    # A length mismatch is rejected before any sum is compared.
+    if p.size != _as_vector(rates, "rates").size:
+        raise ValueError("powers and rates must have the same length")
     total = sum_power(rates, noise)
     if abs(float(noise.received(p).sum()) - total) <= _tight_tol(
             total, noise.sigma_sq):

@@ -245,6 +245,44 @@ def greedy_gap(sol, rates, noise):
     return float(grad @ (sol.received - noise.received(vertex)))
 
 
+def benchmark_recipes(count):
+    """The solve-small and solve-large inputs of benchmarks/worker.py,
+    ``count`` of each for each of the seeds 0-2; the odd solve-large ones
+    have unequal gains."""
+    noise = NoiseModel.from_db(-30.0)
+    for seed in range(3):
+        for i in range(count):
+            rng = np.random.default_rng([seed, i])
+            n = int(rng.integers(2, 8))
+            rates = 1.0 - rng.random(n)
+            if rng.random() < 0.125:
+                a, b = rng.choice(n, size=2, replace=False)
+                rates[b] = rates[a]
+            yield rates, noise
+            rng = np.random.default_rng([seed, i])
+            rates = (4.0 / 50) * (1.0 - rng.random(50))
+            if i % 2:
+                gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 50))
+                yield rates, NoiseModel(noise.sigma_sq, gains=gains)
+            else:
+                yield rates, noise
+
+
+def test_distance_and_gap_values():
+    # Both recomputed with NumPy from the returned base: the gain-weighted
+    # squared distance to the equal level, and the duality gap against the
+    # greedy vertex of the gradient, as the benchmark checks it.
+    for rates, noise in benchmark_recipes(100):
+        sol = solve(rates, noise)
+        gains = noise.gains_for(rates.size)
+        total = sum_power(rates, noise)
+        u = sol.received / total
+        distance = total ** 2 * float(gains @ (u - 1.0 / gains.sum()) ** 2)
+        assert sol.distance == pytest.approx(distance, rel=1e-12)
+        assert abs(sol.gap - greedy_gap(sol, rates, noise)) \
+            <= 1e-12 * total ** 2
+
+
 @pytest.mark.parametrize("n", [8, 20, 50, 200])
 def test_time_sharing_invariants_large_n(n):
     rng = np.random.default_rng([11, n])
@@ -377,7 +415,7 @@ def test_weighted_levels_match_the_restart_form():
         gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
         instances.append((rates, gains))
     for rates, gains in instances:
-        total = float(minmax._prefix_ranks(rates, 1.0)[2][-1])
+        total = sum_power(rates, UNIT)
         base, chain, ends = minmax._weighted_levels(rates, gains, total)
         ref_base, ref_chain, ref_ends = oracles.restart_weighted_levels(
             rates, gains, total)
@@ -444,8 +482,9 @@ def test_block_walk_rebuilds_random_point(side, mixed):
     for _ in range(40):
         w, s, x, orders, vertices, _ = _random_block(rng, side, mixed)
         n = w.size
-        support, splits = minmax._decompose(np.arange(n), [0, n], x, w,
-                                            np.array([s]), BLOCKS[side])
+        support, splits = minmax._decompose(list(range(n)), [0, n],
+                                            x.tolist(), w.tolist(), [s],
+                                            BLOCKS[side])
         weights = np.array([a for _, a in support])
         assert np.all(weights > 0.0) and len(support) <= n
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -485,27 +524,8 @@ def assert_walks_match_reference(monkeypatch, fn, *args):
 
 
 def test_walk_matches_the_reference_on_the_benchmark_recipes(monkeypatch):
-    # The solve-small and solve-large inputs of benchmarks/worker.py.
-    noise = NoiseModel.from_db(-30.0)
-    walks = 0
-    for seed in range(3):
-        for i in range(100):
-            rng = np.random.default_rng([seed, i])
-            n = 50
-            rates, large = (4.0 / n) * (1.0 - rng.random(n)), noise
-            if i % 2:
-                gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
-                large = NoiseModel(noise.sigma_sq, gains=gains)
-            walks += assert_walks_match_reference(monkeypatch, solve, rates,
-                                                  large)
-            rng = np.random.default_rng([seed, i])
-            n = int(rng.integers(2, 8))
-            rates = 1.0 - rng.random(n)
-            if rng.random() < 0.125:
-                a, b = rng.choice(n, size=2, replace=False)
-                rates[b] = rates[a]
-            walks += assert_walks_match_reference(monkeypatch, solve, rates,
-                                                  noise)
+    walks = sum(assert_walks_match_reference(monkeypatch, solve, rates, noise)
+                for rates, noise in benchmark_recipes(100))
     assert walks > 600
 
 
@@ -619,7 +639,8 @@ def test_list_and_array_pieces_match_the_reference(side):
         seen = set()
         for w, x, s in blocks:
             seen |= _ratio_cases(_root_ratios(side, w, x, s))
-            args = (np.arange(m), w, x, s, BLOCKS[side], 0)
+            args = (list(range(m)), w.tolist(), x.tolist(), s,
+                    BLOCKS[side], 0)
             assert minmax._walk(*args) == oracles.walk_reference(*args)
         expected = {"nan", "+inf", "-inf", "capped", "open"}
         if m > 2:
@@ -835,8 +856,8 @@ def test_batched_unit_levels_equal_the_hull_bitwise():
         r[coarse] = 0.25 * rng.integers(1, 4, size=(int(coarse.sum()), n))
         for noise in (UNIT, NoiseModel(1e-3)):
             batched = minmax._fair_transmit(r, noise)
-            hull = np.stack([noise.sigma_sq * minmax._fair_base(row, noise)[0]
-                             for row in r])
+            hull = noise.sigma_sq * np.array(
+                [minmax._fair_base(row, noise)[0] for row in r])
             assert np.array_equal(batched, hull)
             rows += r.shape[0]
     assert rows >= 20_000

@@ -418,6 +418,13 @@ def test_rate_certificate_matches_the_reference():
         is_lex_optimal_rate_base([0.5, 0.5, 0.5], [1.0, 1.0], noise)
     with pytest.raises(ValueError, match="same length"):
         is_lex_optimal_rate_base([0.5], [1.0, 1.0], noise)
+    # So is one of the power certificate, off the full-set sum (15 W for
+    # two one-bit rates at unit noise) and on it, in both certificates.
+    for check in (is_lex_optimal_base, oracles.lex_certificate_reference):
+        with pytest.raises(ValueError, match="same length"):
+            check([1.0, 2.0, 3.0], [1.0, 1.0], UNIT)
+        with pytest.raises(ValueError, match="same length"):
+            check([15.0], [1.0, 1.0], UNIT)
 
 
 def test_is_minmax_examples():
