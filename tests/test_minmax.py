@@ -230,7 +230,7 @@ def test_solve_large_symmetric_instance():
     noise = NoiseModel.from_db(-30.0)
     sol = solve(rates, noise)
     total = sum_power(rates, noise)
-    assert sol.received.sum() == pytest.approx(total, rel=1e-12)
+    assert sol.received.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
     assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
         <= 1e-12 * total
     assert sol.gap <= 1e-12 * total * total
@@ -271,14 +271,17 @@ def benchmark_recipes(count):
 def test_distance_and_gap_values():
     # Both recomputed with NumPy from the returned base: the gain-weighted
     # squared distance to the equal level, and the duality gap against the
-    # greedy vertex of the gradient, as the benchmark checks it.
+    # greedy vertex of the gradient, as the benchmark checks it.  The
+    # distance's floor is that of powers 1e-12 of the sum power apart, for
+    # bases at the equal point.
     for rates, noise in benchmark_recipes(100):
         sol = solve(rates, noise)
         gains = noise.gains_for(rates.size)
         total = sum_power(rates, noise)
         u = sol.received / total
         distance = total ** 2 * float(gains @ (u - 1.0 / gains.sum()) ** 2)
-        assert sol.distance == pytest.approx(distance, rel=1e-12)
+        assert sol.distance == pytest.approx(distance, rel=1e-12,
+                                             abs=(1e-12 * total) ** 2)
         assert abs(sol.gap - greedy_gap(sol, rates, noise)) \
             <= 1e-12 * total ** 2
 
@@ -303,7 +306,7 @@ def test_time_sharing_invariants_large_n(n):
         assert len(sol.coefficients) <= n
         assert np.max(np.abs(reconstruct(sol, rates, noise) - sol.received)) \
             <= 1e-12 * total
-        assert sol.received.sum() == pytest.approx(total, rel=1e-12)
+        assert sol.received.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
         assert greedy_gap(sol, rates, noise) <= 1e-12 * total * total
         assert np.all(sol.transmit[rates == 0.0] == 0.0)
         assert sol.iterations <= n - 1
