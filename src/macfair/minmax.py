@@ -89,9 +89,6 @@ class CaseLabel(enum.Enum):
     INTERIOR_FEASIBLE = "InteriorFeasible"
     INFEASIBLE = "Infeasible"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 class SolverFailureError(RuntimeError):
     """The solver's output failed its lexicographic optimality certificate.
@@ -215,6 +212,18 @@ def _hull_ends(values: list[float]) -> list[int]:
             ends.pop()
         ends.append(k)
     return ends
+
+
+def _segment_levels(order: list[int], values: list[float], ends: list[int]
+                    ) -> list[float]:
+    """The slope ``(values[hi] - values[lo]) / (hi - lo)`` of every segment
+    ``[lo, hi)`` of ``ends``, at the segment's nodes ``order[lo:hi]``."""
+    levels = [0.0] * len(order)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        level = (values[hi] - values[lo]) / (hi - lo)
+        for i in order[lo:hi]:
+            levels[i] = level
+    return levels
 
 
 class _PowerBlock:
@@ -532,15 +541,17 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
     _check_sum_rate(prefix[-1], noise.sigma_sq)
     ranks = np.expm1(np.multiply(2.0 * LN2, prefix)).tolist()
     if not _unit_gains(noise):
-        base, chain, ends = _weighted_levels(r, noise.gains, ranks[-1])
+        gains = noise.gains
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                base, chain, ends = _weighted_levels(r, gains, ranks[-1])
+        except FloatingPointError:
+            raise ValueError(
+                f"the gain-weighted base overflows at these gains (from "
+                f"{gains.min():g} to {gains.max():g})") from None
         return base.tolist(), chain.tolist(), ends, prefix, ranks
-    base = [0.0] * len(rl)
     ends = _hull_ends(ranks)
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        level = (ranks[hi] - ranks[lo]) / (hi - lo)
-        for i in order[lo:hi]:
-            base[i] = level
-    return base, order, ends, prefix, ranks
+    return _segment_levels(order, ranks, ends), order, ends, prefix, ranks
 
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -575,7 +586,8 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     :func:`~macfair.polymatroid.is_lex_optimal_base`, or
     :class:`SolverFailureError` is raised; a weighted base minimizes a
     gain-weighted distance instead and is not certified.  Raises
-    ``ValueError`` when the sum power or a weighted distance overflows.
+    ``ValueError`` when the sum power, the weighted levels or a weighted
+    distance overflows.
     """
     r = _as_vector(rates, "rates")
     n = r.size
@@ -668,13 +680,12 @@ def max_min_rates(powers, noise: NoiseModel
     caps = (0.5 / LN2) * np.log1p(snr)
     if caps[-1] == 0.0:
         return np.zeros(n), ((tuple(range(n)), 1.0),)
-    rates = np.empty(n)
     values = caps.tolist()
+    order = order.tolist()
     ends = _hull_ends([-c for c in values])
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        rates[order[lo:hi]] = (values[hi] - values[lo]) / (hi - lo)
+    rates = _segment_levels(order, values, ends)
 
     # Mirrored to a supermodular rank: the walk takes the negated rates.
-    return rates, _decompose(order.tolist(), ends, (-rates).tolist(),
-                             q.tolist(), (noise.sigma_sq + cum).tolist(),
-                             _CapacityBlock)[0]
+    support = _decompose(order, ends, [-x for x in rates], q.tolist(),
+                         (noise.sigma_sq + cum).tolist(), _CapacityBlock)[0]
+    return np.array(rates), support

@@ -109,13 +109,6 @@ class Schedule:
     def n_nodes(self) -> int:
         return self.epochs[0].powers.size
 
-    def delivered_bits(self) -> np.ndarray:
-        """Bits delivered per node over the period."""
-        out = np.zeros(self.n_nodes)
-        for e in self.epochs:
-            out += e.duration_fraction * self.period * e.rates
-        return out
-
 
 @dataclass(frozen=True)
 class EnergyReport:

@@ -705,6 +705,15 @@ def period_backlog(config, run, period):
     return Backlog(packets=packets, packet_bits=config.packet_bits)
 
 
+def delivered_bits(schedule):
+    """Bits each node delivers over the period: every epoch's rates for its
+    share of the period, summed over the epochs."""
+    out = np.zeros(schedule.n_nodes)
+    for e in schedule.epochs:
+        out += e.duration_fraction * schedule.period * e.rates
+    return out
+
+
 def period_energies(backlog, period, noise):
     """Per-node energy of every strategy over one period, by the engine's
     closed forms on one row, without schedules: the one-period reference

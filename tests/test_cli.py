@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfair import STRATEGIES, NoiseModel, compare_strategies, minmax, vertex
+from macfair import (
+    STRATEGIES,
+    NoiseModel,
+    compare_strategies,
+    is_lex_optimal_base,
+    minmax,
+    vertex,
+)
 from macfair import cli as cli_module
 from macfair.cli import (
     EXIT_OK,
@@ -21,7 +28,7 @@ from macfair.cli import (
     order_to_wire,
     parse_experiment_config,
 )
-from oracles import read_schedule_csv, wire_to_order
+from oracles import delivered_bits, read_schedule_csv, wire_to_order
 
 CONFIG = """\
 nodes = 4
@@ -66,6 +73,54 @@ def test_solve_single_node(capsys):
     assert code == EXIT_OK
     assert "case: VertexCoincident" in out
     assert "received_power_w: 3" in out
+
+
+# Runs that end in exit 0 and write nothing to stderr, where a rejected
+# input writes its error line.  A silent node and unequal gains: min-max
+# and minicost share one time-sharing builder.
+@pytest.mark.parametrize("argv", [
+    ["solve", "--rates", "1,1", "--gains", "4,1", "--noise", "1"],
+    ["schedule", "--backlogs", "1,0,2", "--gains", "4,1,0.5", "--noise", "1",
+     "--strategy", "minicost"],
+    ["schedule", "--backlogs", "1,0,2", "--gains", "4,1,0.5", "--noise", "1"],
+], ids=" ".join)
+def test_clean_runs_write_nothing_to_stderr(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out
+
+
+# Exit 0, nothing on stderr and one share.  The walk works in units of the
+# noise power, so 1e-300 W alone leaves its excesses near 1e-34; rates of
+# 1e-170 underflow them to zero, which the pieces priced in Python floats
+# must divide as NumPy does (a float division by zero raises in Python).
+# At zero rates the sum power is 0, and solve returns the one chain vertex
+# at 0 W.
+@pytest.mark.parametrize("rates, noise, iterations", [
+    (",".join(["1e-17"] * 5), "1e-300", 3),
+    (",".join(["1e-170"] * 5), "1", 3),
+    ("0,0", "1", 0),
+], ids=["noise-1e-300", "rates-1e-170", "zero-rates"])
+def test_solve_degenerate_ranks(capsys, rates, noise, iterations):
+    code, out, err = run_cli(capsys, "solve", "--rates", rates, "--noise", noise)
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert len([line for line in lines if line.startswith("share:")]) == 1
+    assert f"iterations: {iterations}" in lines
+
+
+@pytest.mark.parametrize("n", [4, 7, 13, 200, 2000])
+def test_printed_base_passes_the_certificate(capsys, n):
+    # solve certifies each base itself (exit 2 on a rejection); this
+    # re-certifies the printed 12-digit base through the public function.
+    # The walk prices the pieces of more than 32 nodes on arrays and the
+    # smaller ones in Python floats, so these blocks run both paths.
+    rates = [4 / n * (1 + i % 7 / 7) for i in range(n)]
+    code, out, err = run_cli(capsys, "solve", "--rates", ",".join(map(str, rates)),
+                             "--noise-db", "-30", "--json")
+    assert (code, err) == (EXIT_OK, "")
+    transmit = json.loads(out)["transmit_power_w"]
+    assert is_lex_optimal_base(transmit, rates, NoiseModel.from_db(-30)) is True
 
 
 def test_solve_json_matches_human(capsys):
@@ -178,7 +233,7 @@ def test_schedule_round_trip_validates(tmp_path, capsys):
     sched = read_schedule_csv(out, "minmax", 30.0)
     fractions = [e.duration_fraction for e in sched.epochs]
     assert sum(fractions) == pytest.approx(1.0, abs=1e-10)
-    bits = sched.delivered_bits()
+    bits = delivered_bits(sched)
     assert np.allclose(bits, np.array([0.7, 1.9, 0.4]) * 30.0, rtol=1e-6)
     # shortest round-trip numbers: re-serialized powers are bit-identical
     noise = NoiseModel(1.0)
@@ -379,6 +434,9 @@ def test_schedule_rejects_infinite_period_before_output(capsys):
     ["solve", "--rates", "1,1", "--noise", "0"],
     ["solve", "--rates", "600,1", "--gains", "1,2", "--noise", "1e-200"],
     ["solve", "--rates", "255.9,0.01", "--gains", "10,0.1", "--noise", "1"],
+    ["solve", "--rates", "255.9,0.01", "--gains", "10,0.1", "--noise", "1",
+     "--json"],
+    ["solve", "--rates", "1,1", "--gains", "1e-300,1e300", "--noise", "1"],
     ["solve", "--rates", "1,,2"],
     ["schedule", "--backlogs", "1,,2"],
     ["schedule", "--backlogs", "0,0"],
@@ -412,6 +470,14 @@ def test_rejection_parity(tmp_path, capsys, argv):
                 "--out-dir", str(tmp_path / "out")]
     code, _, err = run_cli(capsys, *argv)
     assert_one_error_line(code, err)
+
+
+def test_readme_config_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    config, sweep, _ = parse_experiment_config(block)
+    assert (config.n_nodes, config.lam, config.runs) == (4, 1.0, 1000)
+    assert sweep == [0.2, 0.4, 0.6, 0.8, 1.0]
 
 
 def test_config_rejects_unknown_and_missing_keys():

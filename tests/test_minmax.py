@@ -717,6 +717,16 @@ def test_overflowing_sum_rate_rejected():
     assert np.isfinite(sol.distance) and np.isfinite(sol.gap)
 
 
+def test_overflowing_weighted_levels_rejected():
+    # Gains 600 decades apart: the levels c + lam / g_i overflow, for one
+    # solve and for the rows the lifetime engine prices.
+    noise = NoiseModel(1.0, gains=[1e-300, 1e300])
+    with pytest.raises(ValueError, match="gains"):
+        solve([1.0, 1.0], noise)
+    with pytest.raises(ValueError, match="gains"):
+        minmax._fair_transmit(np.ones((3, 2)), noise)
+
+
 def test_fairness_oracles_agree_on_random_instances():
     """Solver output passes both fairness oracles; perturbed mixes fail both."""
     rng = np.random.default_rng(53)
