@@ -50,8 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .minmax import _check_sum_rate
-from .polymatroid import NoiseModel
+from .polymatroid import NoiseModel, _check_sum_rate
 from .scheduling import STRATEGIES, _TABLE
 
 DEFAULT_PERIOD_CAP = 1_000_000

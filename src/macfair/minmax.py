@@ -55,22 +55,16 @@ from .polymatroid import (
     LN2,
     NoiseModel,
     _as_vector,
+    _check_received_sum,
+    _check_sum_rate,
     _lex_optimal_trusted,
-    sum_power,
+    _sum_rank,
 )
 
 # Diagnostic tolerance for the case classification, in units of the sum
 # power; loose enough to recognize equal points specified with a handful of
 # decimals.
 CASE_TOL = 1e-5
-
-# Largest sum power whose square, the scale of distances and gaps, is finite.
-_MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
-
-# Largest rank in units of the noise power, the units of the levels, the
-# walk and the certificate: 2^24 below the largest double, so that their
-# sums over many nodes and their gain-scaled forms stay finite too.
-_MAX_RANK = 2.0 ** 1000
 
 # Largest piece of the time-sharing walk priced in Python floats; larger
 # pieces are priced on arrays, whose cost per call pays off only there.
@@ -140,21 +134,8 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     transmits ``sum_power / n / gain_i``.
     """
     r = _as_vector(rates, "rates")
-    level = sum_power(r, noise) / r.size
+    level = _sum_rank(r, noise.sigma_sq) / r.size
     return level / noise.gains_for(r.size)
-
-
-def _check_sum_rate(total: float, sigma_sq: float) -> None:
-    """Raise ``ValueError`` when the sum power of a rate sum leaves the range
-    in which it, and the squared distances built from it, are finite, or
-    its rank in units of the noise power exceeds ``_MAX_RANK``."""
-    # Below about 1.3e-147 W the rank, 4^total - 1, reaches _MAX_RANK first:
-    # the limit is then 500 bits.
-    limit = math.log1p(min(_MAX_SUM_POWER / sigma_sq, _MAX_RANK)) / (2.0 * LN2)
-    if not total < limit:
-        raise ValueError(
-            f"the rates sum to {total:g} bits per channel use; above "
-            f"about {limit:.4g} the sum power overflows at this noise power")
 
 
 def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
@@ -361,11 +342,8 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     """
     m = len(nodes)
     large = m > _LIST_PIECE
-    if large:
-        sort = np.argsort(-np.divide(x, w), kind="stable").tolist()
-    else:
-        keys = [-a / b for a, b in zip(x, w)]
-        sort = sorted(range(m), key=keys.__getitem__)  # stable, as argsort
+    keys = [-a / b for a, b in zip(x, w)]
+    sort = sorted(range(m), key=keys.__getitem__)  # stable
     ws = [w[i] for i in sort]
     xs = [x[i] for i in sort]
     order = [nodes[i] for i in sort]
@@ -558,14 +536,13 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Transmit powers of the min-max fair base without its time sharing,
     for a rate vector or for every row of a rate matrix.  Unit gains take
     the majorant's slopes of all rows at once; other gains solve row by
-    row."""
+    row.  The rows' sum rates are trusted: a ``SimConfig`` bounds them."""
     if _unit_gains(noise):
         # The prefix ranks of _fair_base for every row at once.
         order = np.argsort(-r, axis=-1, kind="stable")
         prefix = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
         np.cumsum(np.take_along_axis(r, order, -1), axis=-1,
                   out=prefix[..., 1:])
-        _check_sum_rate(prefix[..., -1].max(), noise.sigma_sq)
         levels = _majorant_levels(np.expm1((2.0 * LN2) * prefix))
         base = np.empty_like(r)
         np.put_along_axis(base, order, levels, axis=-1)
@@ -672,12 +649,8 @@ def max_min_rates(powers, noise: NoiseModel
         order = np.argsort(q, kind="stable")
         cum = np.zeros(n + 1)
         np.cumsum(q[order], out=cum[1:])
-        snr = cum / noise.sigma_sq
-    if not snr[-1] < np.inf:
-        raise ValueError(
-            f"the received powers sum to {cum[-1]:g} W; the sum or its ratio "
-            f"to the noise power {noise.sigma_sq:g} W overflows")
-    caps = (0.5 / LN2) * np.log1p(snr)
+    _check_received_sum(float(cum[-1]), noise.sigma_sq)
+    caps = (0.5 / LN2) * np.log1p(cum / noise.sigma_sq)
     if caps[-1] == 0.0:
         return np.zeros(n), ((tuple(range(n)), 1.0),)
     values = caps.tolist()

@@ -20,7 +20,8 @@ sorted by ``r_i / q_i`` descending: membership is one sort and ``n + 1``
 prefix checks, and the tight sets are such prefixes.  A base is the
 lexicographically optimal one iff every prefix of its levels is tight
 (Fujishige, Math. OR 5(3), 1980).  The public functions check their inputs
-once.
+once; the range rules for the sum rate and the received-power sum, which
+the package's public calls apply, live here.
 
 Conventions
 -----------
@@ -53,6 +54,14 @@ TIGHT_RTOL = 1e-9
 LEVEL_ATOL = 1e-6
 LEVEL_RTOL = 1e-6
 
+# Largest sum power whose square, the scale of distances and gaps, is finite.
+_MAX_SUM_POWER = math.sqrt(np.finfo(float).max)
+
+# Largest rank in units of the noise power, the units of the levels, the
+# walk and the certificate: 2^24 below the largest double, so that their
+# sums over many nodes and their gain-scaled forms stay finite too.
+_MAX_RANK = 2.0 ** 1000
+
 
 class InvalidSubsetError(ValueError):
     """A subset refers to node indices outside the ground set."""
@@ -70,6 +79,28 @@ def _check_noise_power(sigma_sq: float) -> None:
     if not 0.0 < sigma_sq < np.inf:
         raise ValueError(
             f"noise power must be positive and finite, got {sigma_sq}")
+
+
+def _check_sum_rate(total: float, sigma_sq: float) -> None:
+    """Raise ``ValueError`` when the sum power of a rate sum leaves the range
+    in which it, and the squared distances built from it, are finite, or
+    its rank in units of the noise power exceeds ``_MAX_RANK``."""
+    # Below about 1.3e-147 W the rank, 4^total - 1, reaches _MAX_RANK first:
+    # the limit is then 500 bits.
+    limit = math.log1p(min(_MAX_SUM_POWER / sigma_sq, _MAX_RANK)) / (2.0 * LN2)
+    if not total < limit:
+        raise ValueError(
+            f"the rates sum to {total:g} bits per channel use; above "
+            f"about {limit:.4g} the sum power overflows at this noise power")
+
+
+def _check_received_sum(total: float, sigma_sq: float) -> None:
+    """Raise ``ValueError`` when a received-power sum, or its ratio to the
+    noise power, overflows."""
+    if not total / sigma_sq < math.inf:
+        raise ValueError(
+            f"the received powers sum to {total:g} W; the sum or its ratio "
+            f"to the noise power {sigma_sq:g} W overflows")
 
 
 @dataclass(frozen=True)
@@ -162,7 +193,9 @@ def power_rank(rates, noise: NoiseModel, members) -> float:
 
 
 def _sum_rank(r: np.ndarray, sigma_sq: float) -> float:
-    return sigma_sq * float(np.expm1(2.0 * LN2 * r.sum()))
+    total = float(r.sum())
+    _check_sum_rate(total, sigma_sq)
+    return sigma_sq * float(np.expm1(2.0 * LN2 * total))
 
 
 def sum_power(rates, noise: NoiseModel) -> float:
@@ -196,6 +229,7 @@ def chain_received(rates, sigma_sq: float, order) -> np.ndarray:
     _check_noise_power(sigma_sq)
     r = _as_vector(rates, "rates")
     pi = _as_order(order, r.size)
+    _check_sum_rate(float(r.sum()), sigma_sq)
     return _chain_received_trusted(r, sigma_sq, np.asarray(pi, dtype=np.intp))
 
 
@@ -208,10 +242,7 @@ def vertex(rates, noise: NoiseModel, order) -> np.ndarray:
 def _power_slack(q_sum: float, r_sum: float, sigma_sq: float):
     """Slack of the power constraint ``Q(A) >= f(A)`` of a subset with
     received-power sum ``q_sum`` and rate sum ``r_sum``, and its tolerance."""
-    try:
-        rank = sigma_sq * math.expm1(2.0 * LN2 * r_sum)
-    except OverflowError:  # np.expm1 overflows to infinity
-        rank = math.inf
+    rank = sigma_sq * math.expm1(2.0 * LN2 * r_sum)
     return q_sum - rank, TIGHT_RTOL * (sigma_sq + abs(rank))
 
 
@@ -271,8 +302,10 @@ def greedy_linear_min(theta, rates, noise: NoiseModel) -> tuple[tuple[int, ...],
     r = _as_vector(rates, "rates")
     if t.size != r.size:
         raise ValueError("theta and rates must have the same length")
-    pi = tuple(int(i) for i in np.argsort(-t, kind="stable"))
-    return pi, vertex(r, noise, pi)
+    pi = np.argsort(-t, kind="stable")
+    _check_sum_rate(float(r.sum()), noise.sigma_sq)
+    q = _chain_received_trusted(r, noise.sigma_sq, pi)
+    return tuple(pi.tolist()), q / noise.gains_for(r.size)
 
 
 def _levels(values: list[float], atol: float) -> list[list[int]]:
@@ -295,11 +328,23 @@ def _levels(values: list[float], atol: float) -> list[list[int]]:
     return groups
 
 
+def _certificate_point(powers, rates, noise: NoiseModel):
+    """Checked received powers and rates of one length, as lists."""
+    p = _as_vector(powers, "powers")
+    r = _as_vector(rates, "rates")
+    if p.size != r.size:
+        raise ValueError("powers and rates must have the same length")
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        q = noise.received(p).tolist()
+    _check_received_sum(sum(q), noise.sigma_sq)
+    return q, r.tolist()
+
+
 def _lex_optimal_trusted(q: list[float], r: list[float],
                          sigma_sq: float) -> bool:
-    """:func:`is_lex_optimal_base` on checked received powers ``q`` and
-    rates ``r`` of one length; raises ``NotABaseError`` when ``q`` is not a
-    base of the power region at rates ``r``."""
+    """:func:`is_lex_optimal_base` on received powers ``q`` and rates ``r``
+    of one length, checked as it checks them; raises ``NotABaseError`` when
+    ``q`` is not a base of the power region at rates ``r``."""
     full, tol = _power_slack(sum(q), sum(r), sigma_sq)
     if not (abs(full) <= tol and _is_member(_ratio_sort(q, r), q, r,
                                             sigma_sq, _power_slack)):
@@ -317,12 +362,9 @@ def is_lex_optimal_base(powers, rates, noise: NoiseModel) -> bool:
     failing this could shed power onto a strictly lower node, contradicting
     min-max fairness.
     """
-    p = _as_vector(powers, "powers")
-    r = _as_vector(rates, "rates")
-    if p.size != r.size:
-        raise ValueError("powers and rates must have the same length")
-    return _lex_optimal_trusted(noise.received(p).tolist(), r.tolist(),
-                                noise.sigma_sq)
+    q, r = _certificate_point(powers, rates, noise)
+    _check_sum_rate(sum(r), noise.sigma_sq)
+    return _lex_optimal_trusted(q, r, noise.sigma_sq)
 
 
 def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
@@ -334,11 +376,7 @@ def is_lex_optimal_rate_base(rates, powers, noise: NoiseModel) -> bool:
     strictly higher one).  Membership takes the same ratio sort, along which
     ``R(A) - C(Q(A))`` is largest.
     """
-    r = _as_vector(rates, "rates")
-    p = _as_vector(powers, "powers")
-    if r.size != p.size:
-        raise ValueError("rates and powers must have the same length")
-    q, rl = noise.received(p).tolist(), r.tolist()
+    q, rl = _certificate_point(powers, rates, noise)
     full, tol = _capacity_slack(sum(q), sum(rl), noise.sigma_sq)
     if abs(full) > tol:
         raise NotABaseError("the rate point is not on the dominant face")

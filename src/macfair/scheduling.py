@@ -39,6 +39,7 @@ from .polymatroid import (
     _as_order,
     _as_vector,
     _chain_received_trusted,
+    _check_sum_rate,
 )
 
 
@@ -139,7 +140,7 @@ def _active(backlog: Backlog, period: float, noise: NoiseModel):
     active = np.nonzero(backlog.packets > 0.0)[0]
     if active.size == 0:
         raise ValueError("at least one node must have a positive backlog")
-    minmax._check_sum_rate(total, noise.sigma_sq)
+    _check_sum_rate(total, noise.sigma_sq)
     packets = backlog.packets[active]
     if noise.gains is not None:
         gains = noise.gains_for(backlog.packets.size)

@@ -705,6 +705,29 @@ def period_backlog(config, run, period):
     return Backlog(packets=packets, packet_bits=config.packet_bits)
 
 
+def offline_lifetime(config, run):
+    """T*, the most periods any schedule could complete on one run's draws.
+
+    A period of rates ``R_t`` needs received powers in the power region, so
+    every non-empty subset ``A`` receives at least ``period * f_t(A)``
+    joules in it, ``f_t(A) = sigma^2 (4^R_t(A) - 1)``, while its batteries
+    can deliver at most ``E0 * g(A)`` received joules, ``g(A)`` its gain
+    sum.  T* is the largest ``T`` up to ``period_cap`` at which
+    ``sum_{t <= T} period * f_t(A) <= E0 * g(A)`` for every such ``A``.
+    """
+    members = _subset_bits(config.n_nodes)[1:]
+    budget = config.initial_energy * (members @ config.noise.gains_for(
+        config.n_nodes))
+    spent = np.zeros(len(members))
+    for period in range(config.period_cap):
+        rates = period_backlog(config, run, period).bits / config.period
+        spent += config.period * (config.noise.sigma_sq * np.expm1(
+            2.0 * LN2 * (members @ rates)))
+        if np.any(spent > budget):
+            return period
+    return config.period_cap
+
+
 def delivered_bits(schedule):
     """Bits each node delivers over the period: every epoch's rates for its
     share of the period, summed over the epochs."""

@@ -442,6 +442,47 @@ def test_compare_sweep_equals_compare_strategies_per_lambda():
             assert np.array_equal(table.lifetimes[s], solo.lifetimes[s])
 
 
+GAINS = NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("noise", [NOISE, GAINS], ids=["paper", "gains"])
+def test_no_strategy_outlives_the_offline_bound(noise):
+    # T* bounds every schedule's lifetime on the same draws.  The bound is
+    # met on some run at every point: with gains, minicost meets it on
+    # every run at lambda 0.6.
+    cfg = paper_config(runs=40, noise=noise)
+    for lam, table in compare_sweep(cfg, (0.6, 1.0)).items():
+        one = replace(cfg, lam=lam)
+        bound = np.array([oracles.offline_lifetime(one, run)
+                          for run in range(cfg.runs)])
+        met = False
+        for s in STRATEGIES:
+            assert np.all(table.lifetimes[s] <= bound), (lam, s)
+            met |= bool(np.any(table.lifetimes[s] == bound))
+        assert met, lam
+
+
+@pytest.mark.parametrize("noise, lams", [(NOISE, (0.2, 1.0)),
+                                         (GAINS, (0.8, 1.0))],
+                         ids=["paper", "gains"])
+def test_simulation_scales_exactly_with_the_noise_power(noise, lams):
+    # Powers are linear in the noise power, and a factor of 8 is exact in
+    # floating point: with the batteries scaled too, every run lives as
+    # long and every power and energy is exactly 8 times as large.  The
+    # gains config prices its weighted min-max row by row, so it takes the
+    # short-lived bounds.
+    cfg = paper_config(runs=200, noise=noise)
+    scaled = replace(cfg, initial_energy=8.0 * cfg.initial_energy,
+                     noise=NoiseModel(8.0 * noise.sigma_sq, noise.gains))
+    tables = compare_sweep(cfg, lams)
+    for lam, table in compare_sweep(scaled, lams).items():
+        for s in STRATEGIES:
+            ref, stats = tables[lam].stats[s], table.stats[s]
+            assert np.array_equal(table.lifetimes[s], tables[lam].lifetimes[s])
+            assert stats.mean_max_power == 8.0 * ref.mean_max_power
+            assert stats.mean_sum_energy == 8.0 * ref.mean_sum_energy
+
+
 @pytest.mark.parametrize("lams", [
     [0.0], [0.6, -1.0], [np.inf], [0.6, np.nan], [100.0], [],
 ], ids=["zero", "negative", "inf", "nan", "overflow", "none"])

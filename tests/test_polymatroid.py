@@ -1,6 +1,7 @@
 """Core region machinery: ranks, membership, vertices, greedy, fairness oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from macfair import (
     NoiseModel,
     NotABaseError,
     chain_received,
+    equal_allocation,
     greedy_linear_min,
     is_lex_optimal_base,
     is_lex_optimal_rate_base,
@@ -460,3 +462,45 @@ def test_noise_db_past_the_largest_double_rejected():
         NoiseModel.from_db(5000.0)
     with pytest.raises(ValueError, match="positive and finite"):
         NoiseModel.from_db(-5000.0)
+
+
+TINY = NoiseModel(1e-200)
+FAR_GAINS = NoiseModel(1.0, gains=[1e300, 1e300])
+
+OVERFLOWING = {
+    # Sum rates past float overflow, 512 bits at unit noise.
+    "sum_power": (sum_power, [600.0], UNIT),
+    "power_rank": (power_rank, [600.0, 1.0], UNIT, [0]),
+    "chain_received": (chain_received, [300.0, 300.0], 1.0, [0, 1]),
+    "vertex": (vertex, [300.0, 300.0], UNIT, [1, 0]),
+    "greedy_linear_min": (greedy_linear_min, [1.0, 2.0], [300.0, 300.0],
+                          UNIT),
+    "equal_allocation": (equal_allocation, [300.0, 300.0], UNIT),
+    "lex-base-rates": (is_lex_optimal_base, [0.0, 0.0], [600.0, 600.0],
+                       UNIT),
+    # Received powers whose product with the gains overflows.
+    "lex-base-received": (is_lex_optimal_base, [1e10, 1e10], [1.0, 1.0],
+                          FAR_GAINS),
+    # A received-power sum that overflows, and one whose ratio to the
+    # noise power does.
+    "lex-rate-base-sum": (is_lex_optimal_rate_base, [0.0, 0.0],
+                          [1e308, 1e308], UNIT),
+    "lex-rate-base-ratio": (is_lex_optimal_rate_base, [0.0, 0.0],
+                            [1e200, 1e200], TINY),
+    "max_min_rates-ratio": (max_min_rates, [1e200, 1e200], TINY),
+    # Between the sum-rate limit, 256 bits at unit noise, and overflow.
+    "sum_power-limit": (sum_power, [300.0], UNIT),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_overflowing_inputs_raise_one_range_error(case):
+    # Unchecked, the power-side calls return inf, or certify zero powers,
+    # after RuntimeWarnings, and the rate certificate certifies zero rates
+    # against an infinite received-power sum.
+    func, *args = OVERFLOWING[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="(rates|received powers) sum to .* overflows"):
+            func(*args)
