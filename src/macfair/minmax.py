@@ -48,6 +48,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,10 +71,11 @@ CASE_TOL = 1e-5
 # pieces are priced on arrays, whose cost per call pays off only there.
 # Measured crossover, as solve time at -30 dB with rates uniform on
 # (0, 4/n] against a walk that priced every piece of three or more nodes on
-# arrays (2-vCPU VM), for list pieces of at most 16 / 32 / 64 / 128 nodes /
-# any size: n = 50 0.84 / 0.78 / 0.77 / 0.76 / 0.76; n = 100 0.88 / 0.86 /
-# 0.93 / 1.02 / 1.00; n = 200 0.87 / 0.86 / 0.87 / 1.16 / 1.46.
-_LIST_PIECE = 32
+# arrays (2-vCPU VM; median of three interleaved runs), for list pieces of
+# at most 16 / 32 / 64 / 128 nodes / any size: n = 50 0.80 / 0.72 / 0.67 /
+# 0.67 / 0.67; n = 100 0.84 / 0.80 / 0.82 / 0.84 / 0.84; n = 200 0.85 /
+# 0.83 / 0.83 / 0.96 / 1.10.
+_LIST_PIECE = 64
 
 
 class CaseLabel(enum.Enum):
@@ -168,8 +170,11 @@ def _case_label(shares: list[float], level: float) -> CaseLabel:
     ``shares`` are the prefix ranks of the descending rates over the sum
     power, empty set first.  The point violates the top-k constraint when a
     share exceeds ``k * level``, and it is the vertex of the descending chain
-    when every share equals ``k * level``.
+    when every share equals ``k * level``.  A one-node face is one point,
+    its own vertex, whatever the gain puts the level at.
     """
+    if len(shares) == 2:
+        return CaseLabel.VERTEX_COINCIDENT
     excess = [shares[k] - level * k for k in range(1, len(shares))]
     if max(excess) > CASE_TOL:
         return CaseLabel.INFEASIBLE
@@ -215,7 +220,16 @@ class _PowerBlock:
     noise at ``lo = 0``), so that no piece evaluates an exponential.  The
     block keeps only ``E - 1`` and ``1 / E``: as arrays for the pieces
     priced on arrays, and as lists for those priced in Python floats and for
-    the scalar reads of :meth:`parts`."""
+    the scalar reads of the parts' noise.
+
+    A list piece's masses are not built by its parent.  The piece holds
+    ``(src, slo, cp, chain, top)``: its parent's masses over the parent's
+    prefixes from ``slo``, the parent's ``c``, the time the parent follows
+    its chain and the mass its suffix drops.  It derives its own masses
+    ``(src[j - slo] - chain * (cp * (E_j - E_slo))) - top`` in the pass that
+    prices it, the IEEE operations that building them first would do.  A
+    list of ready masses is priced as ``(masses, lo, 0, 0, 0)``, which
+    leaves them as they are."""
 
     def __init__(self, rates: list[float]):
         em = np.expm1(np.multiply(2.0 * LN2, [0.0, *accumulate(rates)]))
@@ -224,32 +238,66 @@ class _PowerBlock:
         self.em_list = em.tolist()
         self.inv_list = self.inv.tolist()
 
-    def split(self, lo: int, hi: int, c: float):
-        """The ranks of the piece's prefixes, empty set first, and
-        ``f(N) - f(P) - f(S) = f(P) f(S) / s`` for its proper splits into a
-        prefix ``P`` and a suffix ``S``: lists for a piece of at most
-        ``_LIST_PIECE`` nodes, arrays for a larger one."""
-        if hi - lo > _LIST_PIECE:
-            em = self.em
-            ranks = c * (em[lo:hi + 1] - em[lo])
-            return ranks, ranks[1:-1] * ((em[hi] - em[lo + 1:hi])
-                                         * self.inv[lo + 1:hi])
-        em, inv = self.em_list, self.inv_list
-        first, last = em[lo], em[hi]
-        ranks, excess = [0.0], []
-        for j in range(lo + 1, hi):
-            rank = c * (em[j] - first)
-            ranks.append(rank)
-            excess.append(rank * ((last - em[j]) * inv[j]))
-        ranks.append(c * (last - first))
-        return ranks, excess
+    def split(self, lo: int, hi: int, c: float, scale: float, mass):
+        """The piece's breakpoint ``b``, the length ``k`` of the prefix
+        before its tight suffix, and ``(c, masses)`` of the suffix
+        ``[lo + k, hi)``, a restriction (noise ``s``), and of the prefix
+        ``[lo, lo + k)``, the contraction by the suffix (noise
+        ``s 4^R(S)``); the parts are ``None`` when ``b`` is not positive.
 
-    def parts(self, lo: int, cut: int, hi: int, c: float):
-        """``c`` of the suffix ``[cut, hi)``, a restriction (noise ``s``),
-        and of the prefix ``[lo, cut)``, the contraction by the suffix
-        (noise ``s 4^R(S)``)."""
-        em, inv = self.em_list, self.inv_list[cut]
-        return c * (1.0 + em[lo]) * inv, c * (1.0 + em[hi]) * inv
+        The split after prefix ``P`` (suffix ``S``) is met at ``b = scale
+        (x(P) - f(P)) / (f(N) - f(P) - f(S))``, as in :func:`_breakpoint`,
+        with ``f(N) - f(P) - f(S) = f(P) f(S) / s``.  A list piece takes its
+        masses, ranks, ratios and their argmax in one pass over its
+        prefixes; at a zero excess it turns to arrays, for NumPy's
+        quotients and argmax."""
+        if isinstance(mass, np.ndarray):
+            return self._split_array(lo, hi, c, scale, mass)
+        if isinstance(mass, list):
+            mass = (mass, lo, 0.0, 0.0, 0.0)
+        src, slo, cp, chain, top = mass
+        em, inv = self.em_list, self.inv_list
+        first, last, base = em[lo], em[hi], em[slo]
+        own = [0.0]
+        best, cut = -math.inf, lo + 1
+        try:
+            for j in range(lo + 1, hi):
+                e = em[j]
+                y = (src[j - slo] - chain * (cp * (e - base))) - top
+                own.append(y)
+                rank = c * (e - first)
+                ratio = (y - scale * rank) / (rank * ((last - e) * inv[j]))
+                if ratio > best:
+                    best, cut = ratio, j
+        except ZeroDivisionError:
+            em = self.em
+            own = (np.array(src[lo - slo:hi - slo])
+                   - chain * (cp * (em[lo:hi] - em[slo]))) - top
+            own[0] = 0.0  # the empty set's, as in the loop
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return self._split_array(lo, hi, c, scale, own)
+        # The masses and ranks are finite, so no ratio is NaN.
+        b, k = min(best, scale), cut - lo
+        if not b > 0.0:
+            return b, k, None, None
+        chain = scale - b  # the time the piece follows its chain
+        top = own[k] - chain * (c * (em[cut] - first))
+        inv = inv[cut]
+        return (b, k, (c * (1.0 + first) * inv, (own, lo, c, chain, top)),
+                (c * (1.0 + last) * inv, (own, lo, c, chain, 0.0)))
+
+    def _split_array(self, lo, hi, c, scale, mass):
+        """:meth:`split` on arrays, for the piece's masses ``mass``."""
+        em = self.em
+        ranks = c * (em[lo:hi + 1] - em[lo])
+        excess = ranks[1:-1] * ((em[hi] - em[lo + 1:hi]) * self.inv[lo + 1:hi])
+        b, k = _breakpoint(ranks, excess, mass, scale)
+        if not b > 0.0:
+            return b, k, None, None
+        tail, head = _array_parts(mass, ranks, k, scale - b)
+        em, inv = self.em_list, self.inv_list[lo + k]
+        return (b, k, (c * (1.0 + em[lo]) * inv, tail),
+                (c * (1.0 + em[hi]) * inv, head))
 
 
 class _CapacityBlock:
@@ -261,9 +309,11 @@ class _CapacityBlock:
     def __init__(self, received: list[float]):
         self.sums = np.array([0.0, *accumulate(received)])
 
-    def split(self, lo: int, hi: int, s: float):
-        """As :meth:`_PowerBlock.split`; the excess is
-        ``C(P) + C(S) - C(N)``."""
+    def _ranks(self, lo: int, hi: int, s: float):
+        """The ranks of the piece's prefixes, empty set first, and
+        ``C(P) + C(S) - C(N)`` for its proper splits into a prefix ``P`` and
+        a suffix ``S``: lists for a piece of at most ``_LIST_PIECE`` nodes,
+        arrays for a larger one."""
         q = self.sums[lo:hi + 1] - self.sums[lo]
         ranks = (-0.5 / LN2) * np.log1p(q / s)
         head = q[1:-1]
@@ -273,23 +323,55 @@ class _CapacityBlock:
             return ranks, excess
         return ranks.tolist(), excess.tolist()
 
-    def parts(self, lo: int, cut: int, hi: int, s: float):
-        """Noise of the suffix (a restriction) and of the prefix (the
-        contraction by the suffix)."""
-        return s, s + (self.sums[hi] - self.sums[cut])
+    def split(self, lo: int, hi: int, s: float, scale: float, mass):
+        """As :meth:`_PowerBlock.split`, with the noise ``s`` of the suffix
+        (a restriction) and of the prefix (the contraction by the suffix)
+        in place of ``c``."""
+        ranks, excess = self._ranks(lo, hi, s)
+        b, k = _breakpoint(ranks, excess, mass, scale)
+        if not b > 0.0:
+            return b, k, None, None
+        chain = scale - b
+        prefix = s + (self.sums[hi] - self.sums[lo + k])
+        if not isinstance(mass, list):
+            tail, head = _array_parts(mass, ranks, k, chain)
+            return b, k, (s, tail), (prefix, head)
+        # The empty set's mass and rank are 0, so each part's first mass
+        # is 0.
+        top = mass[k] - chain * ranks[k]
+        tail = [0.0]
+        for j in range(k + 1, hi - lo):
+            tail.append((mass[j] - chain * ranks[j]) - top)
+        head = mass[:k]
+        for j in range(1, k):
+            head[j] -= chain * ranks[j]
+        return b, k, (s, tail), (prefix, head)
+
+
+def _array_parts(mass, ranks, k: int, chain: float):
+    """Masses of the suffix and of the prefix of an array piece split after
+    ``k`` nodes: the piece's masses less ``chain`` times its ranks, as an
+    array for a part of more than ``_LIST_PIECE`` nodes and as a list for a
+    smaller one."""
+    mass -= chain * ranks[:-1]
+    tail = mass[k:] - mass[k]
+    head = mass[:k]
+    return (tail if tail.size > _LIST_PIECE else tail.tolist(),
+            head if k > _LIST_PIECE else head.tolist())
 
 
 def _breakpoint(ranks, excess, mass, scale: float) -> tuple[float, int]:
     """Breakpoint of a piece and the length of the prefix before its tight
     suffix.
 
-    ``ranks`` and ``excess`` are the piece's ``split`` and ``mass`` the
-    masses of its empty and proper prefixes, all lists or all arrays.  The
-    split after prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) -
-    f(P)) / (f(N) - f(P) - f(S))`` with ``x(P) = mass(P) / scale``; the
-    walk meets the split of largest ``b``, capped at ``scale``.  An excess
-    of zero gives a signed infinity or NaN, as NumPy's quotient does, and a
-    NaN ratio is the breakpoint, as in ``argmax``.
+    ``ranks`` and ``excess`` are the ranks of the piece's prefixes and the
+    excesses of its proper splits, and ``mass`` the masses of its empty and
+    proper prefixes, all lists or all arrays.  The split after
+    prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) - f(P)) / (f(N)
+    - f(P) - f(S))`` with ``x(P) = mass(P) / scale``; the walk meets the
+    split of largest ``b``, capped at ``scale``.  An excess of zero gives a
+    signed infinity or NaN, as NumPy's quotient does, and a NaN ratio is
+    the breakpoint, as in ``argmax``.
     """
     if isinstance(mass, list):
         try:
@@ -329,9 +411,12 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     leading masses, and the suffix's are the rest less the prefix's
     total.
 
-    A piece of at most ``_LIST_PIECE`` nodes is priced in Python floats, a
-    larger one on arrays, with the same IEEE operations either way; a
-    piece's masses become a list when it has at most ``_LIST_PIECE`` nodes.
+    The region's block splits each piece: it prices the piece and hands
+    both parts their noise and masses.  A piece of at most ``_LIST_PIECE``
+    nodes is priced in Python floats, a larger one on arrays, with the same
+    IEEE operations either way.  A power piece in Python floats takes its
+    masses from its parent's, its ranks, its ratios and their argmax in one
+    pass; a capacity piece takes its logarithms from one array pass.
 
     A piece shares ``[0, scale]`` and opens at its breakpoint ``b``: on
     ``(b, scale]`` it follows its chain, below ``b`` its suffix goes first.
@@ -352,46 +437,23 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     if large:
         mass = np.array(mass)
     openings = []
-    pieces = [(0, m, at, noise, 1.0, mass)]
+    pieces = [(0, m, at, 1.0, (noise, mass))]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
     # Only array pieces divide in NumPy; a list piece that meets a zero
-    # excess turns to arrays inside _breakpoint, under its own errstate.
+    # excess turns to arrays under its own errstate.
     with (np.errstate(divide="ignore", invalid="ignore") if large
           else contextlib.nullcontext()):
         while pieces:
-            lo, hi, start, p, scale, mass = pieces.pop()
-            ranks, excess = block.split(lo, hi, p)
-            b, k = _breakpoint(ranks, excess, mass, scale)
+            lo, hi, start, scale, (p, mass) = pieces.pop()
+            b, k, suffix, prefix = block.split(lo, hi, p, scale, mass)
             if not b > 0.0:
                 continue
             openings.append((b, start, hi - lo, k))
             cut = lo + k
-            suffix, prefix = block.parts(lo, cut, hi, p)
-            chain = scale - b  # the time the piece follows its chain
-            if isinstance(mass, list):
-                # The empty set's mass and rank are 0, so each child's
-                # first mass is 0.
-                if hi - cut > 1:
-                    top = mass[k] - chain * ranks[k]
-                    tail = [0.0]
-                    for j in range(k + 1, hi - lo):
-                        tail.append((mass[j] - chain * ranks[j]) - top)
-                    pieces.append((cut, hi, start, suffix, b, tail))
-                if k > 1:
-                    head = mass[:k]
-                    for j in range(1, k):
-                        head[j] -= chain * ranks[j]
-                    pieces.append((lo, cut, start + hi - cut, prefix, b, head))
-                continue
-            mass -= chain * ranks[:-1]
             if hi - cut > 1:
-                tail = mass[k:] - mass[k]
-                pieces.append((cut, hi, start, suffix, b, tail
-                               if hi - cut > _LIST_PIECE else tail.tolist()))
+                pieces.append((cut, hi, start, b, suffix))
             if k > 1:
-                head = mass[:k]
-                pieces.append((lo, cut, start + hi - cut, prefix, b, head
-                               if k > _LIST_PIECE else head.tolist()))
+                pieces.append((lo, cut, start + hi - cut, b, prefix))
     return order, openings
 
 
@@ -419,16 +481,25 @@ def _decompose(order: list[int], ends: list[int], x: list[float],
                                      region, lo)
         arrangement += sorted_nodes
         openings += opened
-    # Stable: at a tied breakpoint a piece still opens before its parts.
-    openings.sort(key=lambda o: -o[0])
+    # Stable, also in reverse: at a tied breakpoint a piece still opens
+    # before its parts.
+    openings.sort(key=itemgetter(0), reverse=True)
     support = []
     top = 1.0
     for b, start, size, k in openings:
         if b < top:
             support.append((tuple(arrangement), top - b))
             top = b
-        arrangement[start:start + size] = (arrangement[start + k:start + size]
-                                           + arrangement[start:start + k])
+        # Put the last size - k slots first; when that moves one node,
+        # move it in place.
+        if k == 1:
+            arrangement.insert(start + size - 1, arrangement.pop(start))
+        elif k == size - 1:
+            arrangement.insert(start, arrangement.pop(start + k))
+        else:
+            arrangement[start:start + size] = (
+                arrangement[start + k:start + size]
+                + arrangement[start:start + k])
     support.append((tuple(arrangement), top))
     support.sort(key=lambda ow: (-ow[1], ow[0]))
     return tuple(support), len(openings)

@@ -501,6 +501,38 @@ def walk_reference(nodes, w, x, noise, region, at):
     return nodes[sort].tolist(), openings
 
 
+def sweep_reference(order, ends, x, w, noises, region):
+    """The coupling of ``minmax._decompose`` with every rotation done on
+    slices: the reference for its in-place one-node moves, with the same
+    arguments and returns.  Each block is walked by ``minmax._walk``; the
+    openings, by falling breakpoint, put the last ``size - k`` of their
+    ``size`` slots first, one epoch per distinct breakpoint."""
+    arrangement = []
+    openings = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        nodes = order[lo:hi]
+        if len(nodes) == 1:
+            arrangement += nodes
+            continue
+        sorted_nodes, opened = minmax._walk(nodes, [w[i] for i in nodes],
+                                            [x[i] for i in nodes], noises[lo],
+                                            region, lo)
+        arrangement += sorted_nodes
+        openings += opened
+    openings.sort(key=lambda o: -o[0])
+    support = []
+    top = 1.0
+    for b, start, size, k in openings:
+        if b < top:
+            support.append((tuple(arrangement), top - b))
+            top = b
+        arrangement[start:start + size] = (arrangement[start + k:start + size]
+                                           + arrangement[start:start + k])
+    support.append((tuple(arrangement), top))
+    support.sort(key=lambda ow: (-ow[1], ow[0]))
+    return tuple(support), len(openings)
+
+
 # The certificates by exhaustive enumeration of the 2^n subset constraints:
 # every public entry point re-validates what it passes on, the slack of
 # ``q`` is computed for membership and again for the tight sets, a node's

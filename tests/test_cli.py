@@ -113,8 +113,9 @@ def test_solve_degenerate_ranks(capsys, rates, noise, iterations):
 def test_printed_base_passes_the_certificate(capsys, n):
     # solve certifies each base itself (exit 2 on a rejection); this
     # re-certifies the printed 12-digit base through the public function.
-    # The walk prices the pieces of more than 32 nodes on arrays and the
-    # smaller ones in Python floats, so these blocks run both paths.
+    # The walk prices the pieces of more than _LIST_PIECE (64) nodes on
+    # arrays and the smaller ones in Python floats, so the n = 200 and 2000
+    # blocks run both paths.
     rates = [4 / n * (1 + i % 7 / 7) for i in range(n)]
     code, out, err = run_cli(capsys, "solve", "--rates", ",".join(map(str, rates)),
                              "--noise-db", "-30", "--json")

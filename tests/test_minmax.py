@@ -101,6 +101,18 @@ def test_solve_single_node():
     assert sol.coefficients == (((0,), 1.0),)
 
 
+@pytest.mark.parametrize("sigma_sq", [1.0, 1e-3])
+@pytest.mark.parametrize("gain", [0.5, 1.0, 2.0])
+def test_one_node_face_is_its_own_vertex(gain, sigma_sq):
+    # The face of one node is the point f({0}); the level a gain sets does
+    # not move it off its one vertex.
+    noise = NoiseModel(sigma_sq, gains=[gain])
+    sol = solve([1.0], noise)
+    assert sol.case is CaseLabel.VERTEX_COINCIDENT
+    assert sol.received.tolist() == [3.0 * sigma_sq]
+    assert sol.coefficients == (((0,), 1.0),)
+
+
 def test_solve_zero_rates():
     sol = solve([0.0, 0.0], UNIT)
     assert np.all(sol.received == 0.0)
@@ -469,9 +481,9 @@ def test_walk_step_meets_a_suffix_first(side):
         suffixes = [sum(1 << int(i) for i in sort[k:]) for k in range(1, n)]
         assert min(ratios[m] for m in suffixes) == pytest.approx(best,
                                                                  rel=1e-9)
-        split = BLOCKS[side](w[sort].tolist()).split(0, n, s)
         mass = [0.0, *np.cumsum(x[sort])[:-1].tolist()]
-        b, k = minmax._breakpoint(*split, mass, 1.0)
+        block = BLOCKS[side](w[sort].tolist())
+        b, k = block.split(0, n, s, 1.0, mass)[:2]
         assert b == pytest.approx(1.0 / (1.0 + best), rel=1e-9)
         assert ratios[suffixes[k - 1]] == pytest.approx(best, rel=1e-9)
 
@@ -514,7 +526,9 @@ def walked_by(walk, monkeypatch, fn, *args):
 def assert_walks_match_reference(monkeypatch, fn, *args):
     """Openings of every block, and the rates or powers and coefficients of
     ``fn``, bit for bit equal under ``minmax._walk`` and
-    ``oracles.walk_reference``."""
+    ``oracles.walk_reference``; and the coefficients (and the split count)
+    of ``fn`` bit for bit equal under ``minmax._decompose`` and
+    ``oracles.sweep_reference``.  Returns what each walk returned."""
     out, walks = walked_by(minmax._walk, monkeypatch, fn, *args)
     ref, ref_walks = walked_by(oracles.walk_reference, monkeypatch, fn, *args)
     assert walks == ref_walks
@@ -523,13 +537,27 @@ def assert_walks_match_reference(monkeypatch, fn, *args):
     else:
         assert out.received.tobytes() == ref.received.tobytes()
         assert out.coefficients == ref.coefficients
-    return len(walks)
+    with monkeypatch.context() as m:
+        m.setattr(minmax, "_decompose", oracles.sweep_reference)
+        swept = fn(*args)
+    if isinstance(out, tuple):
+        assert out[1] == swept[1]
+    else:
+        assert (out.coefficients, out.iterations) == (swept.coefficients,
+                                                      swept.iterations)
+    return walks
 
 
 def test_walk_matches_the_reference_on_the_benchmark_recipes(monkeypatch):
-    walks = sum(assert_walks_match_reference(monkeypatch, solve, rates, noise)
-                for rates, noise in benchmark_recipes(100))
-    assert walks > 600
+    walks = [walk for rates, noise in benchmark_recipes(100)
+             for walk in assert_walks_match_reference(monkeypatch, solve,
+                                                      rates, noise)]
+    assert len(walks) > 600
+    # The sweep moves one node in place when an opening splits off the
+    # first or the last slot of its piece, and rotates a slice otherwise.
+    moves = {"first" if k == 1 else "last" if k == size - 1 else "slice"
+             for _, opened in walks for _, _, size, k in opened}
+    assert moves == {"first", "last", "slice"}
 
 
 def test_walk_matches_the_reference_at_n_200(monkeypatch):
@@ -603,8 +631,9 @@ def _ratio_cases(ratio):
 
 @pytest.mark.parametrize("side", ["power", "capacity"])
 def test_list_and_array_pieces_match_the_reference(side):
-    # Blocks on both sides of the 32-node threshold, so that pieces are
-    # priced in Python floats, on arrays, or on arrays and then in lists.
+    # Blocks on both sides of the _LIST_PIECE-node threshold, and of the
+    # 32-node one it once was, so that pieces are priced in Python floats,
+    # on arrays, or on arrays and then in lists.
     # Zero excesses give +inf, -inf and NaN ratios, which the lists must
     # pick as NumPy's argmax does: the first NaN, also after a finite ratio.
     # Tiny weights make every excess 0: power rates of 1e-17 at 1e-300 W,
@@ -613,12 +642,12 @@ def test_list_and_array_pieces_match_the_reference(side):
     # excesses 0 after the heavy ones; their masses set the gain of those
     # splits to 0, above 0 or below.  Bases mixed from chain vertices, with
     # tied rates, open inside the piece's time, and scaled ones past it.
-    assert minmax._LIST_PIECE == 32
+    t = minmax._LIST_PIECE
     rng = np.random.default_rng(79)
     sign = 1.0 if side == "power" else -1.0
     vertex = (oracles.naive_vertex if side == "power"
               else oracles.naive_capacity_vertex)
-    for m in (2, 3, 5, 31, 32, 33, 40):
+    for m in sorted({2, 3, 5, 31, 32, 33, 40, t - 1, t, t + 1, t + 8}):
         blocks = []
         w, s = ((np.full(m, 1e-17), 1e-300) if side == "power"
                 else (np.full(m, 1e-300), 1.0))
@@ -672,6 +701,25 @@ def test_list_breakpoint_takes_numpys_argmax():
         assert str(got) == str(want), (gains, excess)
         picked.add(k + 1)
     assert picked == {1, 2}
+
+
+def test_power_piece_derives_the_same_masses_at_a_zero_excess():
+    # A list piece derives its masses from its parent's in the pass that
+    # prices it; at a zero excess it turns to arrays and must derive the
+    # same ones there.  The two trailing nodes are too light to move the
+    # prefix values, so the last two excesses are 0 and every piece turns.
+    block = minmax._PowerBlock([1.0, 0.5, 0.8, 1e-20, 1e-20])
+    em = block.em_list
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        src = rng.uniform(0.0, 3.0, 5).tolist()
+        cp, chain, top = rng.uniform(0.1, 1.0, 3).tolist()
+        for lo, slo in ((0, 0), (1, 0), (1, 1), (2, 0)):
+            ready = [0.0] + [(src[j - slo] - chain * (cp * (em[j] - em[slo])))
+                             - top for j in range(lo + 1, 5)]
+            for scale in (0.5, 1.0):
+                got = block.split(lo, 5, 1.3, scale, (src, slo, cp, chain, top))
+                assert repr(got) == repr(block.split(lo, 5, 1.3, scale, ready))
 
 
 def test_power_block_memory_is_linear_in_the_block():
