@@ -631,9 +631,9 @@ def _ratio_cases(ratio):
 
 @pytest.mark.parametrize("side", ["power", "capacity"])
 def test_list_and_array_pieces_match_the_reference(side):
-    # Blocks on both sides of the _LIST_PIECE-node threshold, and of the
-    # 32-node one it once was, so that pieces are priced in Python floats,
-    # on arrays, or on arrays and then in lists.
+    # Blocks priced in lists alone, and blocks on both sides of the
+    # _LIST_PIECE-node threshold, so that pieces are priced in Python
+    # floats, on arrays, or on arrays and then in lists.
     # Zero excesses give +inf, -inf and NaN ratios, which the lists must
     # pick as NumPy's argmax does: the first NaN, also after a finite ratio.
     # Tiny weights make every excess 0: power rates of 1e-17 at 1e-300 W,
