@@ -262,8 +262,8 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
             sums[..., 0] = peak_sums[:, units]
             np.divide(peaks, config.period, out=sums[..., 1:])
             np.cumsum(sums, axis=2, out=sums)
-            peak_sums[:, units] = np.take_along_axis(
-                sums, paid[..., None], axis=2)[..., 0]
+            peak_sums[:, units] = sums[np.arange(strategies)[:, None],
+                                       np.arange(units.size), paid]
         period += size
         live = live[(died[:, live] < 0).any(axis=0)]
 

@@ -140,28 +140,36 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     return level / noise.gains_for(r.size)
 
 
-def _majorant_levels(ranks: np.ndarray) -> np.ndarray:
+def _majorant_levels(points: np.ndarray) -> np.ndarray:
     """Slope of the least concave majorant of the points ``(k, F_k)`` on
-    every unit step ``[k, k + 1]``, for every row ``F`` of ``ranks``.
+    every unit step ``[k, k + 1]``, for every column ``F`` of ``points``.
 
     The slope on step ``k`` is ``min_{a <= k} max_{b > k} (F_b - F_a) /
     (b - a)``, the max-min formula of isotonic regression (Robertson, Wright
     and Dykstra, *Order Restricted Statistical Inference*, 1988).  Each
     slope is one quotient ``(F_b - F_a) / (b - a)``, the expression that
     :func:`_fair_base` evaluates on the hull's segments.
+
+    The layout is points-major: ``points[k]`` holds point ``k`` of every
+    row, and level ``k`` comes back as row ``k`` of the ``(n, rows)``
+    result.  Walking ``b`` down from ``n``, ``steepest[a]`` keeps the
+    steepest slope from ``a`` to any point at or past ``b``, so level
+    ``b - 1`` is the least of ``steepest[:b]``.  Every step is one
+    elementwise ufunc over whole rows of points: an accumulation along
+    the few points of a row costs several times as much per element.
     """
-    n = ranks.shape[-1] - 1
-    # Point k of every row along the contiguous axis, so that each step
-    # below works on whole rows of points.
-    points = ranks.reshape(-1, n + 1).T.copy()
-    steps = np.arange(1.0, n + 1)[:, None]
-    levels = np.full((n, points.shape[1]), np.inf)
-    for a in range(n):
-        slopes = (points[a + 1:] - points[a]) / steps[:n - a]
-        # The steepest slope from a to any b > k, for every step k >= a.
-        steepest = np.maximum.accumulate(slopes[::-1], axis=0)[::-1]
-        np.minimum(levels[a:], steepest, out=levels[a:])
-    return levels.T.reshape(ranks.shape[:-1] + (n,))
+    n = points.shape[0] - 1
+    # b - a for every a < b, read from row n - b on.
+    steps = np.arange(n, 0, -1.0)[:, None]
+    steepest = np.full((n,) + points.shape[1:], -np.inf)
+    slopes = np.empty_like(steepest)
+    levels = np.empty_like(steepest)
+    for b in range(n, 0, -1):
+        np.subtract(points[b], points[:b], out=slopes[:b])
+        np.divide(slopes[:b], steps[n - b:], out=slopes[:b])
+        np.maximum(steepest[:b], slopes[:b], out=steepest[:b])
+        np.minimum.reduce(steepest[:b], axis=0, out=levels[b - 1])
+    return levels
 
 
 def _case_label(shares: list[float], level: float) -> CaseLabel:
@@ -605,23 +613,37 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Transmit powers of the min-max fair base without its time sharing,
-    for a rate vector or for every row of a rate matrix.  Unit gains take
-    the majorant's slopes of all rows at once; other gains solve row by
-    row.  The rows' sum rates are trusted: a ``SimConfig`` bounds them."""
-    if _unit_gains(noise):
-        # The prefix ranks of _fair_base for every row at once.
-        order = np.argsort(-r, axis=-1, kind="stable")
-        prefix = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
-        np.cumsum(np.take_along_axis(r, order, -1), axis=-1,
-                  out=prefix[..., 1:])
-        levels = _majorant_levels(np.expm1((2.0 * LN2) * prefix))
-        base = np.empty_like(r)
-        np.put_along_axis(base, order, levels, axis=-1)
-    else:
-        rows = r.reshape(-1, r.shape[-1])
+    for a rate vector or for every row of an array of rates.  Unit gains
+    take the majorant's slopes of all rows at once; other gains solve row
+    by row.  The rows' sum rates are trusted: a ``SimConfig`` bounds them.
+
+    The unit-gain prefix ranks are those of :func:`_fair_base`, laid out
+    points-major, ``(n + 1, rows)``: the ``k``-th largest rates of all rows
+    form one contiguous row, so each prefix sum is one ``np.add`` of two
+    whole rows, in the order ``np.cumsum`` adds, and the exponential and
+    :func:`_majorant_levels` work on whole rows too.
+    """
+    n = r.shape[-1]
+    rows = r.reshape(-1, n)
+    if not _unit_gains(noise):
         base = np.array([_fair_base(row, noise)[0] for row in rows]
                         ).reshape(r.shape)
-    return noise.sigma_sq * base / noise.gains_for(r.shape[-1])
+        return noise.sigma_sq * base / noise.gains_for(n)
+    cols = np.arange(rows.shape[0])
+    # order[k] is the k-th largest rate's node in every row.
+    order = np.argsort(-rows, axis=-1, kind="stable").T
+    points = np.empty((n + 1, rows.shape[0]))
+    points[0] = 0.0
+    points[1:] = rows[cols, order]
+    for k in range(2, n + 1):
+        np.add(points[k - 1], points[k], out=points[k])
+    np.multiply(points, 2.0 * LN2, out=points)
+    np.expm1(points, out=points)
+    levels = _majorant_levels(points)
+    np.multiply(levels, noise.sigma_sq, out=levels)
+    base = np.empty(rows.shape)
+    base[cols, order] = levels
+    return base.reshape(r.shape)
 
 
 def solve(rates, noise: NoiseModel) -> MinMaxSolution:

@@ -280,6 +280,35 @@ def test_simulate_env_seed_echoed(tmp_path, capsys, monkeypatch):
     assert "seed=77" in header and "MACFAIR_SEED" in header
 
 
+PAPER_CONFIG = """\
+nodes = 4
+initial_energy_j = 2.0
+period_s = 30
+packet_bits = 30
+noise_db = -30
+lambda_packets = 1.0
+lambda_sweep = 0.2,0.4,0.6,0.8,1.0
+runs = 1000
+seed = 1
+"""
+
+
+def test_paper_config_figs_are_the_golden_bytes(tmp_path, capsys,
+                                                monkeypatch):
+    # fig4/5/6 of the paper config, byte for byte.  A change that moves
+    # them on purpose rewrites tests/data/paper-figs and says why.
+    monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(PAPER_CONFIG)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "data" / "paper-figs"
+    for name in ("fig4.csv", "fig5.csv", "fig6.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (golden / name).read_bytes(), name
+
+
 def per_lambda_csvs(config_text):
     """fig4/5/6 as one `compare_strategies` call per lambda writes them."""
     config, sweep, _ = parse_experiment_config(config_text)

@@ -915,10 +915,26 @@ def test_batched_unit_levels_equal_the_hull_bitwise():
         r[ties, -1] = r[ties, 0]
         coarse = rng.random(3000) < 0.2
         r[coarse] = 0.25 * rng.integers(1, 4, size=(int(coarse.sum()), n))
-        for noise in (UNIT, NoiseModel(1e-3)):
+        # All-zero rows, and rows with one zero rate in each position.
+        one_zero = r[:10 * n].copy()
+        one_zero[np.arange(10 * n), np.arange(10 * n) % n] = 0.0
+        r = np.concatenate([r, np.zeros((10, n)), one_zero])
+        for noise in (UNIT, NoiseModel(1e-3),
+                      NoiseModel(1e-3, gains=np.ones(n))):
             batched = minmax._fair_transmit(r, noise)
             hull = noise.sigma_sq * np.array(
                 [minmax._fair_base(row, noise)[0] for row in r])
             assert np.array_equal(batched, hull)
+            assert np.array_equal(np.signbit(batched), np.signbit(hull))
             rows += r.shape[0]
+            # A 3-D stack of rows and single rate vectors price alike.
+            stack = minmax._fair_transmit(r[:3000].reshape(30, 100, n), noise)
+            assert np.array_equal(stack.reshape(3000, n), hull[:3000])
+            assert np.array_equal(np.signbit(stack.reshape(3000, n)),
+                                  np.signbit(hull[:3000]))
+            for i in range(0, r.shape[0], 97):
+                single = minmax._fair_transmit(r[i], noise)
+                assert single.shape == (n,)
+                assert np.array_equal(single, hull[i])
+                assert np.array_equal(np.signbit(single), np.signbit(hull[i]))
     assert rows >= 20_000

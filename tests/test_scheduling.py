@@ -14,6 +14,7 @@ from macfair import (
     sum_power,
     vertex,
 )
+from macfair import scheduling
 
 UNIT = NoiseModel(1.0)
 
@@ -152,6 +153,26 @@ def test_sum_energy_identical_across_strategies():
             sched = build_schedule(strategy, backlog, 30.0, noise)
             assert energy_report(sched).sum_energy == pytest.approx(
                 expected, rel=1e-9)
+
+
+def test_batched_energies_spend_the_sum_power_on_every_row():
+    # With unit gains every strategy's batched energies of a row add up to
+    # period * sum_power(row), the closed form of one row.
+    rng = np.random.default_rng(29)
+    period, packet_bits = 30.0, 30.0
+    rows = 0
+    for n in [*range(1, 9), 20]:
+        lam = rng.uniform(0.2, 5.0, size=(2500, 1))
+        packets = lam * (1.0 - rng.random((2500, n)))
+        for noise in (UNIT, NoiseModel.from_db(-30.0)):
+            expected = np.array([period * sum_power(row, noise)
+                                 for row in packets * packet_bits / period])
+            for strategy, (_, energy) in scheduling._TABLE.items():
+                spent = energy(packets, packet_bits, period, noise).sum(axis=1)
+                np.testing.assert_allclose(spent, expected, rtol=1e-12,
+                                           atol=0.0, err_msg=strategy)
+        rows += packets.shape[0]
+    assert rows >= 20_000
 
 
 def test_minmax_minimizes_normalized_max_power():
