@@ -166,8 +166,8 @@ _CONFIG_KEYS = {
 def parse_experiment_config(text: str
                             ) -> tuple[lifetime.SimConfig, list[float], Path]:
     """Parse a `simulate` config into the simulation at ``lambda_packets``,
-    the swept backlog bounds and the output directory.  Every swept bound is
-    checked here, before anything is simulated or written."""
+    the swept backlog bounds and the output directory.  The swept bounds are
+    checked by :func:`~macfair.lifetime.compare_sweep`."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -226,8 +226,6 @@ def parse_experiment_config(text: str
             period_cap=parse("period_cap", int, raw["period_cap"])
             if "period_cap" in raw else lifetime.DEFAULT_PERIOD_CAP,
         )
-        for swept in sweep:
-            dataclasses.replace(config, lam=swept)
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
     return config, sweep, Path(raw.get("out_dir", "."))
@@ -255,10 +253,15 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
         config = dataclasses.replace(config, seed=seed)
     source = "config" if env_seed is None else f"env {SEED_ENV_VAR}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamp = f"# seed={config.seed} source={source}"
 
-    tables = lifetime.compare_sweep(config, [config.lam, *sweep])
+    # compare_sweep checks every swept bound before it simulates, so a bad
+    # bound is reported before the output directory is made.
+    try:
+        tables = lifetime.compare_sweep(config, [config.lam, *sweep])
+    except ValueError as exc:
+        raise UsageError(f"config: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     table = tables[config.lam]
     _write_csv(out_dir / "fig4.csv", stamp, ["strategy", "mean_max_power_w"],
                [[s, repr(table.stats[s].mean_max_power)] for s in STRATEGIES])

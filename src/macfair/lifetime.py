@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,8 +95,7 @@ class SimConfig:
             raise ValueError("period must be positive and finite")
         if not 0 < self.packet_bits < np.inf:
             raise ValueError("packet_bits must be positive and finite")
-        if not 0 < self.lam < np.inf:
-            raise ValueError("lam must be positive and finite")
+        self._check_lam(self.lam)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -104,14 +103,21 @@ class SimConfig:
         if self.period_cap < 1:
             raise ValueError("period_cap must be at least 1")
         self.noise.gains_for(self.n_nodes)  # raises on a gain count != n_nodes
+
+    def _check_lam(self, lam: float) -> None:
+        """Raise ``ValueError`` unless ``lam`` is a backlog bound this
+        config can simulate: positive, finite, and small enough that the
+        sum power of a period stays finite."""
+        if not 0 < lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         # The largest sum rate a period can draw: every node at lam, summed
         # as the pricing sums a row, whose every other row sums to less.
-        rate = self.lam * self.packet_bits / self.period
+        rate = lam * self.packet_bits / self.period
         try:
             _check_sum_rate(np.cumsum(np.full(self.n_nodes, rate))[-1],
                             self.noise.sigma_sq)
         except ValueError as exc:
-            raise ValueError(f"lam = {self.lam:g} is too large: {exc}") from None
+            raise ValueError(f"lam = {lam:g} is too large: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -331,12 +337,12 @@ def compare_sweep(config: SimConfig,
 
     Every table equals ``compare_strategies(replace(config, lam=lam))``; the
     bound of ``config`` itself is simulated only if it is in ``lams``.  Every
-    bound is checked as that ``replace`` checks it before anything is
-    simulated; no bounds give no tables.
+    bound is checked as :class:`SimConfig` checks its ``lam`` before
+    anything is simulated; no bounds give no tables.
     """
     bounds = list(dict.fromkeys(float(lam) for lam in lams))
     for lam in bounds:
-        replace(config, lam=lam)
+        config._check_lam(lam)
     if not bounds:
         return {}
     return dict(zip(bounds, _tabulate(config, _simulate(config, bounds))))

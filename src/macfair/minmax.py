@@ -67,8 +67,9 @@ from .polymatroid import (
 # decimals.
 CASE_TOL = 1e-5
 
-# Largest piece of the time-sharing walk priced in Python floats; larger
-# pieces are priced on arrays, whose cost per call pays off only there.
+# Largest piece of the power region's time-sharing walk priced in Python
+# floats; larger pieces, and every piece of the capacity region, are priced
+# on arrays, whose cost per call pays off only on large pieces.
 # Measured crossover, as solve time at -30 dB with rates uniform on
 # (0, 4/n] against a walk that priced every piece of three or more nodes on
 # arrays (2-vCPU VM; median of three interleaved runs), for list pieces of
@@ -254,7 +255,7 @@ class _PowerBlock:
         ``s 4^R(S)``); the parts are ``None`` when ``b`` is not positive.
 
         The split after prefix ``P`` (suffix ``S``) is met at ``b = scale
-        (x(P) - f(P)) / (f(N) - f(P) - f(S))``, as in :func:`_breakpoint`,
+        (x(P) - f(P)) / (f(N) - f(P) - f(S))``, as in :func:`_array_split`,
         with ``f(N) - f(P) - f(S) = f(P) f(S) / s``.  A list piece takes its
         masses, ranks, ratios and their argmax in one pass over its
         prefixes; at a zero excess it turns to arrays, for NumPy's
@@ -295,108 +296,69 @@ class _PowerBlock:
                 (c * (1.0 + last) * inv, (own, lo, c, chain, 0.0)))
 
     def _split_array(self, lo, hi, c, scale, mass):
-        """:meth:`split` on arrays, for the piece's masses ``mass``."""
+        """:meth:`split` on arrays, for the piece's masses ``mass``; a part
+        of at most ``_LIST_PIECE`` nodes gets its masses as a list."""
         em = self.em
         ranks = c * (em[lo:hi + 1] - em[lo])
         excess = ranks[1:-1] * ((em[hi] - em[lo + 1:hi]) * self.inv[lo + 1:hi])
-        b, k = _breakpoint(ranks, excess, mass, scale)
-        if not b > 0.0:
+        b, k, tail, head = _array_split(ranks, excess, mass, scale)
+        if tail is None:
             return b, k, None, None
-        tail, head = _array_parts(mass, ranks, k, scale - b)
         em, inv = self.em_list, self.inv_list[lo + k]
-        return (b, k, (c * (1.0 + em[lo]) * inv, tail),
-                (c * (1.0 + em[hi]) * inv, head))
+        return (b, k, (c * (1.0 + em[lo]) * inv,
+                       tail if tail.size > _LIST_PIECE else tail.tolist()),
+                (c * (1.0 + em[hi]) * inv,
+                 head if k > _LIST_PIECE else head.tolist()))
 
 
 class _CapacityBlock:
     """One block of the capacity region, along its sort, mirrored to the
     supermodular rank ``f(P) = -log2(1 + Q(P)/s) / 2`` of a piece of noise
     ``s`` so that both regions walk alike (the walk takes negated rates).
-    Every piece takes its logarithms from one array pass."""
+    Every piece, whatever its size, is priced on arrays."""
 
     def __init__(self, received: list[float]):
         self.sums = np.array([0.0, *accumulate(received)])
 
-    def _ranks(self, lo: int, hi: int, s: float):
-        """The ranks of the piece's prefixes, empty set first, and
-        ``C(P) + C(S) - C(N)`` for its proper splits into a prefix ``P`` and
-        a suffix ``S``: lists for a piece of at most ``_LIST_PIECE`` nodes,
-        arrays for a larger one."""
+    def split(self, lo: int, hi: int, s: float, scale: float, mass):
+        """As :meth:`_PowerBlock.split`, with the noise ``s`` of the suffix
+        (a restriction) and of the prefix (the contraction by the suffix)
+        in place of ``c``; the parts' masses are arrays."""
         q = self.sums[lo:hi + 1] - self.sums[lo]
         ranks = (-0.5 / LN2) * np.log1p(q / s)
         head = q[1:-1]
         excess = (0.5 / LN2) * np.log1p(
             (head / s) * ((q[-1] - head) / (s + q[-1])))
-        if hi - lo > _LIST_PIECE:
-            return ranks, excess
-        return ranks.tolist(), excess.tolist()
-
-    def split(self, lo: int, hi: int, s: float, scale: float, mass):
-        """As :meth:`_PowerBlock.split`, with the noise ``s`` of the suffix
-        (a restriction) and of the prefix (the contraction by the suffix)
-        in place of ``c``."""
-        ranks, excess = self._ranks(lo, hi, s)
-        b, k = _breakpoint(ranks, excess, mass, scale)
-        if not b > 0.0:
+        b, k, tail, head = _array_split(ranks, excess, np.asarray(mass), scale)
+        if tail is None:
             return b, k, None, None
-        chain = scale - b
-        prefix = s + (self.sums[hi] - self.sums[lo + k])
-        if not isinstance(mass, list):
-            tail, head = _array_parts(mass, ranks, k, chain)
-            return b, k, (s, tail), (prefix, head)
-        # The empty set's mass and rank are 0, so each part's first mass
-        # is 0.
-        top = mass[k] - chain * ranks[k]
-        tail = [0.0]
-        for j in range(k + 1, hi - lo):
-            tail.append((mass[j] - chain * ranks[j]) - top)
-        head = mass[:k]
-        for j in range(1, k):
-            head[j] -= chain * ranks[j]
-        return b, k, (s, tail), (prefix, head)
+        return (b, k, (s, tail),
+                (s + (self.sums[hi] - self.sums[lo + k]), head))
 
 
-def _array_parts(mass, ranks, k: int, chain: float):
-    """Masses of the suffix and of the prefix of an array piece split after
-    ``k`` nodes: the piece's masses less ``chain`` times its ranks, as an
-    array for a part of more than ``_LIST_PIECE`` nodes and as a list for a
-    smaller one."""
-    mass -= chain * ranks[:-1]
-    tail = mass[k:] - mass[k]
-    head = mass[:k]
-    return (tail if tail.size > _LIST_PIECE else tail.tolist(),
-            head if k > _LIST_PIECE else head.tolist())
+def _array_split(ranks, excess, mass, scale: float):
+    """Breakpoint ``b`` of an array piece, the length ``k`` of the prefix
+    before its tight suffix, and the masses of that suffix and of the
+    prefix, or ``None`` for both when ``b`` is not positive.
 
-
-def _breakpoint(ranks, excess, mass, scale: float) -> tuple[float, int]:
-    """Breakpoint of a piece and the length of the prefix before its tight
-    suffix.
-
-    ``ranks`` and ``excess`` are the ranks of the piece's prefixes and the
-    excesses of its proper splits, and ``mass`` the masses of its empty and
-    proper prefixes, all lists or all arrays.  The split after
-    prefix ``P`` (suffix ``S``) is met at ``b = scale (x(P) - f(P)) / (f(N)
-    - f(P) - f(S))`` with ``x(P) = mass(P) / scale``; the walk meets the
-    split of largest ``b``, capped at ``scale``.  An excess of zero gives a
-    signed infinity or NaN, as NumPy's quotient does, and a NaN ratio is
-    the breakpoint, as in ``argmax``.
+    ``ranks`` are the ranks of the piece's prefixes, ``excess`` the
+    excesses of its proper splits and ``mass`` the masses of its empty and
+    proper prefixes.  The split after prefix ``P`` (suffix ``S``) is met at
+    ``b = scale (x(P) - f(P)) / (f(N) - f(P) - f(S))`` with ``x(P) =
+    mass(P) / scale``; the walk meets the split of largest ``b``, capped at
+    ``scale``, by ``argmax``, so a zero excess gives a signed infinity or
+    NaN and the first NaN ratio is the breakpoint.  The parts' masses are
+    the piece's less ``scale - b`` times its ranks; the suffix's less the
+    prefix's total.  ``mass`` is updated in place.
     """
-    if isinstance(mass, list):
-        try:
-            best, k = (mass[1] - scale * ranks[1]) / excess[0], 1
-            for j in range(2, len(mass)):
-                ratio = (mass[j] - scale * ranks[j]) / excess[j - 1]
-                if ratio > best:
-                    best, k = ratio, j
-        except ZeroDivisionError:  # take NumPy's quotients and argmax
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _breakpoint(np.array(ranks), np.array(excess),
-                                   np.array(mass), scale)
-        # The masses and ranks are finite, so a ratio is NaN only by 0 / 0.
-        return min(best, scale), k
     ratio = (mass[1:] - scale * ranks[1:-1]) / excess
     k = int(ratio.argmax())
-    return min(float(ratio[k]), scale), k + 1
+    b = min(float(ratio[k]), scale)
+    k += 1
+    if not b > 0.0:
+        return b, k, None, None
+    mass -= (scale - b) * ranks[:-1]
+    return b, k, mass[k:] - mass[k], mass[:k]
 
 
 def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
@@ -420,11 +382,11 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     total.
 
     The region's block splits each piece: it prices the piece and hands
-    both parts their noise and masses.  A piece of at most ``_LIST_PIECE``
+    both parts their noise and masses.  A capacity piece is priced on
+    arrays whatever its size.  A power piece of at most ``_LIST_PIECE``
     nodes is priced in Python floats, a larger one on arrays, with the same
-    IEEE operations either way.  A power piece in Python floats takes its
-    masses from its parent's, its ranks, its ratios and their argmax in one
-    pass; a capacity piece takes its logarithms from one array pass.
+    IEEE operations either way; one in Python floats takes its masses from
+    its parent's, its ranks, its ratios and their argmax in one pass.
 
     A piece shares ``[0, scale]`` and opens at its breakpoint ``b``: on
     ``(b, scale]`` it follows its chain, below ``b`` its suffix goes first.
@@ -435,6 +397,7 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     """
     m = len(nodes)
     large = m > _LIST_PIECE
+    arrays = large or region is _CapacityBlock
     keys = [-a / b for a, b in zip(x, w)]
     sort = sorted(range(m), key=keys.__getitem__)  # stable
     ws = [w[i] for i in sort]
@@ -447,9 +410,9 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     openings = []
     pieces = [(0, m, at, 1.0, (noise, mass))]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
-    # Only array pieces divide in NumPy; a list piece that meets a zero
-    # excess turns to arrays under its own errstate.
-    with (np.errstate(divide="ignore", invalid="ignore") if large
+    # Only array pieces divide in NumPy; a power list piece that meets a
+    # zero excess turns to arrays under its own errstate.
+    with (np.errstate(divide="ignore", invalid="ignore") if arrays
           else contextlib.nullcontext()):
         while pieces:
             lo, hi, start, scale, (p, mass) = pieces.pop()

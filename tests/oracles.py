@@ -442,7 +442,7 @@ class _PiecePowerBlock:
 class _PieceCapacityBlock:
     """The reference capacity block: each piece priced by array operations
     on the prefix sums of the received powers, as ``minmax._CapacityBlock``
-    must price it on arrays or in lists."""
+    must price it."""
 
     def __init__(self, received):
         self.sums = np.zeros(received.size + 1)

@@ -19,6 +19,7 @@ from macfair import (
     vertex,
 )
 from macfair import cli as cli_module
+from macfair import lifetime
 from macfair.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -430,6 +431,26 @@ def test_simulate_checks_every_swept_bound_before_output(tmp_path, capsys):
     assert_one_error_line(code, err, "error: config:")
     assert out == ""
     assert list(out_dir.iterdir()) == []
+
+
+def test_simulate_builds_one_config(tmp_path, capsys, monkeypatch):
+    # The swept bounds are checked by compare_sweep's lam rule, not by a
+    # SimConfig built for each of them.
+    monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    built = []
+    check = lifetime.SimConfig.__post_init__
+
+    def counted(config):
+        built.append(config.lam)
+        check(config)
+
+    monkeypatch.setattr(lifetime.SimConfig, "__post_init__", counted)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config_with("lambda_sweep = 0.2,0.4,0.6,0.8,1.0"))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (EXIT_OK, "")
+    assert built == [1.0]
 
 
 @pytest.mark.parametrize("line", [

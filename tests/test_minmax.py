@@ -597,6 +597,15 @@ def test_dual_walk_matches_the_reference(monkeypatch):
         noise = NoiseModel(float(rng.choice([1.0, 1e-3])))
         assert_walks_match_reference(monkeypatch, max_min_rates, powers,
                                      noise)
+    # At n = 200 each input's largest block holds 197 nodes or more, so its
+    # pieces span every size up to that block.
+    rng = np.random.default_rng(200)
+    for s in (1.0, 1e-3):
+        for _ in range(3):
+            walks = assert_walks_match_reference(
+                monkeypatch, max_min_rates, rng.uniform(0.0, 8.0, 200),
+                NoiseModel(s))
+            assert max(len(nodes) for nodes, _ in walks) >= 197
 
 
 REFERENCE_BLOCKS = {"power": oracles._PiecePowerBlock,
@@ -631,11 +640,13 @@ def _ratio_cases(ratio):
 
 @pytest.mark.parametrize("side", ["power", "capacity"])
 def test_list_and_array_pieces_match_the_reference(side):
-    # Blocks priced in lists alone, and blocks on both sides of the
-    # _LIST_PIECE-node threshold, so that pieces are priced in Python
-    # floats, on arrays, or on arrays and then in lists.
+    # Blocks priced in lists alone, and blocks on both sides of the power
+    # walk's _LIST_PIECE-node threshold, so that power pieces are priced in
+    # Python floats, on arrays, or on arrays and then in lists; capacity
+    # pieces are priced on arrays at every size.
     # Zero excesses give +inf, -inf and NaN ratios, which the lists must
     # pick as NumPy's argmax does: the first NaN, also after a finite ratio.
+    # Ties must go to the first maximum and ratios past 1 to the cap.
     # Tiny weights make every excess 0: power rates of 1e-17 at 1e-300 W,
     # whose ranks underflow, or received powers of 1e-300 at 1 W.  Heavy
     # nodes followed by ones too light to move the prefix values make the
@@ -678,29 +689,6 @@ def test_list_and_array_pieces_match_the_reference(side):
         if m > 2:
             expected.add("nan after a finite one")
         assert seen == expected, (m, seen)
-
-
-def test_list_breakpoint_takes_numpys_argmax():
-    # Splits whose ratios, (mass - scale * ranks) / excess = gains / excess
-    # here, tie, meet zero excesses (+inf, -inf and NaN, also after a finite
-    # ratio) or tie with the cap.  Lists must pick what NumPy's argmax picks
-    # on arrays: the first maximum, or the first NaN.
-    cases = [([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
-             ([0.5, 1.0], [1.0, 0.0]), ([-1.0, -1.0], [0.0, 0.0]),
-             ([0.5, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 0.0]),
-             ([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]), ([3.0, 2.0], [1.5, 1.0])]
-    picked = set()
-    for gains, excess in cases:
-        ranks = [0.0, *range(1, len(gains) + 1), 9.0]
-        mass = [0.0, *(g + 2.0 * r for g, r in zip(gains, ranks[1:]))]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(gains, excess)
-        k = int(ratio.argmax())
-        want = (min(float(ratio[k]), 2.0), k + 1)
-        got = minmax._breakpoint([float(r) for r in ranks], excess, mass, 2.0)
-        assert str(got) == str(want), (gains, excess)
-        picked.add(k + 1)
-    assert picked == {1, 2}
 
 
 def test_power_piece_derives_the_same_masses_at_a_zero_excess():
