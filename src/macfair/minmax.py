@@ -29,11 +29,11 @@ output power is exactly linear in the noise power.
 :func:`solve` works in Python floats from the descending rate sort through
 the hull, the case label, the walk, the gap and the distance to the
 certificate, because at a handful of nodes each NumPy call costs more than
-its arithmetic.  Only the elementwise exponentials come from NumPy
-(``np.expm1`` and ``np.exp2``, one call each on the prefix rate sums):
-``math.expm1`` and ``2.0 ** x`` round differently from them on a share of
-arguments, and the outputs are to stay those of the array form.  The sums
-run left to right, as ``np.cumsum`` adds.
+its arithmetic.  Only the exponentials come from NumPy: ``np.expm1`` and
+``np.exp2`` on the prefix rate sums, and ``np.expm1`` once more per block
+of two or more nodes; ``math.expm1`` and ``2.0 ** x`` round differently on
+a share of arguments, and the outputs are to stay those of the array form.
+The sums run left to right, as ``np.cumsum`` adds.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
 solved by :func:`max_min_rates` the same way, with the levels from the
@@ -227,9 +227,9 @@ class _PowerBlock:
     ``f(P) = s (4^R(P) - 1)``, kept as ``c (E_k - E_lo)`` with ``E`` the
     block's prefix values of ``4^R`` and ``c = s / E_lo`` (the block's own
     noise at ``lo = 0``), so that no piece evaluates an exponential.  The
-    block keeps only ``E - 1`` and ``1 / E``: as arrays for the pieces
-    priced on arrays, and as lists for those priced in Python floats and for
-    the scalar reads of the parts' noise.
+    block keeps only ``E - 1`` and ``1 / E``, as lists, and as arrays too in
+    a block of more than ``_LIST_PIECE`` nodes, the only one that prices
+    pieces on arrays.
 
     A list piece's masses are not built by its parent.  The piece holds
     ``(src, slo, cp, chain, top)``: its parent's masses over the parent's
@@ -242,10 +242,11 @@ class _PowerBlock:
 
     def __init__(self, rates: list[float]):
         em = np.expm1(np.multiply(2.0 * LN2, [0.0, *accumulate(rates)]))
-        self.em = em  # E - 1, exact near 0
-        self.inv = 1.0 / (1.0 + em)
-        self.em_list = em.tolist()
-        self.inv_list = self.inv.tolist()
+        self.em_list = em.tolist()  # E - 1, exact near 0
+        self.inv_list = [1.0 / (1.0 + e) for e in self.em_list]
+        if len(rates) > _LIST_PIECE:
+            self.em = em
+            self.inv = 1.0 / (1.0 + em)
 
     def split(self, lo: int, hi: int, c: float, scale: float, mass):
         """The piece's breakpoint ``b``, the length ``k`` of the prefix
@@ -258,8 +259,8 @@ class _PowerBlock:
         (x(P) - f(P)) / (f(N) - f(P) - f(S))``, as in :func:`_array_split`,
         with ``f(N) - f(P) - f(S) = f(P) f(S) / s``.  A list piece takes its
         masses, ranks, ratios and their argmax in one pass over its
-        prefixes; at a zero excess it turns to arrays, for NumPy's
-        quotients and argmax."""
+        prefixes; it divides a zero excess as NumPy does, and the first NaN
+        ratio is the breakpoint, as in ``argmax``."""
         if isinstance(mass, np.ndarray):
             return self._split_array(lo, hi, c, scale, mass)
         if isinstance(mass, list):
@@ -269,23 +270,21 @@ class _PowerBlock:
         first, last, base = em[lo], em[hi], em[slo]
         own = [0.0]
         best, cut = -math.inf, lo + 1
-        try:
-            for j in range(lo + 1, hi):
-                e = em[j]
-                y = (src[j - slo] - chain * (cp * (e - base))) - top
-                own.append(y)
-                rank = c * (e - first)
-                ratio = (y - scale * rank) / (rank * ((last - e) * inv[j]))
-                if ratio > best:
-                    best, cut = ratio, j
-        except ZeroDivisionError:
-            em = self.em
-            own = (np.array(src[lo - slo:hi - slo])
-                   - chain * (cp * (em[lo:hi] - em[slo]))) - top
-            own[0] = 0.0  # the empty set's, as in the loop
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self._split_array(lo, hi, c, scale, own)
-        # The masses and ranks are finite, so no ratio is NaN.
+        for j in range(lo + 1, hi):
+            e = em[j]
+            y = (src[j - slo] - chain * (cp * (e - base))) - top
+            own.append(y)
+            rank = c * (e - first)
+            gain = y - scale * rank
+            try:
+                ratio = gain / (rank * ((last - e) * inv[j]))
+            except ZeroDivisionError:  # by +0: +-inf, or NaN at a zero gain
+                if not gain:
+                    best, cut = math.nan, j
+                    break
+                ratio = math.copysign(math.inf, gain)
+            if ratio > best:
+                best, cut = ratio, j
         b, k = min(best, scale), cut - lo
         if not b > 0.0:
             return b, k, None, None
@@ -410,8 +409,8 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     openings = []
     pieces = [(0, m, at, 1.0, (noise, mass))]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
-    # Only array pieces divide in NumPy; a power list piece that meets a
-    # zero excess turns to arrays under its own errstate.
+    # Only array pieces divide in NumPy; a power list piece divides a zero
+    # excess itself, to the same infinities and NaN.
     with (np.errstate(divide="ignore", invalid="ignore") if arrays
           else contextlib.nullcontext()):
         while pieces:

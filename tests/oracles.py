@@ -10,6 +10,7 @@ tests can check what the CLI wrote and what the engine computed.
 
 import collections
 import csv
+import decimal
 import functools
 import itertools
 import math
@@ -331,6 +332,41 @@ def first_order_gap(received, rates, sigma_sq, gains=None):
     grad = g * (u - level)
     _, vertices = all_received_vertices(rates, sigma_sq)
     return float(grad @ u) - float(np.min(vertices @ grad))
+
+
+def decimal_fair_levels(rates, sigma_sq, digits=60):
+    """Unit-gain min-max fair received powers, as ``Decimal``s of ``digits``
+    significant digits.
+
+    The prefix ranks ``sigma_sq (exp(2 ln2 R_k) - 1)`` of the rates sorted
+    in descending order come from ``Decimal.exp`` and ``Decimal.ln``; a stack
+    hull finds their least concave majorant, and each node gets the slope of
+    its segment.  Nothing of the solver is called.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        order = sorted(range(len(rates)), key=lambda i: -rates[i])
+        two_ln2 = 2 * decimal.Decimal(2).ln()
+        sigma = decimal.Decimal(float(sigma_sq))
+        ranks, rate = [decimal.Decimal(0)], decimal.Decimal(0)
+        for i in order:
+            rate += decimal.Decimal(float(rates[i]))
+            ranks.append(sigma * ((two_ln2 * rate).exp() - 1))
+        hull = [0]
+        for k in range(1, len(ranks)):
+            # Drop the last corner while it is not above the chord to k.
+            while len(hull) > 1:
+                a, b = hull[-2], hull[-1]
+                if ((ranks[b] - ranks[a]) * (k - a)
+                        > (ranks[k] - ranks[a]) * (b - a)):
+                    break
+                hull.pop()
+            hull.append(k)
+        levels = [None] * len(rates)
+        for lo, hi in zip(hull, hull[1:]):
+            for i in order[lo:hi]:
+                levels[i] = (ranks[hi] - ranks[lo]) / (hi - lo)
+    return levels
 
 
 def max_ratio_blocks(rates, gains, rtol=1e-12):

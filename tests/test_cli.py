@@ -355,7 +355,7 @@ def test_simulate_sweep_equals_one_comparison_per_lambda(tmp_path, capsys,
 def test_one_process_answers_like_fresh_ones(tmp_path, capsys):
     # The parser is built once per process and reused: a usage error, a
     # solve and a simulate in one process give the exit codes and output
-    # of three fresh processes.
+    # of three fresh processes.  The solve's runs ``python -m macfair``.
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(CONFIG.replace("runs = 12", "runs = 2"))
     env = dict(os.environ)
@@ -365,17 +365,18 @@ def test_one_process_answers_like_fresh_ones(tmp_path, capsys):
         p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / "out"
     calls = [
-        ["solve", "--rates"],
-        ["solve", "--rates", "0.5,1.5", "--noise", "1"],
-        ["simulate", "--config", str(cfg), "--out-dir", str(out)],
+        ("macfair.cli", ["solve", "--rates"]),
+        ("macfair", ["solve", "--rates", "0.5,1.5", "--noise", "1"]),
+        ("macfair.cli",
+         ["simulate", "--config", str(cfg), "--out-dir", str(out)]),
     ]
 
     def figs():
         return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
     codes, parsers = [], set()
-    for argv in calls:
-        fresh = subprocess.run([sys.executable, "-m", "macfair.cli", *argv],
+    for module, argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", module, *argv],
                                env=env, capture_output=True, text=True,
                                timeout=120)
         fresh_figs = figs()

@@ -1,6 +1,8 @@
 """Min-max solver: worked instances, certificates, invariants, dual."""
 
+import decimal
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -693,9 +695,9 @@ def test_list_and_array_pieces_match_the_reference(side):
 
 def test_power_piece_derives_the_same_masses_at_a_zero_excess():
     # A list piece derives its masses from its parent's in the pass that
-    # prices it; at a zero excess it turns to arrays and must derive the
-    # same ones there.  The two trailing nodes are too light to move the
-    # prefix values, so the last two excesses are 0 and every piece turns.
+    # prices it, and must price them as it prices ready masses, also where
+    # it divides a zero excess, in the one loop.  The two trailing nodes are
+    # too light to move the prefix values, so the last two excesses are 0.
     block = minmax._PowerBlock([1.0, 0.5, 0.8, 1e-20, 1e-20])
     em = block.em_list
     rng = np.random.default_rng(83)
@@ -708,6 +710,42 @@ def test_power_piece_derives_the_same_masses_at_a_zero_excess():
             for scale in (0.5, 1.0):
                 got = block.split(lo, 5, 1.3, scale, (src, slo, cp, chain, top))
                 assert repr(got) == repr(block.split(lo, 5, 1.3, scale, ready))
+
+
+def test_small_power_blocks_price_in_python_floats_alone(monkeypatch):
+    # A block of at most _LIST_PIECE nodes never prices a piece on arrays,
+    # also where it divides a zero excess: five rates of 1e-170 at 1 W
+    # underflow every excess, and two trailing rates of 1e-20 leave the
+    # last two excesses 0.
+    def on_arrays(*args):
+        raise AssertionError("a small block priced a piece on arrays")
+
+    monkeypatch.setattr(minmax._PowerBlock, "_split_array", on_arrays)
+    cases = [([1e-170] * 5, UNIT), ([1.0, 0.5, 0.8, 1e-20, 1e-20], UNIT),
+             *benchmark_recipes(10)]
+    for rates, noise in cases:
+        sol = solve(rates, noise)
+        assert sum(weight for _, weight in sol.coefficients) \
+            == pytest.approx(1.0, rel=1e-12)
+
+
+def test_unit_levels_match_the_decimal_reference():
+    # The received powers against a 60-digit reference hull, in ulps of the
+    # sum power.  Rates on (0, 4/n] keep the sum rate at most 4 bits: the
+    # prefix ranks' relative error grows as 2 ln2 times the sum rate, from
+    # the rounding of the prefix rate sums.
+    rng = np.random.default_rng(101)
+    for trial in range(200):
+        n = int(rng.integers(2, 33))
+        rates = (4.0 / n) * (1.0 - rng.random(n))
+        if trial % 4 == 0:
+            rates[rng.integers(n, size=n // 2)] = rates[0]
+        noise = NoiseModel(1.0 if trial % 3 else 1e-3)
+        received = solve(rates, noise).received.tolist()
+        ref = oracles.decimal_fair_levels(rates, noise.sigma_sq)
+        ulp = math.ulp(sum_power(rates, noise))
+        for got, want in zip(received, ref):
+            assert abs(decimal.Decimal(got) - want) <= 8 * ulp, (trial, n)
 
 
 def test_power_block_memory_is_linear_in_the_block():
