@@ -31,9 +31,9 @@ the hull, the case label, the walk, the gap and the distance to the
 certificate, because at a handful of nodes each NumPy call costs more than
 its arithmetic.  Only the exponentials come from NumPy: ``np.expm1`` and
 ``np.exp2`` on the prefix rate sums, and ``np.expm1`` once more per block
-of two or more nodes; ``math.expm1`` and ``2.0 ** x`` round differently on
-a share of arguments, and the outputs are to stay those of the array form.
-The sums run left to right, as ``np.cumsum`` adds.
+of two or more nodes and per weighted Dinkelbach step; ``math.expm1`` and
+``2.0 ** x`` round differently on some arguments, and the outputs are to
+stay those of the array form.  Sums run left to right, as ``np.cumsum`` adds.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
 solved by :func:`max_min_rates` the same way, with the levels from the
@@ -479,10 +479,15 @@ def _unit_gains(noise: NoiseModel) -> bool:
     return noise.gains is None or bool(np.all(noise.gains == 1.0))
 
 
+def _gain_overflow(gains: np.ndarray) -> ValueError:
+    return ValueError("the gain-weighted base overflows at these gains (from "
+                      f"{gains.min():g} to {gains.max():g})")
+
+
 def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
-                     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+                     ) -> tuple[list[float], list[int], list[int]]:
     """Gain-weighted nearest base in units of the noise power, its chain
-    order and its blocks ``[lo, hi)`` along that order.
+    order and its blocks ``[lo, hi)`` along that order, all lists.
 
     Block k is a set ``A`` of the remaining nodes that maximizes
     ``(f_k(A) - c|A|) / sum_A 1/g_i``, where ``f_k`` is the rank contracted
@@ -499,46 +504,68 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
     holds costs one sort.  ``lam`` grows strictly over finitely many prefix
     sets, so the iteration ends without a tolerance.  Zero-rate nodes get
     zero power and close the chain as single-node blocks.
+
+    Each Dinkelbach step is one pass in Python floats with one ``np.expm1``,
+    bit-identical to the array form ``oracles.array_weighted_levels``; where
+    that form overflowed, a checked value is not finite and ``ValueError``
+    is raised (weight sums grow along prefixes, ``c + lam/g_i`` is monotone
+    in ``1/g_i``, an infinite level makes the ratio or a score infinite, and
+    the sum-rate limit keeps the ranks finite).
     """
-    c = total / float(gains.sum())
-    inv_g = 1.0 / gains
-    base = np.zeros(r.size)
-    keep = r > 0.0
-    remaining = np.flatnonzero(keep)
+    inf, two_ln2, rl = math.inf, 2.0 * LN2, r.tolist()
+    try:
+        with np.errstate(over="raise"):  # the gain sum and 1/g, as before
+            c, inv_g = total / float(gains.sum()), (1.0 / gains).tolist()
+    except FloatingPointError:
+        raise _gain_overflow(gains) from None
+    remaining = [i for i, x in enumerate(rl) if x > 0.0]
+    level = [c * k for k in range(1, len(remaining) + 1)]
+    base = [0.0] * r.size
     seq = remaining  # the last sort, restricted to the remaining nodes
     price = None  # the ratio that picks a prefix of seq; None takes all
-    chain: list[int] = []
-    ends = [0]
-    placed = 0.0
-    while remaining.size:
+    chain, ends, placed = [], [0], 0.0
+    while remaining:
         scale = float(np.exp2(2.0 * placed))
-        rr, w = r[remaining], inv_g[remaining]
-        level = c * np.arange(1.0, remaining.size + 1)
-        lam = -np.inf
+        rr, w = [rl[i] for i in remaining], [inv_g[i] for i in remaining]
+        w_max, lam = max(w), -inf
         while True:  # Dinkelbach, from the warm start
-            rates = r[seq].cumsum()
-            rank = scale * np.expm1((2.0 * LN2) * rates)
-            weight = inv_g[seq].cumsum()
-            k = (seq.size if price is None
-                 else int((rank - level - price * weight).argmax()) + 1)
-            ratio = float((rank[k - 1] - level[k - 1]) / weight[k - 1])
+            rates = list(accumulate(map(rl.__getitem__, seq)))
+            em = np.expm1([two_ln2 * x for x in rates]).tolist()
+            weight = list(accumulate(map(inv_g.__getitem__, seq)))
+            k, low, high = len(seq), 0.0, 0.0
+            if price is not None:  # the first largest score, as argmax
+                score = [(scale * e - lv) - price * x
+                         for e, lv, x in zip(em, level, weight)]
+                low, high = min(score), max(score)
+                k = score.index(high) + 1
+            ratio = (scale * em[k - 1] - level[k - 1]) / weight[k - 1]
+            if not (-inf < low and high < inf and -inf < ratio < inf
+                    and weight[-1] < inf):
+                raise _gain_overflow(gains)
             if not ratio > lam:
                 break
             lam = price = ratio
-            take, rate = seq[:k], float(rates[k - 1])
-            a = c + lam * w
-            key = np.divide(rr, a, out=np.full(a.size, np.inf), where=a > 0.0)
-            seq = remaining[(-key).argsort(kind="stable")]
-        base[take] = c + lam * inv_g[take]
-        chain.extend(take.tolist())
+            take, rate = seq[:k], rates[k - 1]
+            key = [-(x / a) if (a := c + lam * y) > 0.0 else -inf
+                   for x, y in zip(rr, w)]
+            # c + lam/g_i peaks at w_max; -inf keys may be overflowed r_i/a_i
+            if not -inf < c + lam * w_max < inf or -inf in key and any(
+                    x / a == inf for x, y in zip(rr, w)
+                    if (a := c + lam * y) > 0.0):
+                raise _gain_overflow(gains)
+            seq = [remaining[j] for j in sorted(range(len(rr)),
+                                                key=key.__getitem__)]
+        for i in take:
+            base[i] = c + lam * inv_g[i]
+        chain += take
         ends.append(len(chain))
         placed += rate
-        keep[take] = False
-        remaining = np.flatnonzero(keep)
-        seq = seq[keep[seq]]
-    chain.extend(np.flatnonzero(r == 0.0).tolist())
+        taken = set(take)
+        remaining = [i for i in remaining if i not in taken]
+        seq = [i for i in seq if i not in taken]
+    chain += [i for i, x in enumerate(rl) if x == 0.0]
     ends.extend(range(ends[-1] + 1, r.size + 1))
-    return base, np.asarray(chain, dtype=np.intp), ends
+    return base, chain, ends
 
 
 def _fair_base(r: np.ndarray, noise: NoiseModel):
@@ -560,15 +587,7 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
     _check_sum_rate(prefix[-1], noise.sigma_sq)
     ranks = np.expm1(np.multiply(2.0 * LN2, prefix)).tolist()
     if not _unit_gains(noise):
-        gains = noise.gains
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                base, chain, ends = _weighted_levels(r, gains, ranks[-1])
-        except FloatingPointError:
-            raise ValueError(
-                f"the gain-weighted base overflows at these gains (from "
-                f"{gains.min():g} to {gains.max():g})") from None
-        return base.tolist(), chain.tolist(), ends, prefix, ranks
+        return (*_weighted_levels(r, noise.gains, ranks[-1]), prefix, ranks)
     ends = _hull_ends(ranks)
     return _segment_levels(order, ranks, ends), order, ends, prefix, ranks
 
@@ -576,10 +595,11 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Transmit powers of the min-max fair base without its time sharing,
     for a rate vector or for every row of an array of rates.  Unit gains
-    take the majorant's slopes of all rows at once; other gains solve row
-    by row.  The rows' sum rates are trusted: a ``SimConfig`` bounds them.
+    take the majorant's slopes of all rows at once; other gains take the
+    sum power from those ranks and the levels row by row.  The rows' sum
+    rates are trusted: a ``SimConfig`` bounds them.
 
-    The unit-gain prefix ranks are those of :func:`_fair_base`, laid out
+    The prefix ranks are those of :func:`_fair_base`, laid out
     points-major, ``(n + 1, rows)``: the ``k``-th largest rates of all rows
     form one contiguous row, so each prefix sum is one ``np.add`` of two
     whole rows, in the order ``np.cumsum`` adds, and the exponential and
@@ -587,10 +607,6 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """
     n = r.shape[-1]
     rows = r.reshape(-1, n)
-    if not _unit_gains(noise):
-        base = np.array([_fair_base(row, noise)[0] for row in rows]
-                        ).reshape(r.shape)
-        return noise.sigma_sq * base / noise.gains_for(n)
     cols = np.arange(rows.shape[0])
     # order[k] is the k-th largest rate's node in every row.
     order = np.argsort(-rows, axis=-1, kind="stable").T
@@ -601,6 +617,10 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
         np.add(points[k - 1], points[k], out=points[k])
     np.multiply(points, 2.0 * LN2, out=points)
     np.expm1(points, out=points)
+    if not _unit_gains(noise):
+        base = [_weighted_levels(row, noise.gains, total)[0]
+                for row, total in zip(rows, points[n].tolist())]
+        return noise.sigma_sq * np.reshape(base, r.shape) / noise.gains_for(n)
     levels = _majorant_levels(points)
     np.multiply(levels, noise.sigma_sq, out=levels)
     base = np.empty(rows.shape)

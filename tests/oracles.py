@@ -369,6 +369,41 @@ def decimal_fair_levels(rates, sigma_sq, digits=60):
     return levels
 
 
+def decimal_rate_levels(powers, sigma_sq, digits=60):
+    """Max-min fair rates of unit-gain received powers, as ``Decimal``s of
+    ``digits`` significant digits.
+
+    The prefix capacities ``ln(1 + Q_k / sigma_sq) / (2 ln2)`` of the powers
+    sorted in ascending order come from ``Decimal.ln``; a stack hull finds
+    their greatest convex minorant, and each node gets the slope of its
+    segment.  Nothing of the solver is called.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        order = sorted(range(len(powers)), key=lambda i: powers[i])
+        two_ln2 = 2 * decimal.Decimal(2).ln()
+        sigma = decimal.Decimal(float(sigma_sq))
+        caps, total = [decimal.Decimal(0)], decimal.Decimal(0)
+        for i in order:
+            total += decimal.Decimal(float(powers[i]))
+            caps.append((1 + total / sigma).ln() / two_ln2)
+        hull = [0]
+        for k in range(1, len(caps)):
+            # Drop the last corner while it is not below the chord to k.
+            while len(hull) > 1:
+                a, b = hull[-2], hull[-1]
+                if ((caps[b] - caps[a]) * (k - a)
+                        < (caps[k] - caps[a]) * (b - a)):
+                    break
+                hull.pop()
+            hull.append(k)
+        levels = [None] * len(powers)
+        for lo, hi in zip(hull, hull[1:]):
+            for i in order[lo:hi]:
+                levels[i] = (caps[hi] - caps[lo]) / (hi - lo)
+    return levels
+
+
 def max_ratio_blocks(rates, gains, rtol=1e-12):
     """Successive max-ratio blocks of the gain-weighted fair base, by
     enumerating every subset, in units of the noise power.
@@ -450,6 +485,55 @@ def restart_weighted_levels(r, gains, total):
     chain.extend(np.flatnonzero(r == 0.0).tolist())
     ends.extend(range(ends[-1] + 1, r.size + 1))
     return base, np.asarray(chain, dtype=np.intp), ends
+
+
+def array_weighted_levels(r, gains, total):
+    """The gain-weighted levels in their array form, the reference for
+    ``minmax._weighted_levels``: the same arguments, with the base and the
+    chain returned as arrays; every NumPy operation runs under
+    ``np.errstate(over="raise", invalid="raise")``, so an overflow raises
+    ``FloatingPointError``.  The body is the array form's, verbatim.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        c = total / float(gains.sum())
+        inv_g = 1.0 / gains
+        base = np.zeros(r.size)
+        keep = r > 0.0
+        remaining = np.flatnonzero(keep)
+        seq = remaining  # the last sort, restricted to the remaining nodes
+        price = None  # the ratio that picks a prefix of seq; None takes all
+        chain: list[int] = []
+        ends = [0]
+        placed = 0.0
+        while remaining.size:
+            scale = float(np.exp2(2.0 * placed))
+            rr, w = r[remaining], inv_g[remaining]
+            level = c * np.arange(1.0, remaining.size + 1)
+            lam = -np.inf
+            while True:  # Dinkelbach, from the warm start
+                rates = r[seq].cumsum()
+                rank = scale * np.expm1((2.0 * LN2) * rates)
+                weight = inv_g[seq].cumsum()
+                k = (seq.size if price is None
+                     else int((rank - level - price * weight).argmax()) + 1)
+                ratio = float((rank[k - 1] - level[k - 1]) / weight[k - 1])
+                if not ratio > lam:
+                    break
+                lam = price = ratio
+                take, rate = seq[:k], float(rates[k - 1])
+                a = c + lam * w
+                key = np.divide(rr, a, out=np.full(a.size, np.inf), where=a > 0.0)
+                seq = remaining[(-key).argsort(kind="stable")]
+            base[take] = c + lam * inv_g[take]
+            chain.extend(take.tolist())
+            ends.append(len(chain))
+            placed += rate
+            keep[take] = False
+            remaining = np.flatnonzero(keep)
+            seq = seq[keep[seq]]
+        chain.extend(np.flatnonzero(r == 0.0).tolist())
+        ends.extend(range(ends[-1] + 1, r.size + 1))
+        return base, np.asarray(chain, dtype=np.intp), ends
 
 
 class _PiecePowerBlock:

@@ -401,7 +401,8 @@ def test_weighted_levels_are_max_ratio_blocks(draw):
         total = oracles.rank_of(float(rates.sum()))
         c = total / float(gains.sum())
         base, chain, ends = minmax._weighted_levels(rates, gains, total)
-        blocks = [frozenset(chain[lo:hi].tolist())
+        base = np.array(base)
+        blocks = [frozenset(chain[lo:hi])
                   for lo, hi in zip(ends[:-1], ends[1:])]
         expected = oracles.max_ratio_blocks(rates, gains)
         assert blocks[:len(expected)] == [block for block, _ in expected]
@@ -414,32 +415,75 @@ def test_weighted_levels_are_max_ratio_blocks(draw):
         assert np.all(base[zero] == 0.0)
 
 
-def test_weighted_levels_match_the_restart_form():
-    # The warm-started blocks are those of Dinkelbach's iteration restarted
-    # from the whole remaining set, on the weighted half of the solve-large
-    # benchmark recipe (seeds 0-2) and on n = 200 instances with zero rates.
-    instances = []
+def _large_weighted():
+    """The weighted half of the solve-large benchmark recipe (seeds 0-2),
+    then n = 200 instances with zero rates, as ``(rates, gains)``."""
     for seed in range(3):
         for i in range(1, 300, 2):
             rng = np.random.default_rng([seed, i])
             rates = (4.0 / 50) * (1.0 - rng.random(50))
-            gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 50))
-            instances.append((rates, gains))
+            yield rates, np.exp(rng.uniform(np.log(0.2), np.log(5.0), 50))
     for seed in range(30):
         rng = np.random.default_rng([200, seed])
         rates = (4.0 / 200) * (1.0 - rng.random(200))
         rates[rng.random(200) < 0.1] = 0.0
-        gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
-        instances.append((rates, gains))
-    for rates, gains in instances:
+        yield rates, np.exp(rng.uniform(np.log(0.2), np.log(5.0), 200))
+
+
+def test_weighted_levels_match_the_restart_form():
+    # The warm-started blocks are those of Dinkelbach's iteration restarted
+    # from the whole remaining set, on the weighted half of the solve-large
+    # benchmark recipe (seeds 0-2) and on n = 200 instances with zero rates.
+    for rates, gains in _large_weighted():
         total = sum_power(rates, UNIT)
         base, chain, ends = minmax._weighted_levels(rates, gains, total)
         ref_base, ref_chain, ref_ends = oracles.restart_weighted_levels(
             rates, gains, total)
         assert ends == ref_ends
         for lo, hi in zip(ends[:-1], ends[1:]):
-            assert set(chain[lo:hi].tolist()) == set(ref_chain[lo:hi].tolist())
-        assert np.max(np.abs(base - ref_base)) <= 1e-15 * total
+            assert set(chain[lo:hi]) == set(ref_chain[lo:hi].tolist())
+        assert np.max(np.abs(np.array(base) - ref_base)) <= 1e-15 * total
+
+
+def _extreme_weighted(rng):
+    """Rates at n = 2..6, some zero, and gains 10^U(-300, 300) or
+    10^U(-30, 30): many of them overflow the levels."""
+    n = int(rng.integers(2, 7))
+    rates = rng.uniform(0.0, 1.0, n) * rng.choice([1e-3, 0.1, 1.0, 3.0])
+    rates[rng.random(n) < 0.2] = 0.0
+    span = rng.choice([30.0, 300.0])
+    return rates, 10.0 ** rng.uniform(-span, span, n)
+
+
+def test_weighted_levels_match_the_array_form():
+    # The list form's levels, chain and blocks are the array form's bit for
+    # bit, and it rejects exactly the inputs on which the array form
+    # overflows, with the gains' range error.
+    # The named inputs overflow the gain sum, 1/g_i of a zero-rate node, and
+    # the sum of 1/g_i at a level that keeps every ratio finite.
+    rng = np.random.default_rng(31)
+    draws = (_tied_weighted, _zero_rate_weighted, _spread_weighted)
+    instances = [*_large_weighted(),
+                 *(draw(rng) for draw in draws for _ in range(100)),
+                 *(_extreme_weighted(rng) for _ in range(1500)),
+                 (np.array([1.0, 1.0]), np.array([1e308, 1e308])),
+                 (np.array([1.0, 0.0]), np.array([1.0, 1e-310])),
+                 (np.array([1e-3, 1e-3]), np.array([1e-308, 1e-308]))]
+    rejected = 0
+    for rates, gains in instances:
+        total = sum_power(rates, UNIT)
+        try:
+            ref = oracles.array_weighted_levels(rates, gains, total)
+        except FloatingPointError:
+            with pytest.raises(ValueError, match="gains"):
+                minmax._weighted_levels(rates, gains, total)
+            rejected += 1
+            continue
+        base, chain, ends = minmax._weighted_levels(rates, gains, total)
+        assert np.array_equal(np.array(base).view(np.int64),
+                              ref[0].view(np.int64))
+        assert chain == ref[1].tolist() and ends == ref[2]
+    assert len(instances) == 2283 and 250 < rejected < 500
 
 
 def _random_block(rng, side, mixed=None):
@@ -748,6 +792,34 @@ def test_unit_levels_match_the_decimal_reference():
             assert abs(decimal.Decimal(got) - want) <= 8 * ulp, (trial, n)
 
 
+def _rate_level_errors(seed, trials=200):
+    """Error of every ``max_min_rates`` rate against the 60-digit reference
+    minorant, in ulps of the sum rate, at n = 2..32, 1 and 1e-3 W, with
+    received powers up to 8/n of the noise power or log-uniform over six
+    decades around it."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(2, 33))
+        noise = NoiseModel(1.0 if trial % 3 else 1e-3)
+        snr = ((8.0 / n) * (1.0 - rng.random(n)) if trial % 2 else
+               np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n)))
+        if trial % 4 == 0:
+            snr[rng.integers(n, size=n // 2)] = snr[0]
+        powers = noise.sigma_sq * snr
+        rates = max_min_rates(powers, noise)[0].tolist()
+        ref = oracles.decimal_rate_levels(powers, noise.sigma_sq)
+        ulp = math.ulp(oracles.capacity_of(float(powers.sum()),
+                                           noise.sigma_sq))
+        yield from (float(abs(decimal.Decimal(got) - want)) / ulp
+                    for got, want in zip(rates, ref))
+
+
+def test_max_min_rates_match_the_decimal_reference():
+    # Measured worst case over seeds 0-9 and 107 of this sample: 1.98 ulp
+    # of the sum rate; the bound is about twice that.
+    assert max(_rate_level_errors(107)) <= 4.0
+
+
 def test_power_block_memory_is_linear_in_the_block():
     # A block of m nodes keeps its m + 1 prefix values and nothing larger.
     for m in (1, 2, 50, 2000):
@@ -793,12 +865,15 @@ def test_overflowing_sum_rate_rejected():
 
 def test_overflowing_weighted_levels_rejected():
     # Gains 600 decades apart: the levels c + lam / g_i overflow, for one
-    # solve and for the rows the lifetime engine prices.
-    noise = NoiseModel(1.0, gains=[1e-300, 1e300])
-    with pytest.raises(ValueError, match="gains"):
-        solve([1.0, 1.0], noise)
-    with pytest.raises(ValueError, match="gains"):
-        minmax._fair_transmit(np.ones((3, 2)), noise)
+    # solve and for the rows the lifetime engine prices.  A gain sum so
+    # small that the equal level c overflows is rejected the same way.
+    for rates, noise in (
+            ([1.0, 1.0], NoiseModel(1.0, gains=[1e-300, 1e300])),
+            ([249.0, 249.0], NoiseModel(1e-200, gains=[1e-10, 1e-10]))):
+        with pytest.raises(ValueError, match="gains"):
+            solve(rates, noise)
+        with pytest.raises(ValueError, match="gains"):
+            minmax._fair_transmit(np.tile(rates, (3, 1)), noise)
 
 
 def test_fairness_oracles_agree_on_random_instances():
@@ -927,11 +1002,14 @@ def test_input_selects_method():
     is_lex_optimal_base(sol.transmit, big_rates, weighted)
 
 
-def test_batched_unit_levels_equal_the_hull_bitwise():
+def test_batched_levels_equal_the_per_row_base_bitwise():
     # The lifetime engine prices min-max energies for many rows at once
     # with the max-min formula of the majorant's slopes; every level must
     # be the hull's own quotient, including rows with exactly tied rates
-    # and rows of a few repeated quarter-bit values.
+    # and rows of a few repeated quarter-bit values.  Gain-weighted rows
+    # take their sum powers from the same batched prefix ranks, and must
+    # equal the per-row base too; they are priced row by row, so 200 of
+    # the rows, with the zero ones, stand for them.
     rng = np.random.default_rng(11)
     rows = 0
     for n in [*range(1, 9), 20]:
@@ -945,21 +1023,28 @@ def test_batched_unit_levels_equal_the_hull_bitwise():
         one_zero = r[:10 * n].copy()
         one_zero[np.arange(10 * n), np.arange(10 * n) % n] = 0.0
         r = np.concatenate([r, np.zeros((10, n)), one_zero])
-        for noise in (UNIT, NoiseModel(1e-3),
-                      NoiseModel(1e-3, gains=np.ones(n))):
-            batched = minmax._fair_transmit(r, noise)
+        gains = np.exp(np.random.default_rng([11, n]).uniform(
+            np.log(0.2), np.log(5.0), n))
+        weighted = np.concatenate([r[:200], r[3000:]])
+        for noise, x, size in (
+                (UNIT, r, 3000), (NoiseModel(1e-3), r, 3000),
+                (NoiseModel(1e-3, gains=np.ones(n)), r, 3000),
+                (NoiseModel(1e-3, gains=gains), weighted, 200)):
+            batched = minmax._fair_transmit(x, noise)
             hull = noise.sigma_sq * np.array(
-                [minmax._fair_base(row, noise)[0] for row in r])
+                [minmax._fair_base(row, noise)[0] for row in x]
+            ) / noise.gains_for(n)
             assert np.array_equal(batched, hull)
             assert np.array_equal(np.signbit(batched), np.signbit(hull))
-            rows += r.shape[0]
+            rows += x.shape[0]
             # A 3-D stack of rows and single rate vectors price alike.
-            stack = minmax._fair_transmit(r[:3000].reshape(30, 100, n), noise)
-            assert np.array_equal(stack.reshape(3000, n), hull[:3000])
-            assert np.array_equal(np.signbit(stack.reshape(3000, n)),
-                                  np.signbit(hull[:3000]))
-            for i in range(0, r.shape[0], 97):
-                single = minmax._fair_transmit(r[i], noise)
+            stack = minmax._fair_transmit(
+                x[:size].reshape(size // 100, 100, n), noise)
+            assert np.array_equal(stack.reshape(size, n), hull[:size])
+            assert np.array_equal(np.signbit(stack.reshape(size, n)),
+                                  np.signbit(hull[:size]))
+            for i in range(0, x.shape[0], 97):
+                single = minmax._fair_transmit(x[i], noise)
                 assert single.shape == (n,)
                 assert np.array_equal(single, hull[i])
                 assert np.array_equal(np.signbit(single), np.signbit(hull[i]))

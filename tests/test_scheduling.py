@@ -1,7 +1,11 @@
 """Schedule construction, energy accounting, and the cross-strategy properties."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from macfair import (
@@ -138,6 +142,37 @@ def test_delivered_bits_exact():
             sched = build_schedule(strategy, backlog, 30.0, UNIT)
             assert np.allclose(oracles.delivered_bits(sched), backlog.bits,
                                rtol=1e-6)
+
+
+@st.composite
+def delivery_cases(draw):
+    """A backlog of n = 1..8 nodes, some silent but at least one not, its
+    period and the channel: noise power and gains (None, or log-uniform on
+    0.2..5).  The sum rate stays below 48 bits per channel use."""
+    n = draw(st.integers(1, 8))
+    packets = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                            | st.floats(0.0, 2.0), min_size=n, max_size=n))
+    if not any(packets):
+        packets[draw(st.integers(0, n - 1))] = draw(st.floats(0.05, 2.0))
+    bits = draw(st.sampled_from([1, 8, 30]))
+    period = draw(st.sampled_from([10.0, 30.0]) | st.floats(10.0, 60.0))
+    sigma_sq = draw(st.sampled_from([1.0, 1e-3]))
+    gains = draw(st.none() | st.lists(
+        st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+        min_size=n, max_size=n))
+    return Backlog(packets, bits), period, NoiseModel(sigma_sq, gains=gains)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(delivery_cases())
+def test_every_strategy_delivers_the_drawn_backlog(case):
+    # Every built schedule delivers exactly b_i * B bits per node, silent
+    # nodes none, at the tolerance of test_delivered_bits_exact.
+    backlog, period, noise = case
+    for strategy in ("minmax", "minicost", "tdma"):
+        sched = build_schedule(strategy, backlog, period, noise)
+        assert np.allclose(oracles.delivered_bits(sched), backlog.bits,
+                           rtol=1e-6)
 
 
 def test_sum_energy_identical_across_strategies():
