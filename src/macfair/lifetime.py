@@ -32,15 +32,17 @@ period cap.  A step takes the live units in slices of at most
 runs or lambdas.  Units are ordered run by run, so a slice holds the
 bounds of a run together: it draws each of its runs once at bound 1, from
 the run's own Philox stream, and each unit scales its run's rows by its
-own bound.  The slice prices them as one array per strategy, over the
-units in which that strategy still lives, whatever their lambda (the
-pricing depends only on the packet size, the period and the channel,
-which the lambdas share).  Then it replays the ledgers of its units
-together: ``np.subtract.accumulate`` along the periods is the sequential
-``battery - e`` fold, a strategy dies at the first period some node cannot
-pay, and ``np.cumsum`` adds the paid periods' peaks to the units' sums.
-Results are bit for bit those of a loop over single periods, one lambda
-at a time.  The statistics are reductions over these arrays.
+own bound.  A ledger is a live ``(strategy, unit)`` pair; a strategy is
+neither priced nor replayed in a unit after the step in which it dies
+there.  Each strategy prices the rows of its live units as one array,
+whatever their lambda (the pricing depends only on the packet size, the
+period and the channel, which the lambdas share), into its block of the
+slice's ``spent[ledger, period, node]``.  One replay charges every ledger:
+``np.subtract.accumulate`` along the periods is the sequential
+``battery - e`` fold, a ledger dies at the first period some node cannot
+pay, and ``np.cumsum`` adds the paid periods' peaks to its sum.  Results
+are bit for bit those of a loop over single periods, one lambda at a
+time.  The statistics are reductions over these arrays.
 """
 from __future__ import annotations
 
@@ -177,30 +179,27 @@ def _draw(config: SimConfig, bits: np.random.Philox, runs: np.ndarray,
 
 
 def _replay(battery: np.ndarray, spent: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Charge ``spent[strategy, unit, period, node]`` to batteries
-    ``[strategy, unit, node]``, up to each ledger's first unaffordable
-    period.
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Charge ledgers ``spent[row, period, slot]`` to batteries
+    ``[row, slot]``, each up to its first unaffordable period.
 
-    Returns, for every (strategy, unit), the periods paid, whether one was
-    not, the batteries after the paid ones, and every period's largest
-    energy ``[strategy, unit, period]``.  A strategy charged zeros keeps
-    its battery.
+    Returns, for every row, the periods paid (all ``spent.shape[1]`` of
+    them exactly when none fails), the batteries after the paid ones, and
+    every period's largest energy ``[row, period]``.
     """
-    strategies, units, size, n = spent.shape
-    # charges[strategy, unit, node] is the battery, then the energies period
-    # by period: np.subtract.accumulate is the sequential battery - e fold.
-    # Periods go last, so that the reductions over a few nodes are
+    rows, size, slots = spent.shape
+    # charges[row, slot] is the battery, then the energies period by
+    # period: np.subtract.accumulate is the sequential battery - e fold.
+    # Periods go last, so that the reductions over a few slots are
     # elementwise over long rows.
-    charges = np.empty((strategies, units, n, size + 1))
+    charges = np.empty((rows, slots, size + 1))
     charges[..., 0] = battery
-    charges[..., 1:] = spent.transpose(0, 1, 3, 2)
-    ledger = np.subtract.accumulate(charges, axis=3)
-    unpaid = ~np.all(charges[..., 1:] <= ledger[..., :-1], axis=2)
-    fails = unpaid.any(axis=2)
-    paid = np.where(fails, unpaid.argmax(axis=2), size)
-    left = ledger[np.arange(strategies)[:, None], np.arange(units), :, paid]
-    return paid, fails, left, charges[..., 1:].max(axis=2)
+    charges[..., 1:] = spent.transpose(0, 2, 1)
+    ledger = np.subtract.accumulate(charges, axis=2)
+    unpaid = ~np.all(charges[..., 1:] <= ledger[..., :-1], axis=1)
+    paid = np.where(unpaid.any(axis=1), unpaid.argmax(axis=1), size)
+    left = ledger[np.arange(rows), :, paid]
+    return paid, left, charges[..., 1:].max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,6 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
     n, runs, strategies = config.n_nodes, config.runs, len(STRATEGIES)
     n_units = len(lams) * runs
     unit_lam = np.tile(np.asarray(lams, dtype=float), runs)
-    unit_run = np.repeat(np.arange(runs), len(lams))
     battery = np.full((strategies, n_units, n), float(config.initial_energy))
     died = np.full((strategies, n_units), -1, dtype=np.int64)
     peak_sums = np.zeros((strategies, n_units))
@@ -238,38 +236,37 @@ def _simulate(config: SimConfig, lams: list[float]) -> _Sweep:
         size = min(max(FIRST_CHUNK, 2 * period), max_rows,
                    config.period_cap - period)
         width = max(1, max_rows // size)
-        for lo in range(0, live.size, width):
-            units = live[lo:lo + width]
+        for start in range(0, live.size, width):
+            units = live[start:start + width]
             # Units are run-major, so a slice draws each of its runs once
             # and every bound of the run scales the same rows.
-            draw_runs, of_run = np.unique(unit_run[units], return_inverse=True)
+            draw_runs, of_run = np.unique(units // len(lams),
+                                          return_inverse=True)
             packets = (unit_lam[units, None, None]
                        * _draw(config, bits, draw_runs, period, size)[of_run])
-            alive = died[:, units] < 0
-            spent = np.zeros((strategies,) + packets.shape)
-            for i, (_, energy) in enumerate(_TABLE.values()):
-                if not alive[i].any():
-                    continue
-                # Only the units in which the strategy still lives; all of
-                # them without a masked copy.
-                rows = slice(None) if alive[i].all() else alive[i]
-                priced = packets[rows]
-                spent[i, rows] = energy(
-                    priced.reshape(-1, n), config.packet_bits, config.period,
-                    config.noise).reshape(priced.shape)
-            paid, fails, battery[:, units], peaks = _replay(battery[:, units],
-                                                            spent)
-            died[:, units] = np.where(alive & fails, period + paid,
-                                      died[:, units])
-            paid[~alive] = 0
-            # Each unit's sum so far, then its peaks, added left to right:
+            # Ledger row k is the live pair (strategy[k], unit[k]); nonzero
+            # goes strategy by strategy, so each prices one block of rows.
+            strategy, slot = np.nonzero(died[:, units] < 0)
+            unit = units[slot]
+            spent = np.empty((unit.size, size, n))
+            ends = np.searchsorted(strategy, np.arange(strategies), "right")
+            for (_, energy), lo, hi in zip(_TABLE.values(), [0, *ends], ends):
+                if lo < hi:
+                    priced = packets[slot[lo:hi]]
+                    spent[lo:hi] = energy(
+                        priced.reshape(-1, n), config.packet_bits,
+                        config.period, config.noise).reshape(priced.shape)
+            paid, battery[strategy, unit], peaks = _replay(
+                battery[strategy, unit], spent)
+            dead = paid < size
+            died[strategy[dead], unit[dead]] = period + paid[dead]
+            # Each row's sum so far, then its peaks, added left to right:
             # the sum after its paid periods is at index paid.
-            sums = np.empty(peaks.shape[:2] + (size + 1,))
-            sums[..., 0] = peak_sums[:, units]
-            np.divide(peaks, config.period, out=sums[..., 1:])
-            np.cumsum(sums, axis=2, out=sums)
-            peak_sums[:, units] = sums[np.arange(strategies)[:, None],
-                                       np.arange(units.size), paid]
+            sums = np.empty((unit.size, size + 1))
+            sums[:, 0] = peak_sums[strategy, unit]
+            np.divide(peaks, config.period, out=sums[:, 1:])
+            np.cumsum(sums, axis=1, out=sums)
+            peak_sums[strategy, unit] = sums[np.arange(unit.size), paid]
         period += size
         live = live[(died[:, live] < 0).any(axis=0)]
 

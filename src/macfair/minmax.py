@@ -59,6 +59,7 @@ from .polymatroid import (
     _check_received_sum,
     _check_sum_rate,
     _lex_optimal_trusted,
+    _power_slack,
     _sum_rank,
 )
 
@@ -637,9 +638,10 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     are coupled.  Every unit-gain base must pass the certificate of
     :func:`~macfair.polymatroid.is_lex_optimal_base`, or
     :class:`SolverFailureError` is raised; a weighted base minimizes a
-    gain-weighted distance instead and is not certified.  Raises
-    ``ValueError`` when the sum power, the weighted levels or a weighted
-    distance overflows.
+    gain-weighted distance instead and is not certified, but it must lie on
+    the dominant face.  Raises ``ValueError`` when the sum power, the
+    weighted levels or a weighted distance overflows, or when the weighted
+    base is off the face.
     """
     r = _as_vector(rates, "rates")
     n = r.size
@@ -690,7 +692,15 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     if not (math.isfinite(distance) and math.isfinite(gap_phys)):
         raise ValueError("the gain-weighted distance to the equal point "
                          "overflows at these gains and this noise power")
-    if unit and not _lex_optimal_trusted(received, rl, sigma_sq):
+    if not unit:
+        # The certificate's face test: at tiny, far-apart gains the levels
+        # c + lam/g_i can cancel to a point that is not a base.
+        full, tol = _power_slack(sum(received), sum(rl), sigma_sq)
+        if not abs(full) <= tol:
+            raise ValueError("the gain-weighted base is off the dominant face "
+                             f"at these gains (from {noise.gains.min():g} to "
+                             f"{noise.gains.max():g})")
+    elif not _lex_optimal_trusted(received, rl, sigma_sq):
         raise SolverFailureError(
             "solver output failed the lexicographic optimality check",
             gap=gap_phys, iterations=splits)

@@ -489,6 +489,10 @@ def test_schedule_rejects_infinite_period_before_output(capsys):
     ["solve", "--rates", "255.9,0.01", "--gains", "10,0.1", "--noise", "1",
      "--json"],
     ["solve", "--rates", "1,1", "--gains", "1e-300,1e300", "--noise", "1"],
+    # Levels that cancel to a base off the dominant face.
+    ["solve", "--rates", "0.21882621844318328,0,0.6395083053796081,0",
+     "--gains", "1.2759526997277136e-193,5.231845357992601e-263,"
+     "2.1847322165070256e-234,9.322092664104565e-148", "--noise", "1"],
     ["solve", "--rates", "1,,2"],
     ["schedule", "--backlogs", "1,,2"],
     ["schedule", "--backlogs", "0,0"],

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from macfair import (
@@ -15,6 +17,7 @@ from macfair import (
     compare_strategies,
     compare_sweep,
     lifetime,
+    scheduling,
 )
 from macfair.lifetime import _draw, _simulate
 
@@ -72,6 +75,30 @@ def test_draws_do_not_repeat_across_periods(n_nodes):
         oracle = oracles._run_backlogs(cfg, run)
         assert np.array_equal(
             np.stack([next(oracle).packets for _ in range(periods)]), stream)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n_nodes=st.integers(1, 16), seed=st.integers(0, 2 ** 64 - 1),
+       runs=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
+                     unique=True),
+       first=st.integers(0, 10 ** 6),
+       chunks=st.lists(st.integers(1, 40), min_size=1, max_size=3))
+def test_drawn_shapes_draw_the_keyed_periods(n_nodes, seed, runs, first,
+                                             chunks):
+    # For any n, runs and chunking of the periods from any first one, every
+    # row of _draw is the one-period reference draw of its (run, period),
+    # and no value repeats across (run, period, node).
+    cfg = paper_config(n_nodes=n_nodes, seed=seed)
+    starts = first + np.cumsum(chunks) - chunks
+    rows = np.concatenate([_draw(cfg, np.random.Philox(), np.array(runs),
+                                 int(start), k)
+                           for start, k in zip(starts, chunks)], axis=1)
+    assert rows.shape == (len(runs), sum(chunks), n_nodes)
+    assert np.unique(rows).size == rows.size
+    for run, periods in zip(runs, rows):
+        for period, row in enumerate(periods, first):
+            assert np.array_equal(
+                row, oracles.period_backlog(cfg, run, period).packets)
 
 
 @pytest.mark.parametrize("max_cells", [None, 40 * 4])
@@ -428,6 +455,57 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
         censored = [r.censored for k in range(len(bounds))
                     for r in oracles.sweep_runs(cfg, sweep, k)["tdma"]]
         assert any(censored) and not all(censored)
+
+
+def test_a_slice_replays_only_its_live_ledgers(monkeypatch):
+    # Each slice replays one ledger per live (strategy, unit) pair, strategy
+    # by strategy and unit by unit, priced on the unit's own backlogs, and
+    # none for a strategy that has died in that unit.  At 1 J the
+    # strategies of a unit die in different steps (minicost first), and
+    # with MAX_CELLS at 160 a step's units span several slices.
+    monkeypatch.setattr(lifetime, "MAX_CELLS", 40 * 4)
+    calls, draw, replay = [], lifetime._draw, lifetime._replay
+
+    def spy_draw(config, bits, runs, first, size):
+        calls.append([first, size, None])
+        return draw(config, bits, runs, first, size)
+
+    def spy_replay(battery, spent):
+        calls[-1][2] = spent.copy()
+        return replay(battery, spent)
+
+    monkeypatch.setattr(lifetime, "_draw", spy_draw)
+    monkeypatch.setattr(lifetime, "_replay", spy_replay)
+    cfg = paper_config(runs=3, initial_energy=1.0)
+    lams = [0.2, 0.6, 1.0]
+    sweep = _simulate(cfg, lams)
+    # [strategy, unit], unit u being run u // 3 at bound lams[u % 3].
+    life = sweep.lifetimes.swapaxes(1, 2).reshape(len(STRATEGIES), -1)
+    energies = [energy for _, energy in scheduling._TABLE.values()]
+    max_rows = lifetime.MAX_CELLS // cfg.n_nodes
+    at = 0
+    for first, size in dict.fromkeys((f, k) for f, k, _ in calls):
+        # A ledger is live at the start of a step until the period it fails.
+        live = np.flatnonzero((life >= first).any(axis=0))
+        width = max(1, max_rows // size)
+        for start in range(0, live.size, width):
+            units = live[start:start + width]
+            rows = [(s, u) for s in range(len(STRATEGIES))
+                    for u in units.tolist() if life[s, u] >= first]
+            assert calls[at][:2] == [first, size]
+            spent = calls[at][2]
+            at += 1
+            assert spent.shape == (len(rows), size, cfg.n_nodes)
+            for (s, u), ledger in zip(rows, spent):
+                packets = lams[u % 3] * draw(cfg, np.random.Philox(),
+                                             np.array([u // 3]), first,
+                                             size)[0]
+                assert np.array_equal(ledger, energies[s](
+                    packets, cfg.packet_bits, cfg.period, cfg.noise))
+    assert at == len(calls)
+    # The step in which each ledger fails differs within some unit.
+    step = np.searchsorted([f for f, _, _ in calls], life, "right")
+    assert (step.min(axis=0) < step.max(axis=0)).any()
 
 
 def test_compare_sweep_equals_compare_strategies_per_lambda():

@@ -22,6 +22,7 @@ from macfair import (
     sum_power,
 )
 from macfair import minmax
+from macfair.polymatroid import _power_slack
 
 UNIT = NoiseModel(1.0)
 R2_COINCIDENT = float(np.log2(3.0) / 2.0 - 0.5)  # makes vertex (1,1) the equal point
@@ -874,6 +875,33 @@ def test_overflowing_weighted_levels_rejected():
             solve(rates, noise)
         with pytest.raises(ValueError, match="gains"):
             minmax._fair_transmit(np.tile(rates, (3, 1)), noise)
+
+
+@pytest.mark.parametrize("span", [3.0, 300.0])
+def test_accepted_weighted_solves_lie_on_the_dominant_face(span):
+    # Gains 10^U(-span, span) at n = 1..8, 15% of the rates zero.  At tiny,
+    # far-apart gains the levels c + lam/g_i can cancel to a point off the
+    # face, with nodes of positive rate at zero power; solve must reject
+    # such a base by the certificate's face test, and it rejects none at
+    # gains 10^U(-3, 3).
+    rng = np.random.default_rng(32)
+    accepted = 0
+    for _ in range(1500):
+        n = int(rng.integers(1, 9))
+        rates = rng.random(n)
+        rates[rng.random(n) < 0.15] = 0.0
+        gains = 10.0 ** rng.uniform(-span, span, n)
+        try:
+            sol = solve(rates, NoiseModel(1.0, gains=gains))
+        except ValueError as exc:
+            assert span > 3.0 and "gains" in str(exc)
+            continue
+        accepted += 1
+        full, tol = _power_slack(sum(sol.received.tolist()),
+                                 sum(rates.tolist()), 1.0)
+        assert abs(full) <= tol
+        assert np.all(sol.transmit[rates > 0.0] > 0.0)
+    assert accepted > 300
 
 
 def test_fairness_oracles_agree_on_random_instances():
