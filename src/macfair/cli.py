@@ -20,6 +20,10 @@ first).  Schedule CSVs have one row per epoch::
 with shortest round-trip decimal numbers.  The ``simulate`` config is a flat
 ``key=value`` file; quantities carry explicit units in the key name
 (``noise_db`` or ``noise_w``, ``period_s``, ``initial_energy_j``).
+
+Noise: the flags take at most one of ``--noise`` (watts) and ``--noise-db``
+and default to 1 W; a config sets exactly one of ``noise_w`` and
+``noise_db``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from . import lifetime, minmax, scheduling
 from .minmax import SolverFailureError
 from .polymatroid import NoiseModel
-from .scheduling import Backlog, Schedule, STRATEGIES
+from .scheduling import Backlog, STRATEGIES
 
 SEED_ENV_VAR = "MACFAIR_SEED"
 
@@ -77,77 +81,74 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
     return values
 
 
+def _noise(db, watts, gains) -> NoiseModel:
+    """The noise model of at most one of a dB and a watt noise power, 1 W
+    when neither is given."""
+    if db is not None and watts is not None:
+        raise UsageError("give the noise power in watts (--noise, noise_w) "
+                         "or in dB (--noise-db, noise_db), not both")
+    if db is not None:
+        return NoiseModel.from_db(db, gains=gains)
+    return NoiseModel(1.0 if watts is None else watts, gains=gains)
+
+
 def _noise_from_args(args) -> NoiseModel:
-    if args.noise_db is not None and args.noise is not None:
-        raise UsageError("give either --noise (linear watts) or --noise-db, not both")
-    gains = None
-    if args.gains is not None:
-        gains = _parse_floats(args.gains, "--gains")
-    if args.noise_db is not None:
-        return NoiseModel.from_db(args.noise_db, gains=gains)
-    return NoiseModel(args.noise if args.noise is not None else 1.0,
-                      gains=gains)
+    gains = None if args.gains is None else _parse_floats(args.gains, "--gains")
+    return _noise(args.noise_db, args.noise, gains)
 
 
 def cmd_solve(args) -> int:
     rates = _parse_floats(args.rates, "--rates")
-    noise = _noise_from_args(args)
-    solution = minmax.solve(rates, noise)
-    shares = [{"order": order_to_wire(o), "weight": float(fmt(w))}
-              for o, w in solution.coefficients]
+    solution = minmax.solve(rates, _noise_from_args(args))
+    record = {
+        "case": solution.case.value,
+        "received_power_w": [float(fmt(x)) for x in solution.received],
+        "transmit_power_w": [float(fmt(x)) for x in solution.transmit],
+        "distance": float(fmt(solution.distance)),
+        "gap": float(fmt(solution.gap)),
+        "iterations": solution.iterations,
+        "time_sharing": [{"order": order_to_wire(o), "weight": float(fmt(w))}
+                         for o, w in solution.coefficients],
+    }
     if args.json:
-        payload = {
-            "case": solution.case.value,
-            "received_power_w": [float(fmt(x)) for x in solution.received],
-            "transmit_power_w": [float(fmt(x)) for x in solution.transmit],
-            "distance": float(fmt(solution.distance)),
-            "gap": float(fmt(solution.gap)),
-            "iterations": solution.iterations,
-            "time_sharing": shares,
-        }
-        print(json.dumps(payload))
+        print(json.dumps(record))
         return EXIT_OK
-    print(f"case: {solution.case.value}")
-    print("received_power_w: " + " ".join(fmt(x) for x in solution.received))
-    print("transmit_power_w: " + " ".join(fmt(x) for x in solution.transmit))
-    print(f"distance: {fmt(solution.distance)}")
-    print(f"gap: {fmt(solution.gap)}")
-    print(f"iterations: {solution.iterations}")
+    # fmt(float(fmt(x))) == fmt(x) for every double, subnormals included, so
+    # the text form prints the rounded record with the digits of the raw one.
+    shares = record.pop("time_sharing")
+    for key, value in record.items():
+        if isinstance(value, float):
+            value = fmt(value)
+        elif isinstance(value, list):
+            value = " ".join(map(fmt, value))
+        print(f"{key}: {value}")
     for share in shares:
         print(f"share: {share['order']} weight {fmt(share['weight'])}")
     return EXIT_OK
 
 
-def schedule_rows(schedule: Schedule) -> list[list[str]]:
-    n = schedule.n_nodes
-    header = (["fraction", "decode_order"]
-              + [f"power_{i + 1}" for i in range(n)]
-              + [f"rate_{i + 1}" for i in range(n)])
-    rows = [header]
-    for e in schedule.epochs:
-        rows.append([repr(float(e.duration_fraction)),
-                     order_to_wire(e.decode_order)]
-                    + [repr(float(p)) for p in e.powers]
-                    + [repr(float(r)) for r in e.rates])
-    return rows
-
-
-def write_schedule_csv(schedule: Schedule, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerows(schedule_rows(schedule))
+def _write_csv(stream, rows, comment=None) -> None:
+    if comment is not None:
+        stream.write(comment + "\n")
+    csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
 def cmd_schedule(args) -> int:
     backlogs = _parse_floats(args.backlogs, "--backlogs")
-    noise = _noise_from_args(args)
     backlog = Backlog(packets=backlogs, packet_bits=args.packet_bits)
     schedule = scheduling.build_schedule(args.strategy, backlog, args.period,
-                                         noise)
+                                         _noise_from_args(args))
+    nodes = range(1, schedule.n_nodes + 1)
+    rows = [["fraction", "decode_order"] + [f"power_{i}" for i in nodes]
+            + [f"rate_{i}" for i in nodes]]
+    rows += [[repr(float(e.duration_fraction)), order_to_wire(e.decode_order)]
+             + [repr(float(p)) for p in e.powers]
+             + [repr(float(r)) for r in e.rates] for e in schedule.epochs]
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            write_schedule_csv(schedule, handle)
+            _write_csv(handle, rows)
     else:
-        write_schedule_csv(schedule, sys.stdout)
+        _write_csv(sys.stdout, rows)
     report = scheduling.energy_report(schedule)
     print(f"per_node_energy_j: "
           + " ".join(fmt(e) for e in report.per_node_energy))
@@ -156,11 +157,19 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "nodes", "initial_energy_j", "period_s", "packet_bits", "noise_db",
-    "noise_w", "gains", "lambda_packets", "lambda_sweep", "runs", "seed",
-    "period_cap", "out_dir",
+# Each config key read into a SimConfig field: (field, type[, default]).
+_SIM_KEYS = {
+    "nodes": ("n_nodes", int),
+    "initial_energy_j": ("initial_energy", float),
+    "period_s": ("period", float),
+    "packet_bits": ("packet_bits", float),
+    "lambda_packets": ("lam", float),
+    "runs": ("runs", int),
+    "seed": ("seed", int),
+    "period_cap": ("period_cap", int, lifetime.DEFAULT_PERIOD_CAP),
 }
+_CONFIG_KEYS = {*_SIM_KEYS, "noise_db", "noise_w", "gains", "lambda_sweep",
+                "out_dir"}
 
 
 def parse_experiment_config(text: str
@@ -184,60 +193,32 @@ def parse_experiment_config(text: str
             raise UsageError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    def need(key: str) -> str:
-        if key not in raw:
-            raise UsageError(f"config is missing required key {key!r}")
-        return raw[key]
-
-    def parse(key: str, kind, value: str):
+    def parse(key: str, kind):
         try:
-            return kind(value)
+            return kind(raw[key])
         except ValueError as exc:
-            raise UsageError(f"config key {key!r}: bad value {value!r}") from exc
+            raise UsageError(
+                f"config key {key!r}: bad value {raw[key]!r}") from exc
 
-    if ("noise_db" in raw) == ("noise_w" in raw):
+    if "noise_db" not in raw and "noise_w" not in raw:
         raise UsageError("config must set exactly one of noise_db / noise_w")
-    gains = None
-    if "gains" in raw:
-        gains = _parse_floats(raw["gains"], "gains")
-
-    lam = parse("lambda_packets", float, need("lambda_packets"))
-    sweep = [lam]
+    fields = {}
+    for key, (field, kind, *default) in _SIM_KEYS.items():
+        if key not in raw and not default:
+            raise UsageError(f"config is missing required key {key!r}")
+        fields[field] = parse(key, kind) if key in raw else default[0]
+    gains = _parse_floats(raw["gains"], "gains") if "gains" in raw else None
+    sweep = [fields["lam"]]
     if "lambda_sweep" in raw:
         sweep = _parse_floats(raw["lambda_sweep"], "lambda_sweep").tolist()
 
+    db, watts = (parse(key, float) if key in raw else None
+                 for key in ("noise_db", "noise_w"))
     try:
-        if "noise_db" in raw:
-            noise = NoiseModel.from_db(parse("noise_db", float, raw["noise_db"]),
-                                       gains=gains)
-        else:
-            noise = NoiseModel(parse("noise_w", float, raw["noise_w"]),
-                               gains=gains)
-        config = lifetime.SimConfig(
-            n_nodes=parse("nodes", int, need("nodes")),
-            initial_energy=parse("initial_energy_j", float,
-                                 need("initial_energy_j")),
-            period=parse("period_s", float, need("period_s")),
-            packet_bits=parse("packet_bits", float, need("packet_bits")),
-            noise=noise,
-            lam=lam,
-            runs=parse("runs", int, need("runs")),
-            seed=parse("seed", int, need("seed")),
-            period_cap=parse("period_cap", int, raw["period_cap"])
-            if "period_cap" in raw else lifetime.DEFAULT_PERIOD_CAP,
-        )
+        config = lifetime.SimConfig(noise=_noise(db, watts, gains), **fields)
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
     return config, sweep, Path(raw.get("out_dir", "."))
-
-
-def _write_csv(path: Path, header_comment: str, header: list[str],
-               rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(header_comment + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -262,27 +243,27 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = tables[config.lam]
-    _write_csv(out_dir / "fig4.csv", stamp, ["strategy", "mean_max_power_w"],
-               [[s, repr(table.stats[s].mean_max_power)] for s in STRATEGIES])
-    _write_csv(out_dir / "fig5.csv", stamp, ["strategy", "mean_sum_energy_j"],
-               [[s, repr(table.stats[s].mean_sum_energy)] for s in STRATEGIES])
-
-    sweep_rows = [[repr(float(lam)), s, repr(tables[lam].stats[s].mean_lifetime)]
-                  for lam in sweep for s in STRATEGIES]
-    _write_csv(out_dir / "fig6.csv", stamp,
-               ["lambda_packets", "strategy", "mean_lifetime_periods"],
-               sweep_rows)
+    stats = tables[config.lam].stats
+    figs = {
+        "fig4.csv": [["strategy", "mean_max_power_w"]]
+        + [[s, repr(stats[s].mean_max_power)] for s in STRATEGIES],
+        "fig5.csv": [["strategy", "mean_sum_energy_j"]]
+        + [[s, repr(stats[s].mean_sum_energy)] for s in STRATEGIES],
+        "fig6.csv": [["lambda_packets", "strategy", "mean_lifetime_periods"]]
+        + [[repr(float(lam)), s, repr(tables[lam].stats[s].mean_lifetime)]
+           for lam in sweep for s in STRATEGIES],
+    }
+    for name, rows in figs.items():
+        with open(out_dir / name, "w", newline="") as handle:
+            _write_csv(handle, rows, stamp)
 
     print(stamp)
     print(f"runs: {config.runs}")
     for s in STRATEGIES:
-        st = table.stats[s]
-        print(f"{s}: mean_lifetime={fmt(st.mean_lifetime)} "
-              f"mean_max_power_w={fmt(st.mean_max_power)} "
-              f"mean_sum_energy_j={fmt(st.mean_sum_energy)}")
-    print(f"wrote {out_dir / 'fig4.csv'}, {out_dir / 'fig5.csv'}, "
-          f"{out_dir / 'fig6.csv'}")
+        print(f"{s}: mean_lifetime={fmt(stats[s].mean_lifetime)} "
+              f"mean_max_power_w={fmt(stats[s].mean_max_power)} "
+              f"mean_sum_energy_j={fmt(stats[s].mean_sum_energy)}")
+    print("wrote " + ", ".join(str(out_dir / name) for name in figs))
     return EXIT_OK
 
 

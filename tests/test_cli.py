@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,19 @@ def test_solve_json_matches_human(capsys):
     human_distance = [line.split(": ")[1] for line in human.splitlines()
                       if line.startswith("distance")][0]
     assert float(human_distance) == payload["distance"]
+
+
+def test_fmt_digits_survive_the_json_rounding():
+    # The text form of solve prints fmt of the --json record's floats,
+    # float(fmt(x)), and must show the digits of fmt(x) itself.
+    rng = np.random.default_rng(7)
+    doubles = np.concatenate([
+        rng.integers(0, 2**63, 20000, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2**52, 20000, dtype=np.uint64).view(np.float64),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         np.inf]])
+    for x in doubles[~np.isnan(doubles)]:
+        assert fmt(float(fmt(x))) == fmt(x), repr(x)
 
 
 def test_solve_parse_error_names_field(capsys):
@@ -308,6 +322,49 @@ def test_paper_config_figs_are_the_golden_bytes(tmp_path, capsys,
     for name in ("fig4.csv", "fig5.csv", "fig6.csv"):
         assert (tmp_path / "out" / name).read_bytes() == \
             (golden / name).read_bytes(), name
+
+
+# Full stdout of each run, and the CSV of a run with --out (written to the
+# OUT placeholder), are the files <id>.txt and <id>.csv in
+# tests/data/cli-golden.  A change that moves them on purpose rewrites the
+# files and says why.
+GOLDEN_RUNS = {
+    "solve-unit": ["solve", "--rates", "0.5,1.5", "--noise", "1"],
+    "solve-unit-json": ["solve", "--rates", "0.3,1.1,0.7", "--noise-db", "-30",
+                        "--json"],
+    "solve-gains": ["solve", "--rates", "1,1,0.5", "--gains", "4,1,0.5",
+                    "--noise", "1"],
+    "solve-gains-json": ["solve", "--rates", "1,1,0.5", "--gains", "4,1,0.5",
+                         "--noise", "1", "--json"],
+    "solve-zero-rates": ["solve", "--rates", "0,0", "--noise", "1"],
+    "solve-zero-rates-json": ["solve", "--rates", "0,0", "--noise", "1",
+                              "--json"],
+    # Subnormal powers: the text form prints 12 digits of each, the JSON
+    # form the float those 12 digits round to.
+    "solve-noise-1e-300": ["solve", "--rates", ",".join(["1e-17"] * 5),
+                           "--noise", "1e-300"],
+    "solve-noise-1e-300-json": ["solve", "--rates", ",".join(["1e-17"] * 5),
+                                "--noise", "1e-300", "--json"],
+    "schedule-minmax": ["schedule", "--backlogs", "1,0,2", "--gains", "4,1,0.5",
+                        "--noise", "1"],
+    "schedule-minicost-out": ["schedule", "--backlogs", "1,0,2", "--gains",
+                              "4,1,0.5", "--noise", "1", "--strategy",
+                              "minicost", "--out", "OUT"],
+    "schedule-tdma-out": ["schedule", "--backlogs", "1,2,0,3", "--noise-db",
+                          "-30", "--strategy", "tdma", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_cli_outputs_are_the_golden_bytes(tmp_path, capsys, name):
+    golden = Path(__file__).parent / "data" / "cli-golden"
+    out = tmp_path / "out.csv"
+    argv = [str(out) if arg == "OUT" else arg for arg in GOLDEN_RUNS[name]]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert stdout.encode() == (golden / f"{name}.txt").read_bytes()
+    if "--out" in argv:
+        assert out.read_bytes() == (golden / f"{name}.csv").read_bytes()
 
 
 def per_lambda_csvs(config_text):
@@ -528,12 +585,25 @@ def test_rejection_parity(tmp_path, capsys, argv):
     assert_one_error_line(code, err)
 
 
-def test_readme_config_parses():
+def readme_config_block():
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
-    config, sweep, _ = parse_experiment_config(block)
+    return readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_parses():
+    config, sweep, _ = parse_experiment_config(readme_config_block())
     assert (config.n_nodes, config.lam, config.runs) == (4, 1.0, 1000)
     assert sweep == [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_readme_documents_every_config_key():
+    lines = readme_config_block().splitlines()
+    documented = {line.partition("=")[0].strip() for line in lines
+                  if "=" in line and not line.startswith("#")}
+    for line in lines:
+        if line.startswith("# optional:"):
+            documented.update(re.findall(r"\w+", line.partition(":")[2]))
+    assert cli_module._CONFIG_KEYS <= documented
 
 
 def test_config_rejects_unknown_and_missing_keys():

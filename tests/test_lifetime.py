@@ -133,7 +133,7 @@ def test_a_slice_draws_each_run_once(monkeypatch, lams, max_cells):
                         oracles.period_backlog(one, run, period).packets)
 
 
-def test_draw_backlogs_range_and_mean():
+def test_draws_at_bound_one_range_and_mean():
     # The draws at bound 1 lie on (0, 1], never exactly zero; each unit
     # scales them by its bound (test_a_slice_draws_each_run_once).
     cfg = paper_config(n_nodes=100, seed=0)
@@ -143,7 +143,7 @@ def test_draw_backlogs_range_and_mean():
 
 
 @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
-def test_draw_backlogs_names_lam(lam):
+def test_simconfig_names_a_bad_lam(lam):
     # The engine draws at the bounds that SimConfig has checked.
     with pytest.raises(ValueError, match="lam must be positive and finite"):
         paper_config(lam=lam)

@@ -48,7 +48,7 @@ def test_equal_allocation_with_gains():
     assert float(noise.received(g).sum()) == pytest.approx(15.0, rel=1e-12)
 
 
-def test_classify_case_examples():
+def test_solve_case_label_examples():
     for rates, case in (([0.5, 0.29248], CaseLabel.VERTEX_COINCIDENT),
                         ([0.5, R2_COINCIDENT], CaseLabel.VERTEX_COINCIDENT),
                         ([0.5, 1.5], CaseLabel.INTERIOR_FEASIBLE),
@@ -791,6 +791,25 @@ def test_unit_levels_match_the_decimal_reference():
         ulp = math.ulp(sum_power(rates, noise))
         for got, want in zip(received, ref):
             assert abs(decimal.Decimal(got) - want) <= 8 * ulp, (trial, n)
+
+
+def test_unit_level_error_grows_with_the_sum_rate():
+    # Rates on (0, 1] reach sum rates near 25 bits.  _fair_base rounds the
+    # prefix rate sums before np.expm1, so the error in ulps of the sum power
+    # grows with the sum rate R.  Over 60,000 such solves (300 seeds) every
+    # error was within 4.8 + 3 R ulp, at most 44 ulp; the bound doubles that.
+    rng = np.random.default_rng(102)
+    for trial in range(200):
+        n = int(rng.integers(2, 33))
+        rates = 1.0 - rng.random(n)
+        if trial % 4 == 0:
+            rates[rng.integers(n, size=n // 2)] = rates[0]
+        noise = NoiseModel(1.0 if trial % 3 else 1e-3)
+        received = solve(rates, noise).received.tolist()
+        ref = oracles.decimal_fair_levels(rates, noise.sigma_sq)
+        bound = (10 + 6 * float(rates.sum())) * math.ulp(sum_power(rates, noise))
+        for got, want in zip(received, ref):
+            assert abs(decimal.Decimal(got) - want) <= bound, (trial, n)
 
 
 def _rate_level_errors(seed, trials=200):

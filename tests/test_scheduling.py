@@ -23,7 +23,7 @@ from macfair import scheduling
 UNIT = NoiseModel(1.0)
 
 
-def test_average_rates_examples():
+def test_epochs_run_the_average_rates():
     # Every epoch of every strategy but TDMA runs the average rates
     # b_i * B / T, which clear the backlog.
     for packets, rates in (([1, 2], [1.0, 2.0]), ([1, 1, 1, 1], np.ones(4)),
@@ -34,7 +34,7 @@ def test_average_rates_examples():
                 assert np.allclose(e.rates, rates)
 
 
-def test_average_rates_rejects_bad_period():
+def test_builders_reject_a_zero_period():
     for strategy in ("minmax", "minicost", "tdma"):
         with pytest.raises(ValueError, match="period"):
             build_schedule(strategy, Backlog([1.0], 30), 0.0, UNIT)
