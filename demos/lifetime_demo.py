@@ -9,7 +9,7 @@ just on average.
 
 import numpy as np
 
-from macfair import NoiseModel, SimConfig, compare_strategies
+from macfair import NoiseModel, SimConfig, compare_sweep
 
 config = SimConfig(
     n_nodes=4,
@@ -17,13 +17,13 @@ config = SimConfig(
     period=30.0,
     packet_bits=30.0,
     noise=NoiseModel.from_db(-30.0),
-    lam=1.0,
     runs=200,
     seed=7,
 )
+lam = 1.0
 
-table = compare_strategies(config)
-print(f"{config.runs} runs, lambda = {config.lam} packets, seed = {config.seed}\n")
+table = compare_sweep(config, [lam])[lam]
+print(f"{config.runs} runs, lambda = {lam} packets, seed = {config.seed}\n")
 print(f"{'strategy':10s} {'mean lifetime':>14s} {'std':>7s} "
       f"{'peak power [W]':>15s} {'sum energy [J]':>15s}")
 for name, stats in table.stats.items():

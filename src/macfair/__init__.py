@@ -42,7 +42,6 @@ from .lifetime import (
     ComparisonTable,
     SimConfig,
     StrategyStats,
-    compare_strategies,
     compare_sweep,
 )
 

@@ -157,7 +157,8 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-# Each config key read into a SimConfig field: (field, type[, default]).
+# Each config key read into a SimConfig field, or the backlog bound "lam":
+# (field, type[, default]).
 _SIM_KEYS = {
     "nodes": ("n_nodes", int),
     "initial_energy_j": ("initial_energy", float),
@@ -172,11 +173,11 @@ _CONFIG_KEYS = {*_SIM_KEYS, "noise_db", "noise_w", "gains", "lambda_sweep",
                 "out_dir"}
 
 
-def parse_experiment_config(text: str
-                            ) -> tuple[lifetime.SimConfig, list[float], Path]:
-    """Parse a `simulate` config into the simulation at ``lambda_packets``,
-    the swept backlog bounds and the output directory.  The swept bounds are
-    checked by :func:`~macfair.lifetime.compare_sweep`."""
+def parse_experiment_config(text: str) -> tuple[
+        lifetime.SimConfig, float, list[float], Path]:
+    """Parse a `simulate` config into the simulation, the backlog bound
+    ``lambda_packets``, the swept bounds and the output directory.  The
+    bounds are checked by :func:`~macfair.lifetime.compare_sweep`."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -208,7 +209,8 @@ def parse_experiment_config(text: str
             raise UsageError(f"config is missing required key {key!r}")
         fields[field] = parse(key, kind) if key in raw else default[0]
     gains = _parse_floats(raw["gains"], "gains") if "gains" in raw else None
-    sweep = [fields["lam"]]
+    lam = fields.pop("lam")
+    sweep = [lam]
     if "lambda_sweep" in raw:
         sweep = _parse_floats(raw["lambda_sweep"], "lambda_sweep").tolist()
 
@@ -218,11 +220,11 @@ def parse_experiment_config(text: str
         config = lifetime.SimConfig(noise=_noise(db, watts, gains), **fields)
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
-    return config, sweep, Path(raw.get("out_dir", "."))
+    return config, lam, sweep, Path(raw.get("out_dir", "."))
 
 
 def cmd_simulate(args) -> int:
-    config, sweep, out_dir = parse_experiment_config(
+    config, lam, sweep, out_dir = parse_experiment_config(
         Path(args.config).read_text())
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
@@ -236,22 +238,23 @@ def cmd_simulate(args) -> int:
     source = "config" if env_seed is None else f"env {SEED_ENV_VAR}"
     stamp = f"# seed={config.seed} source={source}"
 
-    # compare_sweep checks every swept bound before it simulates, so a bad
-    # bound is reported before the output directory is made.
+    # compare_sweep checks every bound before it simulates, so a bad bound
+    # is reported before the output directory is made.
     try:
-        tables = lifetime.compare_sweep(config, [config.lam, *sweep])
+        tables = lifetime.compare_sweep(config, [lam, *sweep])
     except ValueError as exc:
         raise UsageError(f"config: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = tables[config.lam].stats
+    stats = tables[lam].stats
     figs = {
         "fig4.csv": [["strategy", "mean_max_power_w"]]
         + [[s, repr(stats[s].mean_max_power)] for s in STRATEGIES],
         "fig5.csv": [["strategy", "mean_sum_energy_j"]]
         + [[s, repr(stats[s].mean_sum_energy)] for s in STRATEGIES],
         "fig6.csv": [["lambda_packets", "strategy", "mean_lifetime_periods"]]
-        + [[repr(float(lam)), s, repr(tables[lam].stats[s].mean_lifetime)]
-           for lam in sweep for s in STRATEGIES],
+        + [[repr(float(bound)), s,
+            repr(tables[bound].stats[s].mean_lifetime)]
+           for bound in sweep for s in STRATEGIES],
     }
     for name, rows in figs.items():
         with open(out_dir / name, "w", newline="") as handle:

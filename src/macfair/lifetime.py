@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +69,14 @@ MAX_CELLS = 1 << 16
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters: network size, batteries, period, packets,
-    channel, backlog bound, and the Monte Carlo plan."""
+    channel and the Monte Carlo plan.  The backlog bounds are the
+    arguments of :func:`compare_sweep`."""
 
     n_nodes: int
     initial_energy: float
     period: float
     packet_bits: float
     noise: NoiseModel
-    lam: float
     runs: int = 1
     seed: int = 0
     period_cap: int = DEFAULT_PERIOD_CAP
@@ -97,7 +97,6 @@ class SimConfig:
             raise ValueError("period must be positive and finite")
         if not 0 < self.packet_bits < np.inf:
             raise ValueError("packet_bits must be positive and finite")
-        self._check_lam(self.lam)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -126,7 +125,6 @@ class SimConfig:
 class StrategyStats:
     """Per-strategy aggregates over the runs (means and sample st. devs)."""
 
-    runs: int
     mean_lifetime: float
     std_lifetime: float
     mean_max_power: float
@@ -138,9 +136,7 @@ class ComparisonTable:
     """Side-by-side strategy statistics computed on shared backlog draws."""
 
     stats: dict[str, StrategyStats]
-    lifetimes: dict[str, np.ndarray] = field(default_factory=dict)
-    seed: int = 0
-    runs: int = 0
+    lifetimes: dict[str, np.ndarray]
 
 
 def _blocks_per_period(n_nodes: int) -> int:
@@ -309,33 +305,24 @@ def _tabulate(config: SimConfig, sweep: _Sweep) -> list[ComparisonTable]:
                                  sum_means[i, lam, some].mean())
     tables = []
     for lam in range(ran.shape[1]):
-        stats = {s: StrategyStats(config.runs, *means[i, lam].tolist())
+        stats = {s: StrategyStats(*means[i, lam].tolist())
                  for i, s in enumerate(STRATEGIES)}
         lifetimes = {s: sweep.lifetimes[i, lam].copy()
                      for i, s in enumerate(STRATEGIES)}
-        tables.append(ComparisonTable(stats=stats, lifetimes=lifetimes,
-                                      seed=config.seed, runs=config.runs))
+        tables.append(ComparisonTable(stats=stats, lifetimes=lifetimes))
     return tables
-
-
-def compare_strategies(config: SimConfig) -> ComparisonTable:
-    """Simulate every strategy on the same backlog sequences and tabulate.
-
-    All strategies see identical backlogs in every (run, period), so
-    per-run comparisons are meaningful.
-    """
-    return _tabulate(config, _simulate(config, [config.lam]))[0]
 
 
 def compare_sweep(config: SimConfig,
                   lams: Iterable[float]) -> dict[float, ComparisonTable]:
-    """:func:`compare_strategies` of ``config`` at every backlog bound in
-    ``lams`` (each bound once), keyed by bound, from one engine pass.
+    """Simulate every strategy of ``config`` at every backlog bound in
+    ``lams`` (each bound once) and tabulate, keyed by bound, from one
+    engine pass.
 
-    Every table equals ``compare_strategies(replace(config, lam=lam))``; the
-    bound of ``config`` itself is simulated only if it is in ``lams``.  Every
-    bound is checked as :class:`SimConfig` checks its ``lam`` before
-    anything is simulated; no bounds give no tables.
+    All strategies see identical backlogs in every (run, period), so
+    per-run comparisons are meaningful.  Every bound is checked before
+    anything is simulated: it is positive and finite, and small enough
+    that the sum power of a period stays finite.  No bounds give no tables.
     """
     bounds = list(dict.fromkeys(float(lam) for lam in lams))
     for lam in bounds:

@@ -839,12 +839,12 @@ def sweep_runs(config, sweep, k):
     return out
 
 
-def engine_runs(config):
-    """Every strategy's runs of ``config`` at its own bound, by the engine."""
-    return sweep_runs(config, lifetime._simulate(config, [config.lam]), 0)
+def engine_runs(config, lam):
+    """Every strategy's runs of ``config`` at bound ``lam``, by the engine."""
+    return sweep_runs(config, lifetime._simulate(config, [lam]), 0)
 
 
-def period_backlog(config, run, period):
+def period_backlog(config, lam, run, period):
     """The backlog of one (run, period), uniform on ``(0, lam]``, from a
     generator keyed on ``(seed, run)`` whose counter starts at the period's
     own block: the one-period reference for ``lifetime._draw``."""
@@ -853,12 +853,13 @@ def period_backlog(config, run, period):
     counter = np.array([period * _blocks_per_period(n), 0, 0, 0],
                        dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-    packets = config.lam * (1.0 - rng.random(n))
+    packets = lam * (1.0 - rng.random(n))
     return Backlog(packets=packets, packet_bits=config.packet_bits)
 
 
-def offline_lifetime(config, run):
-    """T*, the most periods any schedule could complete on one run's draws.
+def offline_lifetime(config, lam, run):
+    """T*, the most periods any schedule could complete on one run's draws
+    at bound ``lam``.
 
     A period of rates ``R_t`` needs received powers in the power region, so
     every non-empty subset ``A`` receives at least ``period * f_t(A)``
@@ -872,7 +873,7 @@ def offline_lifetime(config, run):
         config.n_nodes))
     spent = np.zeros(len(members))
     for period in range(config.period_cap):
-        rates = period_backlog(config, run, period).bits / config.period
+        rates = period_backlog(config, lam, run, period).bits / config.period
         spent += config.period * (config.noise.sigma_sq * np.expm1(
             2.0 * LN2 * (members @ rates)))
         if np.any(spent > budget):
@@ -901,8 +902,9 @@ def period_energies(backlog, period, noise):
             for s, (_, energy) in scheduling._TABLE.items()}
 
 
-def simulate_with_schedules(config, strategy):
-    """Lifetime runs of one strategy, one full schedule per period.
+def simulate_with_schedules(config, lam, strategy):
+    """Lifetime runs of one strategy at bound ``lam``, one full schedule per
+    period.
 
     The reference loop for the energies-only engine: every period draws its
     backlog on its own key with ``period_backlog``, builds and validates the
@@ -916,7 +918,7 @@ def simulate_with_schedules(config, strategy):
         period = 0
         censored = True
         while period < config.period_cap:
-            backlog = period_backlog(config, run, period)
+            backlog = period_backlog(config, lam, run, period)
             report = energy_report(build_schedule(
                 strategy, backlog, config.period, config.noise))
             if not np.all(report.per_node_energy <= energies):
@@ -930,8 +932,9 @@ def simulate_with_schedules(config, strategy):
     return results
 
 
-def _run_backlogs(config, run):
-    """The backlogs of one run, period after period, without end.
+def _run_backlogs(config, lam, run):
+    """The backlogs of one run at bound ``lam``, period after period,
+    without end.
 
     One Philox stream keyed on ``(seed, run)`` from counter 0; each period
     takes the next ``4 * _blocks_per_period(n)`` doubles and keeps the
@@ -942,12 +945,13 @@ def _run_backlogs(config, run):
     key = np.array([config.seed, run], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     while True:
-        packets = config.lam * (1.0 - gen.random(width)[:n])
+        packets = lam * (1.0 - gen.random(width)[:n])
         yield Backlog(packets=packets, packet_bits=config.packet_bits)
 
 
-def _simulate_run(config, run):
-    """Every strategy's outcome of one run, one period at a time.
+def _simulate_run(config, lam, run):
+    """Every strategy's outcome of one run at bound ``lam``, one period at a
+    time.
 
     The reference loop for the chunked engine: each period's backlog is
     priced with ``period_energies`` and charged to each live strategy's
@@ -958,7 +962,7 @@ def _simulate_run(config, run):
                  for s in STRATEGIES}
     peak_sums = dict.fromkeys(STRATEGIES, 0.0)
     died = {}
-    backlogs = _run_backlogs(config, run)
+    backlogs = _run_backlogs(config, lam, run)
     period = 0
     while len(died) < len(STRATEGIES) and period < config.period_cap:
         spent = period_energies(next(backlogs), config.period, config.noise)
@@ -999,14 +1003,12 @@ def tabulate(config, simulated):
                 r.residual_energy.sum())
             sum_means.append(spent / r.lifetime_periods)
         stats[strategy] = StrategyStats(
-            runs=config.runs,
             mean_lifetime=float(life.mean()),
             std_lifetime=float(life.std(ddof=1)) if config.runs > 1 else 0.0,
             mean_max_power=float(np.mean(peak_means)) if peak_means else float("nan"),
             mean_sum_energy=float(np.mean(sum_means)) if sum_means else float("nan"),
         )
-    return ComparisonTable(stats=stats, lifetimes=lifetimes, seed=config.seed,
-                           runs=config.runs)
+    return ComparisonTable(stats=stats, lifetimes=lifetimes)
 
 
 def wire_to_order(text, n):

@@ -19,7 +19,7 @@ from macfair import (
     SimConfig,
     build_schedule,
     chain_received,
-    compare_strategies,
+    compare_sweep,
     energy_report,
     greedy_linear_min,
     is_lex_optimal_base,
@@ -199,9 +199,8 @@ def test_criterion_7_max_power_ordering():
            budget=60.0)
 def test_criterion_8_lifetime_comparison():
     config = SimConfig(n_nodes=4, initial_energy=2.0, period=30.0,
-                       packet_bits=30.0, noise=PAPER_NOISE, lam=1.0,
-                       runs=1000, seed=1)
-    table = compare_strategies(config)
+                       packet_bits=30.0, noise=PAPER_NOISE, runs=1000, seed=1)
+    table = compare_sweep(config, [1.0])[1.0]
     mm = table.stats["minmax"].mean_lifetime
     mc = table.stats["minicost"].mean_lifetime
     assert mm > mc
@@ -214,14 +213,13 @@ def test_criterion_9_lambda_monotonicity():
     lams = [0.2, 0.4, 0.6, 0.8, 1.0]
     means = {s: [] for s in ("minmax", "minicost", "tdma")}
     errs = {s: [] for s in ("minmax", "minicost", "tdma")}
+    config = SimConfig(n_nodes=4, initial_energy=2.0, period=30.0,
+                       packet_bits=30.0, noise=PAPER_NOISE, runs=1000, seed=9)
     for lam in lams:
-        config = SimConfig(n_nodes=4, initial_energy=2.0, period=30.0,
-                           packet_bits=30.0, noise=PAPER_NOISE, lam=lam,
-                           runs=1000, seed=9)
-        table = compare_strategies(config)
+        table = compare_sweep(config, [lam])[lam]
         for s, stats in table.stats.items():
             means[s].append(stats.mean_lifetime)
-            errs[s].append(stats.std_lifetime / np.sqrt(stats.runs))
+            errs[s].append(stats.std_lifetime / np.sqrt(config.runs))
     for s in means:
         for k in range(len(lams) - 1):
             two_se = 2.0 * float(np.hypot(errs[s][k], errs[s][k + 1]))

@@ -1,6 +1,5 @@
 """Command-line surface: flags, wire formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import os
 import re
@@ -14,7 +13,7 @@ import pytest
 from macfair import (
     STRATEGIES,
     NoiseModel,
-    compare_strategies,
+    compare_sweep,
     is_lex_optimal_base,
     minmax,
     vertex,
@@ -368,18 +367,18 @@ def test_cli_outputs_are_the_golden_bytes(tmp_path, capsys, name):
 
 
 def per_lambda_csvs(config_text):
-    """fig4/5/6 as one `compare_strategies` call per lambda writes them."""
-    config, sweep, _ = parse_experiment_config(config_text)
+    """fig4/5/6 as one `compare_sweep` call per lambda writes them."""
+    config, lam, sweep, _ = parse_experiment_config(config_text)
     stamp = f"# seed={config.seed} source=config"
-    table = compare_strategies(config)
+    table = compare_sweep(config, [lam])[lam]
     fig4 = [stamp, "strategy,mean_max_power_w"] + [
         f"{s},{table.stats[s].mean_max_power!r}" for s in STRATEGIES]
     fig5 = [stamp, "strategy,mean_sum_energy_j"] + [
         f"{s},{table.stats[s].mean_sum_energy!r}" for s in STRATEGIES]
     fig6 = [stamp, "lambda_packets,strategy,mean_lifetime_periods"]
-    for lam in sweep:
-        swept = compare_strategies(dataclasses.replace(config, lam=lam))
-        fig6 += [f"{lam!r},{s},{swept.stats[s].mean_lifetime!r}"
+    for bound in sweep:
+        swept = compare_sweep(config, [bound])[bound]
+        fig6 += [f"{bound!r},{s},{swept.stats[s].mean_lifetime!r}"
                  for s in STRATEGIES]
     return {name: "\n".join(lines) + "\n"
             for name, lines in (("fig4.csv", fig4), ("fig5.csv", fig5),
@@ -499,7 +498,7 @@ def test_simulate_builds_one_config(tmp_path, capsys, monkeypatch):
     check = lifetime.SimConfig.__post_init__
 
     def counted(config):
-        built.append(config.lam)
+        built.append(config)
         check(config)
 
     monkeypatch.setattr(lifetime.SimConfig, "__post_init__", counted)
@@ -508,13 +507,25 @@ def test_simulate_builds_one_config(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
                            "--out-dir", str(tmp_path / "out"))
     assert (code, err) == (EXIT_OK, "")
-    assert built == [1.0]
+    assert len(built) == 1
+
+
+TOO_LARGE = ("error: config: lam = 100 is too large: the rates sum to 400 "
+             "bits per channel use; above about 261 the sum power overflows "
+             "at this noise power\n")
+
+# The full stderr of a config with a bad bound, whichever key gives it.
+BAD_BOUND_ERRORS = {
+    "lambda_packets = inf": "error: config: lam must be positive and finite\n",
+    "lambda_packets = 100": TOO_LARGE,
+    "lambda_sweep = 0.6,100": TOO_LARGE,
+}
 
 
 @pytest.mark.parametrize("line", [
     "initial_energy_j = inf", "period_s = inf", "packet_bits = inf",
-    "lambda_packets = inf", "period_cap = 0", "gains = 1,2,4",
-    "lambda_sweep = 0.6,100",
+    "lambda_packets = inf", "lambda_packets = 100", "period_cap = 0",
+    "gains = 1,2,4", "lambda_sweep = 0.6,100",
 ])
 def test_simulate_rejects_what_simconfig_rejects(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -523,6 +534,8 @@ def test_simulate_rejects_what_simconfig_rejects(tmp_path, capsys, line):
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
                              "--out-dir", str(out_dir))
     assert_one_error_line(code, err, "error: config:")
+    if line in BAD_BOUND_ERRORS:
+        assert err == BAD_BOUND_ERRORS[line]
     assert out == ""
     assert not out_dir.exists()
 
@@ -591,8 +604,8 @@ def readme_config_block():
 
 
 def test_readme_config_parses():
-    config, sweep, _ = parse_experiment_config(readme_config_block())
-    assert (config.n_nodes, config.lam, config.runs) == (4, 1.0, 1000)
+    config, lam, sweep, _ = parse_experiment_config(readme_config_block())
+    assert (config.n_nodes, lam, config.runs) == (4, 1.0, 1000)
     assert sweep == [0.2, 0.4, 0.6, 0.8, 1.0]
 
 

@@ -14,7 +14,6 @@ from macfair import (
     Backlog,
     NoiseModel,
     SimConfig,
-    compare_strategies,
     compare_sweep,
     lifetime,
     scheduling,
@@ -23,38 +22,48 @@ from macfair.lifetime import _draw, _simulate
 
 NOISE = NoiseModel(1e-3)
 
+# The paper's backlog bound, in packets.
+LAM = 1.0
+
 
 def paper_config(**overrides):
     base = dict(n_nodes=4, initial_energy=2.0, period=30.0, packet_bits=30.0,
-                noise=NOISE, lam=1.0, runs=20, seed=1)
+                noise=NOISE, runs=20, seed=1)
     base.update(overrides)
     return SimConfig(**base)
 
 
-def chunked_draws(cfg, run, chunks):
-    """A run's backlogs at the config's bound drawn in chunks of the given
+def config_and_bound(**overrides):
+    """``paper_config`` of the overrides other than ``lam``, and the bound
+    ``lam`` (``LAM`` unless given)."""
+    lam = overrides.pop("lam", LAM)
+    return paper_config(**overrides), lam
+
+
+def chunked_draws(cfg, lam, run, chunks):
+    """A run's backlogs at bound ``lam`` drawn in chunks of the given
     lengths, one row per period."""
     bits = np.random.Philox()
     starts = np.cumsum(chunks) - chunks
     return np.concatenate([
-        cfg.lam * _draw(cfg, bits, np.array([run]), int(start), k)[0]
+        lam * _draw(cfg, bits, np.array([run]), int(start), k)[0]
         for start, k in zip(starts, chunks)])
 
 
 def test_draws_are_reproducible_and_order_independent():
     cfg = paper_config()
-    a = oracles.period_backlog(cfg, run=3, period=17).packets
-    b = oracles.period_backlog(cfg, run=3, period=17).packets
+    a = oracles.period_backlog(cfg, LAM, run=3, period=17).packets
+    b = oracles.period_backlog(cfg, LAM, run=3, period=17).packets
     assert np.array_equal(a, b)
-    c = chunked_draws(cfg, 3, (5, 12, 1))[17]
+    c = chunked_draws(cfg, LAM, 3, (5, 12, 1))[17]
     assert np.array_equal(a, c)
     # one call that draws other runs before and after it
-    d = cfg.lam * _draw(cfg, np.random.Philox(), np.array([9, 3, 4]), 15, 3)
+    d = LAM * _draw(cfg, np.random.Philox(), np.array([9, 3, 4]), 15, 3)
     assert np.array_equal(a, d[1, 2])
     # different keys give different values
     for run, period in ((4, 17), (3, 18)):
         assert not np.array_equal(
-            a, oracles.period_backlog(cfg, run, period).packets)
+            a, oracles.period_backlog(cfg, LAM, run, period).packets)
 
 
 @pytest.mark.parametrize("n_nodes", [4, 5, 8])
@@ -67,12 +76,13 @@ def test_draws_do_not_repeat_across_periods(n_nodes):
     chunks = (1, 15, 16, 17, 51)
     periods = sum(chunks)
     for run in range(3):
-        stream = chunked_draws(cfg, run, chunks)
+        stream = chunked_draws(cfg, LAM, run, chunks)
         assert np.unique(stream).size == stream.size
-        backlogs = np.stack([oracles.period_backlog(cfg, run, period).packets
-                             for period in range(periods)])
+        backlogs = np.stack([
+            oracles.period_backlog(cfg, LAM, run, period).packets
+            for period in range(periods)])
         assert np.array_equal(backlogs, stream)
-        oracle = oracles._run_backlogs(cfg, run)
+        oracle = oracles._run_backlogs(cfg, LAM, run)
         assert np.array_equal(
             np.stack([next(oracle).packets for _ in range(periods)]), stream)
 
@@ -98,7 +108,7 @@ def test_drawn_shapes_draw_the_keyed_periods(n_nodes, seed, runs, first,
     for run, periods in zip(runs, rows):
         for period, row in enumerate(periods, first):
             assert np.array_equal(
-                row, oracles.period_backlog(cfg, run, period).packets)
+                row, oracles.period_backlog(cfg, 1.0, run, period).packets)
 
 
 @pytest.mark.parametrize("max_cells", [None, 40 * 4])
@@ -125,12 +135,11 @@ def test_a_slice_draws_each_run_once(monkeypatch, lams, max_cells):
     for runs, first, rows in calls:
         assert np.unique(runs).size == runs.size
         for lam in lams:
-            one = replace(cfg, lam=lam)
             for run, periods in zip(runs.tolist(), rows):
                 for period, row in enumerate(periods, first):
                     assert np.array_equal(
                         lam * row,
-                        oracles.period_backlog(one, run, period).packets)
+                        oracles.period_backlog(cfg, lam, run, period).packets)
 
 
 def test_draws_at_bound_one_range_and_mean():
@@ -144,18 +153,20 @@ def test_draws_at_bound_one_range_and_mean():
 
 @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
 def test_simconfig_names_a_bad_lam(lam):
-    # The engine draws at the bounds that SimConfig has checked.
-    with pytest.raises(ValueError, match="lam must be positive and finite"):
-        paper_config(lam=lam)
+    # The engine draws at the bounds that compare_sweep has checked by
+    # SimConfig's rule.
+    with pytest.raises(ValueError,
+                       match=r"^lam must be positive and finite$"):
+        compare_sweep(paper_config(), [lam])
 
 
 def _fixed_backlog_runs(monkeypatch, backlog, **overrides):
     """Every strategy's single run when every period has the same backlog
-    (the config's bound is 1, so the draws at bound 1 are the backlogs)."""
+    (the bound is 1, so the draws at bound 1 are the backlogs)."""
     monkeypatch.setattr(lifetime, "_draw",
                         lambda config, bits, runs, first, size:
                         np.tile(backlog.packets, (runs.size, size, 1)))
-    results = oracles.engine_runs(paper_config(runs=1, **overrides))
+    results = oracles.engine_runs(paper_config(runs=1, **overrides), 1.0)
     return {s: runs[0] for s, runs in results.items()}
 
 
@@ -197,23 +208,23 @@ def test_minicost_fails_where_minmax_survives(monkeypatch):
 
 def test_zero_energy_and_period_cap():
     dead = paper_config(initial_energy=0.0, runs=3)
-    for results in oracles.engine_runs(dead).values():
+    for results in oracles.engine_runs(dead, LAM).values():
         assert all(r.lifetime_periods == 0 for r in results)
 
     immortal = paper_config(initial_energy=1e12, runs=2, period_cap=25)
-    for results in oracles.engine_runs(immortal).values():
+    for results in oracles.engine_runs(immortal, LAM).values():
         for r in results:
             assert r.lifetime_periods == 25
 
 
 def test_energy_ledger():
     cfg = paper_config(runs=10)
-    for s, results in oracles.engine_runs(cfg).items():
+    for s, results in oracles.engine_runs(cfg, LAM).items():
         for run, result in enumerate(results):
             spent = 0.0
             energies = np.full(4, 2.0)
             for period in range(result.lifetime_periods):
-                backlog = oracles.period_backlog(cfg, run, period)
+                backlog = oracles.period_backlog(cfg, LAM, run, period)
                 e = oracles.period_energies(backlog, cfg.period, cfg.noise)[s]
                 assert np.all(e <= energies)
                 energies = energies - e
@@ -225,8 +236,8 @@ def test_energy_ledger():
 
 def test_simulation_determinism():
     cfg = paper_config(runs=8)
-    a = oracles.engine_runs(cfg)
-    b = oracles.engine_runs(cfg)
+    a = oracles.engine_runs(cfg, LAM)
+    b = oracles.engine_runs(cfg, LAM)
     assert set(a) == set(STRATEGIES)
     for s in STRATEGIES:
         assert ([r.lifetime_periods for r in a[s]]
@@ -236,12 +247,12 @@ def test_simulation_determinism():
             assert x.peak_sum == y.peak_sum
 
 
-def test_compare_strategies_common_draws_and_ordering():
+def test_compare_sweep_common_draws_and_ordering():
     cfg = paper_config(runs=30)
-    table = compare_strategies(cfg)
+    table = compare_sweep(cfg, [LAM])[LAM]
     assert set(table.stats) == {"minmax", "minicost", "tdma"}
     # lifetimes match standalone simulations (identical draw keys)
-    solo = oracles.engine_runs(paper_config(runs=30))
+    solo = oracles.engine_runs(paper_config(runs=30), LAM)
     for s in STRATEGIES:
         assert np.array_equal(table.lifetimes[s],
                               [r.lifetime_periods for r in solo[s]])
@@ -254,8 +265,8 @@ def test_compare_strategies_common_draws_and_ordering():
 def test_lambda_monotonicity_smoke():
     means = []
     for lam in (0.4, 1.0):
-        cfg = paper_config(runs=40, lam=lam)
-        means.append(compare_strategies(cfg).lifetimes["minmax"].mean())
+        cfg = paper_config(runs=40)
+        means.append(compare_sweep(cfg, [lam])[lam].lifetimes["minmax"].mean())
     assert means[0] > means[1]
 
 
@@ -263,7 +274,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         paper_config(runs=0)
     with pytest.raises(ValueError):
-        paper_config(lam=0.0)
+        compare_sweep(paper_config(), [0.0])
     # numpy integers are integers.
     cfg = paper_config(n_nodes=np.int64(4), runs=np.int32(2),
                        seed=np.uint64(1), period_cap=np.int64(10))
@@ -282,26 +293,33 @@ def test_config_rejects_non_finite_and_inconsistent_values(overrides):
     # An infinite battery would run every run to the period cap and a zero
     # cap would simulate nothing; either would give NaN means.  A float
     # seed would simulate its integer part, and a float run count or cap
-    # would fail inside numpy.
+    # would fail inside numpy.  compare_sweep checks the bound.
     with pytest.raises(ValueError):
-        paper_config(**overrides)
+        cfg, lam = config_and_bound(**overrides)
+        compare_sweep(cfg, [lam])
 
 def test_config_rejects_a_lam_whose_sum_power_overflows():
     # Every node at lam sums to 4 * lam bits per channel use here; at
-    # -30 dB the sum power overflows past about 261.  The check is on the
-    # config, so no run depends on which periods happen to be priced.
-    with pytest.raises(ValueError, match="lam = 100 is too large"):
-        paper_config(lam=100.0)
+    # -30 dB the sum power overflows past about 261.  compare_sweep checks
+    # the bound against the config before it simulates, so no run depends
+    # on which periods happen to be priced.
+    with pytest.raises(ValueError) as err:
+        compare_sweep(paper_config(), [100.0])
+    assert str(err.value) == (
+        "lam = 100 is too large: the rates sum to 400 bits per channel use; "
+        "above about 261 the sum power overflows at this noise power")
     with pytest.raises(ValueError, match="lam = 66 is too large"):
-        paper_config(lam=66.0)
-    paper_config(lam=65.0)
+        compare_sweep(paper_config(), [66.0])
+    compare_sweep(paper_config(), [65.0])
     with pytest.raises(ValueError, match="lam = 100 is too large"):
-        paper_config(lam=100.0, noise=NoiseModel(1e-3, gains=[0.5, 1, 2, 4]))
+        compare_sweep(paper_config(noise=NoiseModel(1e-3,
+                                                    gains=[0.5, 1, 2, 4])),
+                      [100.0])
     # 600 bits per channel use: past the 512 at which the rank in units of
     # a 1e-200 W noise power overflows.
     with pytest.raises(ValueError, match="lam = 1 is too large"):
-        paper_config(n_nodes=2, period=1.0, packet_bits=300.0, lam=1.0,
-                     noise=NoiseModel(1e-200))
+        compare_sweep(paper_config(n_nodes=2, period=1.0, packet_bits=300.0,
+                                   noise=NoiseModel(1e-200)), [1.0])
 
 
 @pytest.mark.parametrize("overrides", [
@@ -311,10 +329,11 @@ def test_config_rejects_a_lam_whose_sum_power_overflows():
     dict(initial_energy=0.0), dict(initial_energy=1e3, period_cap=25),
 ], ids=["lam0.6", "lam1.0", "n5", "n8", "gains", "no-energy", "cap25"])
 def test_engine_matches_schedule_oracle(overrides):
-    cfg = paper_config(**{"runs": 20, **overrides})
-    engine = oracles.engine_runs(cfg)
+    cfg, lam = config_and_bound(**{"runs": 20, **overrides})
+    engine = oracles.engine_runs(cfg, lam)
     for s in STRATEGIES:
-        for ours, ref in zip(engine[s], oracles.simulate_with_schedules(cfg, s),
+        for ours, ref in zip(engine[s],
+                             oracles.simulate_with_schedules(cfg, lam, s),
                              strict=True):
             assert ours.lifetime_periods == ref.lifetime_periods
             assert ours.censored == ref.censored
@@ -341,11 +360,11 @@ def test_engine_matches_run_oracle(case, cap):
     # those ends, and lifetimes of 0 to about 230 periods put deaths there
     # too (at n = 4: 48 and 49 at lambda 0.6, 142, 144 and 146 at 0.3).
     cap = {} if cap is None else {"period_cap": cap}
+    cfg = paper_config(runs=8, **cap, **ORACLE_CASES[case])
     for lam in (0.3, 0.6, 1.0):
-        cfg = paper_config(runs=8, lam=lam, **cap, **ORACLE_CASES[case])
-        engine = oracles.engine_runs(cfg)
+        engine = oracles.engine_runs(cfg, lam)
         for run in range(cfg.runs):
-            ref = oracles._simulate_run(cfg, run)
+            ref = oracles._simulate_run(cfg, lam, run)
             for s in STRATEGIES:
                 ours = engine[s][run]
                 assert ours.lifetime_periods == ref[s].lifetime_periods
@@ -359,10 +378,10 @@ def test_engine_row_cap_splits_steps(monkeypatch):
     # Steps of at most 20 periods, one run at a time, give the same runs as
     # the loop.
     monkeypatch.setattr(lifetime, "MAX_CELLS", 20 * 4)
-    cfg = paper_config(runs=6, lam=0.4)
-    engine = oracles.engine_runs(cfg)
+    cfg = paper_config(runs=6)
+    engine = oracles.engine_runs(cfg, 0.4)
     for run in range(cfg.runs):
-        ref = oracles._simulate_run(cfg, run)
+        ref = oracles._simulate_run(cfg, 0.4, run)
         for s in STRATEGIES:
             assert engine[s][run].lifetime_periods > 20
             assert engine[s][run].lifetime_periods == ref[s].lifetime_periods
@@ -398,8 +417,8 @@ def assert_same_runs(ours, ref):
 
 
 SWEEP_CASES = {
-    # Unsorted, one bound twice, and the config's own bound not swept.
-    "unsorted-dup": (dict(lam=0.8), (1.0, 0.4, 1.0, 0.6)),
+    # Unsorted, and one bound twice.
+    "unsorted-dup": (dict(), (1.0, 0.4, 1.0, 0.6)),
     "gains": (dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
               (0.6, 1.0, 0.45)),
     # Runs at 0.3 outlast the cap and end censored; at 1.0 they die first.
@@ -445,10 +464,10 @@ def test_sweep_pass_matches_each_lambda_and_the_oracle(monkeypatch, case,
         assert list(dict.fromkeys(steps)) == expected
     assert sweep.lifetimes.shape == (len(STRATEGIES), len(bounds), cfg.runs)
     for k, lam in enumerate(bounds):
-        one = replace(cfg, lam=lam)
         ours = oracles.sweep_runs(cfg, sweep, k)
-        assert_same_runs(ours, oracles.engine_runs(one))
-        oracle = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
+        assert_same_runs(ours, oracles.engine_runs(cfg, lam))
+        oracle = [oracles._simulate_run(cfg, lam, run)
+                  for run in range(cfg.runs)]
         assert_same_runs(ours, {s: [ref[s] for ref in oracle]
                                 for s in STRATEGIES})
     if case == "cap":
@@ -508,14 +527,13 @@ def test_a_slice_replays_only_its_live_ledgers(monkeypatch):
     assert (step.min(axis=0) < step.max(axis=0)).any()
 
 
-def test_compare_sweep_equals_compare_strategies_per_lambda():
-    cfg = paper_config(runs=6, lam=0.8)
+def test_compare_sweep_equals_a_sweep_per_lambda():
+    cfg = paper_config(runs=6)
     tables = compare_sweep(cfg, [1.0, 0.4, 1.0, 0.6])
     assert list(tables) == [1.0, 0.4, 0.6]
     for lam, table in tables.items():
-        solo = compare_strategies(replace(cfg, lam=lam))
+        solo = compare_sweep(cfg, [lam])[lam]
         assert table.stats == solo.stats
-        assert (table.seed, table.runs) == (solo.seed, solo.runs)
         for s in STRATEGIES:
             assert np.array_equal(table.lifetimes[s], solo.lifetimes[s])
 
@@ -530,8 +548,7 @@ def test_no_strategy_outlives_the_offline_bound(noise):
     # every run at lambda 0.6.
     cfg = paper_config(runs=40, noise=noise)
     for lam, table in compare_sweep(cfg, (0.6, 1.0)).items():
-        one = replace(cfg, lam=lam)
-        bound = np.array([oracles.offline_lifetime(one, run)
+        bound = np.array([oracles.offline_lifetime(cfg, lam, run)
                           for run in range(cfg.runs)])
         met = False
         for s in STRATEGIES:
@@ -585,7 +602,6 @@ def assert_same_table(table, ref):
     """Two comparison tables are equal bit for bit (``repr``, since a mean
     over no run is nan)."""
     assert repr(table.stats) == repr(ref.stats)
-    assert (table.seed, table.runs) == (ref.seed, ref.runs)
     assert list(table.lifetimes) == list(ref.lifetimes)
     for s in STRATEGIES:
         assert table.lifetimes[s].dtype == ref.lifetimes[s].dtype
@@ -593,7 +609,7 @@ def assert_same_table(table, ref):
 
 
 STATS_CASES = {
-    "unit-sweep": (dict(lam=0.8), (1.0, 0.4, 0.6)),
+    "unit-sweep": (dict(), (1.0, 0.4, 0.6)),
     "gains": (dict(noise=NoiseModel(1e-3, gains=[0.5, 1.0, 2.0, 4.0])),
               (0.6, 1.0)),
     "cap": (dict(period_cap=30), (0.3, 1.0)),
@@ -613,13 +629,13 @@ def test_tables_equal_the_statistics_oracle(case):
     assert list(tables) == list(lams)
     censored = []
     for lam in lams:
-        one = replace(cfg, lam=lam)
-        runs = [oracles._simulate_run(one, run) for run in range(cfg.runs)]
+        runs = [oracles._simulate_run(cfg, lam, run)
+                for run in range(cfg.runs)]
         censored += [r[s].censored for r in runs for s in STRATEGIES]
-        ref = oracles.tabulate(one, {s: [r[s] for r in runs]
+        ref = oracles.tabulate(cfg, {s: [r[s] for r in runs]
                                      for s in STRATEGIES})
         assert_same_table(tables[lam], ref)
-        assert_same_table(compare_strategies(one), ref)
+        assert_same_table(compare_sweep(cfg, [lam])[lam], ref)
         for s in STRATEGIES:
             stats = tables[lam].stats[s]
             if case == "one-run":

@@ -17,8 +17,7 @@ PUBLIC = {
     "Backlog", "EnergyReport", "Epoch", "STRATEGIES", "Schedule",
     "build_schedule", "energy_report",
     # lifetime
-    "ComparisonTable", "SimConfig", "StrategyStats", "compare_strategies",
-    "compare_sweep",
+    "ComparisonTable", "SimConfig", "StrategyStats", "compare_sweep",
 }
 
 
@@ -26,5 +25,5 @@ def test_exported_names():
     exported = {name for name, value in vars(macfair).items()
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC) == 29
+    assert len(PUBLIC) == 28
     assert exported == PUBLIC
