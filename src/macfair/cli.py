@@ -29,6 +29,7 @@ and default to 1 W; a config sets exactly one of ``noise_w`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -134,19 +135,25 @@ def _write_csv(stream, rows, comment=None) -> None:
     csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
-def _write_file(path, rows, comment=None) -> None:
-    """Write a CSV over the file ``path`` in place, cut to its new length
-    after the write: ext4 flushes a file truncated to zero on its close."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        handle = open(fd, "w", newline="")
-    except BaseException:
-        os.close(fd)
-        raise
-    with handle:
-        _write_csv(handle, rows, comment)
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # as O_TRUNC: files only
-            handle.truncate()
+def _write_files(files: dict, comment=None) -> None:
+    """Write each CSV ``files[path]`` over the file ``path`` in place, cut
+    to its new length after the write: ext4 flushes a file truncated to
+    zero on its close.  Every file is opened before any is written, so one
+    that cannot be opened leaves the bytes of the others as they were."""
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path in files:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                handles.append(stack.enter_context(open(fd, "w", newline="")))
+            except BaseException:
+                os.close(fd)
+                raise
+        for handle, rows in zip(handles, files.values()):
+            _write_csv(handle, rows, comment)
+            # As O_TRUNC, cut a regular file only.
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
 
 
 def cmd_schedule(args) -> int:
@@ -161,7 +168,7 @@ def cmd_schedule(args) -> int:
              + [repr(float(p)) for p in e.powers]
              + [repr(float(r)) for r in e.rates] for e in schedule.epochs]
     if args.out:
-        _write_file(args.out, rows)
+        _write_files({args.out: rows})
     else:
         _write_csv(sys.stdout, rows)
     report = scheduling.energy_report(schedule)
@@ -271,8 +278,7 @@ def cmd_simulate(args) -> int:
             repr(tables[bound].stats[s].mean_lifetime)]
            for bound in sweep for s in STRATEGIES],
     }
-    for name, rows in figs.items():
-        _write_file(out_dir / name, rows, stamp)
+    _write_files({out_dir / name: rows for name, rows in figs.items()}, stamp)
 
     print(stamp)
     print(f"runs: {config.runs}")

@@ -7,14 +7,15 @@ pipeline computes it for every input:
 1. Exact levels, block by block along a chain.  Unit gains: the rank
    ``sigma^2 * (2^(2*R(A)) - 1)`` depends on a subset only through its rate
    sum, so the base is the slope sequence of the least concave majorant of
-   the prefix ranks of the rates sorted in descending order, Fujishige's
-   lexicographically optimal base (Math. OR 5(3), 1980); each hull segment
-   is a block at one level.  Unequal gains: the objective is the
-   gain-weighted squared distance ``sum_i g_i * (Q_i - c)^2`` to the level
-   ``c = sum_power / sum(gains)``; it is separable convex, so its blocks are
-   successive max-ratio sets of the contracted rank, each found by
-   Dinkelbach's iteration (Management Sci. 13(7), 1967) over prefixes of
-   one sort, started from the previous block's sort.
+   the points ``(x_k, F_k)``, the prefix ranks of the rates sorted in
+   descending order at ``x_k = k``, Fujishige's lexicographically optimal
+   base (Math. OR 5(3), 1980).  One hull routine over x-coordinates takes
+   it; each hull segment is a block at one level.  Unequal gains: the
+   objective is the gain-weighted squared distance ``sum_i g_i * (Q_i -
+   c)^2`` to the level ``c = sum_power / sum(gains)``; it is separable
+   convex, so its blocks are successive max-ratio sets of the contracted
+   rank, each found by Dinkelbach's iteration (Management Sci. 13(7), 1967)
+   over prefixes of one sort, started from the previous block's sort.
 2. Time sharing.  Each block is a region of the same form, contracted by
    the blocks before it, and its point is decomposed exactly by a
    Carathéodory walk (Cunningham, JCTB 36, 1984; Fujishige, *Submodular
@@ -36,9 +37,9 @@ of two or more nodes and per weighted Dinkelbach step; ``math.expm1`` and
 stay those of the array form.  Sums run left to right, as ``np.cumsum`` adds.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
-solved by :func:`max_min_rates` the same way, with the levels from the
-greatest convex minorant of the prefix capacities over the received powers
-sorted in ascending order.
+solved by :func:`max_min_rates` the same way: the levels are the slopes of
+the greatest convex minorant of the prefix capacities of the received powers
+sorted in ascending order, the hull of their negatives at ``x_k = k``.
 """
 
 from __future__ import annotations
@@ -142,50 +143,51 @@ def equal_allocation(rates, noise: NoiseModel) -> np.ndarray:
     return level / noise.gains_for(r.size)
 
 
-def _majorant_levels(points: np.ndarray) -> np.ndarray:
-    """Slope of the least concave majorant of the points ``(k, F_k)`` on
-    every unit step ``[k, k + 1]``, for every column ``F`` of ``points``.
+def _majorant_levels(xs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Slope of the least concave majorant of the points ``(xs[k], F_k)`` on
+    every step ``[xs[k], xs[k + 1]]``, for every column ``F`` of ``points``.
 
     The slope on step ``k`` is ``min_{a <= k} max_{b > k} (F_b - F_a) /
-    (b - a)``, the max-min formula of isotonic regression (Robertson, Wright
-    and Dykstra, *Order Restricted Statistical Inference*, 1988).  Each
-    slope is one quotient ``(F_b - F_a) / (b - a)``, the expression that
-    :func:`_fair_base` evaluates on the hull's segments.
+    (x_b - x_a)``, the max-min formula of isotonic regression (Robertson,
+    Wright and Dykstra, *Order Restricted Statistical Inference*, 1988).
+    Each slope is one quotient ``(F_b - F_a) / (x_b - x_a)``, the expression
+    that :func:`_hull` evaluates on its segments.
 
     The layout is points-major: ``points[k]`` holds point ``k`` of every
-    row, and level ``k`` comes back as row ``k`` of the ``(n, rows)``
-    result.  Walking ``b`` down from ``n``, ``steepest[a]`` keeps the
+    row, ``xs`` is ``(n + 1, 1)`` for x-coordinates shared by every row or
+    ``(n + 1, rows)``, and level ``k`` comes back as row ``k`` of the ``(n,
+    rows)`` result.  Walking ``b`` down from ``n``, ``steepest[a]`` keeps the
     steepest slope from ``a`` to any point at or past ``b``, so level
     ``b - 1`` is the least of ``steepest[:b]``.  Every step is one
     elementwise ufunc over whole rows of points: an accumulation along
     the few points of a row costs several times as much per element.
     """
     n = points.shape[0] - 1
-    # b - a for every a < b, read from row n - b on.
-    steps = np.arange(n, 0, -1.0)[:, None]
     steepest = np.full((n,) + points.shape[1:], -np.inf)
     slopes = np.empty_like(steepest)
     levels = np.empty_like(steepest)
     for b in range(n, 0, -1):
         np.subtract(points[b], points[:b], out=slopes[:b])
-        np.divide(slopes[:b], steps[n - b:], out=slopes[:b])
+        np.divide(slopes[:b], xs[b] - xs[:b], out=slopes[:b])
         np.maximum(steepest[:b], slopes[:b], out=steepest[:b])
         np.minimum.reduce(steepest[:b], axis=0, out=levels[b - 1])
     return levels
 
 
-def _case_label(shares: list[float], level: float) -> CaseLabel:
+def _case_label(xs: list[float], shares: list[float], level: float
+                ) -> CaseLabel:
     """Where the equal-level point sits relative to the face.
 
     ``shares`` are the prefix ranks of the descending rates over the sum
-    power, empty set first.  The point violates the top-k constraint when a
-    share exceeds ``k * level``, and it is the vertex of the descending chain
-    when every share equals ``k * level``.  A one-node face is one point,
-    its own vertex, whatever the gain puts the level at.
+    power, empty set first, and ``xs`` their x-coordinates.  The point
+    violates the top-k constraint when a share exceeds ``level * xs[k]``,
+    and it is the vertex of the descending chain when every share equals
+    ``level * xs[k]``.  A one-node face is one point, its own vertex,
+    whatever the gain puts the level at.
     """
     if len(shares) == 2:
         return CaseLabel.VERTEX_COINCIDENT
-    excess = [shares[k] - level * k for k in range(1, len(shares))]
+    excess = [s - level * x for s, x in zip(shares[1:], xs[1:])]
     if max(excess) > CASE_TOL:
         return CaseLabel.INFEASIBLE
     if max(map(abs, excess)) <= CASE_TOL:
@@ -193,33 +195,30 @@ def _case_label(shares: list[float], level: float) -> CaseLabel:
     return CaseLabel.INTERIOR_FEASIBLE
 
 
-def _hull_ends(values: list[float]) -> list[int]:
-    """Breakpoints ``0 = k_0 < ... < k_p = n`` of the least concave majorant
-    of the points ``(k, values[k])``.  A point exactly on the majorant stays
-    a breakpoint: its prefix is tight, so splitting there is exact, and runs
-    of zero rates or powers become single-node blocks."""
+def _hull(order: list[int], xs: list[float], values: list[float]
+          ) -> tuple[list[float], list[int]]:
+    """Least concave majorant of the points ``(xs[k], values[k])``: the
+    slope ``(values[hi] - values[lo]) / (xs[hi] - xs[lo])`` of every segment
+    ``[lo, hi)`` at the segment's nodes ``order[lo:hi]``, and the
+    breakpoints ``0 = k_0 < ... < k_p = n``.  A point exactly on the
+    majorant stays a breakpoint: its prefix is tight, so splitting there is
+    exact, and runs of zero rates or powers become single-node blocks."""
     ends = [0]
     for k in range(1, len(values)):
-        yk = values[k]
+        xk, yk = xs[k], values[k]
         while len(ends) > 1:
             a, b = ends[-2], ends[-1]
-            if (values[b] - values[a]) * (k - a) >= (yk - values[a]) * (b - a):
+            if ((values[b] - values[a]) * (xk - xs[a])
+                    >= (yk - values[a]) * (xs[b] - xs[a])):
                 break
             ends.pop()
         ends.append(k)
-    return ends
-
-
-def _segment_levels(order: list[int], values: list[float], ends: list[int]
-                    ) -> list[float]:
-    """The slope ``(values[hi] - values[lo]) / (hi - lo)`` of every segment
-    ``[lo, hi)`` of ``ends``, at the segment's nodes ``order[lo:hi]``."""
     levels = [0.0] * len(order)
     for lo, hi in zip(ends[:-1], ends[1:]):
-        level = (values[hi] - values[lo]) / (hi - lo)
+        level = (values[hi] - values[lo]) / (xs[hi] - xs[lo])
         for i in order[lo:hi]:
             levels[i] = level
-    return levels
+    return levels, ends
 
 
 class _PowerBlock:
@@ -571,14 +570,14 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
 
 def _fair_base(r: np.ndarray, noise: NoiseModel):
     """The fair base in units of the noise power, its chain order, its
-    blocks ``[lo, hi)`` along that order, and the prefix rate sums and
-    prefix ranks of the descending rate sort, empty set first, all lists
-    (range checked by :func:`_check_sum_rate`).
+    blocks ``[lo, hi)`` along that order, and the prefix rate sums, prefix
+    ranks and their x-coordinates ``0 .. n`` of the descending rate sort,
+    empty set first, all lists (range checked by :func:`_check_sum_rate`).
 
     Unit gains take Fujishige's lexicographically optimal base: the slopes
-    of the least concave majorant of the descending prefix ranks, one block
-    per segment, so the chain is the descending sort.  Other gains take the
-    weighted max-ratio blocks.
+    of the least concave majorant of the points ``(k, F_k)`` of the
+    descending prefix ranks, one block per segment, so the chain is the
+    descending sort.  Other gains take the weighted max-ratio blocks.
     """
     rl = r.tolist()
     # Stable, as np.argsort(-r, kind="stable"); accumulate adds left to
@@ -587,10 +586,12 @@ def _fair_base(r: np.ndarray, noise: NoiseModel):
     prefix = [0.0, *accumulate([rl[i] for i in order])]
     _check_sum_rate(prefix[-1], noise.sigma_sq)
     ranks = np.expm1(np.multiply(2.0 * LN2, prefix)).tolist()
+    xs = list(map(float, range(len(prefix))))
     if not _unit_gains(noise):
-        return (*_weighted_levels(r, noise.gains, ranks[-1]), prefix, ranks)
-    ends = _hull_ends(ranks)
-    return _segment_levels(order, ranks, ends), order, ends, prefix, ranks
+        return (*_weighted_levels(r, noise.gains, ranks[-1]), prefix, ranks,
+                xs)
+    base, ends = _hull(order, xs, ranks)
+    return base, order, ends, prefix, ranks, xs
 
 
 def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -622,7 +623,7 @@ def _fair_transmit(r: np.ndarray, noise: NoiseModel) -> np.ndarray:
         base = [_weighted_levels(row, noise.gains, total)[0]
                 for row, total in zip(rows, points[n].tolist())]
         return noise.sigma_sq * np.reshape(base, r.shape) / noise.gains_for(n)
-    levels = _majorant_levels(points)
+    levels = _majorant_levels(np.arange(n + 1.0)[:, None], points)
     np.multiply(levels, noise.sigma_sq, out=levels)
     base = np.empty(rows.shape)
     base[cols, order] = levels
@@ -647,7 +648,7 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     n = r.size
     gains = [1.0] * n if noise.gains is None else noise.gains_for(n).tolist()
     unit = _unit_gains(noise)
-    base, order, ends, prefix, ranks = _fair_base(r, noise)
+    base, order, ends, prefix, ranks, xs = _fair_base(r, noise)
     total = ranks[-1]
 
     if total == 0.0:
@@ -661,7 +662,7 @@ def solve(rates, noise: NoiseModel) -> MinMaxSolution:
     # The gains summed as _weighted_levels sums them for its level.
     level = 1.0 / (n if unit else float(noise.gains.sum()))
     shares = [f / total for f in ranks]
-    case = _case_label(shares, level)
+    case = _case_label(xs, shares, level)
     rl = r.tolist()
     if not unit:  # the weighted chain is not the descending sort
         prefix = [0.0, *accumulate([rl[i] for i in order])]
@@ -738,12 +739,11 @@ def max_min_rates(powers, noise: NoiseModel
     caps = (0.5 / LN2) * np.log1p(cum / noise.sigma_sq)
     if caps[-1] == 0.0:
         return np.zeros(n), ((tuple(range(n)), 1.0),)
-    values = caps.tolist()
     order = order.tolist()
-    ends = _hull_ends([-c for c in values])
-    rates = _segment_levels(order, values, ends)
-
-    # Mirrored to a supermodular rank: the walk takes the negated rates.
-    support = _decompose(order, ends, [-x for x in rates], q.tolist(),
+    # The minorant is the negated majorant of the negated capacities, whose
+    # slopes the walk takes; 0.0 - x keeps a zero rate +0.0, as -x would not.
+    negated, ends = _hull(order, list(map(float, range(n + 1))),
+                          [-c for c in caps.tolist()])
+    support = _decompose(order, ends, negated, q.tolist(),
                          (noise.sigma_sq + cum).tolist(), _CapacityBlock)[0]
-    return np.array(rates), support
+    return np.array([0.0 - x for x in negated]), support

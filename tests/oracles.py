@@ -11,6 +11,7 @@ tests can check what the CLI wrote and what the engine computed.
 import collections
 import csv
 import decimal
+import fractions
 import functools
 import itertools
 import math
@@ -46,6 +47,8 @@ from macfair.polymatroid import (
 MODULARITY_MAX_N = 12   # 2^n x 2^n subset pairs
 LEX_CHECK_MAX_N = 12    # dependent-set checks per fairness level
 PERTURB_MAX_N = 8       # pairwise transfer probing
+MINMAX_PEAK_MAX_N = 10  # 2^n subsets
+PAPER_MAX_N = 7         # n! chain vertices
 
 # Default perturbation size of the min-max transfer probe, as a fraction of
 # the conserved received-power sum.
@@ -402,6 +405,97 @@ def decimal_rate_levels(powers, sigma_sq, digits=60):
             for i in order[lo:hi]:
                 levels[i] = (caps[hi] - caps[lo]) / (hi - lo)
     return levels
+
+
+def majorant_slopes(xs, values):
+    """Slope of the least concave majorant of the points ``(xs[k],
+    values[k])`` on every step ``[xs[k], xs[k + 1]]``, as ``Fraction``s.
+
+    The max-min formula ``min_{a <= k} max_{b > k} (F_b - F_a) / (x_b -
+    x_a)``, term by term in exact rationals of the float inputs; ``xs``
+    must increase strictly.  Nothing of the solver is called.
+    """
+    x = [fractions.Fraction(v) for v in xs]
+    f = [fractions.Fraction(v) for v in values]
+    n = len(f) - 1
+    return [min(max((f[b] - f[a]) / (x[b] - x[a]) for b in range(k + 1, n + 1))
+                for a in range(k + 1)) for k in range(n)]
+
+
+def minmax_peak(rates, noise):
+    """``t* = max_A f(A) / g(A)`` over the non-empty subsets ``A`` of the
+    nodes, by enumerating all ``2^n`` of them (``n <= MINMAX_PEAK_MAX_N``):
+    the smallest peak transmit power of any base, since a base's received
+    powers on ``A`` sum to at least the rank ``f(A)``.  In plain NumPy."""
+    r = np.asarray(rates, dtype=float)
+    if r.size > MINMAX_PEAK_MAX_N:
+        raise EnumerationLimitError(
+            f"minmax_peak enumerates 2^n subsets; n={r.size} exceeds the "
+            f"cap of {MINMAX_PEAK_MAX_N}")
+    bits = _subset_bits(r.size)[1:]
+    ranks = noise.sigma_sq * np.expm1(2.0 * LN2 * (bits @ r))
+    return float(np.max(ranks / (bits @ noise.gains_for(r.size))))
+
+
+def paper_time_sharing(rates, noise, rtol=1e-15, max_cycles=10_000):
+    """The paper's program for unit gains: the point of the dominant face
+    nearest the equal point, as the time sharing of all ``n!`` chain
+    vertices (``n <= PAPER_MAX_N``) that minimizes the distance to it.
+
+    Wolfe's min-norm point algorithm (Math. Programming 11, 1976) on the
+    vertices taken from the equal point: a corral of affinely independent
+    vertices, grown by the vertex most opposed to the current point and cut
+    back to the part of its affine minimizer with positive weights.  It
+    stops when no vertex improves the point by more than ``rtol`` of the
+    squared diameter, or when a cycle no longer shortens the point, which
+    is rounding.  Returns the received powers and the weights over
+    ``all_received_vertices``' orders.
+    """
+    r = np.asarray(rates, dtype=float)
+    if r.size > PAPER_MAX_N:
+        raise EnumerationLimitError(
+            f"paper_time_sharing enumerates n! chain vertices; n={r.size} "
+            f"exceeds the cap of {PAPER_MAX_N}")
+    _, vertices = all_received_vertices(r, noise.sigma_sq)
+    total = float(vertices[0].sum())
+    # In units of the sum power, so that the points and the row of ones of
+    # the affine constraint are commensurate.
+    points = vertices / total - 1.0 / r.size
+    norms = np.sum(points * points, axis=1)
+    corral, weights = [int(np.argmin(norms))], np.ones(1)
+    x = points[corral[0]]
+    unit_last = np.zeros(r.size + 1)
+    unit_last[-1] = 1.0
+    for _ in range(max_cycles):
+        j = int(np.argmin(points @ x))
+        if x @ x - points[j] @ x <= rtol * norms.max() or j in corral:
+            break
+        grown, w = [*corral, j], np.append(weights, 0.0)
+        while True:  # minor cycle: the affine minimizer of the corral
+            # Least squares of [P^T; 1] mu = [0; 1], whose normal equations
+            # are Wolfe's (P P^T + 1 1^T) mu = 1, at the condition of P.
+            system = np.vstack([points[grown].T, np.ones(len(grown))])
+            mu = np.linalg.lstsq(system, unit_last, rcond=None)[0]
+            mu /= mu.sum()
+            if np.all(mu > 0.0):
+                w = mu
+                break
+            falling = np.flatnonzero(mu <= 0.0)
+            ratios = w[falling] / (w[falling] - mu[falling])
+            w = w + ratios.min() * (mu - w)
+            keep = w > 0.0
+            keep[falling[np.argmin(ratios)]] = False  # the one it zeroes
+            grown = [c for c, k in zip(grown, keep) if k]
+            w = w[keep]
+        y = w @ points[grown]
+        if not y @ y < x @ x:
+            break
+        corral, weights, x = grown, w, y
+    else:
+        raise RuntimeError("Wolfe's method did not converge")
+    share = np.zeros(len(vertices))
+    share[corral] = weights
+    return total * (x + 1.0 / r.size), share
 
 
 def max_ratio_blocks(rates, gains, rtol=1e-12):

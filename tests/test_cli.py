@@ -458,6 +458,28 @@ def test_unwritable_outputs_fail_cleanly(tmp_path, capsys):
     assert_one_error_line(code, err)
 
 
+def test_simulate_opens_every_fig_before_writing_any(tmp_path, capsys,
+                                                    monkeypatch):
+    # fig5 cannot be opened, so fig4 (opened before it) and fig6 (after
+    # it) keep their old bytes and inodes: no mixed set of figs.
+    monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(CONFIG.replace("runs = 12", "runs = 1"))
+    out = tmp_path / "out"
+    (out / "fig5.csv").mkdir(parents=True)
+    old = {}
+    for name in ("fig4.csv", "fig6.csv"):
+        (out / name).write_bytes(b"older " + name.encode() + b"\n")
+        old[name] = ((out / name).read_bytes(), (out / name).stat().st_ino)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                           "--out-dir", str(out))
+    assert_one_error_line(code, err)
+    assert "fig5.csv" in err
+    for name, (data, inode) in old.items():
+        assert (out / name).read_bytes() == data, name
+        assert (out / name).stat().st_ino == inode, name
+
+
 def test_writer_closes_the_file_it_cannot_wrap(tmp_path, capsys,
                                                monkeypatch):
     fds = []

@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from macfair import (
     sum_power,
 )
 from macfair import minmax
-from macfair.polymatroid import _power_slack
+from macfair.polymatroid import LN2, _power_slack
 
 UNIT = NoiseModel(1.0)
 R2_COINCIDENT = float(np.log2(3.0) / 2.0 - 0.5)  # makes vertex (1,1) the equal point
@@ -863,6 +864,123 @@ def test_max_min_rates_match_the_decimal_reference():
     # Measured worst case over seeds 0-9 and 107 of this sample: 1.98 ulp
     # of the sum rate; the bound is about twice that.
     assert max(_rate_level_errors(107)) <= 4.0
+
+
+def small_integer_points(rng, n, rows):
+    """``(xs, values)`` of ``rows`` point sets ``0..n``, points-major, on
+    small integers: x-coordinates ``0 .. n`` in the even rows and prefix
+    sums of steps 1-3 in the odd ones; values rising by 0-6 a point, with
+    zero rises, or in collinear runs of one rise per unit of x."""
+    steps = np.where(np.arange(rows) % 2 == 1, rng.integers(1, 4, (n, rows)),
+                     1)
+    rises = rng.integers(0, 7, (n, rows))
+    rises[rng.random((n, rows)) < 0.25] = 0
+    runs = np.arange(rows) % 3 == 0
+    # Collinear runs: each run of steps keeps one rise per unit of x.
+    slope = rng.integers(0, 4, (n, rows))
+    for k in range(1, n):
+        same = rng.random(rows) < 0.6
+        slope[k, same] = slope[k - 1, same]
+    rises[:, runs] = (slope * steps)[:, runs]
+    xs = np.zeros((n + 1, rows))
+    values = np.zeros((n + 1, rows))
+    xs[1:] = np.cumsum(steps, axis=0)
+    values[1:] = np.cumsum(rises, axis=0)
+    return xs, values
+
+
+def test_hull_kernels_are_the_exact_majorant():
+    # On small integers every float operation of both kernels is exact but
+    # the slopes' quotients, which round once, as float(Fraction) does.  So
+    # the slopes of _hull and of _majorant_levels (shared and per-row
+    # x-coordinates) equal the exact max-min formula, and _hull's ends are
+    # exactly the points on the majorant, collinear ones included.
+    rng = np.random.default_rng(36)
+    for n in range(1, 9):
+        xs, values = small_integer_points(rng, n, 60)
+        batched = minmax._majorant_levels(xs, values)
+        unit = np.arange(0, 60, 2)
+        shared = minmax._majorant_levels(np.arange(n + 1.0)[:, None],
+                                         values[:, unit])
+        assert np.array_equal(shared, batched[:, unit])
+        for j in range(60):
+            x, f = xs[:, j].tolist(), values[:, j].tolist()
+            slopes = oracles.majorant_slopes(x, f)
+            levels, ends = minmax._hull(list(range(n)), x, f)
+            assert levels == [float(s) for s in slopes], (n, j)
+            assert batched[:, j].tolist() == levels, (n, j)
+            majorant = [Fraction(f[0])]
+            for k, s in enumerate(slopes):
+                majorant.append(majorant[-1] + s * Fraction(x[k + 1] - x[k]))
+            assert ends == [k for k in range(n + 1)
+                            if Fraction(f[k]) == majorant[k]], (n, j)
+
+
+def test_hull_kernels_agree_bitwise_at_other_x_coordinates():
+    # At the x-coordinates of gain prefix sums, on float points of the
+    # solver's kind (prefix ranks of descending rates), the list and the
+    # batched kernel give the same slopes bit for bit.
+    rng = np.random.default_rng(37)
+    rows = 0
+    for n in (1, 2, 3, 4, 5, 6, 8, 12, 20):
+        count = 1200
+        rates = -np.sort(-(1.0 - rng.random((count, n))), axis=1)
+        rates *= rng.choice([1e-3, 0.2, 1.0, 3.0], size=(count, 1))
+        gains = np.exp(rng.uniform(np.log(0.2), np.log(5.0), (count, n)))
+        xs = np.zeros((n + 1, count))
+        points = np.zeros((n + 1, count))
+        xs[1:] = np.cumsum(gains, axis=1).T
+        points[1:] = np.expm1(2.0 * LN2 * np.cumsum(rates, axis=1)).T
+        batched = minmax._majorant_levels(xs, points)
+        for j in range(count):
+            levels, _ = minmax._hull(list(range(n)), xs[:, j].tolist(),
+                                     points[:, j].tolist())
+            assert batched[:, j].tolist() == levels, (n, j)
+        rows += count
+    assert rows >= 10_000
+
+
+def peak_cases(seed, count, n_max):
+    """Unit-gain rate vectors at n = 1..n_max, rates on (0, 1] or (0, 4/n],
+    a quarter with tied rates and a fifth with zero ones, at 1 and
+    1e-3 W; the all-zero vectors are left out."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        rates = (1.0 if trial % 2 else 4.0 / n) * (1.0 - rng.random(n))
+        if trial % 4 == 0:
+            rates[rng.integers(n, size=n // 2)] = rates[0]
+        if trial % 5 == 0:
+            rates[rng.random(n) < 0.3] = 0.0
+        if rates.any():
+            yield rates, NoiseModel(1.0 if trial % 3 else 1e-3)
+
+
+def test_largest_power_is_the_subset_peak():
+    # With unit gains the largest transmit power of the fair base is the
+    # hull's first slope, t* = max_A f(A) / |A|, here over all 2^n subsets.
+    # Over 23,792 solves (seeds 0-79 of this sample) the worst difference
+    # was 3.9e-16 of the sum power; the bound is about five times that.
+    for rates, noise in peak_cases(38, 300, 10):
+        peak = oracles.minmax_peak(rates, noise)
+        got = float(solve(rates, noise).transmit.max())
+        assert abs(got - peak) <= 2e-15 * sum_power(rates, noise), rates
+
+
+def test_solve_is_the_paper_program():
+    # The paper's own program: the time sharing of all n! chain vertices
+    # nearest the equal point, by Wolfe's min-norm point method.  Its point
+    # is solve's base.  Over 4,717 instances (seeds 0-79 of this sample)
+    # the worst difference was 3.3e-12 of the sum power, and 10 were above
+    # 1e-13; the bound is about five times the worst.  The error is the
+    # oracle's: Wolfe's corral is ill-conditioned where small rates tie,
+    # and solve's base is within 1e-16 of the 60-digit reference there.
+    for rates, noise in peak_cases(39, 120, 6):
+        point, share = oracles.paper_time_sharing(rates, noise)
+        assert share.min() >= 0.0 and abs(share.sum() - 1.0) <= 1e-12
+        received = solve(rates, noise).received
+        bound = 1.5e-11 * sum_power(rates, noise)
+        assert float(np.max(np.abs(point - received))) <= bound, rates
 
 
 def test_power_block_memory_is_linear_in_the_block():

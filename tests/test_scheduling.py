@@ -224,6 +224,34 @@ def test_minmax_minimizes_normalized_max_power():
         assert peaks["minmax"] <= peaks["tdma"] + slack
 
 
+def test_no_schedule_peaks_below_the_subset_peak():
+    # t* = max_A f(A) / |A| over all 2^n subsets is the smallest peak any
+    # schedule can have: minicost and TDMA peak at or above it.  One
+    # backlog in seven has one node, where both peak at t* itself.  Over
+    # 57,808 such peaks (seeds 0-99 of this sample; 17,184 at t* within
+    # 1e-12 of the sum power) the lowest was t* less 2.1e-16 of the sum
+    # power; the slack is about five times that.
+    rng = np.random.default_rng(80)
+    noise = NoiseModel.from_db(-30.0)
+    for trial in range(300):
+        n = int(rng.integers(1, 11))
+        packets = rng.uniform(0.0, 1.0, n)
+        packets[rng.random(n) < 0.3] = 0.0
+        if trial % 7 == 0:
+            packets[:] = 0.0
+            packets[rng.integers(n)] = rng.uniform(0.1, 1.0)
+        if not packets.any():
+            continue
+        backlog = Backlog(packets, 30)
+        rates = backlog.bits / 30.0
+        peak = oracles.minmax_peak(rates, noise)
+        slack = 1e-15 * sum_power(rates, noise)
+        for strategy in ("minicost", "tdma"):
+            schedule = build_schedule(strategy, backlog, 30.0, noise)
+            assert energy_report(schedule).max_power >= peak - slack, (
+                strategy, packets)
+
+
 def test_zero_backlog_nodes_reported_silent():
     sched = build_schedule("minmax", Backlog([1.0, 0.0, 2.0], 30), 30.0, UNIT)
     for e in sched.epochs:
