@@ -139,21 +139,39 @@ def _write_files(files: dict, comment=None) -> None:
     """Write each CSV ``files[path]`` over the file ``path`` in place, cut
     to its new length after the write: ext4 flushes a file truncated to
     zero on its close.  Every file is opened before any is written, so one
-    that cannot be opened leaves the bytes of the others as they were."""
-    with contextlib.ExitStack() as stack:
-        handles = []
-        for path in files:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-            try:
-                handles.append(stack.enter_context(open(fd, "w", newline="")))
-            except BaseException:
-                os.close(fd)
-                raise
-        for handle, rows in zip(handles, files.values()):
-            _write_csv(handle, rows, comment)
-            # As O_TRUNC, cut a regular file only.
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.truncate()
+    that cannot be opened leaves the bytes of the others as they were.  An
+    existing file is opened without ``O_CREAT`` and a missing one created
+    with ``O_EXCL``, so a call that fails removes the files it created."""
+    created = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in files:
+                try:
+                    fd = os.open(path, os.O_WRONLY)
+                except FileNotFoundError:
+                    try:
+                        fd = os.open(path, os.O_WRONLY | os.O_CREAT
+                                     | os.O_EXCL, 0o666)
+                        created.append(path)
+                    except FileExistsError:  # a dangling symlink, or a race
+                        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                try:
+                    handles.append(stack.enter_context(
+                        open(fd, "w", newline="")))
+                except BaseException:
+                    os.close(fd)
+                    raise
+            for handle, rows in zip(handles, files.values()):
+                _write_csv(handle, rows, comment)
+                # As O_TRUNC, cut a regular file only.
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.truncate()
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def cmd_schedule(args) -> int:

@@ -33,8 +33,8 @@ certificate, because at a handful of nodes each NumPy call costs more than
 its arithmetic.  Only the exponentials come from NumPy: ``np.expm1`` and
 ``np.exp2`` on the prefix rate sums, and ``np.expm1`` once more per block
 of two or more nodes and per weighted Dinkelbach step; ``math.expm1`` and
-``2.0 ** x`` round differently on some arguments, and the outputs are to
-stay those of the array form.  Sums run left to right, as ``np.cumsum`` adds.
+``2.0 ** x`` round differently on some arguments, and the outputs stay
+those of the array forms.  Sums run left to right, as ``np.cumsum`` adds.
 
 The dual problem, max-min fair rate allocation in the capacity region, is
 solved by :func:`max_min_rates` the same way: the levels are the slopes of
@@ -231,14 +231,13 @@ class _PowerBlock:
     a block of more than ``_LIST_PIECE`` nodes, the only one that prices
     pieces on arrays.
 
-    A list piece's masses are not built by its parent.  The piece holds
-    ``(src, slo, cp, chain, top)``: its parent's masses over the parent's
-    prefixes from ``slo``, the parent's ``c``, the time the parent follows
-    its chain and the mass its suffix drops.  It derives its own masses
-    ``(src[j - slo] - chain * (cp * (E_j - E_slo))) - top`` in the pass that
-    prices it, the IEEE operations that building them first would do.  A
-    list of ready masses is priced as ``(masses, lo, 0, 0, 0)``, which
-    leaves them as they are."""
+    A piece's masses are an array in a piece of more than ``_LIST_PIECE``
+    nodes and otherwise the view ``(src, slo, cp, chain, top)``: its
+    parent's masses over the parent's prefixes from ``slo``, the parent's
+    ``c``, the time the parent follows its chain and the mass its suffix
+    drops.  It derives its masses ``(src[j - slo] - chain * (cp * (E_j -
+    E_slo))) - top`` in the pass that prices it, by the IEEE operations of
+    building them first; ready masses are ``(masses, lo, 0.0, 0.0, 0.0)``."""
 
     def __init__(self, rates: list[float]):
         em = np.expm1(np.multiply(2.0 * LN2, [0.0, *accumulate(rates)]))
@@ -263,8 +262,6 @@ class _PowerBlock:
         ratio is the breakpoint, as in ``argmax``."""
         if isinstance(mass, np.ndarray):
             return self._split_array(lo, hi, c, scale, mass)
-        if isinstance(mass, list):
-            mass = (mass, lo, 0.0, 0.0, 0.0)
         src, slo, cp, chain, top = mass
         em, inv = self.em_list, self.inv_list
         first, last, base = em[lo], em[hi], em[slo]
@@ -296,7 +293,7 @@ class _PowerBlock:
 
     def _split_array(self, lo, hi, c, scale, mass):
         """:meth:`split` on arrays, for the piece's masses ``mass``; a part
-        of at most ``_LIST_PIECE`` nodes gets its masses as a list."""
+        of at most ``_LIST_PIECE`` nodes gets the view of its masses."""
         em = self.em
         ranks = c * (em[lo:hi + 1] - em[lo])
         excess = ranks[1:-1] * ((em[hi] - em[lo + 1:hi]) * self.inv[lo + 1:hi])
@@ -304,10 +301,12 @@ class _PowerBlock:
         if tail is None:
             return b, k, None, None
         em, inv = self.em_list, self.inv_list[lo + k]
-        return (b, k, (c * (1.0 + em[lo]) * inv,
-                       tail if tail.size > _LIST_PIECE else tail.tolist()),
-                (c * (1.0 + em[hi]) * inv,
-                 head if k > _LIST_PIECE else head.tolist()))
+        if tail.size <= _LIST_PIECE:
+            tail = (tail.tolist(), lo + k, 0.0, 0.0, 0.0)
+        if k <= _LIST_PIECE:
+            head = (head.tolist(), lo, 0.0, 0.0, 0.0)
+        return (b, k, (c * (1.0 + em[lo]) * inv, tail),
+                (c * (1.0 + em[hi]) * inv, head))
 
 
 class _CapacityBlock:
@@ -328,7 +327,7 @@ class _CapacityBlock:
         head = q[1:-1]
         excess = (0.5 / LN2) * np.log1p(
             (head / s) * ((q[-1] - head) / (s + q[-1])))
-        b, k, tail, head = _array_split(ranks, excess, np.asarray(mass), scale)
+        b, k, tail, head = _array_split(ranks, excess, mass, scale)
         if tail is None:
             return b, k, None, None
         return (b, k, (s, tail),
@@ -381,11 +380,11 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     total.
 
     The region's block splits each piece: it prices the piece and hands
-    both parts their noise and masses.  A capacity piece is priced on
-    arrays whatever its size.  A power piece of at most ``_LIST_PIECE``
-    nodes is priced in Python floats, a larger one on arrays, with the same
-    IEEE operations either way; one in Python floats takes its masses from
-    its parent's, its ranks, its ratios and their argmax in one pass.
+    both parts their noise and masses.  A power piece of at most
+    ``_LIST_PIECE`` nodes holds the view of :class:`_PowerBlock` and is
+    priced in Python floats, its masses, ranks, ratios and their argmax in
+    one pass; every other piece, a capacity piece of any size too, holds an
+    array of masses and is priced on arrays, with the same IEEE operations.
 
     A piece shares ``[0, scale]`` and opens at its breakpoint ``b``: on
     ``(b, scale]`` it follows its chain, below ``b`` its suffix goes first.
@@ -395,8 +394,7 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     ``m - 1`` openings.
     """
     m = len(nodes)
-    large = m > _LIST_PIECE
-    arrays = large or region is _CapacityBlock
+    arrays = m > _LIST_PIECE or region is _CapacityBlock
     keys = [-a / b for a, b in zip(x, w)]
     sort = sorted(range(m), key=keys.__getitem__)  # stable
     ws = [w[i] for i in sort]
@@ -404,8 +402,7 @@ def _walk(nodes: list[int], w: list[float], x: list[float], noise: float,
     order = [nodes[i] for i in sort]
     block = region(ws)
     mass = [0.0, *accumulate(xs[:-1])]
-    if large:
-        mass = np.array(mass)
+    mass = np.array(mass) if arrays else (mass, 0, 0.0, 0.0, 0.0)
     openings = []
     pieces = [(0, m, at, 1.0, (noise, mass))]
     # Ranks that underflow give a NaN breakpoint, which ends the piece.
@@ -514,7 +511,7 @@ def _weighted_levels(r: np.ndarray, gains: np.ndarray, total: float
     """
     inf, two_ln2, rl = math.inf, 2.0 * LN2, r.tolist()
     try:
-        with np.errstate(over="raise"):  # the gain sum and 1/g, as before
+        with np.errstate(over="raise"):  # as array_weighted_levels checks
             c, inv_g = total / float(gains.sum()), (1.0 / gains).tolist()
     except FloatingPointError:
         raise _gain_overflow(gains) from None

@@ -445,7 +445,12 @@ def paper_time_sharing(rates, noise, rtol=1e-15, max_cycles=10_000):
     Wolfe's min-norm point algorithm (Math. Programming 11, 1976) on the
     vertices taken from the equal point: a corral of affinely independent
     vertices, grown by the vertex most opposed to the current point and cut
-    back to the part of its affine minimizer with positive weights.  It
+    back to the part of its affine minimizer with positive weights.  The
+    affine minimizer is an orthogonal least-squares solve on the corral's
+    differences to its first vertex, which leaves their common part out of
+    the factorization; Wolfe's own system ``(P P^T + 1 1^T) mu = 1`` keeps
+    it, and where small rates tie it lands up to 17 times further from the
+    60-digit ``decimal_fair_levels``.  It
     stops when no vertex improves the point by more than ``rtol`` of the
     squared diameter, or when a cycle no longer shortens the point, which
     is rounding.  Returns the received powers and the weights over
@@ -464,19 +469,19 @@ def paper_time_sharing(rates, noise, rtol=1e-15, max_cycles=10_000):
     norms = np.sum(points * points, axis=1)
     corral, weights = [int(np.argmin(norms))], np.ones(1)
     x = points[corral[0]]
-    unit_last = np.zeros(r.size + 1)
-    unit_last[-1] = 1.0
     for _ in range(max_cycles):
         j = int(np.argmin(points @ x))
         if x @ x - points[j] @ x <= rtol * norms.max() or j in corral:
             break
         grown, w = [*corral, j], np.append(weights, 0.0)
         while True:  # minor cycle: the affine minimizer of the corral
-            # Least squares of [P^T; 1] mu = [0; 1], whose normal equations
-            # are Wolfe's (P P^T + 1 1^T) mu = 1, at the condition of P.
-            system = np.vstack([points[grown].T, np.ones(len(grown))])
-            mu = np.linalg.lstsq(system, unit_last, rcond=None)[0]
-            mu /= mu.sum()
+            # The corral's point p_0 + D lam of least norm, D the differences
+            # to p_0, by SVD least squares (as accurate as QR here, and it
+            # takes a rank-deficient D); mu = (1 - sum(lam), lam).
+            first = points[grown[0]]
+            lam = np.linalg.lstsq((points[grown[1:]] - first).T, -first,
+                                  rcond=None)[0]
+            mu = np.concatenate([[1.0 - lam.sum()], lam])
             if np.all(mu > 0.0):
                 w = mu
                 break

@@ -29,6 +29,7 @@ from macfair.cli import (
     order_to_wire,
     parse_experiment_config,
 )
+import paper_figs
 from oracles import delivered_bits, read_schedule_csv, wire_to_order
 
 CONFIG = """\
@@ -48,6 +49,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def source_env():
+    """This process's environment for a child ``python -m macfair`` of the
+    package under test, without MACFAIR_SEED."""
+    env = dict(os.environ)
+    env.pop("MACFAIR_SEED", None)
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_wire_format_round_trip():
@@ -307,20 +319,47 @@ seed = 1
 """
 
 
+def assert_golden_figs(out, golden):
+    for name in FIGS:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), \
+            (name, golden.name)
+
+
 def test_paper_config_figs_are_the_golden_bytes(tmp_path, capsys,
                                                 monkeypatch):
-    # fig4/5/6 of the paper config, byte for byte.  A change that moves
-    # them on purpose rewrites tests/data/paper-figs and says why.
+    # fig4/5/6 of the paper config, byte for byte, against the set of the
+    # NumPy dispatch family this process runs (tests/paper_figs.py); a
+    # dispatch without a set fails.  A change that moves them on purpose
+    # rewrites every set and says why.
     monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    golden = paper_figs.golden_dir()
     cfg = tmp_path / "paper.cfg"
     cfg.write_text(PAPER_CONFIG)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
                          "--out-dir", str(tmp_path / "out"))
     assert code == EXIT_OK
-    golden = Path(__file__).parent / "data" / "paper-figs"
-    for name in ("fig4.csv", "fig5.csv", "fig6.csv"):
-        assert (tmp_path / "out" / name).read_bytes() == \
-            (golden / name).read_bytes(), name
+    assert_golden_figs(tmp_path / "out", golden)
+
+
+def test_paper_config_figs_of_the_x86_v3_dispatch(tmp_path):
+    # The paper config in a child process whose environment alone disables
+    # NumPy's AVX-512 dispatch: its figs are the X86_V3 set, so an AVX-512
+    # machine checks both families.  Where NumPy found no AVX-512, the
+    # child dispatches as this process does and repeats the default run.
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(PAPER_CONFIG)
+    env = source_env()
+    if paper_figs.__cpu_features__.get("X86_V4"):
+        env["NPY_DISABLE_CPU_FEATURES"] = paper_figs.NO_AVX512
+        golden = paper_figs.SETS["X86_V3"]
+    else:
+        golden = paper_figs.golden_dir()
+    child = subprocess.run(
+        [sys.executable, "-m", "macfair", "simulate", "--config", str(cfg),
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (EXIT_OK, "")
+    assert_golden_figs(tmp_path / "out", golden)
 
 
 # Full stdout of each run, and the CSV of a run with --out (written to the
@@ -454,6 +493,8 @@ def test_unwritable_outputs_fail_cleanly(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "out"))
     assert_one_error_line(code, err)
     assert "fig5.csv" in err
+    # fig4, which the call created before fig5 failed, is removed again.
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["fig5.csv"]
     code, _, err = run_cli(capsys, *schedule_out(tmp_path))
     assert_one_error_line(code, err)
 
@@ -478,6 +519,46 @@ def test_simulate_opens_every_fig_before_writing_any(tmp_path, capsys,
     for name, (data, inode) in old.items():
         assert (out / name).read_bytes() == data, name
         assert (out / name).stat().st_ino == inode, name
+
+
+def test_a_failed_simulate_removes_only_the_figs_it_created(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # fig6 cannot be opened (a directory) after fig4 was created and fig5,
+    # which was there, was opened: fig4 is removed, and fig5 keeps its
+    # bytes and inode.
+    monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(CONFIG.replace("runs = 12", "runs = 1"))
+    out = tmp_path / "out"
+    (out / "fig6.csv").mkdir(parents=True)
+    (out / "fig5.csv").write_bytes(b"older fig5\n")
+    inode = (out / "fig5.csv").stat().st_ino
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                           "--out-dir", str(out))
+    assert_one_error_line(code, err)
+    assert "fig6.csv" in err
+    assert sorted(p.name for p in out.iterdir()) == ["fig5.csv", "fig6.csv"]
+    assert (out / "fig5.csv").read_bytes() == b"older fig5\n"
+    assert (out / "fig5.csv").stat().st_ino == inode
+
+
+def test_simulate_writes_through_a_dangling_symlink(tmp_path, capsys,
+                                                    monkeypatch):
+    # A missing file is created with O_EXCL, which refuses a dangling
+    # symlink; the writer then creates the link's target, as O_CREAT does.
+    monkeypatch.delenv("MACFAIR_SEED", raising=False)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(CONFIG.replace("runs = 12", "runs = 1"))
+    run_ok(capsys, ["simulate", "--config", str(cfg), "--out-dir",
+                    str(tmp_path / "fresh")])
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "fig4.csv").symlink_to("target.csv")
+    run_ok(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    assert (out / "fig4.csv").is_symlink()
+    assert (out / "target.csv").read_bytes() == \
+        (tmp_path / "fresh" / "fig4.csv").read_bytes()
 
 
 def test_writer_closes_the_file_it_cannot_wrap(tmp_path, capsys,
@@ -544,11 +625,7 @@ def test_one_process_answers_like_fresh_ones(tmp_path, capsys):
     # of three fresh processes.  The solve's runs ``python -m macfair``.
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(CONFIG.replace("runs = 12", "runs = 2"))
-    env = dict(os.environ)
-    env.pop("MACFAIR_SEED", None)
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = source_env()
     out = tmp_path / "out"
     calls = [
         ("macfair.cli", ["solve", "--rates"]),

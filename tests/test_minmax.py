@@ -529,7 +529,9 @@ def test_walk_step_meets_a_suffix_first(side):
         suffixes = [sum(1 << int(i) for i in sort[k:]) for k in range(1, n)]
         assert min(ratios[m] for m in suffixes) == pytest.approx(best,
                                                                  rel=1e-9)
-        mass = [0.0, *np.cumsum(x[sort])[:-1].tolist()]
+        mass = np.concatenate([[0.0], np.cumsum(x[sort])[:-1]])
+        if side == "power":  # a small power piece's view of its masses
+            mass = (mass.tolist(), 0, 0.0, 0.0, 0.0)
         block = BLOCKS[side](w[sort].tolist())
         b, k = block.split(0, n, s, 1.0, mass)[:2]
         assert b == pytest.approx(1.0 / (1.0 + best), rel=1e-9)
@@ -755,7 +757,8 @@ def test_power_piece_derives_the_same_masses_at_a_zero_excess():
                              - top for j in range(lo + 1, 5)]
             for scale in (0.5, 1.0):
                 got = block.split(lo, 5, 1.3, scale, (src, slo, cp, chain, top))
-                assert repr(got) == repr(block.split(lo, 5, 1.3, scale, ready))
+                assert repr(got) == repr(block.split(
+                    lo, 5, 1.3, scale, (ready, lo, 0.0, 0.0, 0.0)))
 
 
 def test_small_power_blocks_price_in_python_floats_alone(monkeypatch):
@@ -970,16 +973,17 @@ def test_largest_power_is_the_subset_peak():
 def test_solve_is_the_paper_program():
     # The paper's own program: the time sharing of all n! chain vertices
     # nearest the equal point, by Wolfe's min-norm point method.  Its point
-    # is solve's base.  Over 4,717 instances (seeds 0-79 of this sample)
-    # the worst difference was 3.3e-12 of the sum power, and 10 were above
-    # 1e-13; the bound is about five times the worst.  The error is the
-    # oracle's: Wolfe's corral is ill-conditioned where small rates tie,
-    # and solve's base is within 1e-16 of the 60-digit reference there.
+    # is solve's base.  Over 9,461 instances (seeds 0-79 of this sample)
+    # the worst difference was 1.9e-13 of the sum power, and 2 were above
+    # 1e-13; on this seed's 119 it is 7.5e-15.  The bound is about five
+    # times the worst.  The error is the oracle's: its corral is
+    # ill-conditioned where small rates tie, and solve's base is within
+    # 1e-15 of the 60-digit reference on all of them.
     for rates, noise in peak_cases(39, 120, 6):
         point, share = oracles.paper_time_sharing(rates, noise)
         assert share.min() >= 0.0 and abs(share.sum() - 1.0) <= 1e-12
         received = solve(rates, noise).received
-        bound = 1.5e-11 * sum_power(rates, noise)
+        bound = 1e-12 * sum_power(rates, noise)
         assert float(np.max(np.abs(point - received))) <= bound, rates
 
 
